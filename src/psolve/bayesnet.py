@@ -18,6 +18,7 @@ the node's own name in its parent list and must be declared under
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -590,7 +591,7 @@ def _check_det_range(nd: Node, m: Deterministic, by_name) -> None:
     shape = [by_name[p].support for p in m.parents]
     if _product(shape) > 4096:
         return
-    for assignment in _assignments(shape):
+    for assignment in itertools.product(*map(range, shape)):
         value = m.expr.eval(dict(zip(m.parents, map(Fraction, assignment))))
         if value.denominator != 1 or not 0 <= value < nd.support:
             raise SchemaError(
@@ -628,15 +629,6 @@ def _find_cycle(pending: dict, placed: set) -> list[str]:
             return path[path.index(nxt):] + [nxt]
         path.append(nxt)
         current = nxt
-
-
-def _assignments(shape):
-    if not shape:
-        yield ()
-        return
-    for head in range(shape[0]):
-        for rest in _assignments(shape[1:]):
-            yield (head,) + rest
 
 
 def _product(shape) -> int:

@@ -45,13 +45,23 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="psolve", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", metavar="command")
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--digits", type=int, default=6,
+        p.add_argument("--digits", type=_nonnegative, default=6,
                        help="fractional digits in decimal rendering")
         p.add_argument("--param", action="append", default=[],
                        metavar="NAME=VALUE",
@@ -150,7 +160,11 @@ def _subst(value, bindings: Mapping[str, Fraction]):
         return value
     if isinstance(value, tuple):
         return tuple(_subst(v, bindings) for v in value)
-    return value.subs(bindings)
+    try:
+        return value.subs(bindings)
+    except ZeroDivisionError as exc:
+        shown = ", ".join(f"{name}={v}" for name, v in bindings.items())
+        raise InputError(f"binding {shown} makes a denominator zero") from exc
 
 
 def _emit(doc: dict, as_json: bool) -> None:

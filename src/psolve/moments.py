@@ -8,6 +8,11 @@ at the start of the iteration; branchy updates contribute a probability mix
 of branch powers (one shared coin per variable per monomial), and draws
 turn into their raw moments.  A worklist closes the set of needed moments,
 then closed forms are solved bottom-up along the dependency order.
+
+A body that overwrites every variable from draws and parameters alone (a
+compiled static network) needs no recurrence: `MomentEngine.one_pass`
+substitutes the body into the whole query polynomial once and takes one
+expectation.
 """
 
 from __future__ import annotations
@@ -105,10 +110,9 @@ class MomentEngine:
                 poly = reduce_finite_support(poly, var, size)
         return poly
 
-    def substitute_body(self, target: Monomial) -> Polynomial:
+    def substitute_body(self, poly: Polynomial) -> Polynomial:
         """One full body substitution: result refers only to start-of-iteration
         values, draws and parameters."""
-        poly = Polynomial({target: Fraction(1)})
         for var in reversed(self.vars):
             if poly.degree_in(var) == 0:
                 continue
@@ -189,11 +193,25 @@ class MomentEngine:
         bad = target.symbols() - self.var_set
         if bad:
             raise ProgramError(f"unknown program variable {sorted(bad)[0]} in moment target")
-        body = self.substitute_body(target)
+        body = self.substitute_body(Polynomial({target: Fraction(1)}))
         linear, constant = self.expectation(body)
         self_coeff = linear.pop(target, RF_ZERO)
         ordered = tuple(sorted(linear.items(), key=lambda kv: kv[0], reverse=True))
         return MomentRecurrence(target, self_coeff, ordered, constant)
+
+    def one_pass(self, poly: Polynomial) -> RationalFunction:
+        """E[poly] after the first iteration of a body that overwrites every
+        variable from draws and parameters alone, as a compiled static
+        network does: one substitution, one expectation, no recurrence."""
+        body = self.substitute_body(self._reduce(poly))
+        linear, constant = self.expectation(body)
+        if linear:
+            left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))
+            raise InternalCheckError(
+                f"one body pass leaves state moments {left}; the program "
+                "does not overwrite every variable"
+            )
+        return constant
 
     # -- initial values ----------------------------------------------------
 
@@ -214,10 +232,6 @@ class MomentEngine:
                 self._init_moments[key] = cached
             total = total * cached
         return total
-
-
-def extract_recurrence(prog: LoopProgram, target: Monomial) -> MomentRecurrence:
-    return MomentEngine(prog).extract(target)
 
 
 def _toposort(recs: dict[Monomial, MomentRecurrence]) -> list[Monomial]:

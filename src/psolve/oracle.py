@@ -18,6 +18,7 @@ results never depend on execution order or worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -588,12 +589,11 @@ def _check_dyn(dyn: DynBayesNet, queries) -> list[CheckLine]:
         return lines
     horizon = 3
     beliefs = queries.forward_filter(dyn, [{}] * horizon).value
+    shape = [dyn.net.node(v).support for v in dyn.temporal]
+    space = tuple(itertools.product(*map(range, shape)))
     for name in dyn.temporal:
         closed = queries.predict(dyn, name).value
         idx = dyn.temporal.index(name)
-        space = [
-            s for s in _space([dyn.net.node(v).support for v in dyn.temporal])
-        ]
         for t in range(1, horizon + 1):
             want = RF_ZERO
             for state, prob in zip(space, beliefs[t - 1]):
@@ -603,15 +603,6 @@ def _check_dyn(dyn: DynBayesNet, queries) -> list[CheckLine]:
                 CheckLine(f"E[{name}] at n={t}", str(got), str(want), got == want)
             )
     return lines
-
-
-def _space(shape):
-    if not shape:
-        yield ()
-        return
-    for head in range(shape[0]):
-        for rest in _space(shape[1:]):
-            yield (head,) + rest
 
 
 def _check_mc(bn, n_samples: int, seed: int) -> list[CheckLine]:

@@ -1,10 +1,14 @@
 """Network analyses on top of moment invariants.
 
 Static networks are compiled to loops whose first pass produces one joint
-sample, so every query reads moments at n = 1.  Conditioning multiplies the
-target by the evidence indicator and divides by the indicator's own
-expectation.  Dynamic networks keep n symbolic: prediction returns the
-closed form, its value at a horizon, or its limit.
+sample, so every query reads moments at n = 1.  That pass overwrites every
+variable from draws and parameters, so a static query takes one body
+substitution over the whole query polynomial and one expectation, and
+solves no recurrence.  Conditioning multiplies the target by the evidence
+indicator and divides by the indicator's own expectation.  Dynamic
+networks keep n symbolic: prediction returns the closed form, its value at
+a horizon, or its limit, from the moment recurrences, each of which is
+back-substituted before it is used.
 
 Everything is exact.  Symbolic parameters flow through unchanged, so the
 same code path answers numeric queries and sensitivity queries; decisions
@@ -14,7 +18,8 @@ interval) are recorded as assumption strings on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,7 +34,7 @@ from .encode import (
 )
 from .errors import InternalCheckError, QueryError, UnsupportedError
 from .exppoly import ExpPoly, Limit, expoly_limit
-from .moments import compute_mbis
+from .moments import MomentEngine, compute_mbis
 from .parser import parse_poly
 from .program import LoopProgram
 from .recurrence import ClosedForm
@@ -39,7 +44,6 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     decimal_str,
-    reduce_finite_support,
 )
 
 Value = Union[RationalFunction, ClosedForm, tuple]
@@ -94,58 +98,36 @@ def _decimal_str(value, digits: int) -> str:
 # -- expectation plumbing --------------------------------------------------
 
 
-def _reduce(prog: LoopProgram, poly: Polynomial) -> Polynomial:
-    for var, size in prog.supports.items():
-        poly = reduce_finite_support(poly, var, size)
-    return poly
-
-
-def _closed_forms(prog: LoopProgram, poly: Polynomial):
-    """Closed forms of every monomial of the reduced polynomial, plus the
-    reduced polynomial itself."""
-    poly = _reduce(prog, poly)
-    goals = [m for m in poly.terms if not m.is_unit()]
-    mbis = compute_mbis(prog, goals)
-    return poly, {m: mbis[m].closed for m in goals}
+def expectation_closed(prog: LoopProgram, poly: Polynomial) -> ClosedForm:
+    """E[poly] as a function of n: the solved, back-substituted closed forms
+    of the monomials of the reduced polynomial, combined."""
+    reduced = MomentEngine(prog)._reduce(poly)
+    const = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
+    terms = [
+        (m, RationalFunction(Polynomial.const(c)))
+        for m, c in reduced.terms.items()
+        if not m.is_unit()
+    ]
+    mbis = compute_mbis(prog, [m for m, _ in terms])
+    closeds = [(mbis[m].closed, c) for m, c in terms]
+    assumptions: list[str] = []
+    tail = ExpPoly.const(const)
+    for cf, c in closeds:
+        tail = tail + ExpPoly.const(c) * cf.tail
+        _merge(assumptions, cf.assumptions)
+    prefix = []
+    for j in range(max((cf.start for cf, _ in closeds), default=0)):
+        value = const
+        for cf, c in closeds:
+            value = value + c * cf.at(j)
+        prefix.append(value)
+    return ClosedForm(tuple(prefix), tail, tuple(assumptions)).normalized()
 
 
 def expectation_at(prog: LoopProgram, poly: Polynomial, n: int):
     """E[poly] after n loop iterations, with solver assumptions."""
-    reduced, closeds = _closed_forms(prog, poly)
-    value = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
-    assumptions: list[str] = []
-    for mono, coeff in reduced.terms.items():
-        if mono.is_unit():
-            continue
-        cf = closeds[mono]
-        value = value + RationalFunction(Polynomial.const(coeff)) * cf.at(n)
-        _merge(assumptions, cf.assumptions)
-    return value, tuple(assumptions)
-
-
-def expectation_closed(prog: LoopProgram, poly: Polynomial) -> ClosedForm:
-    """E[poly] as a function of n (combining per-monomial closed forms)."""
-    reduced, closeds = _closed_forms(prog, poly)
-    start = max((cf.start for cf in closeds.values()), default=0)
-    assumptions: list[str] = []
-    tail = ExpPoly.const(
-        RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
-    )
-    for mono, coeff in reduced.terms.items():
-        if mono.is_unit():
-            continue
-        cf = closeds[mono]
-        c = RationalFunction(Polynomial.const(coeff))
-        tail = tail + ExpPoly.const(c) * cf.tail
-        _merge(assumptions, cf.assumptions)
-    prefix = []
-    for j in range(start):
-        value = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
-        for mono, coeff in reduced.terms.items():
-            if not mono.is_unit():
-                value = value + RationalFunction(Polynomial.const(coeff)) * closeds[mono].at(j)
-        prefix.append(value)
-    return ClosedForm(tuple(prefix), tail, tuple(assumptions)).normalized()
+    closed = expectation_closed(prog, poly)
+    return closed.at(n), closed.assumptions
 
 
 def _merge(into: list[str], new: Sequence[str]) -> None:
@@ -181,10 +163,8 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
         poly = _target_poly(bn.net, target) ** k
         closed = expectation_closed(prog, poly)
         return QueryResult("moment", closed, closed.assumptions)
-    prog = compile_bn(bn)
     poly = _target_poly(bn, target) ** k
-    value, assumptions = expectation_at(prog, poly, 1)
-    return QueryResult("moment", value, assumptions)
+    return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(poly))
 
 
 def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
@@ -196,19 +176,15 @@ def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
     pairs = normalize_evidence(bn, evidence)
     if not pairs:
         raise QueryError("conditional query needs non-empty evidence")
-    prog = compile_bn(bn)
+    engine = MomentEngine(compile_bn(bn))
     ind = evidence_indicator(bn, pairs)
-    num_poly = (_target_poly(bn, target) ** k) * ind
-    num, a1 = expectation_at(prog, num_poly, 1)
-    den, a2 = expectation_at(prog, ind, 1)
-    assumptions = list(a1)
-    _merge(assumptions, a2)
-    if den.is_zero() or (den.is_const() and den.const_value() == 0):
+    num = engine.one_pass((_target_poly(bn, target) ** k) * ind)
+    den = engine.one_pass(ind)
+    if den.is_zero():
         detail = ", ".join(f"{name}={value}" for name, value in pairs)
         raise QueryError(f"evidence {detail} has probability zero")
-    if not den.is_const():
-        _merge(assumptions, (f"({den}) != 0",))
-    return QueryResult("conditional", num / den, tuple(assumptions))
+    assumptions = () if den.is_const() else (f"({den}) != 0",)
+    return QueryResult("conditional", num / den, assumptions)
 
 
 def distribution_from_moments(
@@ -298,15 +274,11 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     pairs = normalize_evidence(bn, evidence)
     if not pairs:
         raise QueryError("empty evidence: every sample would be accepted")
-    prog = compile_bn(bn)
-    ind = evidence_indicator(bn, pairs)
-    p, assumptions = expectation_at(prog, ind, 1)
-    if p.is_zero() or (p.is_const() and p.const_value() == 0):
+    p = MomentEngine(compile_bn(bn)).one_pass(evidence_indicator(bn, pairs))
+    if p.is_zero():
         detail = ", ".join(f"{name}={value}" for name, value in pairs)
         raise QueryError(f"evidence {detail} has probability zero")
-    assumptions = list(assumptions)
-    if not p.is_const():
-        _merge(assumptions, (f"({p}) != 0",))
+    assumptions = [] if p.is_const() else [f"({p}) != 0"]
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
@@ -398,7 +370,7 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
         total = RationalFunction(Polynomial.zero())
         for value in new_belief.values():
             total = total + value
-        if total.is_zero() or (total.is_const() and total.const_value() == 0):
+        if total.is_zero():
             raise QueryError(
                 f"observation step {t} ({obs}) has zero likelihood under "
                 "the current belief"
@@ -432,7 +404,7 @@ def _filter_setup(dyn: DynBayesNet):
     marginals = []
     for name in states:
         marginals.append(_initial_marginal(dyn, name))
-    for assignment in _product_space([dyn.net.node(s).support for s in states]):
+    for assignment in itertools.product(*(range(dyn.net.node(s).support) for s in states)):
         weight = RF_ONE
         for value, marginal in zip(assignment, marginals):
             weight = weight * marginal[value]
@@ -475,7 +447,7 @@ class _SliceKernel:
                 )
         self.order = net.order
         self.state_space = tuple(
-            _product_space([net.node(s).support for s in dyn.temporal])
+            itertools.product(*(range(net.node(s).support) for s in dyn.temporal))
         )
         self._cache: dict = {}
 
@@ -536,15 +508,6 @@ def _slice_kernel(dyn: DynBayesNet) -> _SliceKernel:
     return _SliceKernel(dyn)
 
 
-def _product_space(shape):
-    if not shape:
-        yield ()
-        return
-    for head in range(shape[0]):
-        for rest in _product_space(shape[1:]):
-            yield (head,) + rest
-
-
 # -- query documents -------------------------------------------------------
 
 
@@ -556,15 +519,15 @@ def run_query(bn, spec: Mapping) -> QueryResult:
     if kind == "conditional":
         _require(spec, {"query", "target", "k", "evidence"})
         return conditional_moment(
-            bn, spec.get("target"), spec.get("k", 1), spec.get("evidence", {})
+            bn, spec.get("target"), _int_field(spec, "k", 1), spec.get("evidence", {})
         )
     if kind == "moment":
         _require(spec, {"query", "target", "k"})
-        return joint_moment(bn, spec.get("target"), spec.get("k", 1))
+        return joint_moment(bn, spec.get("target"), _int_field(spec, "k", 1))
     if kind == "samples":
         _require(spec, {"query", "evidence", "N", "cross_check"})
         if "N" in spec:
-            return expected_positive(bn, spec.get("evidence", {}), spec["N"])
+            return expected_positive(bn, spec.get("evidence", {}), _int_field(spec, "N"))
         return expected_samples(
             bn, spec.get("evidence", {}), spec.get("cross_check", True)
         )
@@ -573,7 +536,7 @@ def run_query(bn, spec: Mapping) -> QueryResult:
         target = spec.get("target", spec.get("node"))
         if target is None:
             raise QueryError('predict needs a "target" node or expression')
-        return predict(bn, target, spec.get("at"), spec.get("limit", False))
+        return predict(bn, target, _int_field(spec, "at"), spec.get("limit", False))
     if kind == "filter":
         _require(spec, {"query", "observations"})
         return forward_filter(bn, spec.get("observations", []))
@@ -589,3 +552,14 @@ def _require(spec: Mapping, allowed: set) -> None:
     extra = set(spec) - allowed
     if extra:
         raise QueryError(f"unknown query fields {sorted(extra)}")
+
+
+def _int_field(spec: Mapping, name: str, default: Optional[int] = None):
+    """An integer field of a query document; JSON true/false are not
+    integers here."""
+    if name not in spec:
+        return default
+    value = spec[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise QueryError(f'query field "{name}" must be an integer, got {value!r}')
+    return value

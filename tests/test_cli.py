@@ -159,6 +159,21 @@ class TestQuery:
         assert code == 0
         assert "decimal: 0.373551" in out
 
+    def test_negative_digits_rejected(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec", self.SPEC,
+                             "--digits", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--digits" in err
+
+    def test_binding_on_a_pole_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "query", str(DATA / "alarm_sens.json"),
+            "--spec", self.SPEC, "--param", "b=0", "--param", "q=-1/289")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "b=0, q=-1/289" in err
+
     def test_invalid_spec_json(self, capsys):
         code, _, err = run(capsys, "query", ALARM, "--spec", "{not json")
         assert code == 1

@@ -15,7 +15,7 @@ from psolve.encode import (
     normalize_evidence,
 )
 from psolve.errors import UnsupportedError
-from psolve.moments import compute_mbis, extract_recurrence
+from psolve.moments import MomentEngine, compute_mbis
 from psolve.program import validate
 from psolve.queries import expectation_at
 from psolve.symbolic import Monomial, Polynomial, RationalFunction
@@ -126,7 +126,7 @@ class TestCompileDynbn:
         dyn = load_bn_path(DATA / "umbrella.json")
         prog = compile_dynbn(dyn)
         assert prog.variables == ("R", "U")
-        rec = extract_recurrence(prog, Monomial.of("R"))
+        rec = MomentEngine(prog).extract(Monomial.of("R"))
         assert rec.self_coeff == rf(F(2, 5))
         assert rec.constant == rf(F(3, 10))
 
@@ -139,7 +139,7 @@ class TestCompileDynbn:
     def test_symbolic_transition(self):
         dyn = load_bn_path(DATA / "umbrella_sens.json")
         prog = compile_dynbn(dyn)
-        rec = extract_recurrence(prog, Monomial.of("R"))
+        rec = MomentEngine(prog).extract(Monomial.of("R"))
         r = Polynomial.var("r")
         assert rec.self_coeff == RationalFunction(r - F(3, 10))
 
@@ -154,7 +154,7 @@ class TestCompileDynbn:
         }
         dyn = load_bn(doc)
         prog = compile_dynbn(dyn)
-        rec = extract_recurrence(prog, Monomial.of("X"))
+        rec = MomentEngine(prog).extract(Monomial.of("X"))
         assert rec.self_coeff == rf(F(1, 2))
 
     def test_three_state_temporal_unsupported(self):

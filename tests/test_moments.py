@@ -1,14 +1,25 @@
-"""Moment recurrence extraction and closed-form invariants."""
+"""Moment recurrence extraction, closed-form invariants and the one-pass
+expectation of static bodies."""
 
+import itertools
+import random
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from conftest import random_clgbn, random_discrete_bn, random_gbn
 
-from psolve.errors import DegreeCapError
+from psolve.bayesnet import load_bn_path
+from psolve.encode import compile_bn, compile_dynbn
+from psolve.errors import DegreeCapError, InternalCheckError
 from psolve.exppoly import ExpPoly
-from psolve.moments import check_mbis, compute_mbis, degree_cap, extract_recurrence
+from psolve.moments import MomentEngine, check_mbis, compute_mbis, degree_cap
+from psolve.oracle import enumerate_discrete, gaussian_propagate
 from psolve.parser import parse_program
 from psolve.symbolic import Monomial, Polynomial, RationalFunction
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def rf(v):
@@ -29,7 +40,7 @@ class TestExtractRecurrence:
     def test_umbrella_rain_marginal(self):
         # E[R](n+1) = 2/5 E[R](n) + 3/10
         prog = parse_program(UMBRELLA)
-        rec = extract_recurrence(prog, Monomial.of("R"))
+        rec = MomentEngine(prog).extract(Monomial.of("R"))
         assert rec.self_coeff == rf(F(2, 5))
         assert dict(rec.linear) == {}
         assert rec.constant == rf(F(3, 10))
@@ -37,7 +48,7 @@ class TestExtractRecurrence:
     def test_sensor_depends_on_rain(self):
         # E[U](n+1) = 7/10 E[R](n+1) + 1/5 = 7/25 E[R](n) + 41/100
         prog = parse_program(UMBRELLA)
-        rec = extract_recurrence(prog, Monomial.of("U"))
+        rec = MomentEngine(prog).extract(Monomial.of("U"))
         assert rec.self_coeff == rf(0)
         assert dict(rec.linear) == {Monomial.of("R"): rf(F(7, 25))}
         assert rec.constant == rf(F(41, 100))
@@ -46,8 +57,8 @@ class TestExtractRecurrence:
         # R^2 = R on a 0/1 variable, so the second moment recurrence is the
         # first moment recurrence
         prog = parse_program(UMBRELLA)
-        first = extract_recurrence(prog, Monomial.of("R"))
-        second = extract_recurrence(prog, Monomial.of("R", 2))
+        first = MomentEngine(prog).extract(Monomial.of("R"))
+        second = MomentEngine(prog).extract(Monomial.of("R", 2))
         # the square collapses to the first moment, which shows up as the
         # linear dependency rather than a self-term
         assert second.self_coeff == rf(0)
@@ -58,7 +69,7 @@ class TestExtractRecurrence:
         prog = parse_program(
             "x := 0; s := 0; while true { x := x + gauss(0, 1); s := s + x; }"
         )
-        rec = extract_recurrence(prog, Monomial.of("x", 2))
+        rec = MomentEngine(prog).extract(Monomial.of("x", 2))
         # E[x^2](n+1) = E[x^2](n) + 1
         assert rec.self_coeff == rf(1)
         assert rec.constant == rf(1)
@@ -173,3 +184,51 @@ class TestStochasticDependencyChain:
 
         for n in range(6):
             assert closed.at(n) == rf(brute(n))
+
+
+class TestOnePass:
+    """A static network's moments at n = 1 from one body substitution must
+    equal the back-substituted recurrence solution and the oracle."""
+
+    def test_matches_recurrences_and_oracles(self):
+        t0 = time.monotonic()
+        rng = random.Random(20261017)
+        nets = [random_discrete_bn(rng, rng.randint(2, 7)) for _ in range(30)]
+        nets += [random_gbn(rng, rng.choice((2, 3, 4))) for _ in range(10)]
+        nets += [random_clgbn(rng, rng.choice((1, 2)), rng.choice((2, 3)))
+                 for _ in range(10)]
+        for i, bn in enumerate(nets):
+            prog = compile_bn(bn)
+            if all(nd.is_discrete for nd in bn.nodes):
+                names = bn.node_names
+                goals = [Monomial.of(v) for v in names]
+                goals += [Monomial.of(a) * Monomial.of(b)
+                          for a, b in itertools.combinations(names, 2)]
+                table = enumerate_discrete(bn)
+                wants = [table.expectation(Polynomial({g: 1})) for g in goals]
+            else:
+                names = [nd.name for nd in bn.nodes if not nd.is_discrete]
+                mix = gaussian_propagate(bn)
+                goals = [Monomial.of(v) for v in names]
+                wants = [mix.moment1(v) for v in names]
+                goals += [Monomial.of(v) ** 2 for v in names]
+                wants += [mix.moment2(v) for v in names]
+                for a, b in itertools.combinations(names, 2):
+                    goals.append(Monomial.of(a) * Monomial.of(b))
+                    wants.append(mix.moment2(a, b))
+            mbis = compute_mbis(prog, goals, check=True)
+            engine = MomentEngine(prog)
+            for g, want in zip(goals, wants):
+                got = engine.one_pass(Polynomial({g: 1}))
+                assert got == mbis[g].closed.at(1) == want, (i, g)
+            # the whole polynomial in one pass is the same linear combination
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in goals]
+            poly = Polynomial({g: c for g, c in zip(goals, coeffs)})
+            want = sum((c * w for c, w in zip(coeffs, wants)), RationalFunction(7))
+            assert engine.one_pass(poly + Polynomial.const(7)) == want, i
+        assert time.monotonic() - t0 < 30.0
+
+    def test_dynamic_network_is_rejected(self):
+        prog = compile_dynbn(load_bn_path(DATA / "umbrella.json"))
+        with pytest.raises(InternalCheckError, match=r"E\[R\]"):
+            MomentEngine(prog).one_pass(Polynomial.var("R"))

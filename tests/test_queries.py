@@ -315,6 +315,25 @@ class TestRunQuery:
             "query": "distribution", "node": "B", "evidence": {"A": 1}})
         assert res.value[1] == F(156670, 419407)
 
+    @pytest.mark.parametrize("net, spec", [
+        ("alarm", {"query": "moment", "target": "B", "k": "x"}),
+        ("alarm", {"query": "moment", "target": "B", "k": 1.5}),
+        ("alarm", {"query": "moment", "target": "B", "k": True}),
+        ("alarm", {"query": "moment", "target": "B", "k": None}),
+        ("alarm", {"query": "conditional", "target": "B", "k": "2",
+                   "evidence": {"A": 1}}),
+        ("umbrella", {"query": "predict", "target": "R", "at": "5"}),
+        ("umbrella", {"query": "predict", "target": "R", "at": True}),
+        ("umbrella", {"query": "predict", "target": "R", "at": 2.0}),
+        ("asia", {"query": "samples", "evidence": {"Asia": 1}, "N": "10"}),
+        ("asia", {"query": "samples", "evidence": {"Asia": 1}, "N": False}),
+    ])
+    def test_integer_fields_must_be_integers(self, net, spec):
+        bn = load_bn_path(DATA / f"{net}.json")
+        field = next(k for k in ("k", "at", "N") if k in spec)
+        with pytest.raises(QueryError, match=f'"{field}" must be an integer'):
+            run_query(bn, spec)
+
 
 class TestQueryResult:
     def test_json_round_trip(self, alarm):
