@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import ParseError, SchemaError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
-from .program import DrawRegistry, DrawSpec
+from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import Param, Polynomial, RationalFunction, RF_ONE
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -194,6 +194,43 @@ class DynBayesNet:
             if not (parent == nd.name and nd.name in self.temporal)
         )
         return intra + tuple((name, name) for name in self.temporal)
+
+
+# -- parameter binding -----------------------------------------------------
+
+
+def bind(net: Union[BayesNet, DynBayesNet], values: Mapping[str, Fraction]):
+    """The network with the given parameters replaced by numbers, the
+    others left symbolic.  Names that are not parameters, values outside a
+    declared domain, and values that make a denominator vanish or a
+    probability leave [0, 1] are InputErrors naming every binding."""
+    if not values:
+        return net
+    bn = net.net if isinstance(net, DynBayesNet) else net
+    temporal = net.temporal if isinstance(net, DynBayesNet) else ()
+    sub = check_binding(bn.params, values)
+    try:
+        nodes = tuple(replace(nd, model=_bind_model(nd.model, sub)) for nd in bn.nodes)
+        nodes = tuple(_resolve_node(nd, nodes, temporal) for nd in nodes)
+    except (ZeroDivisionError, SchemaError) as exc:
+        raise binding_error(values, exc) from exc
+    bn = replace(bn, params=tuple(p for p in bn.params if p.name not in sub), nodes=nodes)
+    if not isinstance(net, DynBayesNet):
+        return bn
+    initial = tuple((name, expr.substitute(sub)) for name, expr in net.initial)
+    draws = {sym: spec.subs(sub) for sym, spec in net.draws.items()}
+    return replace(net, net=bn, initial=initial, draws=draws)
+
+
+def _bind_model(m: LocalModel, sub) -> LocalModel:
+    if isinstance(m, CPT):
+        return replace(m, rows=tuple((g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows))
+    if isinstance(m, Deterministic):
+        return replace(m, expr=m.expr.substitute(sub))
+    if isinstance(m, LinearGaussian):
+        coeffs = tuple((name, c.subs(sub)) for name, c in m.coeffs)
+        return LinearGaussian(m.intercept.subs(sub), coeffs, m.variance.subs(sub))
+    return replace(m, table=tuple((g, _bind_model(lg, sub)) for g, lg in m.table))
 
 
 # -- JSON ingestion --------------------------------------------------------

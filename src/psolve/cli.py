@@ -21,21 +21,16 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .bayesnet import DynBayesNet, load_bn_path
+from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
 from .exppoly import expoly_limit
 from .parser import parse_poly, parse_program
-from .program import pretty
-from .queries import (
-    QueryResult,
-    expectation_closed,
-    expected_samples,
-    forward_filter,
-    run_query,
-)
+from .moments import MomentEngine
+from .program import bind, pretty
+from .queries import expected_samples, forward_filter, run_query
 from .symbolic import RationalFunction, decimal_str
 from . import oracle
 
@@ -155,18 +150,6 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
     return out
 
 
-def _subst(value, bindings: Mapping[str, Fraction]):
-    if not bindings or value is None:
-        return value
-    if isinstance(value, tuple):
-        return tuple(_subst(v, bindings) for v in value)
-    try:
-        return value.subs(bindings)
-    except ZeroDivisionError as exc:
-        shown = ", ".join(f"{name}={v}" for name, v in bindings.items())
-        raise InputError(f"binding {shown} makes a denominator zero") from exc
-
-
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -223,12 +206,12 @@ def _cmd_analyze(args) -> int:
     goal = parse_poly(
         args.goal, prog.variables, tuple(p.name for p in prog.params)
     ) ** args.k
-    closed = expectation_closed(prog, goal)
+    prog = bind(prog, bindings)
+    closed = MomentEngine(prog).closed(goal.substitute(bindings))
     doc: dict = {"goal": f"E[({args.goal})^{args.k}]" if args.k > 1 else f"E[{args.goal}]"}
     assumptions = list(closed.assumptions)
     if args.at is not None:
-        value = _subst(closed.at(args.at), bindings)
-        doc.update(_value_fields(value, args.digits))
+        doc.update(_value_fields(closed.at(args.at), args.digits))
         doc["at"] = args.at
     elif args.limit:
         lim = expoly_limit(closed.tail, prog.param_map())
@@ -238,11 +221,9 @@ def _cmd_analyze(args) -> int:
         if lim.kind == "diverges":
             doc["exact"] = "diverges"
         else:
-            value = _subst(lim.value, bindings)
-            doc.update(_value_fields(value, args.digits))
+            doc.update(_value_fields(lim.value, args.digits))
     else:
-        shown = _subst(closed, bindings)
-        doc["closed_form"] = str(shown)
+        doc["closed_form"] = str(closed)
     doc["assumptions"] = assumptions
     _emit(doc, args.json)
     return 0
@@ -268,22 +249,9 @@ def _cmd_query(args) -> int:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"query spec is not valid JSON: {exc}") from exc
-    result = run_query(bn, spec)
-    result = _bind_result(result, _parse_bindings(args.param))
+    result = run_query(bind_net(bn, _parse_bindings(args.param)), spec)
     _emit(result.to_json(args.digits), args.json)
     return 0
-
-
-def _bind_result(result: QueryResult, bindings) -> QueryResult:
-    if not bindings:
-        return result
-    return QueryResult(
-        result.kind,
-        _subst(result.value, bindings),
-        result.assumptions,
-        result.diagnostics,
-        result.extras,
-    )
 
 
 def _parse_conj(text: str) -> dict:
@@ -312,10 +280,8 @@ def _state(text: str):
 
 
 def _cmd_samples(args) -> int:
-    bn = _load_net(args.network)
-    evidence = _parse_conj(args.evidence)
-    result = expected_samples(bn, evidence)
-    result = _bind_result(result, _parse_bindings(args.param))
+    bn = bind_net(_load_net(args.network), _parse_bindings(args.param))
+    result = expected_samples(bn, _parse_conj(args.evidence))
     _emit(result.to_json(args.digits), args.json)
     return 0
 
@@ -341,6 +307,7 @@ def _cmd_filter(args) -> int:
     bn = _load_net(args.network)
     if not isinstance(bn, DynBayesNet):
         raise InputError(f"{args.network} is not a dynamic network")
+    bn = bind_net(bn, _parse_bindings(args.param))
     result = forward_filter(bn, _parse_obs(args.obs))
     doc = result.to_json(args.digits)
     steps = []

@@ -9,10 +9,13 @@ of branch powers (one shared coin per variable per monomial), and draws
 turn into their raw moments.  A worklist closes the set of needed moments,
 then closed forms are solved bottom-up along the dependency order.
 
-A body that overwrites every variable from draws and parameters alone (a
-compiled static network) needs no recurrence: `MomentEngine.one_pass`
-substitutes the body into the whole query polynomial once and takes one
-expectation.
+One `MomentEngine` serves every expectation taken of one compiled
+program, by one of two paths.  A body that overwrites every variable from
+draws and parameters alone (a compiled static network) needs no
+recurrence: `MomentEngine.one_pass` substitutes the body into the whole
+query polynomial once and takes one expectation.  Any other body goes
+through `MomentEngine.closed`, which closes the query's monomials with
+`compute_mbis` and combines their closed forms in n.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class MBI:
 
 
 class MomentEngine:
-    """Caches per-program substitution data across many extractions."""
+    """Every expectation of one program; caches its substitution data
+    across many extractions."""
 
     def __init__(self, prog: LoopProgram):
         self.prog = prog
@@ -212,6 +216,34 @@ class MomentEngine:
                 "does not overwrite every variable"
             )
         return constant
+
+    def closed(self, poly: Polynomial) -> ClosedForm:
+        """E[poly] as a function of n: the monomials of the reduced
+        polynomial closed by `compute_mbis` (every solution
+        back-substituted), combined, with their assumptions merged."""
+        reduced = self._reduce(poly)
+        const = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
+        terms = [
+            (m, RationalFunction(Polynomial.const(c)))
+            for m, c in reduced.terms.items()
+            if not m.is_unit()
+        ]
+        mbis = compute_mbis(self.prog, [m for m, _ in terms])
+        closeds = [(mbis[m].closed, c) for m, c in terms]
+        assumptions: list[str] = []
+        tail = ExpPoly.const(const)
+        for cf, c in closeds:
+            tail = tail + ExpPoly.const(c) * cf.tail
+            for item in cf.assumptions:
+                if item not in assumptions:
+                    assumptions.append(item)
+        prefix = []
+        for j in range(max((cf.start for cf, _ in closeds), default=0)):
+            value = const
+            for cf, c in closeds:
+                value = value + c * cf.at(j)
+            prefix.append(value)
+        return ClosedForm(tuple(prefix), tail, tuple(assumptions)).normalized()
 
     # -- initial values ----------------------------------------------------
 

@@ -38,7 +38,9 @@ from .bayesnet import (
 from .encode import compile_bn, compile_dynbn
 from .errors import QueryError, UnsupportedError
 from .parser import parse_poly
-from .program import Assignment, Branch, DrawSpec, Initializer, LoopProgram
+from .moments import MomentEngine
+from .program import Assignment, LoopProgram, bind
+from .queries import forward_filter
 from .symbolic import (
     Monomial,
     Polynomial,
@@ -420,46 +422,6 @@ def _eval_poly(poly: Polynomial, env: Mapping[str, np.ndarray], count: int) -> n
     return out
 
 
-def _bind(prog: LoopProgram, values: Mapping[str, Fraction]) -> LoopProgram:
-    """Substitute numeric parameter values, yielding a closed program."""
-    missing = [p.name for p in prog.params if p.name not in values]
-    if missing:
-        raise QueryError(
-            f"simulation needs numeric values for parameters {missing}"
-        )
-    if not prog.params:
-        return prog
-    sub = {name: Fraction(v) for name, v in values.items()}
-
-    def poly(p: Polynomial) -> Polynomial:
-        return p.substitute(sub)
-
-    def rf(r: RationalFunction) -> RationalFunction:
-        return r.subs(sub)
-
-    draws = {
-        sym: DrawSpec(
-            kind=spec.kind,
-            arg=None if spec.arg is None else rf(spec.arg),
-            raw_moments=tuple(rf(m) for m in spec.raw_moments),
-        )
-        for sym, spec in prog.draws.items()
-    }
-    return LoopProgram(
-        params=(),
-        supports=dict(prog.supports),
-        inits=tuple(Initializer(i.target, poly(i.expr)) for i in prog.inits),
-        updates=tuple(
-            Assignment(
-                u.target,
-                tuple(Branch(rf(b.prob), poly(b.expr)) for b in u.branches),
-            )
-            for u in prog.updates
-        ),
-        draws=draws,
-    )
-
-
 def mc_estimate(
     model: Union[BayesNet, DynBayesNet, LoopProgram],
     targets: Sequence[Union[str, Monomial, Polynomial]],
@@ -479,7 +441,13 @@ def mc_estimate(
         prog = compile_bn(model)
     else:
         prog = model
-    prog = _bind(prog, param_values or {})
+    values = param_values or {}
+    missing = [p.name for p in prog.params if p.name not in values]
+    if missing:
+        raise QueryError(
+            f"simulation needs numeric values for parameters {missing}"
+        )
+    prog = bind(prog, values)
     polys = []
     for t in targets:
         if isinstance(t, Polynomial):
@@ -530,69 +498,59 @@ def differential_check(
 ) -> list[CheckLine]:
     """Engine-vs-oracle comparison on a network's basic moments.
 
-    Exact oracles compare exactly; the Monte Carlo comparison (enabled by
-    mc_samples) accepts anything within four standard errors.
+    The network is compiled once; every engine value comes from the one
+    moment engine of that program, and the Monte Carlo comparison (enabled
+    by mc_samples) samples the same program and accepts anything within
+    four standard errors.  Exact oracles compare exactly.
     """
-    from . import queries
-
     lines: list[CheckLine] = []
     if isinstance(bn, DynBayesNet):
-        lines += _check_dyn(bn, queries)
-    else:
-        discrete = all(nd.is_discrete for nd in bn.nodes)
+        discrete = all(nd.is_discrete for nd in bn.net.nodes)
+        if not (discrete or mc_samples):
+            return lines
+        engine = MomentEngine(compile_dynbn(bn))
         if discrete:
+            lines += _check_dyn(bn, engine)
+    else:
+        if all(nd.is_discrete for nd in bn.nodes):
             table = enumerate_discrete(bn, cap)
             lines.append(
                 CheckLine("joint total", "1", str(table.total()),
                           table.total() == RF_ONE)
             )
-            for nd in bn.nodes:
-                got = queries.joint_moment(bn, nd.name).value
-                want = table.expectation(Polynomial.var(nd.name))
-                lines.append(
-                    CheckLine(f"E[{nd.name}]", str(got), str(want), got == want)
-                )
-            for i, a in enumerate(bn.nodes):
-                for b in bn.nodes[i + 1:]:
-                    poly = Polynomial.var(a.name) * Polynomial.var(b.name)
-                    got = queries.joint_moment(bn, poly).value
-                    want = table.expectation(poly)
-                    lines.append(
-                        CheckLine(
-                            f"E[{a.name}*{b.name}]", str(got), str(want),
-                            got == want,
-                        )
-                    )
+            names = [nd.name for nd in bn.nodes]
+            polys = [(f"E[{a}]", Polynomial.var(a)) for a in names] + [
+                (f"E[{a}*{b}]", Polynomial.var(a) * Polynomial.var(b))
+                for a, b in itertools.combinations(names, 2)
+            ]
+            targets = [(label, poly, table.expectation(poly)) for label, poly in polys]
         else:
             mix = gaussian_propagate(bn, cap)
+            targets = []
             for name in bn.order:
-                if bn.node(name).is_discrete:
-                    continue
-                got1 = queries.joint_moment(bn, name, 1).value
-                want1 = mix.moment1(name)
-                lines.append(
-                    CheckLine(f"E[{name}]", str(got1), str(want1), got1 == want1)
-                )
-                got2 = queries.joint_moment(bn, name, 2).value
-                want2 = mix.moment2(name)
-                lines.append(
-                    CheckLine(f"E[{name}^2]", str(got2), str(want2), got2 == want2)
-                )
+                if not bn.node(name).is_discrete:
+                    x = Polynomial.var(name)
+                    targets.append((f"E[{name}]", x, mix.moment1(name)))
+                    targets.append((f"E[{name}^2]", x ** 2, mix.moment2(name)))
+        engine = MomentEngine(compile_bn(bn))
+        for label, poly, want in targets:
+            got = engine.one_pass(poly)
+            lines.append(CheckLine(label, str(got), str(want), got == want))
     if mc_samples:
-        lines += _check_mc(bn, mc_samples, seed)
+        lines += _check_mc(bn, engine, mc_samples, seed)
     return lines
 
 
-def _check_dyn(dyn: DynBayesNet, queries) -> list[CheckLine]:
+def _check_dyn(dyn: DynBayesNet, engine: MomentEngine) -> list[CheckLine]:
+    """Closed forms of an all-discrete dynamic network against forward
+    filtering without observations."""
     lines = []
-    if not all(nd.is_discrete for nd in dyn.net.nodes):
-        return lines
     horizon = 3
-    beliefs = queries.forward_filter(dyn, [{}] * horizon).value
+    beliefs = forward_filter(dyn, [{}] * horizon).value
     shape = [dyn.net.node(v).support for v in dyn.temporal]
     space = tuple(itertools.product(*map(range, shape)))
     for name in dyn.temporal:
-        closed = queries.predict(dyn, name).value
+        closed = engine.closed(Polynomial.var(name))
         idx = dyn.temporal.index(name)
         for t in range(1, horizon + 1):
             want = RF_ZERO
@@ -605,25 +563,28 @@ def _check_dyn(dyn: DynBayesNet, queries) -> list[CheckLine]:
     return lines
 
 
-def _check_mc(bn, n_samples: int, seed: int) -> list[CheckLine]:
-    from . import queries
-
+def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[CheckLine]:
+    """Monte Carlo estimates of every target from one simulation of the
+    engine's program; the streams are keyed by draw slot and iteration,
+    not by target, so the estimates equal those of one run per target."""
     lines = []
     if isinstance(bn, DynBayesNet):
         horizon = 5
-        for name in dyn_targets(bn):
-            est = mc_estimate(bn, [name], n_samples, seed, n_iters=horizon)[0]
-            exact = queries.predict(bn, name, at=horizon).value
+        names = dyn_targets(bn)
+        ests = mc_estimate(engine.prog, names, n_samples, seed, n_iters=horizon)
+        for name, est in zip(names, ests):
+            exact = engine.closed(Polynomial.var(name)).at(horizon)
             if not exact.is_const():
                 continue
             lines.append(_band_line(f"MC E[{name}] at n={horizon}", exact, est))
     else:
         if bn.params:
             return lines
-        for nd in bn.nodes:
-            est = mc_estimate(bn, [nd.name], n_samples, seed)[0]
-            exact = queries.joint_moment(bn, nd.name).value
-            lines.append(_band_line(f"MC E[{nd.name}]", exact, est))
+        names = [nd.name for nd in bn.nodes]
+        ests = mc_estimate(engine.prog, names, n_samples, seed)
+        for name, est in zip(names, ests):
+            exact = engine.one_pass(Polynomial.var(name))
+            lines.append(_band_line(f"MC E[{name}]", exact, est))
     return lines
 
 

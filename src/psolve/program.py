@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import ProgramError, UnsupportedError
+from .errors import InputError, ProgramError, UnsupportedError
 from .symbolic import (
     Monomial,
     Param,
@@ -63,6 +63,13 @@ class DrawSpec:
                 raise UnsupportedError(f"moment {k} not known for this draw")
             return self.raw_moments[k - 1]
         raise ValueError(f"unknown draw kind {self.kind}")
+
+    def subs(self, values: Mapping[str, Fraction]) -> "DrawSpec":
+        return DrawSpec(
+            kind=self.kind,
+            arg=None if self.arg is None else self.arg.subs(values),
+            raw_moments=tuple(m.subs(values) for m in self.raw_moments),
+        )
 
     def render(self) -> str:
         if self.kind == "gauss0":
@@ -123,6 +130,55 @@ class LoopProgram:
         return _canonical_key(self) == _canonical_key(other)
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def check_binding(params, values: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """Numeric values for some of the declared parameters.  A name that is
+    not a parameter, or a value outside its parameter's closed interval, is
+    an InputError naming every binding."""
+    domains = {p.name: p.bounds() for p in params}
+    out: dict[str, Fraction] = {}
+    for name, value in values.items():
+        value = Fraction(value)
+        if name not in domains:
+            raise binding_error(values, f"no parameter named {name}")
+        bounds = domains[name]
+        if bounds is not None and not bounds[0] <= value <= bounds[1]:
+            raise binding_error(
+                values, f"{name}={value} is outside the domain [{bounds[0]}, {bounds[1]}] of {name}"
+            )
+        out[name] = value
+    return out
+
+
+def binding_error(values: Mapping[str, Fraction], problem) -> InputError:
+    shown = ", ".join(f"{name}={value}" for name, value in values.items())
+    return InputError(f"binding {shown}: {problem}")
+
+
+def bind(prog: LoopProgram, values: Mapping[str, Fraction]) -> LoopProgram:
+    """The program with the given parameters replaced by numbers, the
+    others left symbolic; the bound program is validated again."""
+    sub = check_binding(prog.params, values)
+    if not sub:
+        return prog
+    try:
+        bound = LoopProgram(
+            params=tuple(p for p in prog.params if p.name not in sub),
+            supports=dict(prog.supports),
+            inits=tuple(Initializer(i.target, i.expr.substitute(sub)) for i in prog.inits),
+            updates=tuple(
+                Assignment(u.target, tuple(
+                    Branch(b.prob.subs(sub), b.expr.substitute(sub)) for b in u.branches
+                ))
+                for u in prog.updates
+            ),
+            draws={sym: spec.subs(sub) for sym, spec in prog.draws.items()},
+        )
+    except ZeroDivisionError as exc:
+        raise binding_error(values, exc) from exc
+    validate(bound)
+    return bound
 
 
 def is_draw(sym: str) -> bool:

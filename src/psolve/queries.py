@@ -1,14 +1,17 @@
 """Network analyses on top of moment invariants.
 
-Static networks are compiled to loops whose first pass produces one joint
-sample, so every query reads moments at n = 1.  That pass overwrites every
-variable from draws and parameters, so a static query takes one body
-substitution over the whole query polynomial and one expectation, and
+Each query compiles its network once, and every expectation it needs comes
+from the one `MomentEngine` of that program.  Static networks are compiled
+to loops whose first pass produces one joint sample, so every query reads
+moments at n = 1.  That pass overwrites every variable from draws and
+parameters, so a static expectation is one body substitution over the
+whole query polynomial and one expectation (`MomentEngine.one_pass`), and
 solves no recurrence.  Conditioning multiplies the target by the evidence
-indicator and divides by the indicator's own expectation.  Dynamic
-networks keep n symbolic: prediction returns the closed form, its value at
-a horizon, or its limit, from the moment recurrences, each of which is
-back-substituted before it is used.
+indicator and divides by the indicator's own expectation; a distribution
+divides each state's indicator the same way.  Dynamic networks keep n
+symbolic: prediction returns the closed form (`MomentEngine.closed`), its
+value at a horizon, or its limit, from the moment recurrences, each of
+which is back-substituted before it is used.
 
 Everything is exact.  Symbolic parameters flow through unchanged, so the
 same code path answers numeric queries and sensitivity queries; decisions
@@ -33,8 +36,8 @@ from .encode import (
     normalize_evidence,
 )
 from .errors import InternalCheckError, QueryError, UnsupportedError
-from .exppoly import ExpPoly, Limit, expoly_limit
-from .moments import MomentEngine, compute_mbis
+from .exppoly import expoly_limit
+from .moments import MomentEngine
 from .parser import parse_poly
 from .program import LoopProgram
 from .recurrence import ClosedForm
@@ -98,35 +101,9 @@ def _decimal_str(value, digits: int) -> str:
 # -- expectation plumbing --------------------------------------------------
 
 
-def expectation_closed(prog: LoopProgram, poly: Polynomial) -> ClosedForm:
-    """E[poly] as a function of n: the solved, back-substituted closed forms
-    of the monomials of the reduced polynomial, combined."""
-    reduced = MomentEngine(prog)._reduce(poly)
-    const = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
-    terms = [
-        (m, RationalFunction(Polynomial.const(c)))
-        for m, c in reduced.terms.items()
-        if not m.is_unit()
-    ]
-    mbis = compute_mbis(prog, [m for m, _ in terms])
-    closeds = [(mbis[m].closed, c) for m, c in terms]
-    assumptions: list[str] = []
-    tail = ExpPoly.const(const)
-    for cf, c in closeds:
-        tail = tail + ExpPoly.const(c) * cf.tail
-        _merge(assumptions, cf.assumptions)
-    prefix = []
-    for j in range(max((cf.start for cf, _ in closeds), default=0)):
-        value = const
-        for cf, c in closeds:
-            value = value + c * cf.at(j)
-        prefix.append(value)
-    return ClosedForm(tuple(prefix), tail, tuple(assumptions)).normalized()
-
-
 def expectation_at(prog: LoopProgram, poly: Polynomial, n: int):
     """E[poly] after n loop iterations, with solver assumptions."""
-    closed = expectation_closed(prog, poly)
+    closed = MomentEngine(prog).closed(poly)
     return closed.at(n), closed.assumptions
 
 
@@ -159,12 +136,23 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
     if k < 1:
         raise QueryError(f"moment order must be positive, got {k}")
     if isinstance(bn, DynBayesNet):
-        prog = compile_dynbn(bn)
         poly = _target_poly(bn.net, target) ** k
-        closed = expectation_closed(prog, poly)
+        closed = MomentEngine(compile_dynbn(bn)).closed(poly)
         return QueryResult("moment", closed, closed.assumptions)
     poly = _target_poly(bn, target) ** k
     return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(poly))
+
+
+def _evidence_mass(engine: MomentEngine, bn: BayesNet, pairs):
+    """The evidence indicator, P(evidence) on the engine of a compiled
+    static network, and the assumption a symbolic P(evidence) carries;
+    evidence of probability zero is a QueryError."""
+    ind = evidence_indicator(bn, pairs)
+    p = engine.one_pass(ind)
+    if p.is_zero():
+        detail = ", ".join(f"{name}={value}" for name, value in pairs)
+        raise QueryError(f"evidence {detail} has probability zero")
+    return ind, p, (() if p.is_const() else (f"({p}) != 0",))
 
 
 def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
@@ -176,116 +164,51 @@ def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
     pairs = normalize_evidence(bn, evidence)
     if not pairs:
         raise QueryError("conditional query needs non-empty evidence")
+    poly = _target_poly(bn, target) ** k
     engine = MomentEngine(compile_bn(bn))
-    ind = evidence_indicator(bn, pairs)
-    num = engine.one_pass((_target_poly(bn, target) ** k) * ind)
-    den = engine.one_pass(ind)
-    if den.is_zero():
-        detail = ", ".join(f"{name}={value}" for name, value in pairs)
-        raise QueryError(f"evidence {detail} has probability zero")
-    assumptions = () if den.is_const() else (f"({den}) != 0",)
-    return QueryResult("conditional", num / den, assumptions)
-
-
-def distribution_from_moments(
-    moments: Sequence[RationalFunction], m: int
-) -> tuple[tuple[RationalFunction, ...], tuple[str, ...]]:
-    """Solve for (P(X=0), ..., P(X=m-1)) from raw moments 1..m-1.
-
-    Returns the exact vector and diagnostics; negative numeric entries mean
-    the moments are inconsistent with a distribution on 0..m-1 and are
-    reported, never clamped.
-    """
-    if m < 2:
-        raise QueryError(f"support size must be at least 2, got {m}")
-    if len(moments) != m - 1:
-        raise QueryError(f"need exactly {m - 1} moments for support size {m}")
-    one = RationalFunction(Polynomial.const(Fraction(1)))
-    rows = [[one for _ in range(m)] + [one]]
-    for k in range(1, m):
-        mk = moments[k - 1]
-        if not isinstance(mk, RationalFunction):
-            mk = RationalFunction(Polynomial.const(Fraction(mk)))
-        row = [
-            RationalFunction(Polynomial.const(Fraction(i) ** k)) for i in range(m)
-        ]
-        rows.append(row + [mk])
-    vector = _solve_linear(rows, m)
-    diagnostics = []
-    for i, p in enumerate(vector):
-        if p.is_const() and not 0 <= p.const_value() <= 1:
-            diagnostics.append(
-                f"P(X={i}) = {p} is outside [0, 1]; the moments do not "
-                "come from a distribution on this support"
-            )
-    return tuple(vector), tuple(diagnostics)
-
-
-def _solve_linear(rows, m):
-    """Gaussian elimination over rational functions; the matrix here is a
-    transposed Vandermonde with distinct points, so it is never singular."""
-    for col in range(m):
-        pivot = next(
-            (r for r in range(col, m) if not rows[r][col].is_zero()), None
-        )
-        if pivot is None:
-            raise InternalCheckError("singular moment system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [entry / inv for entry in rows[col]]
-        for r in range(m):
-            if r != col and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[col])
-                ]
-    return [rows[i][m] for i in range(m)]
+    ind, den, assumptions = _evidence_mass(engine, bn, pairs)
+    return QueryResult("conditional", engine.one_pass(poly * ind) / den, assumptions)
 
 
 def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
-    """The (conditional) distribution of one discrete node, reconstructed
-    from its first m-1 moments."""
+    """The (conditional) distribution of one discrete node: the expectation
+    of each state's indicator, times the evidence indicator, over
+    P(evidence)."""
+    if isinstance(bn, DynBayesNet):
+        raise UnsupportedError("distribution queries apply to static networks")
     node = bn.node(name)
     if not node.is_discrete:
         raise QueryError(f"node {name} is continuous; it has no state vector")
-    m = node.support
-    moments = []
-    assumptions: list[str] = []
-    for k in range(1, m):
-        if evidence:
-            res = conditional_moment(bn, name, k, evidence)
-        else:
-            res = joint_moment(bn, name, k)
-        moments.append(res.value)
-        _merge(assumptions, res.assumptions)
-    vector, diagnostics = distribution_from_moments(moments, m)
-    return QueryResult("distribution", vector, tuple(assumptions), diagnostics)
+    engine = MomentEngine(compile_bn(bn))
+    states = [indicator_poly(name, i, node.support) for i in range(node.support)]
+    if not evidence:
+        return QueryResult("distribution", tuple(engine.one_pass(s) for s in states))
+    ind, den, assumptions = _evidence_mass(engine, bn, normalize_evidence(bn, evidence))
+    vector = tuple(engine.one_pass(s * ind) / den for s in states)
+    return QueryResult("distribution", vector, assumptions)
 
 
 def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryResult:
     """Expected number of samples drawn until the first one matching the
     evidence, i.e. 1/P(evidence).
 
-    With cross_check, the rejection-monitor program is solved as well and
-    its limiting count must equal 1/p exactly.
+    Only the rejection-monitor program is compiled: P(evidence) is one body
+    pass over its network variables, and with cross_check the monitor's
+    count is solved as well and its limit must equal 1/p exactly.
     """
     if isinstance(bn, DynBayesNet):
         raise UnsupportedError("sample-count queries apply to static networks")
     pairs = normalize_evidence(bn, evidence)
     if not pairs:
         raise QueryError("empty evidence: every sample would be accepted")
-    p = MomentEngine(compile_bn(bn)).one_pass(evidence_indicator(bn, pairs))
-    if p.is_zero():
-        detail = ", ".join(f"{name}={value}" for name, value in pairs)
-        raise QueryError(f"evidence {detail} has probability zero")
-    assumptions = [] if p.is_const() else [f"({p}) != 0"]
+    monitor = compile_sampling_monitor(bn, pairs)
+    engine = MomentEngine(monitor.program)
+    _, p, assumptions = _evidence_mass(engine, bn, pairs)
+    assumptions = list(assumptions)
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
-        monitor = compile_sampling_monitor(bn, pairs)
-        count = expectation_closed(
-            monitor.program, Polynomial.var(monitor.count_var)
-        )
+        count = engine.closed(Polynomial.var(monitor.count_var))
         limit = expoly_limit(count.tail, {p.name: p for p in bn.params})
         if limit.kind == "diverges" or limit.value is None:
             raise InternalCheckError(
@@ -328,9 +251,8 @@ def predict(
 ) -> QueryResult:
     """E[target] over time: the closed form in n, its value at a horizon,
     or its limit."""
-    prog = compile_dynbn(dyn)
     poly = _target_poly(dyn.net, target)
-    closed = expectation_closed(prog, poly)
+    closed = MomentEngine(compile_dynbn(dyn)).closed(poly)
     if at is not None:
         if at < 0:
             raise QueryError(f"horizon must be nonnegative, got {at}")
@@ -529,14 +451,16 @@ def run_query(bn, spec: Mapping) -> QueryResult:
         if "N" in spec:
             return expected_positive(bn, spec.get("evidence", {}), _int_field(spec, "N"))
         return expected_samples(
-            bn, spec.get("evidence", {}), spec.get("cross_check", True)
+            bn, spec.get("evidence", {}), _bool_field(spec, "cross_check", True)
         )
     if kind == "predict":
         _require(spec, {"query", "target", "node", "at", "limit"})
         target = spec.get("target", spec.get("node"))
         if target is None:
             raise QueryError('predict needs a "target" node or expression')
-        return predict(bn, target, _int_field(spec, "at"), spec.get("limit", False))
+        return predict(
+            bn, target, _int_field(spec, "at"), _bool_field(spec, "limit", False)
+        )
     if kind == "filter":
         _require(spec, {"query", "observations"})
         return forward_filter(bn, spec.get("observations", []))
@@ -562,4 +486,14 @@ def _int_field(spec: Mapping, name: str, default: Optional[int] = None):
     value = spec[name]
     if isinstance(value, bool) or not isinstance(value, int):
         raise QueryError(f'query field "{name}" must be an integer, got {value!r}')
+    return value
+
+
+def _bool_field(spec: Mapping, name: str, default: bool) -> bool:
+    """A boolean field of a query document: JSON true or false only."""
+    if name not in spec:
+        return default
+    value = spec[name]
+    if not isinstance(value, bool):
+        raise QueryError(f'query field "{name}" must be true or false, got {value!r}')
     return value

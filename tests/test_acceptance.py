@@ -21,12 +21,12 @@ from psolve.encode import compile_bn, compile_dynbn, evidence_indicator
 from psolve.exppoly import ExpPoly, expoly_limit
 from psolve.moments import compute_mbis
 from psolve.oracle import (
-    _bind as bind_program,
     differential_check,
     enumerate_discrete,
     gaussian_propagate,
     mc_estimate,
 )
+from psolve.program import bind as bind_program
 from psolve.queries import (
     conditional_moment,
     expectation_at,

@@ -13,8 +13,10 @@ from psolve.program import validate
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 ALARM = str(DATA / "alarm.json")
+ALARM_SENS = str(DATA / "alarm_sens.json")
 ASIA = str(DATA / "asia.json")
 UMBRELLA_PSL = str(DATA / "umbrella.psl")
+UMBRELLA_SENS = str(DATA / "umbrella_sens.json")
 
 
 def run(capsys, *argv):
@@ -90,6 +92,29 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "no_such.psl", "--goal", "R")
         assert code == 1
         assert "cannot read" in err
+
+    def test_param_outside_domain(self, capsys, tmp_path):
+        prog = tmp_path / "sens.psl"
+        prog.write_text(
+            "param r in (3/10, 1);\n"
+            "support R 2;\n"
+            "R := 1;\n"
+            "while true {\n"
+            "    R := bern(r)*R + bern(3/10)*(-R + 1);\n"
+            "}\n"
+        )
+        code, out, err = run(capsys, "analyze", str(prog), "--goal", "R",
+                             "--limit", "--param", "r=2")
+        assert code == 1
+        assert out == ""
+        assert "r=2 is outside the domain" in err
+
+    def test_unknown_param(self, capsys):
+        code, out, err = run(capsys, "analyze", UMBRELLA_PSL, "--goal", "R",
+                             "--param", "r=1/2")
+        assert code == 1
+        assert out == ""
+        assert "no parameter named r" in err
 
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", UMBRELLA_PSL, "--goal", "R",
@@ -174,6 +199,50 @@ class TestQuery:
         assert out == ""
         assert err.startswith("error:") and "b=0, q=-1/289" in err
 
+    @pytest.mark.parametrize("value, problem", [
+        ("-1", "zero denominator"),
+        ("-1/2", "probability 2 outside [0, 1]"),
+    ])
+    def test_binding_that_breaks_the_network_rejected(self, capsys, tmp_path,
+                                                      value, problem):
+        # a has no declared domain, so only the bound network shows the fault
+        net = tmp_path / "pole.json"
+        net.write_text(json.dumps({
+            "type": "bn", "params": ["a"],
+            "nodes": [{"name": "X", "model": {
+                "kind": "cpt", "p": ["1/(1 + a)", "a/(1 + a)"]}}],
+        }))
+        code, out, err = run(capsys, "query", str(net), "--spec",
+                             '{"query": "moment", "target": "X"}',
+                             "--param", f"a={value}")
+        assert code == 1
+        assert out == ""
+        assert f"binding a={value}: " in err and problem in err
+
+    def test_binding_before_solving_at_a_zero_base(self, capsys):
+        # r = 3/10 zeroes the base r - 3/10 of the symbolic closed form
+        code, out, _ = run(capsys, "query", UMBRELLA_SENS, "--spec",
+                           '{"query": "moment", "target": "R"}',
+                           "--param", "r=3/10")
+        assert code == 0
+        assert "exact: 3/10 for n >= 1; f(0) = 1" in out
+        assert "assumptions: (none)" in out
+
+    def test_limit_binding_outside_domain(self, capsys):
+        code, out, err = run(capsys, "query", UMBRELLA_SENS, "--spec",
+                             '{"query": "predict", "target": "R", "limit": true}',
+                             "--param", "r=2")
+        assert code == 1
+        assert out == ""
+        assert "r=2 is outside the domain [3/10, 1] of r" in err
+
+    def test_unknown_param(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec", self.SPEC,
+                             "--param", "zz=5")
+        assert code == 1
+        assert out == ""
+        assert "no parameter named zz" in err
+
     def test_invalid_spec_json(self, capsys):
         code, _, err = run(capsys, "query", ALARM, "--spec", "{not json")
         assert code == 1
@@ -200,6 +269,33 @@ class TestSamples:
         assert code == 0
         assert "probability: 11/20000" in out
 
+    def test_param_binding_reaches_every_field(self, capsys):
+        code, out, _ = run(capsys, "samples", ALARM_SENS, "--evidence", "A=1",
+                           "--param", "b=1/1000", "--param", "q=1/500", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        _, plain, _ = run(capsys, "samples", ALARM, "--evidence", "A=1", "--json")
+        assert doc == json.loads(plain)
+        assert doc["exact"] == doc["monitor_limit"] == "500000000/1258221"
+        assert doc["probability"] == "1258221/500000000"
+        assert doc["assumptions"] == []
+
+    def test_partial_binding(self, capsys):
+        code, out, _ = run(capsys, "samples", ALARM_SENS, "--evidence", "A=1",
+                           "--param", "b=1/1000", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("exact", "probability", "monitor_limit"):
+            assert "b" not in doc[key] and "q" in doc[key]
+        assert all("b" not in a for a in doc["assumptions"])
+
+    def test_param_outside_domain(self, capsys):
+        code, out, err = run(capsys, "samples", ALARM_SENS, "--evidence", "A=1",
+                             "--param", "b=2")
+        assert code == 1
+        assert out == ""
+        assert "b=2 is outside the domain [0, 1] of b" in err
+
     def test_bad_evidence_item(self, capsys):
         code, _, err = run(capsys, "samples", ASIA, "--evidence", "Asia")
         assert code == 1
@@ -222,6 +318,19 @@ class TestFilter:
         doc = json.loads(out)
         assert doc["query"] == "filter"
         assert len(doc["steps"]) == 2
+
+    def test_param_binding(self, capsys):
+        code, out, _ = run(capsys, "filter", UMBRELLA_SENS, "--obs", "U=1; U=1",
+                           "--param", "r=1/2")
+        assert code == 0
+        assert "exact: ((2/11, 9/11), (118/577, 459/577))" in out
+
+    def test_unknown_param(self, capsys):
+        code, out, err = run(capsys, "filter", UMBRELLA_SENS, "--obs", "U=1",
+                             "--param", "zz=5")
+        assert code == 1
+        assert out == ""
+        assert "no parameter named zz" in err
 
     def test_static_network_rejected(self, capsys):
         code, _, err = run(capsys, "filter", ALARM, "--obs", "U=1")

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import psolve.oracle
+import psolve.queries
 from psolve.bayesnet import load_bn, load_bn_path
+from psolve.encode import indicator_poly, normalize_evidence
 from psolve.errors import QueryError
+from psolve.oracle import differential_check, enumerate_discrete
 from psolve.queries import (
     conditional_moment,
-    distribution_from_moments,
     expected_positive,
     expected_samples,
     forward_filter,
@@ -152,24 +155,87 @@ class TestNodeDistribution:
         with pytest.raises(QueryError, match="continuous"):
             node_distribution(bn, "Stat")
 
+    def test_three_state_node_given_evidence(self):
+        doc = {
+            "type": "bn",
+            "nodes": [
+                {"name": "X", "states": ["lo", "mid", "hi"],
+                 "model": {"kind": "cpt", "p": ["1/2", "1/3", "1/6"]}},
+                {"name": "Y", "states": ["a", "b", "c"],
+                 "model": {"kind": "cpt", "parents": ["X"], "rows": [
+                     {"given": ["lo"], "p": ["1/4", "1/4", "1/2"]},
+                     {"given": ["mid"], "p": ["1/5", "3/5", "1/5"]},
+                     {"given": ["hi"], "p": ["2/3", "0", "1/3"]},
+                 ]}},
+            ],
+        }
+        bn = load_bn(doc)
+        table = enumerate_discrete(bn)
+        for value in ("a", "b", "c"):
+            res = node_distribution(bn, "X", {"Y": value})
+            event = normalize_evidence(bn, {"Y": value})
+            assert len(res.value) == 3
+            for i, p in enumerate(res.value):
+                assert p == table.conditional(indicator_poly("X", i, 3), event)
+            assert res.assumptions == ()
 
-class TestDistributionFromMoments:
-    def test_three_point(self):
-        # distribution on {0, 1, 2} with P = (1/2, 1/3, 1/6)
-        m1 = rf(F(1, 3) + F(2, 6))
-        m2 = rf(F(1, 3) + F(4, 6))
-        probs, notes = distribution_from_moments([m1, m2], 3)
-        assert probs == (rf(F(1, 2)), rf(F(1, 3)), rf(F(1, 6)))
-        assert notes == ()
+    def test_symbolic_matches_enumeration(self, alarm_sens):
+        table = enumerate_discrete(alarm_sens)
+        for name, evidence in (("A", {"J": 1}), ("B", {"M": 1, "J": 0})):
+            res = node_distribution(alarm_sens, name, evidence)
+            event = normalize_evidence(alarm_sens, evidence)
+            for i, p in enumerate(res.value):
+                assert p == table.conditional(indicator_poly(name, i, 2), event)
+            assert any("!= 0" in a for a in res.assumptions)
 
-    def test_inconsistent_moments_flagged(self):
-        probs, notes = distribution_from_moments([rf(2)], 2)
-        assert notes  # out-of-range mass reported, not silently clipped
-        assert any("outside" in n for n in notes)
+    def test_zero_probability_evidence(self):
+        bn = load_bn(
+            {"type": "bn", "nodes": [
+                {"name": "X", "model": {"kind": "cpt", "p": ["1", "0"]}},
+                {"name": "Y", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}}]}
+        )
+        with pytest.raises(QueryError, match="probability zero"):
+            node_distribution(bn, "Y", {"X": 1})
 
-    def test_moment_count_checked(self):
-        with pytest.raises(QueryError, match="exactly"):
-            distribution_from_moments([rf(1)], 3)
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Names of the compile functions called through queries and oracle."""
+    calls = []
+    for module in (psolve.queries, psolve.oracle):
+        for name in ("compile_bn", "compile_dynbn", "compile_sampling_monitor"):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneCompilePerCall:
+    def test_differential_check(self, asia, compiles):
+        assert all(line.ok for line in differential_check(asia))
+        assert compiles == ["compile_bn"]
+
+    def test_differential_check_with_monte_carlo(self, alarm, compiles):
+        assert all(line.ok for line in differential_check(alarm, mc_samples=2000))
+        assert compiles == ["compile_bn"]
+
+    def test_differential_check_dynamic(self, umbrella, compiles):
+        assert all(line.ok for line in differential_check(umbrella))
+        assert compiles == ["compile_dynbn"]
+
+    def test_node_distribution(self, alarm, compiles):
+        node_distribution(alarm, "A", {"J": 1})
+        assert compiles == ["compile_bn"]
+
+    def test_expected_samples(self, asia, compiles):
+        expected_samples(asia, {"Asia": 1, "Lung": 1})
+        assert compiles == ["compile_sampling_monitor"]
 
 
 class TestExpectedSamples:
@@ -332,6 +398,19 @@ class TestRunQuery:
         bn = load_bn_path(DATA / f"{net}.json")
         field = next(k for k in ("k", "at", "N") if k in spec)
         with pytest.raises(QueryError, match=f'"{field}" must be an integer'):
+            run_query(bn, spec)
+
+    @pytest.mark.parametrize("net, spec", [
+        ("umbrella", {"query": "predict", "target": "R", "limit": "no"}),
+        ("umbrella", {"query": "predict", "target": "R", "limit": 1}),
+        ("umbrella", {"query": "predict", "target": "R", "limit": None}),
+        ("asia", {"query": "samples", "evidence": {"Asia": 1}, "cross_check": "no"}),
+        ("asia", {"query": "samples", "evidence": {"Asia": 1}, "cross_check": 0}),
+    ])
+    def test_boolean_fields_must_be_booleans(self, net, spec):
+        bn = load_bn_path(DATA / f"{net}.json")
+        field = next(k for k in ("limit", "cross_check") if k in spec)
+        with pytest.raises(QueryError, match=f'"{field}" must be true or false'):
             run_query(bn, spec)
 
 
