@@ -14,6 +14,9 @@ A dynamic network reuses the same node table as a repeating time slice.  A
 node may additionally read its own previous-slice value, which appears as
 the node's own name in its parent list and must be declared under
 "inter_edges".  Initial values for slice zero come from the "initial" map.
+
+`joint_rows` walks an all-discrete network by the chain rule; the
+enumeration oracle and the forward filter both take their rows from it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import Param, Polynomial, RationalFunction, RF_ONE
@@ -194,6 +197,50 @@ class DynBayesNet:
             if not (parent == nd.name and nd.name in self.temporal)
         )
         return intra + tuple((name, name) for name in self.temporal)
+
+
+# -- chain rule ------------------------------------------------------------
+
+
+def joint_rows(bn: BayesNet, given=(), evidence=()):
+    """The chain-rule joint of an all-discrete network as (values, weight)
+    rows, drawing the nodes in topological order.
+
+    `given` seeds values that nodes read before they are drawn, which is
+    how a dynamic slice sees its previous temporal state.  Rows that
+    contradict `evidence` or weigh zero are dropped.
+    """
+    observed = dict(evidence)
+    rows = [(dict(given), RF_ONE)]
+    for name in bn.order:
+        node = bn.node(name)
+        nxt = []
+        for values, weight in rows:
+            for value, prob in _local_dist(node, values):
+                if observed.get(name, value) != value:
+                    continue
+                if prob.is_const() and prob.const_value() == 0:
+                    continue
+                nxt.append(({**values, name: value}, weight * prob))
+        rows = nxt
+    return rows
+
+
+def _local_dist(node: Node, values: Mapping[str, int]):
+    """(value, probability) pairs of one discrete node given the values
+    drawn so far."""
+    m = node.model
+    if isinstance(m, CPT):
+        return enumerate(m.vector(tuple(values[p] for p in m.parents)))
+    if isinstance(m, Deterministic):
+        try:
+            return [(int(m.expr.eval(values)), RF_ONE)]
+        except KeyError as exc:
+            raise UnsupportedError(
+                f"deterministic node {node.name} depends on {exc.args[0]}, "
+                "which has no value to enumerate"
+            ) from None
+    raise UnsupportedError(f"node {node.name} has no discrete local model to enumerate")
 
 
 # -- parameter binding -----------------------------------------------------

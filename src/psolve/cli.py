@@ -30,7 +30,7 @@ from .exppoly import expoly_limit
 from .parser import parse_poly, parse_program
 from .moments import MomentEngine
 from .program import bind, pretty
-from .queries import expected_samples, forward_filter, run_query
+from .queries import _exact_str, expected_samples, forward_filter, run_query
 from .symbolic import RationalFunction, decimal_str
 from . import oracle
 
@@ -167,19 +167,11 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 def _value_fields(value, digits: int) -> dict:
-    out = {"exact": _exact(value)}
+    out = {"exact": _exact_str(value)}
     dec = _decimal(value, digits)
     if dec is not None:
         out["decimal"] = dec
     return out
-
-
-def _exact(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_exact(v) for v in value) + ")"
-    return str(value)
 
 
 def _decimal(value, digits: int) -> Optional[str]:

@@ -40,4 +40,4 @@ class DegreeCapError(InputError):
 
 
 class InternalCheckError(Exception):
-    """An internal invariant (back-substitution, acyclicity, ...) failed."""
+    """An internal invariant (back-substitution, ...) failed."""

@@ -87,13 +87,6 @@ class ExpPoly:
     def is_const(self) -> bool:
         return all(t.base == RF_ONE and t.degree == 0 for t in self.terms)
 
-    def bases(self) -> list[RationalFunction]:
-        out: list[RationalFunction] = []
-        for t in self.terms:
-            if not any(b == t.base for b in out):
-                out.append(t.base)
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "ExpPoly":

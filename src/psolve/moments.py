@@ -276,7 +276,10 @@ def _toposort(recs: dict[Monomial, MomentRecurrence]) -> list[Monomial]:
             return
         if mark == 1:
             cyc = " -> ".join(str(x) for x in path + [m])
-            raise InternalCheckError(f"cyclic moment dependence: {cyc}")
+            raise UnsupportedError(
+                f"cyclic moment dependence: {cyc}; the loop is outside the "
+                "Prob-solvable fragment"
+            )
         state[m] = 1
         for dep, _ in recs[m].linear:
             visit(dep, path + [m])

@@ -2,8 +2,9 @@
 
 Three oracles, in increasing generality and decreasing precision:
 
-- exact joint enumeration for discrete networks (chain rule over the
-  topological order);
+- exact joint enumeration for discrete networks, from the chain-rule
+  rows of `bayesnet.joint_rows` (the forward filter's one-step rows come
+  from the same function);
 - exact mean/covariance propagation for linear-Gaussian and conditional
   linear-Gaussian networks, one summary per discrete configuration;
 - Monte Carlo simulation of the compiled loop program for anything
@@ -29,11 +30,10 @@ import numpy as np
 from .bayesnet import (
     BayesNet,
     CLG,
-    CPT,
-    Deterministic,
     DynBayesNet,
     LinearGaussian,
     Node,
+    joint_rows,
 )
 from .encode import compile_bn, compile_dynbn
 from .errors import QueryError, UnsupportedError
@@ -102,8 +102,9 @@ class JointTable:
 
 
 def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable:
-    """The exact joint by chain rule; only for all-discrete networks whose
-    state space fits under the cap."""
+    """The exact joint, one row per chain-rule row of
+    `bayesnet.joint_rows`; only for all-discrete networks whose state space
+    fits under the cap."""
     size = 1
     for node in bn.nodes:
         if not node.is_discrete:
@@ -116,36 +117,11 @@ def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable
                 f"state space exceeds {cap} assignments; raise the cap to "
                 "enumerate this network"
             )
-    order = bn.order
-    partial: list[tuple[dict, RationalFunction]] = [({}, RF_ONE)]
-    for name in order:
-        node = bn.node(name)
-        nxt = []
-        for values, weight in partial:
-            for value, prob in _local_dist(node, values):
-                if isinstance(prob, RationalFunction) and prob.is_const() \
-                        and prob.const_value() == 0:
-                    continue
-                nxt.append(({**values, name: value}, weight * prob))
-        partial = nxt
     names = bn.node_names
     rows = tuple(
-        (tuple(values[n] for n in names), weight) for values, weight in partial
+        (tuple(values[n] for n in names), weight) for values, weight in joint_rows(bn)
     )
     return JointTable(names, rows)
-
-
-def _local_dist(node: Node, values: Mapping[str, int]):
-    m = node.model
-    if isinstance(m, CPT):
-        assignment = tuple(values[p] for p in m.parents)
-        return list(enumerate(m.vector(assignment)))
-    if isinstance(m, Deterministic):
-        env = {p: Fraction(values[p]) for p in m.parents}
-        return [(int(m.expr.eval(env)), RF_ONE)]
-    raise UnsupportedError(
-        f"node {node.name} has no discrete local model to enumerate"
-    )
 
 
 # -- Gaussian propagation --------------------------------------------------
@@ -566,7 +542,11 @@ def _check_dyn(dyn: DynBayesNet, engine: MomentEngine) -> list[CheckLine]:
 def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[CheckLine]:
     """Monte Carlo estimates of every target from one simulation of the
     engine's program; the streams are keyed by draw slot and iteration,
-    not by target, so the estimates equal those of one run per target."""
+    not by target, so the estimates equal those of one run per target.
+    A network with free parameters gets no lines: the sampler needs
+    numbers."""
+    if (bn.net if isinstance(bn, DynBayesNet) else bn).params:
+        return []
     lines = []
     if isinstance(bn, DynBayesNet):
         horizon = 5
@@ -574,12 +554,8 @@ def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[Check
         ests = mc_estimate(engine.prog, names, n_samples, seed, n_iters=horizon)
         for name, est in zip(names, ests):
             exact = engine.closed(Polynomial.var(name)).at(horizon)
-            if not exact.is_const():
-                continue
             lines.append(_band_line(f"MC E[{name}] at n={horizon}", exact, est))
     else:
-        if bn.params:
-            return lines
         names = [nd.name for nd in bn.nodes]
         ests = mc_estimate(engine.prog, names, n_samples, seed)
         for name, est in zip(names, ests):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .bayesnet import BayesNet, CPT, Deterministic, DynBayesNet
+from .bayesnet import BayesNet, DynBayesNet, joint_rows
 from .encode import (
     compile_bn,
     compile_dynbn,
@@ -46,6 +46,7 @@ from .symbolic import (
     Polynomial,
     RationalFunction,
     RF_ONE,
+    RF_ZERO,
     decimal_str,
 )
 
@@ -275,38 +276,54 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     Implements the standard forward pass: predict one slice ahead through
     the transition model, reweight by the likelihood of the step's
     observations, normalize.  A step may observe any subset of non-temporal
-    discrete nodes; an empty step is a pure prediction step.
+    discrete nodes; an empty step is a pure prediction step.  The one-step
+    distribution is the chain-rule joint of the slice
+    (`bayesnet.joint_rows`) given the previous state and the step's
+    observations, summed onto the new state and memoized per call.
     """
     states, prior = _filter_setup(dyn)
     slices = [_normalize_obs(dyn.net, step) for step in observations]
-    kernel = _slice_kernel(dyn)
+    for nd in dyn.net.nodes:
+        if not nd.is_discrete:
+            raise UnsupportedError(
+                f"filtering needs an all-discrete slice, {nd.name} is not"
+            )
+    space = tuple(prior)
+    memo: dict = {}
     belief = prior
     out = []
     for t, obs in enumerate(slices, start=1):
-        new_belief = {s: RationalFunction(Polynomial.zero()) for s in kernel.state_space}
+        new_belief = {s: RF_ZERO for s in space}
         for prev, weight in belief.items():
             if weight.is_zero():
                 continue
-            for state, prob in kernel.step(prev, obs).items():
+            if (prev, obs) not in memo:
+                memo[prev, obs] = _step_dist(dyn, prev, obs)
+            for state, prob in memo[prev, obs].items():
                 new_belief[state] = new_belief[state] + weight * prob
-        total = RationalFunction(Polynomial.zero())
-        for value in new_belief.values():
-            total = total + value
+        total = sum(new_belief.values(), RF_ZERO)
         if total.is_zero():
             raise QueryError(
                 f"observation step {t} ({obs}) has zero likelihood under "
                 "the current belief"
             )
         belief = {s: v / total for s, v in new_belief.items()}
-        out.append(tuple(belief[s] for s in kernel.state_space))
-    labels = tuple(
-        ", ".join(f"{n}={v}" for n, v in zip(states, s)) for s in kernel.state_space
-    )
+        out.append(tuple(belief[s] for s in space))
+    labels = tuple(", ".join(f"{n}={v}" for n, v in zip(states, s)) for s in space)
     return QueryResult(
         "filter",
         tuple(out),
         extras=(("states", " | ".join(labels)),),
     )
+
+
+def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:
+    """P(next state, obs | previous state) for each reachable next state."""
+    dist: dict = {}
+    for values, weight in joint_rows(dyn.net, zip(dyn.temporal, prev), obs):
+        state = tuple(values[s] for s in dyn.temporal)
+        dist[state] = dist.get(state, RF_ZERO) + weight
+    return dist
 
 
 def _normalize_obs(bn: BayesNet, step) -> tuple[tuple[str, int], ...]:
@@ -323,9 +340,7 @@ def _filter_setup(dyn: DynBayesNet):
         if not dyn.net.node(name).is_discrete:
             raise UnsupportedError(f"filtering needs a discrete state, {name} is not")
     prior: dict[tuple[int, ...], RationalFunction] = {}
-    marginals = []
-    for name in states:
-        marginals.append(_initial_marginal(dyn, name))
+    marginals = [_initial_marginal(dyn, name) for name in states]
     for assignment in itertools.product(*(range(dyn.net.node(s).support) for s in states)):
         weight = RF_ONE
         for value, marginal in zip(assignment, marginals):
@@ -338,12 +353,11 @@ def _initial_marginal(dyn: DynBayesNet, name: str):
     """P(node = v) at slice zero, from the initial expression."""
     node = dyn.net.node(name)
     expr = dyn.initial_expr(name)
-    zero = RationalFunction(Polynomial.zero())
     if expr.is_const():
         value = expr.const_value()
         if value.denominator != 1 or not 0 <= value < node.support:
             raise QueryError(f"initial value {value} of {name} is not a state")
-        return [RF_ONE if i == value else zero for i in range(node.support)]
+        return [RF_ONE if i == value else RF_ZERO for i in range(node.support)]
     draws = [s for s in expr.symbols()]
     if len(draws) == 1 and expr == Polynomial.var(draws[0]):
         spec = dyn.draws.get(draws[0])
@@ -353,81 +367,6 @@ def _initial_marginal(dyn: DynBayesNet, name: str):
         f"filtering needs a discrete initial distribution for {name}; "
         f"got {expr}"
     )
-
-
-class _SliceKernel:
-    """Exact one-slice distribution of a dynamic network, conditioned on
-    the previous state assignment."""
-
-    def __init__(self, dyn: DynBayesNet):
-        self.dyn = dyn
-        net = dyn.net
-        for nd in net.nodes:
-            if not nd.is_discrete:
-                raise UnsupportedError(
-                    f"filtering needs an all-discrete slice, {nd.name} is not"
-                )
-        self.order = net.order
-        self.state_space = tuple(
-            itertools.product(*(range(net.node(s).support) for s in dyn.temporal))
-        )
-        self._cache: dict = {}
-
-    def step(self, prev: tuple[int, ...], obs) -> dict:
-        """Distribution of the next state given the previous one, keeping
-        only slices consistent with the observations."""
-        key = (prev, obs)
-        if key in self._cache:
-            return self._cache[key]
-        dyn, net = self.dyn, self.dyn.net
-        prev_map = dict(zip(dyn.temporal, prev))
-        obs_map = dict(obs)
-        partial = [({}, RF_ONE)]
-        for name in self.order:
-            node = net.node(name)
-            nxt = []
-            for values, weight in partial:
-                for value, prob in _node_dist(node, name in dyn.temporal,
-                                              prev_map, values):
-                    if name in obs_map and value != obs_map[name]:
-                        continue
-                    if prob.is_const() and prob.const_value() == 0:
-                        continue
-                    nxt.append(({**values, name: value}, weight * prob))
-            partial = nxt
-        result: dict = {}
-        for values, weight in partial:
-            state = tuple(values[s] for s in dyn.temporal)
-            result[state] = result.get(state, RationalFunction(Polynomial.zero())) + weight
-        self._cache[key] = result
-        return result
-
-
-def _node_dist(node, temporal: bool, prev_map, values):
-    """Pairs (value, probability) of one node given its parents' values."""
-    m = node.model
-    if isinstance(m, CPT):
-        assignment = tuple(
-            prev_map[p] if (temporal and p == node.name) else values[p]
-            for p in m.parents
-        )
-        return list(enumerate(m.vector(assignment)))
-    if isinstance(m, Deterministic):
-        env = {p: Fraction(values[p]) for p in m.parents}
-        try:
-            value = m.expr.eval(env)
-        except KeyError as exc:
-            raise UnsupportedError(
-                f"deterministic node {node.name} depends on {exc.args[0]}, "
-                "which has no value during filtering"
-            ) from None
-        return [(int(value), RF_ONE)]
-    raise UnsupportedError(f"filtering supports CPT and deterministic nodes, "
-                           f"not {type(m).__name__}")
-
-
-def _slice_kernel(dyn: DynBayesNet) -> _SliceKernel:
-    return _SliceKernel(dyn)
 
 
 # -- query documents -------------------------------------------------------

@@ -350,6 +350,51 @@ class TestCheck:
         assert code == 0
         assert "MC E[" in out
 
+    def test_parametric_dynamic_net_skips_monte_carlo(self, capsys):
+        code, out, _ = run(capsys, "check", UMBRELLA_SENS, "--mc", "20000")
+        assert code == 0
+        assert "failed: 0" in out
+        assert "MC E[" not in out
+
+    def test_parametric_det_node_exits_1(self, capsys, tmp_path):
+        net = tmp_path / "det.json"
+        net.write_text(json.dumps({"params": ["b"], "nodes": [
+            {"name": "A", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+            {"name": "B", "model": {"kind": "det", "expr": "b*A"}},
+        ]}))
+        code, out, err = run(capsys, "check", str(net))
+        assert code == 1
+        assert out == ""
+        assert "deterministic node B depends on b" in err
+
+    def test_cyclic_moment_dependence_exits_1(self, capsys, tmp_path):
+        net = tmp_path / "coupled.json"
+        net.write_text(json.dumps({
+            "type": "dynbn",
+            "nodes": [
+                {"name": "S0", "model": {"kind": "cpt", "parents": ["S0"], "rows": [
+                    {"given": [0], "p": ["2/3", "1/3"]},
+                    {"given": [1], "p": ["1/4", "3/4"]}]}},
+                {"name": "S1", "model": {"kind": "cpt", "parents": ["S1", "S0"], "rows": [
+                    {"given": [0, 0], "p": ["9/10", "1/10"]},
+                    {"given": [0, 1], "p": ["1/2", "1/2"]},
+                    {"given": [1, 0], "p": ["3/10", "7/10"]},
+                    {"given": [1, 1], "p": ["1/5", "4/5"]}]}},
+            ],
+            "inter_edges": {"S0": ["S0"], "S1": ["S1"]},
+            "initial": {"S0": 0, "S1": 1},
+        }))
+        spec = '{"query": "predict", "target": "S1"}'
+        for argv in (("query", str(net), "--spec", spec), ("check", str(net))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "error: cyclic moment dependence: S1 -> S0*S1 -> S1" in err
+            assert "Prob-solvable" in err
+        code, out, _ = run(capsys, "filter", str(net), "--obs", "S1=1; ; S0=0")
+        assert code == 0
+        assert "step 3:" in out
+
     def test_bad_mc_count(self, capsys):
         code, _, err = run(capsys, "check", ALARM, "--mc", "0")
         assert code == 1

@@ -61,6 +61,16 @@ class TestEnumerateDiscrete:
         assert table.probability([("A", 1), ("B", 0)]) == F(1, 2)
         assert table.probability([("A", 1), ("B", 1)]) == 0
 
+    def test_parametric_det_node_is_unsupported(self):
+        bn = load_bn(
+            {"type": "bn", "params": ["b"], "nodes": [
+                {"name": "A", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+                {"name": "B", "model": {"kind": "det", "expr": "b*A"}},
+            ]}
+        )
+        with pytest.raises(UnsupportedError, match="node B depends on b"):
+            enumerate_discrete(bn)
+
     def test_state_cap(self):
         rng = random.Random(7)
         bn = random_discrete_bn(rng, 12)

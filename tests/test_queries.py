@@ -10,7 +10,7 @@ import psolve.oracle
 import psolve.queries
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import indicator_poly, normalize_evidence
-from psolve.errors import QueryError
+from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import differential_check, enumerate_discrete
 from psolve.queries import (
     conditional_moment,
@@ -432,3 +432,90 @@ class TestQueryResult:
         res = expected_samples(asia, {"Asia": 1, "Lung": 1})
         doc = res.to_json()
         assert doc["probability"] == "11/20000"
+
+
+# Two coupled chains: S0 reads its previous slice, S1 reads its previous
+# slice and the new S0 through a general 4-row CPT, and O observes S1.
+P_S0 = {0: F(1, 3), 1: F(3, 4)}  # P(S0 = 1 | previous S0)
+P_S1 = {(0, 0): F(1, 10), (0, 1): F(1, 2), (1, 0): F(7, 10), (1, 1): F(4, 5)}
+P_O = {0: F(1, 4), 1: F(2, 3)}  # P(O = 1 | S1)
+
+
+def _row(p):
+    return [str(1 - p), str(p)]
+
+
+COUPLED = {
+    "type": "dynbn",
+    "nodes": [
+        {"name": "S0", "model": {"kind": "cpt", "parents": ["S0"], "rows": [
+            {"given": [v], "p": _row(P_S0[v])} for v in (0, 1)]}},
+        {"name": "S1", "model": {"kind": "cpt", "parents": ["S1", "S0"], "rows": [
+            {"given": list(g), "p": _row(p)} for g, p in P_S1.items()]}},
+        {"name": "O", "model": {"kind": "cpt", "parents": ["S1"], "rows": [
+            {"given": [v], "p": _row(P_O[v])} for v in (0, 1)]}},
+    ],
+    "inter_edges": {"S0": ["S0"], "S1": ["S1"]},
+    "initial": {"S0": "bern(1/2)", "S1": 1},
+}
+
+# X flips every slice by reading its own previous value; U is a noisy
+# reading of X.
+TOGGLE = {
+    "type": "dynbn",
+    "nodes": [
+        {"name": "X", "model": {"kind": "det", "expr": "1 - X"}},
+        {"name": "U", "model": {"kind": "cpt", "parents": ["X"], "rows": [
+            {"given": [0], "p": ["9/10", "1/10"]},
+            {"given": [1], "p": ["1/5", "4/5"]}]}},
+    ],
+    "inter_edges": {"X": ["X"]},
+    "initial": {"X": "bern(1/3)"},
+}
+
+
+class TestSharedChainRule:
+    def test_coupled_net_matches_hand_forward_pass(self):
+        def bern(p, v):
+            return p if v else 1 - p
+
+        steps = [{"O": 1}, {}, {"O": 0}, {}, {"O": 1}, {"O": 1}]
+        space = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        belief = {(0, 0): F(0), (0, 1): F(1, 2), (1, 0): F(0), (1, 1): F(1, 2)}
+        want = []
+        for obs in steps:
+            new = {}
+            for s0n, s1n in space:
+                w = sum(belief[s0, s1] * bern(P_S0[s0], s0n) * bern(P_S1[s1, s0n], s1n)
+                        for s0, s1 in space)
+                if "O" in obs:
+                    w *= bern(P_O[s1n], obs["O"])
+                new[s0n, s1n] = w
+            total = sum(new.values())
+            belief = {s: w / total for s, w in new.items()}
+            want.append([belief[s] for s in space])
+        res = forward_filter(load_bn(COUPLED), steps)
+        assert dict(res.extras)["states"] == (
+            "S0=0, S1=0 | S0=0, S1=1 | S0=1, S1=0 | S0=1, S1=1")
+        assert [list(step) for step in res.value] == want
+
+    def test_self_reading_deterministic_node(self):
+        res = forward_filter(load_bn(TOGGLE), [{"U": 1}, {}, {"U": 0}])
+        # X1 = 1 - X0 is 1 w.p. 2/3; U=1 gives 2/3*4/5 : 1/3*1/10 = 16 : 1;
+        # the empty step flips it; U=0 after the next flip gives
+        # 16/17*1/5 : 1/17*9/10 = 32 : 9.
+        want = [[F(1, 17), F(16, 17)], [F(16, 17), F(1, 17)], [F(9, 41), F(32, 41)]]
+        assert [list(step) for step in res.value] == want
+
+    def test_self_reading_deterministic_node_checks(self):
+        lines = differential_check(load_bn(TOGGLE))
+        assert [l.label for l in lines] == [f"E[X] at n={n}" for n in (1, 2, 3)]
+        assert [l.oracle for l in lines] == ["2/3", "1/3", "2/3"]
+        assert all(l.ok for l in lines)
+
+    def test_cyclic_moment_dependence_is_unsupported(self):
+        with pytest.raises(UnsupportedError) as info:
+            predict(load_bn(COUPLED), "S1")
+        message = str(info.value)
+        assert message.startswith("cyclic moment dependence: S1 -> S0*S1 -> S1")
+        assert "outside the Prob-solvable fragment" in message
