@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Tuple
 
 from .bayesnet import (
     BayesNet,

@@ -6,8 +6,13 @@ substitutes every variable's update into the target monomial, last declared
 variable first, so that by the end every variable reference means its value
 at the start of the iteration; branchy updates contribute a probability mix
 of branch powers (one shared coin per variable per monomial), and draws
-turn into their raw moments.  A worklist closes the set of needed moments,
-then closed forms are solved bottom-up along the dependency order.
+turn into their raw moments.  A draw that only one update uses becomes
+its moments inside that update's powers, where it enters the monomial, so
+the substituted body grows with its expectation rather than with the
+number of draws; a draw shared between updates, or whose moment is not a
+polynomial in the parameters or is not known, stays symbolic until the
+final expectation.  A worklist closes the set of needed moments, then
+closed forms are solved bottom-up along the dependency order.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program, by one of two paths.  A body that overwrites every variable from
@@ -21,6 +26,7 @@ through `MomentEngine.closed`, which closes the query's monomials with
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,13 +91,28 @@ class MomentEngine:
         self.vars = prog.variables
         self.var_set = set(self.vars)
         self.supports = dict(prog.supports)
+        uses: Counter[str] = Counter()
+        for upd in prog.updates:
+            uses.update({s for br in upd.branches for s in br.expr.symbols() if is_draw(s)})
+        self._private = frozenset(s for s, count in uses.items() if count == 1)
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
+        self._early: dict[tuple[str, int], Polynomial | None] = {}
         self._init_moments: dict[tuple[str, int], RationalFunction] = {}
 
     # -- update powers -----------------------------------------------------
 
     def _upd_pow(self, var: str, k: int) -> Polynomial:
+        """(var's update)^k averaged over its branch coin and its private
+        draws: a polynomial in earlier variables, parameters and the draws
+        that stay symbolic.
+
+        A draw private to this update reaches a substituted monomial only
+        through this one factor and is independent of everything else in
+        it, so each power d^j is replaced by E[d^j] here.  A draw shared
+        with another update, or whose moment is not a polynomial in the
+        parameters or is not known, stays symbolic for `expectation`.
+        """
         key = (var, k)
         cached = self._upd_pows.get(key)
         if cached is not None:
@@ -104,21 +125,65 @@ class MomentEngine:
                     f"branch probability of {var} has a symbolic denominator"
                 )
             total = total + br.prob.num * br.expr**k
-        total = self._reduce(total)
+        total = self._reduce(self._integrate(total))
         self._upd_pows[key] = total
         return total
 
+    def _integrate(self, poly: Polynomial) -> Polynomial:
+        """Replace every power of a private draw whose moment is a known
+        polynomial by that moment."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in poly.terms.items():
+            keep: list[tuple[str, int]] = []
+            moment = None
+            for s, e in mono.powers:
+                m = self._early_moment(s, e) if s in self._private else None
+                if m is None:
+                    keep.append((s, e))
+                else:
+                    moment = m if moment is None else moment * m
+            if moment is None:
+                out[mono] = out.get(mono, Fraction(0)) + coeff
+                continue
+            rest = Monomial(keep)
+            for m2, c2 in moment.terms.items():
+                m = rest * m2
+                out[m] = out.get(m, Fraction(0)) + coeff * c2
+        return Polynomial(out)
+
+    def _early_moment(self, sym: str, k: int) -> Polynomial | None:
+        """E[sym^k] as a polynomial in the parameters, or None when it is
+        not one or is not known."""
+        key = (sym, k)
+        if key not in self._early:
+            try:
+                m = self._draw_moment(sym, k)
+            except UnsupportedError:
+                m = None
+            self._early[key] = m.num if m is not None and m.is_poly() else None
+        return self._early[key]
+
     def _reduce(self, poly: Polynomial) -> Polynomial:
-        for var, size in self.supports.items():
-            if poly.degree_in(var) >= size:
+        """Finite-support reduction of the variables whose powers reach
+        their support size, in declaration order."""
+        supports = self.supports
+        high = {
+            s for mono in poly.terms for s, e in mono.powers
+            if s in supports and e >= supports[s]
+        }
+        if not high:
+            return poly
+        for var, size in supports.items():
+            if var in high:
                 poly = reduce_finite_support(poly, var, size)
         return poly
 
     def substitute_body(self, poly: Polynomial) -> Polynomial:
         """One full body substitution: result refers only to start-of-iteration
         values, draws and parameters."""
+        present = poly.symbols()
         for var in reversed(self.vars):
-            if poly.degree_in(var) == 0:
+            if var not in present:
                 continue
             out: dict[Monomial, Fraction] = {}
             for mono, coeff in poly.terms.items():
@@ -131,6 +196,7 @@ class MomentEngine:
                     m = rest * m2
                     out[m] = out.get(m, Fraction(0)) + coeff * c2
             poly = self._reduce(Polynomial(out))
+            present = poly.symbols()
         return poly
 
     # -- expectation normal form ------------------------------------------
@@ -149,6 +215,10 @@ class MomentEngine:
         Returns (linear map monomial -> coefficient, constant).  Draws are
         independent of the state and of each other, so each monomial factors
         into draw moments, a parameter monomial and one moment variable.
+        The draws left in a substituted body are those `_upd_pow` keeps
+        symbolic (shared, with a moment that is not a polynomial, or with
+        no known moment, which raises here); an initializer's draws all
+        become moments here.
         """
         acc_poly: dict[Monomial, dict[Monomial, Fraction]] = {}
         acc_rf: dict[Monomial, RationalFunction] = {}

@@ -477,13 +477,22 @@ def differential_check(
     The network is compiled once; every engine value comes from the one
     moment engine of that program, and the Monte Carlo comparison (enabled
     by mc_samples) samples the same program and accepts anything within
-    four standard errors.  Exact oracles compare exactly.
+    four standard errors.  Exact oracles compare exactly.  A dynamic
+    network with a continuous node has only the Monte Carlo oracle, which
+    needs mc_samples and no free parameters; without it the check would
+    compare nothing, so that is an UnsupportedError saying why.
     """
     lines: list[CheckLine] = []
     if isinstance(bn, DynBayesNet):
         discrete = all(nd.is_discrete for nd in bn.net.nodes)
-        if not (discrete or mc_samples):
-            return lines
+        params = [p.name for p in bn.net.params]
+        if not discrete and (params or not mc_samples):
+            why = "a slice with a continuous node is checked only by Monte Carlo"
+            if params:
+                why += f", which needs numeric values for the free parameters {params}"
+            else:
+                why += "; ask for it with --mc N"
+            raise UnsupportedError(f"no independent oracle applies: {why}")
         engine = MomentEngine(compile_dynbn(bn))
         if discrete:
             lines += _check_dyn(bn, engine)
@@ -550,7 +559,7 @@ def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[Check
     lines = []
     if isinstance(bn, DynBayesNet):
         horizon = 5
-        names = dyn_targets(bn)
+        names = list(bn.temporal)
         ests = mc_estimate(engine.prog, names, n_samples, seed, n_iters=horizon)
         for name, est in zip(names, ests):
             exact = engine.closed(Polynomial.var(name)).at(horizon)
@@ -562,10 +571,6 @@ def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[Check
             exact = engine.one_pass(Polynomial.var(name))
             lines.append(_band_line(f"MC E[{name}]", exact, est))
     return lines
-
-
-def dyn_targets(dyn: DynBayesNet) -> list[str]:
-    return [name for name in dyn.temporal if dyn.net.node(name).is_discrete]
 
 
 def _band_line(label: str, exact: RationalFunction, est: MCEstimate) -> CheckLine:

@@ -395,6 +395,42 @@ class TestCheck:
         assert code == 0
         assert "step 3:" in out
 
+    @staticmethod
+    def linear_gaussian_chain(tmp_path, variance="1", params=()):
+        net = tmp_path / "lg.json"
+        net.write_text(json.dumps({
+            "type": "dynbn",
+            "params": list(params),
+            "nodes": [{"name": "X", "model": {
+                "kind": "lingauss", "intercept": "1", "coeffs": {"X": "1/2"},
+                "variance": variance}}],
+            "inter_edges": {"X": ["X"]},
+            "initial": {"X": 0},
+        }))
+        return str(net)
+
+    def test_continuous_slice_needs_monte_carlo(self, capsys, tmp_path):
+        net = self.linear_gaussian_chain(tmp_path)
+        code, out, err = run(capsys, "check", net)
+        assert code == 1
+        assert out == ""
+        assert "error: no independent oracle applies" in err
+        assert "--mc" in err
+        code, out, _ = run(capsys, "check", net, "--mc", "2000")
+        assert code == 0
+        # E[X] at n=5 is 2 - 2^-4
+        assert "ok   MC E[X] at n=5: engine 1.937500" in out
+        assert "passed: 1" in out
+
+    def test_free_parameters_block_monte_carlo(self, capsys, tmp_path):
+        net = self.linear_gaussian_chain(tmp_path, variance="s", params=["s"])
+        for extra in ((), ("--mc", "2000")):
+            code, out, err = run(capsys, "check", net, *extra)
+            assert code == 1, extra
+            assert out == ""
+            assert "no independent oracle applies" in err
+            assert "free parameters ['s']" in err
+
     def test_bad_mc_count(self, capsys):
         code, _, err = run(capsys, "check", ALARM, "--mc", "0")
         assert code == 1

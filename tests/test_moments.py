@@ -10,14 +10,16 @@ from pathlib import Path
 import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
-from psolve.bayesnet import load_bn_path
+from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn
-from psolve.errors import DegreeCapError, InternalCheckError
+from psolve.errors import DegreeCapError, InternalCheckError, UnsupportedError
 from psolve.exppoly import ExpPoly
 from psolve.moments import MomentEngine, check_mbis, compute_mbis, degree_cap
-from psolve.oracle import enumerate_discrete, gaussian_propagate
+from psolve.oracle import differential_check, enumerate_discrete, gaussian_propagate
 from psolve.parser import parse_program
-from psolve.symbolic import Monomial, Polynomial, RationalFunction
+from psolve.program import Assignment, Branch, DrawSpec, Initializer, LoopProgram
+from psolve.queries import conditional_moment
+from psolve.symbolic import RF_ONE, Monomial, Polynomial, RationalFunction
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -232,3 +234,153 @@ class TestOnePass:
         prog = compile_dynbn(load_bn_path(DATA / "umbrella.json"))
         with pytest.raises(InternalCheckError, match=r"E\[R\]"):
             MomentEngine(prog).one_pass(Polynomial.var("R"))
+
+
+def coupled_doc(n: int) -> dict:
+    """Binary S0..S{n-1}; S_i reads its own previous slice and the current
+    S_{i-1} through an additive CPT, P(S_i=1) = 1/10 + 2/5*a + 1/5*b."""
+    def row(given, p1):
+        return {"given": given, "p": [str(1 - p1), str(p1)]}
+
+    nodes = []
+    for i in range(n):
+        name = f"S{i}"
+        if i == 0:
+            parents = [name]
+            rows = [row([a], F(1, 10) + F(2, 5) * a) for a in (1, 0)]
+        else:
+            parents = [name, f"S{i - 1}"]
+            rows = [row([a, b], F(1, 10) + F(2, 5) * a + F(1, 5) * b)
+                    for a in (1, 0) for b in (1, 0)]
+        nodes.append({"name": name, "model": {
+            "kind": "cpt", "parents": parents, "rows": rows}})
+    return {
+        "type": "dynbn",
+        "nodes": nodes,
+        "inter_edges": {f"S{i}": [f"S{i}"] for i in range(n)},
+        "initial": {f"S{i}": i % 2 for i in range(n)},
+    }
+
+
+def chain_doc(n: int) -> dict:
+    """Binary chain X0 -> X1 -> ... -> X{n-1}."""
+    nodes = [{"name": "X0", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}}]
+    for i in range(1, n):
+        nodes.append({"name": f"X{i}", "model": {
+            "kind": "cpt", "parents": [f"X{i - 1}"], "rows": [
+                {"given": [1], "p": ["1/5", "4/5"]},
+                {"given": [0], "p": ["7/10", "3/10"]},
+            ]}})
+    return {"type": "bn", "nodes": nodes}
+
+
+class TestDrawIntegration:
+    """A draw used by one update becomes its moments inside that update's
+    powers; every other draw stays symbolic until `expectation`."""
+
+    def test_shared_draw_is_not_integrated_early(self):
+        # x := d; y := x + d with one draw d in both updates: x*y = 2*d^2,
+        # so E[x*y] = 2*E[d^2] = 6, not E[d^2] + E[d]^2 = 3.
+        d = Polynomial.var("$0")
+        x = Polynomial.var("x")
+        zero = Polynomial.zero()
+        prog = LoopProgram(
+            params=(),
+            supports={},
+            inits=(Initializer("x", zero), Initializer("y", zero)),
+            updates=(Assignment("x", (Branch(RF_ONE, d),)),
+                     Assignment("y", (Branch(RF_ONE, x + d),))),
+            draws={"$0": DrawSpec("gauss0", RationalFunction(3))},
+        )
+        engine = MomentEngine(prog)
+        assert engine.one_pass(x * Polynomial.var("y")) == rf(6)
+        assert engine.substitute_body(x * Polynomial.var("y")) == 2 * d * d
+
+    def test_unknown_moment_stays_symbolic_and_raises_at_expectation(self):
+        # only E[d] = 2 is known: x gets it early, x^2 keeps d^2 and the
+        # expectation reports the missing moment
+        x = Polynomial.var("x")
+        prog = LoopProgram(
+            params=(),
+            supports={},
+            inits=(Initializer("x", Polynomial.zero()),),
+            updates=(Assignment("x", (Branch(RF_ONE, Polynomial.var("$0")),)),),
+            draws={"$0": DrawSpec("moments", raw_moments=(RationalFunction(2),))},
+        )
+        engine = MomentEngine(prog)
+        assert engine.one_pass(x) == rf(2)
+        assert str(engine.substitute_body(x * x)) == "$0^2"
+        with pytest.raises(UnsupportedError, match="moment 2 not known"):
+            engine.one_pass(x * x)
+
+    def test_parametric_denominator_draw_stays_symbolic(self):
+        prog = parse_program(
+            """
+            param b in (0, 1);
+            support y 2; support x 2;
+            y := 0; x := 0;
+            while true { y := bern(1/2); x := bern(1/(1 + b))*y + bern(b/3)*(1 - y); }
+            """
+        )
+        engine = MomentEngine(prog)
+        body = engine.substitute_body(Polynomial.var("x"))
+        # bern(1/2) and bern(b/3) are integrated, bern(1/(1 + b)) is not
+        assert str(body) == "1/2*$1 + 1/6*b"
+        got = engine.one_pass(Polynomial.var("x"))
+        assert (str(got.num), str(got.den)) == ("1/6*b^2 + 1/6*b + 1/2", "b + 1")
+
+        dyn = parse_program(
+            """
+            param b in (0, 1);
+            support x 2;
+            x := 1;
+            while true { x := bern(1/(1 + b))*x + bern(b/3)*(1 - x); }
+            """
+        )
+        rec = MomentEngine(dyn).extract(Monomial.of("x"))
+        assert str(rec.self_coeff) == "(-1/3*b^2 - 1/3*b + 1)/(b + 1)"
+        assert str(rec.constant) == "1/3*b"
+
+    def test_coupled_network_body_stays_small(self, monkeypatch):
+        t0 = time.monotonic()
+        sizes = []
+        original = MomentEngine.substitute_body
+
+        def counted(self, poly):
+            out = original(self, poly)
+            sizes.append(len(out.terms))
+            return out
+
+        monkeypatch.setattr(MomentEngine, "substitute_body", counted)
+        lines = differential_check(load_bn(coupled_doc(7)))
+        assert len(lines) == 21 and all(line.ok for line in lines), [
+            line.label for line in lines if not line.ok
+        ]
+        assert sizes and max(sizes) <= 16
+        assert time.monotonic() - t0 < 10.0
+
+
+class TestSupportReduction:
+    def test_work_grows_linearly_with_chain_length(self, monkeypatch):
+        calls = [0]
+        original = Polynomial.degree_in
+
+        def counted(self, sym):
+            calls[0] += 1
+            return original(self, sym)
+
+        monkeypatch.setattr(Polynomial, "degree_in", counted)
+        counts = {}
+        for n in (40, 80):
+            bn = load_bn(chain_doc(n))
+            calls[0] = 0
+            got = conditional_moment(bn, "X0", 1, {f"X{n - 1}": 1}).value
+            counts[n] = calls[0]
+            # P(X0=1 | X{n-1}=1) by Bayes' rule over the chain's transitions
+            ends = []
+            for p in (F(1), F(1, 2)):
+                for _ in range(n - 1):
+                    p = p * F(4, 5) + (1 - p) * F(3, 10)
+                ends.append(p)
+            assert got == F(1, 2) * ends[0] / ends[1]
+        assert counts[80] < 2.5 * max(counts[40], 1), counts
