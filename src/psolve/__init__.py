@@ -1,6 +1,7 @@
 """Exact moment analysis of probabilistic loops, with Bayesian networks
-compiled to loops so that inference, sensitivity analysis, prediction and
-filtering all reduce to reading off closed-form moments."""
+compiled to loops so that inference, sensitivity analysis and prediction
+reduce to reading off closed-form moments.  Filtering is an exact
+chain-rule forward pass over the slice rows of `bayesnet.joint_rows`."""
 
 from .bayesnet import BayesNet, DynBayesNet, load_bn, load_bn_path
 from .encode import compile_bn, compile_dynbn, compile_sampling_monitor

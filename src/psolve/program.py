@@ -247,10 +247,10 @@ def validate(prog: LoopProgram) -> None:
         if size is not None:
             _check_init_support(init, size, prog)
 
-    for idx, upd in enumerate(prog.updates):
-        earlier = set(variables[:idx])
+    earlier: set[str] = set()
+    for upd in prog.updates:
         target = upd.target
-        total = RationalFunction(0)
+        total = Polynomial()
         for br in upd.branches:
             if not br.prob.is_poly():
                 raise UnsupportedError(
@@ -265,7 +265,7 @@ def validate(prog: LoopProgram) -> None:
                 p = br.prob.const_value()
                 if p < 0 or p > 1:
                     raise ProgramError(f"branch probability {p} of {target} outside [0, 1]")
-            total = total + br.prob
+            total = total + br.prob.num
             coeff, rest = split_self(br.expr, target)
             for part in (coeff, rest):
                 for s in part.symbols():
@@ -278,8 +278,9 @@ def validate(prog: LoopProgram) -> None:
                             f"update of {target} references {s}, "
                             "which is not declared earlier"
                         )
-        if not total == RF_ONE:
+        if total != 1:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
+        earlier.add(target)
 
     for sym, spec in prog.draws.items():
         if spec.arg is not None:

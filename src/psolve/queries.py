@@ -22,6 +22,7 @@ interval) are recorded as assumption strings on the result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -273,13 +274,23 @@ def predict(
 def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     """Posterior over the temporal state after each observation step.
 
-    Implements the standard forward pass: predict one slice ahead through
-    the transition model, reweight by the likelihood of the step's
-    observations, normalize.  A step may observe any subset of non-temporal
-    discrete nodes; an empty step is a pure prediction step.  The one-step
-    distribution is the chain-rule joint of the slice
-    (`bayesnet.joint_rows`) given the previous state and the step's
-    observations, summed onto the new state and memoized per call.
+    Implements the forward pass on unnormalized messages: predict one slice
+    ahead through the transition model and reweight by the likelihood of
+    the step's observations.  The step's belief is emitted as the message
+    divided by its total, one division per state.  The carried message is
+    not divided by the total: every state is multiplied by one common
+    factor, the product of the message's distinct denominators over the
+    content of the total's numerator, which leaves the next beliefs
+    unchanged.  For a numeric model that factor is 1/total, so the carried
+    message is the normalized belief.  For a symbolic one, dividing by the
+    total would double the degree at each step (nothing cancels without a
+    polynomial gcd); the factor keeps coefficients small and the carried
+    message polynomial, so the degree grows linearly in the number of
+    steps.  A step may observe any subset of non-temporal discrete nodes;
+    an empty step is a pure prediction step.  The one-step distribution is
+    the chain-rule joint of the slice (`bayesnet.joint_rows`) given the
+    previous state and the step's observations, summed onto the new state
+    and memoized per call.
     """
     states, prior = _filter_setup(dyn)
     slices = [_normalize_obs(dyn.net, step) for step in observations]
@@ -290,25 +301,30 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
             )
     space = tuple(prior)
     memo: dict = {}
-    belief = prior
+    message = prior
     out = []
     for t, obs in enumerate(slices, start=1):
-        new_belief = {s: RF_ZERO for s in space}
-        for prev, weight in belief.items():
+        new_message = {s: RF_ZERO for s in space}
+        for prev, weight in message.items():
             if weight.is_zero():
                 continue
             if (prev, obs) not in memo:
                 memo[prev, obs] = _step_dist(dyn, prev, obs)
             for state, prob in memo[prev, obs].items():
-                new_belief[state] = new_belief[state] + weight * prob
-        total = sum(new_belief.values(), RF_ZERO)
+                new_message[state] = new_message[state] + weight * prob
+        total = sum(new_message.values(), RF_ZERO)
         if total.is_zero():
             raise QueryError(
                 f"observation step {t} ({obs}) has zero likelihood under "
                 "the current belief"
             )
-        belief = {s: v / total for s, v in new_belief.items()}
-        out.append(tuple(belief[s] for s in space))
+        out.append(tuple(new_message[s] / total for s in space))
+        dens: list[Polynomial] = []
+        for v in new_message.values():
+            if v.den not in dens:
+                dens.append(v.den)
+        scale = math.prod(dens, start=Polynomial.const(1 / total.num.content()))
+        message = {s: RationalFunction(v.num * scale, v.den) for s, v in new_message.items()}
     labels = tuple(", ".join(f"{n}={v}" for n, v in zip(states, s)) for s in space)
     return QueryResult(
         "filter",

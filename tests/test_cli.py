@@ -1,6 +1,9 @@
 """End-to-end command line tests, run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from psolve.oracle import CheckLine
 from psolve.parser import parse_program
 from psolve.program import validate
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 ALARM = str(DATA / "alarm.json")
 ALARM_SENS = str(DATA / "alarm_sens.json")
@@ -457,3 +461,15 @@ class TestTopLevel:
         code, _, err = run(capsys, "solve", ALARM)
         assert code == 1
         assert "error:" in err
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "psolve", "--help"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: psolve")

@@ -115,6 +115,13 @@ class TestValidate:
         with pytest.raises(ProgramError, match="sum to 1"):
             parse_program(src)
 
+    def test_symbolic_branch_probs_must_sum_to_one(self):
+        bad = "param r; x := 0; while true { x := choose { 1 @ r; 0 @ 1 - 2*r; }; }"
+        with pytest.raises(ProgramError, match="sum to 1"):
+            parse_program(bad)
+        prog = parse_program("param r; x := 0; while true { x := choose { 1 @ r; 0 @ 1 - r; }; }")
+        assert len(prog.update_for("x").branches) == 2
+
     def test_branch_prob_out_of_range(self):
         src = "x := 0; while true { x := 1 [3/2] 0; }"
         with pytest.raises(ProgramError, match="outside"):

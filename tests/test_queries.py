@@ -1,6 +1,8 @@
 """User-facing query layer over engine and networks."""
 
 import json
+import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 import psolve.oracle
 import psolve.queries
-from psolve.bayesnet import load_bn, load_bn_path
+from psolve.bayesnet import bind, load_bn, load_bn_path
 from psolve.encode import indicator_poly, normalize_evidence
 from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import differential_check, enumerate_discrete
@@ -334,6 +336,73 @@ class TestForwardFilter:
         dyn = load_bn(doc)
         with pytest.raises(QueryError, match="step 1"):
             forward_filter(dyn, [{"U": 0}])
+
+
+def _umbrella_steps(seed, steps):
+    """Seeded observation steps: umbrella seen, not seen, or not observed."""
+    rng = random.Random(seed)
+    return [rng.choice(({"U": 1}, {"U": 0}, {})) for _ in range(steps)]
+
+
+class TestFilterGrowth:
+    """The filter carries unnormalized messages, so a symbolic belief's
+    degree grows linearly in the number of steps instead of doubling."""
+
+    def test_symbolic_degree_linear_in_steps(self):
+        dyn = load_bn_path(DATA / "umbrella_sens.json")
+        t0 = time.monotonic()
+        res = forward_filter(dyn, _umbrella_steps(20, 20))
+        assert time.monotonic() - t0 < 10.0
+        assert len(res.value) == 20
+        for step in res.value:
+            for belief in step:
+                assert belief.num.degree() <= 20
+                assert belief.den.degree() <= 20
+
+    @staticmethod
+    def _assert_matches_bound(dyn, steps, symbolic, points):
+        for r in points:
+            numeric = forward_filter(bind(dyn, {"r": r}), steps).value
+            for sym_step, num_step in zip(symbolic, numeric, strict=True):
+                assert [b.eval({"r": r}) for b in sym_step] == [
+                    b.const_value() for b in num_step
+                ]
+
+    def test_symbolic_beliefs_match_bound_network(self):
+        dyn = load_bn_path(DATA / "umbrella_sens.json")
+        steps = _umbrella_steps(20, 20)
+        symbolic = forward_filter(dyn, steps).value
+        self._assert_matches_bound(dyn, steps, symbolic, (F(1, 3), F(1, 2), F(9, 10)))
+
+    def test_parametric_denominators_do_not_compound(self):
+        doc = json.loads((DATA / "umbrella_sens.json").read_text())
+        doc["nodes"][0]["model"]["rows"][0]["p"] = ["1/(1 + r)", "r/(1 + r)"]
+        dyn = load_bn(doc)
+        steps = _umbrella_steps(12, 12)
+        symbolic = forward_filter(dyn, steps).value
+        for t, step in enumerate(symbolic, start=1):
+            for belief in step:
+                assert belief.num.degree() <= t + 1
+                assert belief.den.degree() <= t + 1
+        self._assert_matches_bound(dyn, steps, symbolic, (F(1, 2), F(9, 10)))
+
+    def test_numeric_long_run_matches_hand_pass(self):
+        dyn = load_bn_path(DATA / "umbrella_filter.json")
+        steps = _umbrella_steps(240, 240)
+        stay = F(7, 10)  # P(R_t = R_{t-1}) in either state
+        wet = {0: F(1, 5), 1: F(9, 10)}  # P(U = 1 | R)
+        belief = {0: F(1, 2), 1: F(1, 2)}
+        res = forward_filter(dyn, steps)
+        assert len(res.value) == 240
+        for step, got in zip(steps, res.value):
+            pred = {s: belief[s] * stay + belief[1 - s] * (1 - stay) for s in (0, 1)}
+            if step:
+                u = step["U"]
+                pred = {s: p * (wet[s] if u else 1 - wet[s]) for s, p in pred.items()}
+            total = pred[0] + pred[1]
+            belief = {s: p / total for s, p in pred.items()}
+            assert all(b.is_const() for b in got)
+            assert [b.const_value() for b in got] == [belief[0], belief[1]]
 
 
 class TestRunQuery:
