@@ -74,8 +74,7 @@ class JointTable:
         """E[poly] with the polynomial read over node names."""
         out = RF_ZERO
         for assignment, weight in self.rows:
-            env = dict(zip(self.names, (Fraction(v) for v in assignment)))
-            out = out + weight * poly.eval(env)
+            out = _add_scaled(out, weight, poly.eval(dict(zip(self.names, assignment))))
         return out
 
     def probability(self, event: Sequence[tuple[str, int]]) -> RationalFunction:
@@ -94,11 +93,19 @@ class JointTable:
             env = dict(zip(self.names, assignment))
             if all(env[name] == value for name, value in event):
                 den = den + weight
-                frac_env = {k: Fraction(v) for k, v in env.items()}
-                num = num + weight * poly.eval(frac_env)
+                num = _add_scaled(num, weight, poly.eval(env))
         if den.is_zero() or (den.is_const() and den.const_value() == 0):
             raise QueryError(f"event {tuple(event)} has probability zero")
         return num / den
+
+
+def _add_scaled(
+    total: RationalFunction, weight: RationalFunction, value: Fraction
+) -> RationalFunction:
+    """total + weight * value, skipping the product when value is 0 or 1."""
+    if not value:
+        return total
+    return total + (weight if value == 1 else weight * value)
 
 
 def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable:

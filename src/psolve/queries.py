@@ -403,19 +403,21 @@ def run_query(bn, spec: Mapping) -> QueryResult:
         return joint_moment(bn, spec.get("target"), _int_field(spec, "k", 1))
     if kind == "samples":
         _require(spec, {"query", "evidence", "N", "cross_check"})
+        cross_check = _bool_field(spec, "cross_check", "N" not in spec)
         if "N" in spec:
+            if cross_check:
+                raise QueryError('"N" and "cross_check" are mutually exclusive')
             return expected_positive(bn, spec.get("evidence", {}), _int_field(spec, "N"))
-        return expected_samples(
-            bn, spec.get("evidence", {}), _bool_field(spec, "cross_check", True)
-        )
+        return expected_samples(bn, spec.get("evidence", {}), cross_check)
     if kind == "predict":
         _require(spec, {"query", "target", "node", "at", "limit"})
         target = spec.get("target", spec.get("node"))
         if target is None:
             raise QueryError('predict needs a "target" node or expression')
-        return predict(
-            bn, target, _int_field(spec, "at"), _bool_field(spec, "limit", False)
-        )
+        at, limit = _int_field(spec, "at"), _bool_field(spec, "limit", False)
+        if at is not None and limit:
+            raise QueryError('"at" and "limit" are mutually exclusive')
+        return predict(bn, target, at, limit)
     if kind == "filter":
         _require(spec, {"query", "observations"})
         return forward_filter(bn, spec.get("observations", []))

@@ -8,6 +8,11 @@ structural equality is semantic equality for polynomials.  Rational-function
 equality is the cross-multiplication test, which also identifies
 representatives that differ by a common polynomial factor; rational
 functions are therefore unhashable.
+
+A constant rational function carries its exact `Fraction` value, and
+arithmetic and equality between two constants never touch polynomials, so
+numeric answers run at `Fraction` speed while symbolic ones keep the
+polynomial path.
 """
 
 from __future__ import annotations
@@ -304,7 +309,8 @@ class Polynomial:
         for mono, coeff in self.terms.items():
             term = coeff
             for s, e in mono.powers:
-                term *= Fraction(values[s]) ** e
+                v = values[s]
+                term *= (v if type(v) is int else Fraction(v)) ** e
             total += term
         return total
 
@@ -391,33 +397,43 @@ class RationalFunction:
     with positive leading coefficient, and a zero numerator forces
     denominator 1.  Equality is cross-multiplication, so representatives
     differing by a common factor still compare equal.
+
+    A constant (constant numerator over denominator 1) also carries its
+    exact `Fraction` value in `_const` (None otherwise).  Arithmetic and
+    equality between two constants work on those values alone and build
+    the canonical result directly, without touching polynomials; a
+    symbolic operand takes the general polynomial path.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_const")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = Polynomial.const(1) if den is None else _as_poly(den)
+        den = _POLY_ONE if den is None else _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Polynomial.const(1)
+            den = _POLY_ONE
         elif not den.is_const():
             q = exact_div(num, den)
             if q is not None:
-                num, den = q, Polynomial.const(1)
+                num, den = q, _POLY_ONE
         if den.is_const():
             c = den.const_value()
             if c != 1:
-                num, den = num * (1 / c), Polynomial.const(1)
+                num = num * (1 / c)
+            den = _POLY_ONE
+            const = num.const_value() if num.is_const() else None
         else:
             c = den.content()
             _, lead = den.leading()
             if lead < 0:
                 c = -c
             num, den = num * (1 / c), den * (1 / c)
+            const = None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_const", const)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -428,13 +444,15 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self._const is not None
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        if self._const is None:
+            raise ValueError(f"not a constant: {self}")
+        return self._const
 
     def is_poly(self) -> bool:
-        return self.den == Polynomial.const(1)
+        return self._const is not None or self.den.terms == _POLY_ONE.terms
 
     def symbols(self) -> frozenset[str]:
         return self.num.symbols() | self.den.symbols()
@@ -445,7 +463,9 @@ class RationalFunction:
     def _coerce(value) -> "RationalFunction":
         if isinstance(value, RationalFunction):
             return value
-        if isinstance(value, (int, Fraction, Polynomial)):
+        if isinstance(value, (int, Fraction)):
+            return _rf_const(Fraction(value))
+        if isinstance(value, Polynomial):
             return RationalFunction(value)
         return NotImplemented  # type: ignore[return-value]
 
@@ -453,6 +473,8 @@ class RationalFunction:
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._const is not None and other._const is not None:
+            return _rf_const(self._const + other._const)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -460,21 +482,27 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
+        if self._const is not None:
+            return _rf_const(-self._const)
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._const is not None and other._const is not None:
+            return _rf_const(self._const - other._const)
         return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":
-        return RationalFunction._coerce(other) + (-self)
+        return RationalFunction._coerce(other) - self
 
     def __mul__(self, other) -> "RationalFunction":
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._const is not None and other._const is not None:
+            return _rf_const(self._const * other._const)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -485,12 +513,18 @@ class RationalFunction:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if self._const is not None and other._const is not None:
+            return _rf_const(self._const / other._const)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return RationalFunction._coerce(other) / self
 
     def __pow__(self, k: int) -> "RationalFunction":
+        if self._const is not None and type(k) is int:
+            if k < 0 and not self._const:
+                raise ZeroDivisionError("division by zero rational function")
+            return _rf_const(self._const**k)
         if k < 0:
             return (RationalFunction(1) / self) ** (-k)
         return RationalFunction(self.num**k, self.den**k)
@@ -499,6 +533,8 @@ class RationalFunction:
         other = RationalFunction._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._const is not None and other._const is not None:
+            return self._const == other._const
         return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None  # type: ignore[assignment]
@@ -524,6 +560,8 @@ class RationalFunction:
         return min(cands), max(cands)
 
     def __str__(self) -> str:
+        if self._const is not None:
+            return str(self._const)
         if self.is_poly():
             return str(self.num)
         num = str(self.num)
@@ -544,6 +582,36 @@ def _as_poly(value) -> Polynomial:
     if isinstance(value, (int, Fraction)):
         return Polynomial.const(value)
     raise TypeError(f"cannot treat {value!r} as a polynomial")
+
+
+# Slot setters that bypass the immutability guards, for the constructors
+# below that build canonical objects directly.
+_set_terms = Polynomial.terms.__set__
+_set_num = RationalFunction.num.__set__
+_set_den = RationalFunction.den.__set__
+_set_const = RationalFunction._const.__set__
+
+
+def _poly_of_terms(terms: dict) -> Polynomial:
+    """A Polynomial over an already clean term dict (no zero coefficients)."""
+    poly = object.__new__(Polynomial)
+    _set_terms(poly, terms)
+    return poly
+
+
+# Shared denominator of every rational function whose denominator is 1, and
+# shared numerator of the constant 0.
+_POLY_ONE = _poly_of_terms({_UNIT: Fraction(1)})
+_POLY_ZERO = _poly_of_terms({})
+
+
+def _rf_const(value: Fraction) -> RationalFunction:
+    """The canonical constant rational function `value`, built directly."""
+    rf = object.__new__(RationalFunction)
+    _set_num(rf, _poly_of_terms({_UNIT: value}) if value else _POLY_ZERO)
+    _set_den(rf, _POLY_ONE)
+    _set_const(rf, value)
+    return rf
 
 
 RF_ZERO = RationalFunction(0)

@@ -258,6 +258,33 @@ class TestQuery:
         assert code == 1
         assert "unknown query kind" in err
 
+    @pytest.mark.parametrize("net, spec, message", [
+        ("umbrella.json",
+         '{"query": "predict", "target": "R", "at": 3, "limit": true}',
+         '"at" and "limit" are mutually exclusive'),
+        ("alarm.json",
+         '{"query": "samples", "evidence": {"A": 1}, "N": 10, "cross_check": true}',
+         '"N" and "cross_check" are mutually exclusive'),
+    ])
+    def test_contradictory_fields_rejected(self, capsys, net, spec, message):
+        code, out, err = run(capsys, "query", str(DATA / net), "--spec", spec)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("net, spec, line", [
+        ("umbrella.json",
+         '{"query": "predict", "target": "R", "at": 3, "limit": false}',
+         "exact: 133/250"),
+        ("alarm.json",
+         '{"query": "samples", "evidence": {"A": 1}, "N": 10, "cross_check": false}',
+         "query: positive"),
+    ])
+    def test_false_flag_beside_its_alternative_accepted(self, capsys, net, spec, line):
+        code, out, _ = run(capsys, "query", str(DATA / net), "--spec", spec)
+        assert code == 0
+        assert line in out
+
 
 class TestSamples:
     def test_conjunction_evidence(self, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from psolve.bayesnet import load_bn, load_bn_path
+from psolve.bayesnet import joint_rows, load_bn, load_bn_path
 from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import (
     differential_check,
@@ -14,7 +14,8 @@ from psolve.oracle import (
     gaussian_propagate,
     mc_estimate,
 )
-from psolve.symbolic import Polynomial
+from psolve.parser import parse_poly
+from psolve.symbolic import RF_ZERO, Polynomial
 
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
@@ -70,6 +71,37 @@ class TestEnumerateDiscrete:
         )
         with pytest.raises(UnsupportedError, match="node B depends on b"):
             enumerate_discrete(bn)
+
+    @pytest.mark.parametrize("y_given_x", [
+        [["1/4", "3/4"], ["1/2", "1/2"], ["9/10", "1/10"]],
+        [["1 - a", "a"], ["1/2", "1/2"], ["a/3", "1 - a/3"]],
+    ])
+    @pytest.mark.parametrize("target", ["2*X - 1", "X^2", "(2*X - 1)*Y"])
+    def test_row_values_other_than_zero_and_one(self, y_given_x, target):
+        # A 3-state node makes the target take values like -1, 3 and 4 on
+        # the rows; both queries must equal the plain sum over joint_rows.
+        bn = load_bn(
+            {"type": "bn", "params": ["a"], "nodes": [
+                {"name": "X", "model": {"kind": "cpt", "p": ["1/6", "1/3", "1/2"]}},
+                {"name": "Y", "model": {"kind": "cpt", "parents": ["X"], "rows": [
+                    {"given": [x], "p": p} for x, p in enumerate(y_given_x)]}},
+            ]}
+        )
+        poly = parse_poly(target, symbols=("X", "Y"))
+        table = enumerate_discrete(bn)
+        rows = joint_rows(bn)
+        want = RF_ZERO
+        for values, weight in rows:
+            want = want + weight * poly.eval(values)
+        got = table.expectation(poly)
+        assert got == want and str(got) == str(want)
+        num = den = RF_ZERO
+        for values, weight in rows:
+            if values["Y"] == 1:
+                num = num + weight * poly.eval(values)
+                den = den + weight
+        got = table.conditional(poly, [("Y", 1)])
+        assert got == num / den and str(got) == str(num / den)
 
     def test_state_cap(self):
         rng = random.Random(7)

@@ -263,3 +263,74 @@ def test_rf_roundtrip_mul_div(a, b):
     q = RationalFunction(a, b)
     assert q * RationalFunction(b) == RationalFunction(a)
     assert (q + RF_ONE) - RF_ONE == q
+
+
+# -- constant fast path ----------------------------------------------------
+
+# Constants (0 and 1 included) whose arithmetic must match the general
+# polynomial construction of the same result term for term.
+constants = st.one_of(st.sampled_from([F(0), F(1), F(-1)]), fractions)
+
+
+def _same_rf(fast, general):
+    assert fast.num.terms == general.num.terms
+    assert fast.den.terms == general.den.terms
+    assert str(fast) == str(general)
+    assert fast.is_const() and general.is_const()
+    assert fast.const_value() == general.const_value()
+
+
+@given(constants, constants, st.integers(-3, 5))
+@settings(max_examples=150, deadline=None)
+def test_constant_fast_path_matches_general(fa, fb, k):
+    a, b = RationalFunction(fa), RationalFunction(fb)
+    _same_rf(a + b, RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den))
+    _same_rf(a - b, RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den))
+    _same_rf(-a, RationalFunction(-a.num, a.den))
+    _same_rf(a * b, RationalFunction(a.num * b.num, a.den * b.den))
+    # int and Fraction operands coerce onto the same path, on either side
+    _same_rf(fa + b, a + b)
+    _same_rf(a * fb, a * b)
+    _same_rf(fa - b, a - b)
+    if fb:
+        _same_rf(a / b, RationalFunction(a.num * b.den, a.den * b.num))
+        _same_rf(fa / b, a / b)
+    if k >= 0:
+        _same_rf(a**k, RationalFunction(a.num**k, a.den**k))
+    elif fa:
+        _same_rf(a**k, RationalFunction(a.den ** -k, a.num ** -k))
+    assert (a == b) == (a.num * b.den - b.num * a.den).is_zero()
+    assert (a == fb) == (fa == fb)
+
+
+@pytest.mark.parametrize("expr, printed", [
+    (lambda: RationalFunction(F(1, 2)) * RationalFunction(x), "1/2*x"),
+    (lambda: RationalFunction(3) + RationalFunction(1, x), "(3*x + 1)/(x)"),
+    (lambda: RationalFunction(x, y) / F(2, 3), "3/2*x/(y)"),
+    (lambda: F(1, 2) - RationalFunction(x + 1, 2 * y), "(-1/2*x + 1/2*y - 1/2)/(y)"),
+    (lambda: RationalFunction(x, y) ** -2, "y^2/(x^2)"),
+    (lambda: RationalFunction(0) * RationalFunction(x, y), "0"),
+    (lambda: RationalFunction(F(-4)) * RationalFunction(x + 1, 3 * y - 1), "(-4*x - 4)/(3*y - 1)"),
+    (lambda: RationalFunction(F(5, 7)) / RationalFunction(x - 1, y), "5/7*y/(x - 1)"),
+    (lambda: RationalFunction(x + y, x) - 1, "y/(x)"),
+    (lambda: RationalFunction(2 * x, x) + F(1, 3), "7/3"),
+])
+def test_mixed_constant_and_symbolic_printing(expr, printed):
+    assert str(expr()) == printed
+
+
+def test_symbolic_cancellation_yields_a_constant():
+    q = RationalFunction(2 * x + 2, x + 1)
+    assert q.is_const() and q.const_value() == 2
+    assert q == 2 and q * F(1, 2) == RF_ONE
+
+
+def test_constant_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(F(3, 4)) / 0
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(x) / 0
+    with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+        RationalFunction(0) ** -1
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(1, 0)
