@@ -21,6 +21,7 @@ its own previous slice at all: the indicator of such a node is nonlinear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
@@ -47,9 +48,11 @@ from .program import (
 from .symbolic import Polynomial, RationalFunction, RF_ONE
 
 
+@functools.lru_cache(maxsize=1024)
 def indicator_poly(name: str, value: int, support: int) -> Polynomial:
     """The polynomial in one variable that is 1 at value and 0 at every
-    other point of 0..support-1."""
+    other point of 0..support-1; built once per argument triple and shared, as
+    polynomials are immutable."""
     if not 0 <= value < support:
         raise SchemaError(f"value {value} outside 0..{support - 1}")
     x = Polynomial.var(name)
@@ -84,7 +87,8 @@ def normalize_evidence(
 
 def evidence_indicator(bn: BayesNet, evidence) -> Polynomial:
     """Product of per-node indicators; 1 exactly on samples matching the
-    evidence."""
+    evidence.  A CPT or CLG row's indicator is this product over the row's
+    parent assignment."""
     out = Polynomial.const(Fraction(1))
     for name, value in normalize_evidence(bn, evidence):
         out = out * indicator_poly(name, value, bn.node(name).support)
@@ -160,7 +164,7 @@ def _emit_cpt(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
         return
     aux_names = []
     for i, (assignment, vec) in enumerate(cpt.rows):
-        ind = _row_indicator(bn, cpt.parents, assignment)
+        ind = evidence_indicator(bn, zip(cpt.parents, assignment))
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, _value_branches(vec, ind, m), Polynomial.zero(), m)
         aux_names.append(aux)
@@ -179,13 +183,6 @@ def _value_branches(vec, ind: Polynomial, m: int):
     )
 
 
-def _row_indicator(bn: BayesNet, parents, assignment) -> Polynomial:
-    out = Polynomial.const(Fraction(1))
-    for parent, value in zip(parents, assignment):
-        out = out * indicator_poly(parent, value, bn.node(parent).support)
-    return out
-
-
 def _gauss_expr(builder: _Builder, lg: LinearGaussian, where: str) -> Polynomial:
     mean = lg.intercept
     for parent, coeff in lg.coeffs:
@@ -201,7 +198,7 @@ def _emit_clg(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
     clg: CLG = node.model
     aux_names = []
     for i, (assignment, lg) in enumerate(clg.table):
-        ind = _row_indicator(bn, clg.parents, assignment)
+        ind = evidence_indicator(bn, zip(clg.parents, assignment))
         expr = ind * _gauss_expr(builder, lg, node.name)
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, [Branch(RF_ONE, expr)], Polynomial.zero())
@@ -249,7 +246,7 @@ def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
         # rows are exclusive, so all joint moments match the CPT exactly.
         expr = Polynomial.zero()
         for assignment, vec in cpt.rows:
-            ind = _row_indicator(bn, cpt.parents, assignment)
+            ind = evidence_indicator(bn, zip(cpt.parents, assignment))
             expr = expr + builder.registry.fresh(DrawSpec("bern", vec[1])) * ind
         builder.emit(node.name, [Branch(RF_ONE, expr)], init, m)
         return

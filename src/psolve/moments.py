@@ -20,7 +20,10 @@ draws and parameters alone (a compiled static network) needs no
 recurrence: `MomentEngine.one_pass` substitutes the body into the whole
 query polynomial once and takes one expectation.  Any other body goes
 through `MomentEngine.closed`, which closes the query's monomials with
-`compute_mbis` and combines their closed forms in n.
+`compute_mbis` and combines their closed forms in n.  `compute_mbis` and
+`check_mbis` take a program or the engine built for it; `closed` passes
+its own engine, so extraction, solving and the back-substitution check of
+one query share one engine and its caches.
 """
 
 from __future__ import annotations
@@ -298,7 +301,7 @@ class MomentEngine:
             for m, c in reduced.terms.items()
             if not m.is_unit()
         ]
-        mbis = compute_mbis(self.prog, [m for m, _ in terms])
+        mbis = compute_mbis(self, [m for m, _ in terms])
         closeds = [(mbis[m].closed, c) for m, c in terms]
         assumptions: list[str] = []
         tail = ExpPoly.const(const)
@@ -376,21 +379,23 @@ def _g_at(rec: MomentRecurrence, solved: dict[Monomial, ClosedForm], n: int) -> 
 
 
 def compute_mbis(
-    prog: LoopProgram,
+    prog: LoopProgram | MomentEngine,
     goals,
     cap: int | None = None,
     check: bool = True,
 ) -> dict[Monomial, MBI]:
     """Closed forms for the expected values of the goal monomials.
 
-    The worklist adds every moment the goals transitively depend on; a
-    monomial whose total degree exceeds the cap (PSOLVE_DEGREE_CAP or 64)
-    aborts with the chain that produced it.  With check=True every solution
-    is verified by back-substitution before being returned.
+    `prog` is a `LoopProgram` or the `MomentEngine` built for one; a
+    program gets its engine built here, once.  The worklist adds every
+    moment the goals transitively depend on; a monomial whose total degree
+    exceeds the cap (PSOLVE_DEGREE_CAP or 64) aborts with the chain that
+    produced it.  With check=True every solution is verified by
+    back-substitution on the same engine before being returned.
     """
     if cap is None:
         cap = degree_cap()
-    engine = MomentEngine(prog)
+    engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
     recs: dict[Monomial, MomentRecurrence] = {}
     parent: dict[Monomial, Monomial] = {}
     pending: list[Monomial] = []
@@ -433,14 +438,20 @@ def compute_mbis(
 
     mbis = {m: MBI(m, recs[m], solved[m]) for m in recs}
     if check:
-        check_mbis(prog, mbis)
+        check_mbis(engine, mbis)
     return mbis
 
 
-def check_mbis(prog: LoopProgram, mbis: dict[Monomial, MBI]) -> None:
+def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> None:
     """Back-substitution check: every closed form must satisfy its recurrence
-    and initial value exactly.  Raises InternalCheckError on failure."""
-    engine = MomentEngine(prog)
+    and initial value exactly.  Raises InternalCheckError on failure.
+
+    `prog` is a `LoopProgram` or the `MomentEngine` built for one; the
+    recurrences come from the MBIs and the initial values from the
+    engine's cache, so an engine that has just solved them builds nothing
+    again.
+    """
+    engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
     solved = {m: mbi.closed for m, mbi in mbis.items()}
     for m, mbi in mbis.items():
         rec = mbi.recurrence

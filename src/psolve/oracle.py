@@ -41,6 +41,7 @@ from .parser import parse_poly
 from .moments import MomentEngine
 from .program import Assignment, LoopProgram, bind
 from .queries import forward_filter
+from .recurrence import ClosedForm
 from .symbolic import (
     Monomial,
     Polynomial,
@@ -72,10 +73,17 @@ class JointTable:
 
     def expectation(self, poly: Polynomial) -> RationalFunction:
         """E[poly] with the polynomial read over node names."""
-        out = RF_ZERO
+        return self.expectations([poly])[0]
+
+    def expectations(self, polys: Sequence[Polynomial]) -> list[RationalFunction]:
+        """E[poly] for every poly, in one pass over the rows: each row's
+        assignment is read once and every target evaluated on it."""
+        outs = [RF_ZERO] * len(polys)
         for assignment, weight in self.rows:
-            out = _add_scaled(out, weight, poly.eval(dict(zip(self.names, assignment))))
-        return out
+            env = dict(zip(self.names, assignment))
+            for i, poly in enumerate(polys):
+                outs[i] = _add_scaled(outs[i], weight, poly.eval(env))
+        return outs
 
     def probability(self, event: Sequence[tuple[str, int]]) -> RationalFunction:
         out = RF_ZERO
@@ -490,6 +498,7 @@ def differential_check(
     compare nothing, so that is an UnsupportedError saying why.
     """
     lines: list[CheckLine] = []
+    closeds: dict[str, ClosedForm] = {}
     if isinstance(bn, DynBayesNet):
         discrete = all(nd.is_discrete for nd in bn.net.nodes)
         params = [p.name for p in bn.net.params]
@@ -501,8 +510,9 @@ def differential_check(
                 why += "; ask for it with --mc N"
             raise UnsupportedError(f"no independent oracle applies: {why}")
         engine = MomentEngine(compile_dynbn(bn))
+        closeds = {name: engine.closed(Polynomial.var(name)) for name in bn.temporal}
         if discrete:
-            lines += _check_dyn(bn, engine)
+            lines += _check_dyn(bn, closeds)
     else:
         if all(nd.is_discrete for nd in bn.nodes):
             table = enumerate_discrete(bn, cap)
@@ -515,7 +525,8 @@ def differential_check(
                 (f"E[{a}*{b}]", Polynomial.var(a) * Polynomial.var(b))
                 for a, b in itertools.combinations(names, 2)
             ]
-            targets = [(label, poly, table.expectation(poly)) for label, poly in polys]
+            wants = table.expectations([poly for _, poly in polys])
+            targets = [(label, poly, want) for (label, poly), want in zip(polys, wants)]
         else:
             mix = gaussian_propagate(bn, cap)
             targets = []
@@ -529,20 +540,20 @@ def differential_check(
             got = engine.one_pass(poly)
             lines.append(CheckLine(label, str(got), str(want), got == want))
     if mc_samples:
-        lines += _check_mc(bn, engine, mc_samples, seed)
+        lines += _check_mc(bn, engine, closeds, mc_samples, seed)
     return lines
 
 
-def _check_dyn(dyn: DynBayesNet, engine: MomentEngine) -> list[CheckLine]:
-    """Closed forms of an all-discrete dynamic network against forward
-    filtering without observations."""
+def _check_dyn(dyn: DynBayesNet, closeds: Mapping[str, ClosedForm]) -> list[CheckLine]:
+    """Closed forms of an all-discrete dynamic network's temporal nodes
+    against forward filtering without observations."""
     lines = []
     horizon = 3
     beliefs = forward_filter(dyn, [{}] * horizon).value
     shape = [dyn.net.node(v).support for v in dyn.temporal]
     space = tuple(itertools.product(*map(range, shape)))
     for name in dyn.temporal:
-        closed = engine.closed(Polynomial.var(name))
+        closed = closeds[name]
         idx = dyn.temporal.index(name)
         for t in range(1, horizon + 1):
             want = RF_ZERO
@@ -555,12 +566,15 @@ def _check_dyn(dyn: DynBayesNet, engine: MomentEngine) -> list[CheckLine]:
     return lines
 
 
-def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[CheckLine]:
+def _check_mc(
+    bn, engine: MomentEngine, closeds: Mapping[str, ClosedForm], n_samples: int, seed: int
+) -> list[CheckLine]:
     """Monte Carlo estimates of every target from one simulation of the
     engine's program; the streams are keyed by draw slot and iteration,
     not by target, so the estimates equal those of one run per target.
-    A network with free parameters gets no lines: the sampler needs
-    numbers."""
+    A dynamic network's exact values come from `closeds`, the closed form
+    of each temporal node.  A network with free parameters gets no lines:
+    the sampler needs numbers."""
     if (bn.net if isinstance(bn, DynBayesNet) else bn).params:
         return []
     lines = []
@@ -569,7 +583,7 @@ def _check_mc(bn, engine: MomentEngine, n_samples: int, seed: int) -> list[Check
         names = list(bn.temporal)
         ests = mc_estimate(engine.prog, names, n_samples, seed, n_iters=horizon)
         for name, est in zip(names, ests):
-            exact = engine.closed(Polynomial.var(name)).at(horizon)
+            exact = closeds[name].at(horizon)
             lines.append(_band_line(f"MC E[{name}] at n={horizon}", exact, est))
     else:
         names = [nd.name for nd in bn.nodes]

@@ -1,5 +1,6 @@
 """Compiling networks to loop programs."""
 
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from psolve.encode import (
     indicator_poly,
     normalize_evidence,
 )
-from psolve.errors import UnsupportedError
+from psolve.errors import SchemaError, UnsupportedError
 from psolve.moments import MomentEngine, compute_mbis
 from psolve.program import validate
 from psolve.queries import expectation_at
@@ -40,6 +41,32 @@ class TestIndicators:
             p = indicator_poly("x", want, 3)
             for v in range(3):
                 assert p.eval({"x": F(v)}) == (1 if v == want else 0)
+
+    def test_built_once_and_shared(self):
+        assert indicator_poly("x", 1, 3) is indicator_poly("x", 1, 3)
+        assert indicator_poly("x", 1, 3) is not indicator_poly("x", 1, 2)
+        with pytest.raises(SchemaError):
+            indicator_poly("x", 3, 3)
+
+    def test_compile_builds_each_parent_state_once(self):
+        # four CPT rows per node read (own past, previous node); each
+        # (node, state) indicator is built once across all rows
+        doc = {"type": "dynbn", "nodes": [], "inter_edges": {}, "initial": {}}
+        for i in range(4):
+            name, parents = f"S{i}", [f"S{i}"] + ([f"S{i - 1}"] if i else [])
+            rows = [{"given": list(given), "p": ["1/2", "1/2"]}
+                    for given in itertools.product((1, 0), repeat=len(parents))]
+            doc["nodes"].append({"name": name, "model": {
+                "kind": "cpt", "parents": parents, "rows": rows}})
+            doc["inter_edges"][name] = [name]
+            doc["initial"][name] = 0
+        dyn = load_bn(doc)
+        indicator_poly.cache_clear()
+        compile_dynbn(dyn)
+        info = indicator_poly.cache_info()
+        # one lookup per parent per row: S0 has 2 rows of 1, the rest 4 of 2
+        assert info.hits + info.misses == 2 * 1 + 3 * 4 * 2
+        assert info.misses == 8
 
     def test_evidence_product(self):
         bn = load_bn_path(DATA / "alarm.json")

@@ -4,6 +4,7 @@ expectation of static bodies."""
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -141,6 +142,78 @@ class TestComputeMbis:
             RationalFunction(10 * r - 10, den), RationalFunction(r - F(3, 10))
         )
         assert closed.assumptions
+
+    def test_engine_is_accepted_and_reused(self, monkeypatch):
+        prog = parse_program(UMBRELLA)
+        goals = [Monomial.of("R"), Monomial.of("U")]
+        engine = MomentEngine(prog)
+        built = []
+        original = MomentEngine.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(MomentEngine, "__init__", counted)
+        mbis = compute_mbis(engine, goals)
+        check_mbis(engine, mbis)
+        assert built == []
+        assert mbis == compute_mbis(prog, goals)
+        assert len(built) == 1
+
+
+class TestCheckMbisRejects:
+    """Back-substitution refuses a tampered solution, each comparison with
+    its own message."""
+
+    @staticmethod
+    def tamper(mbis, target, **changes):
+        mbi = mbis[target]
+        return {**mbis, target: replace(mbi, closed=replace(mbi.closed, **changes))}
+
+    def umbrella(self, goal):
+        prog = parse_program(UMBRELLA)
+        return prog, compute_mbis(prog, [Monomial.of(goal)])
+
+    def test_wrong_initial_value(self):
+        prog, mbis = self.umbrella("R")
+        r = Monomial.of("R")
+        bad = self.tamper(mbis, r, tail=mbis[r].closed.tail + ExpPoly.const(F(1)))
+        with pytest.raises(InternalCheckError, match=r"E\[R\] wrong at n = 0"):
+            check_mbis(prog, bad)
+
+    def test_wrong_tail(self):
+        # 1/2 + 1/2*(3/5)^n is right at n = 0 but not a solution
+        prog, mbis = self.umbrella("R")
+        r = Monomial.of("R")
+        tail = ExpPoly.const(F(1, 2)) + ExpPoly.term(F(1, 2), F(3, 5))
+        bad = self.tamper(mbis, r, tail=tail)
+        assert bad[r].closed.at(0) == mbis[r].closed.at(0)
+        with pytest.raises(InternalCheckError, match=r"E\[R\] fails back-substitution"):
+            check_mbis(prog, bad)
+
+    def test_wrong_prefix_value(self):
+        # E[x] is 0 at n = 0 and 1 after, so E[y] starts at n = 1; y's own
+        # coefficient is 0, so a wrong value at n = 1 is seen only by the
+        # prefix step from n = 0
+        prog = parse_program(
+            "x := 0; y := 0; while true { x := (x + 1)*gauss(0, 1) + 1; "
+            "y := (y + 1)*gauss(0, 1) + x^2; }"
+        )
+        y = Monomial.of("y")
+        mbis = compute_mbis(prog, [y])
+        assert mbis[Monomial.of("x")].closed.start == 1
+        closed = mbis[y].closed
+        bad = self.tamper(mbis, y, prefix=closed.prefix + (closed.at(1) + 1,))
+        with pytest.raises(InternalCheckError,
+                           match=r"E\[y\] fails the recurrence at n = 0"):
+            check_mbis(prog, bad)
+
+    def test_missing_dependency(self):
+        prog, mbis = self.umbrella("U")
+        bad = {m: mbi for m, mbi in mbis.items() if m != Monomial.of("R")}
+        with pytest.raises(InternalCheckError, match="moment U depends on unsolved R"):
+            check_mbis(prog, bad)
 
 
 class TestDegreeCap:

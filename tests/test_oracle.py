@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from psolve.bayesnet import joint_rows, load_bn, load_bn_path
+from psolve import moments
 from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import (
     differential_check,
@@ -102,6 +103,25 @@ class TestEnumerateDiscrete:
                 den = den + weight
         got = table.conditional(poly, [("Y", 1)])
         assert got == num / den and str(got) == str(num / den)
+
+    def test_expectations_in_one_pass(self):
+        # every target of a static check at once equals its own plain sum
+        # over joint_rows, printed form included
+        bn = load_bn_path(DATA / "asia.json")
+        names = bn.node_names
+        polys = [Polynomial.var(a) for a in names] + [
+            Polynomial.var(a) * Polynomial.var(b)
+            for i, a in enumerate(names) for b in names[i + 1:]
+        ]
+        rows = joint_rows(bn)
+        got = enumerate_discrete(bn).expectations(polys)
+        assert len(got) == len(polys) == 36
+        for poly, value in zip(polys, got):
+            want = RF_ZERO
+            for values, weight in rows:
+                want = want + weight * poly.eval(values)
+            assert value == want and str(value) == str(want), poly
+        assert enumerate_discrete(bn).expectations([]) == []
 
     def test_state_cap(self):
         rng = random.Random(7)
@@ -238,6 +258,24 @@ class TestDifferentialCheck:
         for _ in range(3):
             bn = random_clgbn(rng, rng.randint(1, 2), rng.randint(1, 3))
             assert all(l.ok for l in differential_check(bn))
+
+    def test_dynamic_check_closes_each_node_once(self, monkeypatch):
+        # the filter comparison and the Monte Carlo line share one closed
+        # form per temporal node
+        calls = []
+        original = moments.compute_mbis
+
+        def counted(prog, goals, *args, **kwargs):
+            calls.append(list(goals))
+            return original(prog, goals, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "compute_mbis", counted)
+        dyn = load_bn_path(DATA / "umbrella.json")
+        lines = differential_check(dyn, mc_samples=2000)
+        assert [line.label for line in lines] == [
+            "E[R] at n=1", "E[R] at n=2", "E[R] at n=3", "MC E[R] at n=5"]
+        assert all(line.ok for line in lines)
+        assert len(calls) == len(dyn.temporal) == 1
 
     def test_mc_lines_included_when_requested(self):
         bn = load_bn_path(DATA / "alarm.json")
