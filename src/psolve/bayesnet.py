@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ParseError, SchemaError, UnsupportedError
+from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import Param, Polynomial, RationalFunction, RF_ONE
@@ -283,10 +283,21 @@ def _bind_model(m: LocalModel, sub) -> LocalModel:
 # -- JSON ingestion --------------------------------------------------------
 
 
+def unique_keys(pairs) -> dict:
+    """`object_pairs_hook` for `json.loads`: an object that lists one key
+    twice is an InputError, where plain `json` keeps the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"JSON object lists {json.dumps(key)} twice")
+        out[key] = value
+    return out
+
+
 def load_bn_path(path: Union[str, Path]) -> Union[BayesNet, DynBayesNet]:
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     return load_bn(doc)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path
+from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, unique_keys
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
 from .exppoly import expoly_limit
@@ -143,6 +143,8 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise InputError(f'bad --param {item!r}; expected NAME=VALUE')
+        if name in out:
+            raise InputError(f"--param {name} given twice")
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -238,7 +240,7 @@ def _cmd_query(args) -> int:
     if not raw.startswith("{"):
         raw = _read(args.spec)
     try:
-        spec = json.loads(raw)
+        spec = json.loads(raw, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"query spec is not valid JSON: {exc}") from exc
     result = run_query(bind_net(bn, _parse_bindings(args.param)), spec)
@@ -250,7 +252,7 @@ def _parse_conj(text: str) -> dict:
     text = text.strip()
     if text.startswith("{"):
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"evidence is not valid JSON: {exc}") from exc
     out: dict = {}
@@ -261,7 +263,10 @@ def _parse_conj(text: str) -> dict:
         name, sep, value = part.partition("=")
         if not sep:
             raise InputError(f'bad evidence item {part!r}; expected NAME=VALUE')
-        out[name.strip()] = _state(value.strip())
+        name = name.strip()
+        if name in out:
+            raise InputError(f"evidence lists {name} twice")
+        out[name] = _state(value.strip())
     if not out:
         raise InputError("empty evidence")
     return out
@@ -282,7 +287,7 @@ def _parse_obs(text: str) -> list:
     text = text.strip()
     if text.startswith("["):
         try:
-            steps = json.loads(text)
+            steps = json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"observations are not valid JSON: {exc}") from exc
         if not isinstance(steps, list):

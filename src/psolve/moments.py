@@ -17,17 +17,25 @@ closed forms are solved bottom-up along the dependency order.
 One `MomentEngine` serves every expectation taken of one compiled
 program, by one of two paths.  A body that overwrites every variable from
 draws and parameters alone (a compiled static network) needs no
-recurrence: `MomentEngine.one_pass` substitutes the body into the whole
-query polynomial once and takes one expectation.  Any other body goes
-through `MomentEngine.closed`, which closes the query's monomials with
-`compute_mbis` and combines their closed forms in n.  `compute_mbis` and
-`check_mbis` take a program or the engine built for it; `closed` passes
-its own engine, so extraction, solving and the back-substitution check of
-one query share one engine and its caches.
+recurrence: `MomentEngine.one_pass` substitutes the body into the query
+once and takes one expectation.  The query comes as a list of factors (a
+target and one indicator per evidence node) whose single-term factors
+are merged up front; the variables are then eliminated bucket by bucket,
+each substituted into the product of only the factors that mention it,
+so negative evidence (a factor 1 - F) no longer doubles the polynomial.
+`substitute_body` walks one polynomial whole (an extraction, or a query
+without negative evidence) or a list of factors bucket by bucket, and
+both walks run the same per-variable step, `substitute_var`.  Any other
+body goes through `MomentEngine.closed`, which closes the query's
+monomials with `compute_mbis` and combines their closed forms in n.
+`compute_mbis` and `check_mbis` take a program or the engine built for
+it; `closed` passes its own engine, so extraction, solving and the
+back-substitution check of one query share one engine and its caches.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -108,7 +116,7 @@ class MomentEngine:
     def _upd_pow(self, var: str, k: int) -> Polynomial:
         """(var's update)^k averaged over its branch coin and its private
         draws: a polynomial in earlier variables, parameters and the draws
-        that stay symbolic.
+        that stay symbolic.  A branch whose expression is 0 adds nothing.
 
         A draw private to this update reaches a substituted monomial only
         through this one factor and is independent of everything else in
@@ -127,8 +135,16 @@ class MomentEngine:
                 raise UnsupportedError(
                     f"branch probability of {var} has a symbolic denominator"
                 )
-            total = total + br.prob.num * br.expr**k
-        total = self._reduce(self._integrate(total))
+            if br.expr.is_zero():
+                continue
+            power = br.expr if k == 1 else br.expr**k
+            if br.prob.is_const():
+                total = total + power * br.prob.const_value()
+            else:
+                total = total + br.prob.num * power
+        if self._private:
+            total = self._integrate(total)
+        total = self._reduce(total)
         self._upd_pows[key] = total
         return total
 
@@ -181,26 +197,61 @@ class MomentEngine:
                 poly = reduce_finite_support(poly, var, size)
         return poly
 
-    def substitute_body(self, poly: Polynomial) -> Polynomial:
-        """One full body substitution: result refers only to start-of-iteration
-        values, draws and parameters."""
-        present = poly.symbols()
-        for var in reversed(self.vars):
-            if var not in present:
+    def substitute_var(self, var: str, poly: Polynomial) -> Polynomial:
+        """One elimination step: every power var^e in poly becomes var's
+        averaged update power, then support reduction.  poly must hold every
+        occurrence of var in the query, so that var^(a+b) takes one branch
+        coin."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in poly.terms.items():
+            e = mono.exponent(var)
+            if e == 0:
+                out[mono] = out.get(mono, Fraction(0)) + coeff
                 continue
-            out: dict[Monomial, Fraction] = {}
-            for mono, coeff in poly.terms.items():
-                e = mono.exponent(var)
-                if e == 0:
-                    out[mono] = out.get(mono, Fraction(0)) + coeff
-                    continue
-                rest = mono.without(var)
-                for m2, c2 in self._upd_pow(var, e).terms.items():
-                    m = rest * m2
-                    out[m] = out.get(m, Fraction(0)) + coeff * c2
-            poly = self._reduce(Polynomial(out))
+            rest = mono.without(var)
+            for m2, c2 in self._upd_pow(var, e).terms.items():
+                m = rest * m2
+                out[m] = out.get(m, Fraction(0)) + coeff * c2
+        return self._reduce(Polynomial(out))
+
+    def substitute_body(self, *factors: Polynomial) -> Polynomial:
+        """One full body substitution into the product of the factors: the
+        result refers only to start-of-iteration values, draws and
+        parameters.
+
+        One factor is walked whole, one `substitute_var` step per variable
+        present, last declared first.  Several factors are eliminated
+        bucket by bucket in the same order (Dechter's bucket elimination):
+        the factors that mention the variable are multiplied and reduced,
+        the step runs on that product alone, and its result goes back on
+        the list.  The factors left at the end mention no updated variable
+        (for a static body) and are multiplied into the one polynomial
+        whose expectation is taken, so draws shared between updates stay
+        symbolic until then.  Support reduction is a ring map, so the
+        result is the polynomial the expanded product would give, while
+        the work grows with the largest bucket, not with the number of
+        factors.
+        """
+        if len(factors) == 1:
+            poly = factors[0]
             present = poly.symbols()
-        return poly
+            for var in reversed(self.vars):
+                if var in present:
+                    poly = self.substitute_var(var, poly)
+                    present = poly.symbols()
+            return poly
+        pending = [(f, f.symbols()) for f in factors]
+        for var in reversed(self.vars):
+            bucket = [f for f, syms in pending if var in syms]
+            if not bucket:
+                continue
+            pending = [(f, syms) for f, syms in pending if var not in syms]
+            merged = bucket[0]
+            for f in bucket[1:]:
+                merged = self._reduce(merged * f)
+            merged = self.substitute_var(var, merged)
+            pending.append((merged, merged.symbols()))
+        return self._reduce(math.prod((f for f, _ in pending), start=Polynomial.const(1)))
 
     # -- expectation normal form ------------------------------------------
 
@@ -276,11 +327,20 @@ class MomentEngine:
         ordered = tuple(sorted(linear.items(), key=lambda kv: kv[0], reverse=True))
         return MomentRecurrence(target, self_coeff, ordered, constant)
 
-    def one_pass(self, poly: Polynomial) -> RationalFunction:
-        """E[poly] after the first iteration of a body that overwrites every
-        variable from draws and parameters alone, as a compiled static
-        network does: one substitution, one expectation, no recurrence."""
-        body = self.substitute_body(self._reduce(poly))
+    def one_pass(self, *factors: Polynomial) -> RationalFunction:
+        """E[product of the factors] after the first iteration of a body
+        that overwrites every variable from draws and parameters alone, as
+        a compiled static network does: one substitution, one expectation,
+        no recurrence.
+
+        A query passes its target and one indicator per evidence node.  The
+        single-term factors (a monomial target, the indicator of a positive
+        binary value, a constant) are multiplied into one monomial.  When at
+        most one factor has more terms, the monomial joins it and one
+        polynomial is substituted, as for a query without negative
+        evidence; otherwise the monomial is one more factor, so that it
+        widens none of the others."""
+        body = self.substitute_body(*self._query_factors(factors))
         linear, constant = self.expectation(body)
         if linear:
             left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))
@@ -289,6 +349,22 @@ class MomentEngine:
                 "does not overwrite every variable"
             )
         return constant
+
+    def _query_factors(self, factors) -> list[Polynomial]:
+        """The factors of a query with its single-term factors merged (see
+        `one_pass`), each reduced."""
+        mono = Polynomial.const(1)
+        multi: list[Polynomial] = []
+        for f in factors:
+            if len(f.terms) > 1:
+                multi.append(f)
+            else:
+                mono = mono * f
+        if len(multi) <= 1 or mono.is_zero():
+            multi = [math.prod(multi, start=mono)]
+        elif mono != 1:
+            multi.insert(0, mono)
+        return [self._reduce(f) for f in multi]
 
     def closed(self, poly: Polynomial) -> ClosedForm:
         """E[poly] as a function of n: the monomials of the reduced

@@ -76,13 +76,34 @@ class JointTable:
         return self.expectations([poly])[0]
 
     def expectations(self, polys: Sequence[Polynomial]) -> list[RationalFunction]:
-        """E[poly] for every poly, in one pass over the rows: each row's
-        assignment is read once and every target evaluated on it."""
-        outs = [RF_ZERO] * len(polys)
-        for assignment, weight in self.rows:
-            env = dict(zip(self.names, assignment))
-            for i, poly in enumerate(polys):
-                outs[i] = _add_scaled(outs[i], weight, poly.eval(env))
+        """E[poly] for every poly.
+
+        Numeric row weights are written over one common denominator; for
+        each target the rows are grouped by the values of the target's own
+        nodes, their integer weights summed, and the target evaluated once
+        per group.  Symbolic weights are summed as rational functions in
+        one pass over the rows, every target evaluated on each row."""
+        if not all(weight.is_const() for _, weight in self.rows):
+            outs = [RF_ZERO] * len(polys)
+            for assignment, weight in self.rows:
+                env = dict(zip(self.names, assignment))
+                for i, poly in enumerate(polys):
+                    outs[i] = _add_scaled(outs[i], weight, poly.eval(env))
+            return outs
+        values = [weight.const_value() for _, weight in self.rows]
+        den = math.lcm(*(v.denominator for v in values))
+        counts = [v.numerator * (den // v.denominator) for v in values]
+        column = {name: i for i, name in enumerate(self.names)}
+        outs = []
+        for poly in polys:
+            syms = sorted(poly.symbols())
+            cols = [column[s] for s in syms]
+            groups: dict[tuple[int, ...], int] = {}
+            for (assignment, _), count in zip(self.rows, counts):
+                key = tuple([assignment[c] for c in cols])
+                groups[key] = groups.get(key, 0) + count
+            total = sum(count * poly.eval(dict(zip(syms, key))) for key, count in groups.items())
+            outs.append(RationalFunction(Fraction(total) / den))
         return outs
 
     def probability(self, event: Sequence[tuple[str, int]]) -> RationalFunction:

@@ -4,14 +4,16 @@ Each query compiles its network once, and every expectation it needs comes
 from the one `MomentEngine` of that program.  Static networks are compiled
 to loops whose first pass produces one joint sample, so every query reads
 moments at n = 1.  That pass overwrites every variable from draws and
-parameters, so a static expectation is one body substitution over the
-whole query polynomial and one expectation (`MomentEngine.one_pass`), and
-solves no recurrence.  Conditioning multiplies the target by the evidence
-indicator and divides by the indicator's own expectation; a distribution
-divides each state's indicator the same way.  Dynamic networks keep n
-symbolic: prediction returns the closed form (`MomentEngine.closed`), its
-value at a horizon, or its limit, from the moment recurrences, each of
-which is back-substituted before it is used.
+parameters, so a static expectation is one body substitution into the
+query and one expectation (`MomentEngine.one_pass`), and solves no
+recurrence.  A static query passes its factors: the target, and one
+indicator per evidence node, which the engine multiplies only where they
+share a variable.  Conditioning adds the evidence indicators to the
+target's factors and divides by the expectation of the indicators alone;
+a distribution divides each state's indicator the same way.  Dynamic
+networks keep n symbolic: prediction returns the closed form
+(`MomentEngine.closed`), its value at a horizon, or its limit, from the
+moment recurrences, each of which is back-substituted before it is used.
 
 Everything is exact.  Symbolic parameters flow through unchanged, so the
 same code path answers numeric queries and sensitivity queries; decisions
@@ -141,20 +143,33 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
         poly = _target_poly(bn.net, target) ** k
         closed = MomentEngine(compile_dynbn(bn)).closed(poly)
         return QueryResult("moment", closed, closed.assumptions)
-    poly = _target_poly(bn, target) ** k
-    return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(poly))
+    factors = _target_factors(bn, target, k)
+    return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(*factors))
+
+
+def _indicators(bn: BayesNet, pairs) -> list[Polynomial]:
+    """One indicator factor per (node, state) pair."""
+    return [indicator_poly(name, value, bn.node(name).support) for name, value in pairs]
+
+
+def _target_factors(bn: BayesNet, target, k: int) -> list[Polynomial]:
+    """The static target to the k-th power as factors: one per node of an
+    event mapping, one for any other target."""
+    if isinstance(target, Mapping):
+        return [f**k for f in _indicators(bn, normalize_evidence(bn, target))]
+    return [_target_poly(bn, target) ** k]
 
 
 def _evidence_mass(engine: MomentEngine, bn: BayesNet, pairs):
-    """The evidence indicator, P(evidence) on the engine of a compiled
-    static network, and the assumption a symbolic P(evidence) carries;
-    evidence of probability zero is a QueryError."""
-    ind = evidence_indicator(bn, pairs)
-    p = engine.one_pass(ind)
+    """The evidence's indicator factors, P(evidence) on the engine of a
+    compiled static network, and the assumption a symbolic P(evidence)
+    carries; evidence of probability zero is a QueryError."""
+    inds = _indicators(bn, pairs)
+    p = engine.one_pass(*inds)
     if p.is_zero():
         detail = ", ".join(f"{name}={value}" for name, value in pairs)
         raise QueryError(f"evidence {detail} has probability zero")
-    return ind, p, (() if p.is_const() else (f"({p}) != 0",))
+    return inds, p, (() if p.is_const() else (f"({p}) != 0",))
 
 
 def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
@@ -166,10 +181,10 @@ def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
     pairs = normalize_evidence(bn, evidence)
     if not pairs:
         raise QueryError("conditional query needs non-empty evidence")
-    poly = _target_poly(bn, target) ** k
+    factors = _target_factors(bn, target, k)
     engine = MomentEngine(compile_bn(bn))
-    ind, den, assumptions = _evidence_mass(engine, bn, pairs)
-    return QueryResult("conditional", engine.one_pass(poly * ind) / den, assumptions)
+    inds, den, assumptions = _evidence_mass(engine, bn, pairs)
+    return QueryResult("conditional", engine.one_pass(*factors, *inds) / den, assumptions)
 
 
 def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
@@ -185,8 +200,8 @@ def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
     states = [indicator_poly(name, i, node.support) for i in range(node.support)]
     if not evidence:
         return QueryResult("distribution", tuple(engine.one_pass(s) for s in states))
-    ind, den, assumptions = _evidence_mass(engine, bn, normalize_evidence(bn, evidence))
-    vector = tuple(engine.one_pass(s * ind) / den for s in states)
+    inds, den, assumptions = _evidence_mass(engine, bn, normalize_evidence(bn, evidence))
+    vector = tuple(engine.one_pass(s, *inds) / den for s in states)
     return QueryResult("distribution", vector, assumptions)
 
 

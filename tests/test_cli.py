@@ -150,6 +150,14 @@ class TestCompile:
         assert code == 1
         assert "cannot read" in err
 
+    def test_network_key_twice(self, capsys, tmp_path):
+        net = tmp_path / "twice.json"
+        net.write_text('{"type": "bn", "nodes": [{"name": "X", "model": '
+                       '{"kind": "cpt", "p": ["1/2", "1/2"], "p": ["1", "0"]}}]}')
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, out) == (1, "")
+        assert 'JSON object lists "p" twice' in err
+
 
 class TestQuery:
     SPEC = '{"query": "conditional", "target": "B", "evidence": {"A": 1}}'
@@ -247,6 +255,19 @@ class TestQuery:
         assert out == ""
         assert "no parameter named zz" in err
 
+    def test_param_twice(self, capsys):
+        code, out, err = run(capsys, "query", ALARM_SENS, "--spec", self.SPEC,
+                             "--param", "b=0.001", "--param", "b=0.5")
+        assert (code, out) == (1, "")
+        assert "--param b given twice" in err
+
+    def test_spec_evidence_key_twice(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec",
+                             '{"query": "conditional", "target": "B", '
+                             '"evidence": {"A": 1, "A": 0}}')
+        assert (code, out) == (1, "")
+        assert 'JSON object lists "A" twice' in err
+
     def test_invalid_spec_json(self, capsys):
         code, _, err = run(capsys, "query", ALARM, "--spec", "{not json")
         assert code == 1
@@ -327,6 +348,17 @@ class TestSamples:
         assert out == ""
         assert "b=2 is outside the domain [0, 1] of b" in err
 
+    def test_evidence_name_twice(self, capsys):
+        code, out, err = run(capsys, "samples", ASIA, "--evidence", "Asia=1,Asia=0")
+        assert (code, out) == (1, "")
+        assert "evidence lists Asia twice" in err
+
+    def test_json_evidence_key_twice(self, capsys):
+        code, out, err = run(capsys, "samples", ASIA,
+                             "--evidence", '{"Asia": 1, "Asia": 0}')
+        assert (code, out) == (1, "")
+        assert 'JSON object lists "Asia" twice' in err
+
     def test_bad_evidence_item(self, capsys):
         code, _, err = run(capsys, "samples", ASIA, "--evidence", "Asia")
         assert code == 1
@@ -362,6 +394,18 @@ class TestFilter:
         assert code == 1
         assert out == ""
         assert "no parameter named zz" in err
+
+    def test_observation_name_twice(self, capsys):
+        code, out, err = run(capsys, "filter", str(DATA / "umbrella_filter.json"),
+                             "--obs", "U=1,U=0")
+        assert (code, out) == (1, "")
+        assert "evidence lists U twice" in err
+
+    def test_json_observation_key_twice(self, capsys):
+        code, out, err = run(capsys, "filter", str(DATA / "umbrella_filter.json"),
+                             "--obs", '[{"U": 1, "U": 0}]')
+        assert (code, out) == (1, "")
+        assert 'JSON object lists "U" twice' in err
 
     def test_static_network_rejected(self, capsys):
         code, _, err = run(capsys, "filter", ALARM, "--obs", "U=1")

@@ -1,0 +1,164 @@
+"""Factored evidence: a static query passes its target and one indicator
+per evidence node to `MomentEngine.one_pass`, which eliminates the
+variables bucket by bucket instead of expanding the product first."""
+
+import itertools
+import random
+import time
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from psolve.bayesnet import load_bn, load_bn_path
+from psolve.encode import indicator_poly
+from psolve.errors import QueryError
+from psolve.moments import MomentEngine
+from psolve.oracle import enumerate_discrete
+from psolve.queries import (
+    conditional_moment,
+    expected_samples,
+    joint_moment,
+    node_distribution,
+)
+from psolve.symbolic import Polynomial
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _vector(rng, size):
+    """A random probability vector of `size` entries, zeros allowed."""
+    cuts = sorted(rng.randint(0, 12) for _ in range(size - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [12])]
+    return [str(F(p, 12)) for p in parts]
+
+
+def mixed_doc(rng, n_nodes):
+    """A random network of two- and three-state CPT nodes."""
+    names = [f"X{i}" for i in range(n_nodes)]
+    sizes = [rng.choice((2, 2, 3)) for _ in names]
+    nodes = []
+    for i, name in enumerate(names):
+        parents = sorted(rng.sample(range(i), min(i, rng.choice((0, 1, 2, 2, 3)))))
+        if not parents:
+            model = {"kind": "cpt", "p": _vector(rng, sizes[i])}
+        else:
+            rows = [{"given": list(given), "p": _vector(rng, sizes[i])}
+                    for given in itertools.product(*(range(sizes[p]) for p in parents))]
+            model = {"kind": "cpt", "parents": [names[p] for p in parents], "rows": rows}
+        nodes.append({"name": name, "model": model})
+    return {"type": "bn", "nodes": nodes}
+
+
+class TestMatchesEnumeration:
+    def test_random_networks_with_mixed_evidence(self):
+        t0 = time.monotonic()
+        rng = random.Random(20261018)
+        factored = 0
+        for i in range(40):
+            bn = load_bn(mixed_doc(rng, rng.randint(2, 7)))
+            table = enumerate_discrete(bn)
+            target = rng.choice(bn.nodes)
+            others = [nd for nd in bn.nodes if nd is not target]
+            chosen = rng.sample(others, rng.randint(1, min(4, len(others))))
+            event = tuple((nd.name, rng.randrange(nd.support)) for nd in chosen)
+            evidence = dict(event)
+            factored += sum(value != nd.support - 1 or nd.support > 2
+                            for nd, (_, value) in zip(chosen, event)) > 1
+            if table.probability(event).is_zero():
+                with pytest.raises(QueryError, match="probability zero"):
+                    conditional_moment(bn, target.name, 1, evidence)
+                continue
+            x = Polynomial.var(target.name)
+            for k in (1, 2):
+                got = conditional_moment(bn, target.name, k, evidence).value
+                want = table.conditional(x**k, event)
+                assert str(got) == str(want), (i, k, evidence)
+            got = node_distribution(bn, target.name, evidence).value
+            want = tuple(
+                table.conditional(indicator_poly(target.name, v, target.support), event)
+                for v in range(target.support)
+            )
+            assert [str(g) for g in got] == [str(w) for w in want], (i, evidence)
+            state = rng.randrange(target.support)
+            got = conditional_moment(bn, {target.name: state}, 1, evidence).value
+            assert got == want[state], (i, evidence)
+            p = table.probability(event)
+            assert str(joint_moment(bn, evidence).value) == str(p), (i, evidence)
+            samples = expected_samples(bn, evidence, cross_check=False)
+            assert dict(samples.extras)["probability"] == str(p), (i, evidence)
+        assert factored >= 10
+        assert time.monotonic() - t0 < 30.0
+
+
+def naive_bayes(k):
+    """Class C and k binary features; feature j reads 1 with probability
+    a_j given C = 1 and b_j given C = 0."""
+    a = [F(j % 7 + 2, 10) for j in range(k)]
+    b = [F(j % 5 + 1, 9) for j in range(k)]
+    nodes = [{"name": "C", "model": {"kind": "cpt", "p": ["2/3", "1/3"]}}]
+    for j in range(k):
+        nodes.append({"name": f"F{j}", "model": {
+            "kind": "cpt", "parents": ["C"], "rows": [
+                {"given": [1], "p": [str(1 - a[j]), str(a[j])]},
+                {"given": [0], "p": [str(1 - b[j]), str(b[j])]},
+            ]}})
+    return load_bn({"type": "bn", "nodes": nodes}), a, b
+
+
+class TestNaiveBayes:
+    @pytest.mark.parametrize("k", [20, 30, 40])
+    def test_half_negative_evidence_stays_small(self, k, monkeypatch):
+        sizes = []
+        original = MomentEngine.substitute_var
+
+        def counted(self, var, poly):
+            sizes.append(len(poly.terms))
+            return original(self, var, poly)
+
+        monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+        bn, a, b = naive_bayes(k)
+        evidence = {f"F{j}": j % 2 for j in range(k)}
+        got = conditional_moment(bn, "C", 1, evidence).value
+        # Bayes' rule over the features' likelihoods
+        like1, like0 = F(1, 3), F(2, 3)
+        for j in range(k):
+            like1 *= a[j] if j % 2 else 1 - a[j]
+            like0 *= b[j] if j % 2 else 1 - b[j]
+        assert got == like1 / (like1 + like0)
+        assert sizes and max(sizes) <= 4, max(sizes)
+
+
+class TestBundledAnswers:
+    """Answers pinned from the expanded-product implementation: the factors
+    change how the work is done, not one printed character."""
+
+    @pytest.mark.parametrize("net, fn, args, exact, assumptions", [
+        ("alarm", conditional_moment, ("B", 1, {"A": 1}), "156670/419407", ()),
+        ("alarm", conditional_moment, ({"EQ": 1}, 1, {"M": 1}), "21055540/586817249", ()),
+        ("alarm", conditional_moment, ("(1 - EQ)*(1 - B)", 1, {"A": 1, "J": 1}),
+         "166167/419407", ()),
+        ("alarm", node_distribution, ("A", {"J": 1}),
+         "(498741779/521389757, 22647978/521389757)", ()),
+        ("alarm_sens", conditional_moment, ("B", 1, {"A": 1}),
+         "(-10*b*q - 940*b)/(279*b*q - 939*b - 289*q - 1)",
+         ("(-279/1000*b*q + 939/1000*b + 289/1000*q + 1/1000) != 0",)),
+        ("alarm_sens", conditional_moment, ("(1 - EQ)*B", 1, {"A": 0, "J": 0, "M": 1}),
+         "(-60*b*q + 60*b)/(279*b*q - 939*b - 289*q + 999)",
+         ("(5301/2000000*b*q - 17841/2000000*b - 5491/2000000*q + 18981/2000000) != 0",)),
+        ("alarm_sens", expected_samples, ({"A": 0, "J": 0},),
+         "20000/19/(279*b*q - 939*b - 289*q + 999)",
+         ("(5301/20000*b*q - 17841/20000*b - 5491/20000*q + 18981/20000) != 0",
+          "|-5301/20000*b*q + 17841/20000*b + 5491/20000*q + 1019/20000| < 1")),
+        ("asia", conditional_moment, ("Asia*Lung", 1, {"Dysp": 1}), "2240/2179853", ()),
+        ("asia", expected_samples, ({"Asia": 1, "Lung": 1},), "20000/11", ()),
+        ("asia", node_distribution, ("Lung", {"Xray": 0, "Dysp": 0, "Smoke": 1}),
+         "(1410297/1411547, 1250/1411547)", ()),
+        ("grass", conditional_moment, ("R", 1, {"G": 1}), "1001/1101", ()),
+        ("rats", conditional_moment, ("W2", 1, {"D": 1}), "751/50", ()),
+        ("rats_sens", conditional_moment, ("W2", 1, {"D": 1}), "56/25*a + 751/50", ()),
+    ])
+    def test_printed_answer(self, net, fn, args, exact, assumptions):
+        result = fn(load_bn_path(DATA / f"{net}.json"), *args)
+        assert result.exact() == exact
+        assert result.assumptions == assumptions
