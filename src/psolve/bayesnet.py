@@ -21,6 +21,7 @@ enumeration oracle and the forward filter both take their rows from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -55,10 +56,11 @@ class CPT:
         return len(self.rows[0][1])
 
     def vector(self, assignment: Assignment) -> tuple[RationalFunction, ...]:
-        for given, vec in self.rows:
-            if given == assignment:
-                return vec
-        raise KeyError(assignment)
+        return self._by_assignment[assignment]
+
+    @functools.cached_property
+    def _by_assignment(self) -> dict:
+        return dict(self.rows)
 
 
 @dataclass(frozen=True)
@@ -82,19 +84,15 @@ class CLG:
     table: tuple[tuple[Assignment, LinearGaussian], ...]
 
     def branch(self, assignment: Assignment) -> LinearGaussian:
-        for given, lg in self.table:
-            if given == assignment:
-                return lg
-        raise KeyError(assignment)
+        return self._by_assignment[assignment]
+
+    @functools.cached_property
+    def _by_assignment(self) -> dict:
+        return dict(self.table)
 
     @property
     def continuous_parents(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for _, lg in self.table:
-            for name in lg.parents:
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(name for _, lg in self.table for name in lg.parents))
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,14 @@ class BayesNet:
     order: tuple[str, ...]  # a topological order over node names
 
     def node(self, name: str) -> Node:
-        for nd in self.nodes:
-            if nd.name == name:
-                return nd
-        raise SchemaError(f"unknown node {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown node {name!r}") from None
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, Node]:
+        return {nd.name: nd for nd in self.nodes}
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -184,10 +186,12 @@ class DynBayesNet:
     draws: Mapping[str, DrawSpec]  # draw symbols used by initial expressions
 
     def initial_expr(self, name: str) -> Polynomial:
-        for node, expr in self.initial:
-            if node == name:
-                return expr
-        return Polynomial.zero()
+        expr = self._initial_by_name.get(name)
+        return Polynomial.zero() if expr is None else expr
+
+    @functools.cached_property
+    def _initial_by_name(self) -> dict[str, Polynomial]:
+        return dict(self.initial)
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         intra = tuple(
@@ -258,7 +262,8 @@ def bind(net: Union[BayesNet, DynBayesNet], values: Mapping[str, Fraction]):
     sub = check_binding(bn.params, values)
     try:
         nodes = tuple(replace(nd, model=_bind_model(nd.model, sub)) for nd in bn.nodes)
-        nodes = tuple(_resolve_node(nd, nodes, temporal) for nd in nodes)
+        by_name = {nd.name: nd for nd in nodes}
+        nodes = tuple(_resolve_node(nd, by_name, temporal) for nd in nodes)
     except (ZeroDivisionError, SchemaError) as exc:
         raise binding_error(values, exc) from exc
     bn = replace(bn, params=tuple(p for p in bn.params if p.name not in sub), nodes=nodes)
@@ -327,9 +332,14 @@ def load_bn(doc: Mapping) -> Union[BayesNet, DynBayesNet]:
     if kind == "dynbn":
         temporal = _load_inter_edges(doc.get("inter_edges", {}))
 
-    nodes = tuple(_load_node(e, raw_nodes, param_names) for e in raw_nodes)
+    # Only string names can be parents; the others fail in _load_node.
+    node_names = {
+        e["name"] for e in raw_nodes if isinstance(e, Mapping) and isinstance(e.get("name"), str)
+    }
+    nodes = tuple(_load_node(e, node_names, param_names) for e in raw_nodes)
     _check_names(nodes, param_names)
-    nodes = tuple(_resolve_node(nd, nodes, temporal) for nd in nodes)
+    by_name = {nd.name: nd for nd in nodes}
+    nodes = tuple(_resolve_node(nd, by_name, temporal) for nd in nodes)
     order = _topo_order(nodes, temporal)
     net = BayesNet(params=params, nodes=nodes, order=order)
 
@@ -392,10 +402,9 @@ def _load_inter_edges(raw) -> tuple[str, ...]:
     return tuple(temporal)
 
 
-def _load_node(entry, raw_nodes, param_names) -> Node:
+def _load_node(entry, node_names, param_names) -> Node:
     if not isinstance(entry, Mapping) or "name" not in entry:
         raise SchemaError(f"bad node entry {entry!r}")
-    node_names = [e.get("name") for e in raw_nodes if isinstance(e, Mapping)]
     name = entry["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name) or name in RESERVED:
         raise SchemaError(f"bad node name {name!r}")
@@ -593,10 +602,9 @@ def _check_names(nodes: tuple[Node, ...], param_names) -> None:
         seen.add(nd.name)
 
 
-def _resolve_node(nd: Node, nodes: tuple[Node, ...], temporal) -> Node:
-    """Check one node against the full table; returns the node with state
-    names in assignments replaced by integer indices."""
-    by_name = {other.name: other for other in nodes}
+def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
+    """Check one node against the full table, given by name; returns the
+    node with state names in assignments replaced by integer indices."""
     where = f"node {nd.name}"
     for parent in nd.parents:
         if parent == nd.name and nd.name not in temporal:
@@ -672,10 +680,12 @@ def _resolve_node(nd: Node, nodes: tuple[Node, ...], temporal) -> Node:
 
 def _resolve_assignments(rows, parents, by_name, where) -> list[Assignment]:
     resolved: list[Assignment] = []
+    seen: set[Assignment] = set()
     for given in rows:
         idx = tuple(by_name[p].state_index(v) for p, v in zip(parents, given))
-        if idx in resolved:
+        if idx in seen:
             raise SchemaError(f"{where}: duplicate row for assignment {list(given)}")
+        seen.add(idx)
         resolved.append(idx)
     return resolved
 
@@ -696,21 +706,34 @@ def _check_det_range(nd: Node, m: Deterministic, by_name) -> None:
 
 
 def _topo_order(nodes: tuple[Node, ...], temporal) -> tuple[str, ...]:
-    pending = {
+    """Kahn's algorithm by layers: a layer holds the nodes whose last
+    dependency was placed in the layer before, in declaration order."""
+    temporal = set(temporal)
+    deps = {
         nd.name: set(nd.parents) - ({nd.name} if nd.name in temporal else set())
         for nd in nodes
     }
-    names = [nd.name for nd in nodes]
+    position = {name: i for i, name in enumerate(deps)}
+    missing = {name: len(parents) for name, parents in deps.items()}
+    children: dict[str, list[str]] = {name: [] for name in deps}
+    for name, parents in deps.items():
+        for parent in parents:
+            children[parent].append(name)
     order: list[str] = []
-    placed: set[str] = set()
-    while pending:
-        ready = [n for n in names if n in pending and pending[n] <= placed]
-        if not ready:
-            raise SchemaError("dependency cycle: " + " -> ".join(_find_cycle(pending, placed)))
-        for n in ready:
-            order.append(n)
-            placed.add(n)
-            del pending[n]
+    layer = [name for name, count in missing.items() if not count]
+    while layer:
+        order.extend(layer)
+        ready = []
+        for name in layer:
+            for child in children[name]:
+                missing[child] -= 1
+                if not missing[child]:
+                    ready.append(child)
+        layer = sorted(ready, key=position.__getitem__)
+    if len(order) < len(deps):
+        placed = set(order)
+        pending = {name: parents for name, parents in deps.items() if name not in placed}
+        raise SchemaError("dependency cycle: " + " -> ".join(_find_cycle(pending, placed)))
     return tuple(order)
 
 

@@ -22,6 +22,7 @@ its own previous slice at all: the indicator of such a node is nonlinear.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
@@ -45,7 +46,7 @@ from .program import (
     LoopProgram,
     validate,
 )
-from .symbolic import Polynomial, RationalFunction, RF_ONE
+from .symbolic import Monomial, Polynomial, RationalFunction, RF_ONE
 
 
 @functools.lru_cache(maxsize=1024)
@@ -89,10 +90,13 @@ def evidence_indicator(bn: BayesNet, evidence) -> Polynomial:
     """Product of per-node indicators; 1 exactly on samples matching the
     evidence.  A CPT or CLG row's indicator is this product over the row's
     parent assignment."""
-    out = Polynomial.const(Fraction(1))
-    for name, value in normalize_evidence(bn, evidence):
-        out = out * indicator_poly(name, value, bn.node(name).support)
-    return out
+    factors = [
+        indicator_poly(name, value, bn.node(name).support)
+        for name, value in normalize_evidence(bn, evidence)
+    ]
+    if not factors:
+        return Polynomial.const(Fraction(1))
+    return math.prod(factors[1:], start=factors[0])
 
 
 class _Builder:
@@ -168,10 +172,11 @@ def _emit_cpt(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, _value_branches(vec, ind, m), Polynomial.zero(), m)
         aux_names.append(aux)
-    total = Polynomial.zero()
-    for aux in aux_names:
-        total = total + Polynomial.var(aux)
-    builder.emit(node.name, [Branch(RF_ONE, total)], init, m)
+    builder.emit(node.name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init, m)
+
+
+def _sum_of_vars(names) -> Polynomial:
+    return Polynomial({Monomial.of(name): 1 for name in names})
 
 
 def _value_branches(vec, ind: Polynomial, m: int):
@@ -203,10 +208,7 @@ def _emit_clg(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, [Branch(RF_ONE, expr)], Polynomial.zero())
         aux_names.append(aux)
-    total = Polynomial.zero()
-    for aux in aux_names:
-        total = total + Polynomial.var(aux)
-    builder.emit(node.name, [Branch(RF_ONE, total)], init)
+    builder.emit(node.name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init)
 
 
 def compile_dynbn(dyn: DynBayesNet) -> LoopProgram:

@@ -37,6 +37,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# One number or a quotient of two, in the tokenizer's number syntax: most
+# probabilities in a network file, read without tokenizing.
+_QUOTIENT_RE = re.compile(r"\s*(\d+(?:\.\d+)?)\s*(?:/\s*(\d+(?:\.\d+)?)\s*)?\Z")
+
 
 class Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "eof"
@@ -337,6 +341,11 @@ def parse_program(source: str, check: bool = True) -> LoopProgram:
 
 def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
+    m = _QUOTIENT_RE.match(text)
+    if m:
+        num, den = Fraction(m[1]), Fraction(m[2] or 1)
+        if den:  # a zero divisor goes on to the parser, which reports where
+            return RationalFunction(num / den)
     parser = _Parser(text)
     parser.params = {p: Param(p) for p in params}
     parser.allowed = set()

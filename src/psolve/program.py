@@ -16,6 +16,7 @@ identifiers; every occurrence is an independent draw, fresh each iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -27,6 +28,7 @@ from .symbolic import (
     Polynomial,
     RationalFunction,
     RF_ONE,
+    RF_ZERO,
 )
 
 
@@ -119,10 +121,13 @@ class LoopProgram:
         return {p.name: p for p in self.params}
 
     def update_for(self, var: str) -> Assignment:
-        for u in self.updates:
-            if u.target == var:
-                return u
-        raise KeyError(var)
+        return self._update_by_target[var]
+
+    @functools.cached_property
+    def _update_by_target(self) -> dict[str, Assignment]:
+        # reversed: an unvalidated program may update a variable twice, and
+        # the first update is the one a scan would find
+        return {u.target: u for u in reversed(self.updates)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoopProgram):
@@ -250,7 +255,7 @@ def validate(prog: LoopProgram) -> None:
     earlier: set[str] = set()
     for upd in prog.updates:
         target = upd.target
-        total = Polynomial()
+        total = RF_ZERO
         for br in upd.branches:
             if not br.prob.is_poly():
                 raise UnsupportedError(
@@ -265,19 +270,19 @@ def validate(prog: LoopProgram) -> None:
                 p = br.prob.const_value()
                 if p < 0 or p > 1:
                     raise ProgramError(f"branch probability {p} of {target} outside [0, 1]")
-            total = total + br.prob.num
-            coeff, rest = split_self(br.expr, target)
-            for part in (coeff, rest):
-                for s in part.symbols():
-                    if is_draw(s) or s in params:
-                        continue
-                    if s == target:
-                        raise ProgramError(f"{target} occurs nonlinearly in its own update")
-                    if s not in earlier:
-                        raise ProgramError(
-                            f"update of {target} references {s}, "
-                            "which is not declared earlier"
-                        )
+            total = total + br.prob
+            symbols = br.expr.symbols()
+            if target in symbols:
+                split_self(br.expr, target)  # raises unless linear in the target
+            bad = [
+                s for s in symbols
+                if s != target and s not in params and s not in earlier and not is_draw(s)
+            ]
+            if bad:
+                raise ProgramError(
+                    f"update of {target} references {min(bad)}, "
+                    "which is not declared earlier"
+                )
         if total != 1:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
         earlier.add(target)

@@ -1,6 +1,8 @@
 """Network schema loading and validation."""
 
 import copy
+import itertools
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from psolve.bayesnet import (
     Deterministic,
     DynBayesNet,
     LinearGaussian,
+    _find_cycle,
+    bind,
     load_bn,
     load_bn_path,
 )
@@ -272,3 +276,106 @@ class TestLoadPath:
             if path.name == "bad_cycle.json":
                 continue
             load_bn_path(path)
+
+
+def layered_order(doc: dict):
+    """The topological order of a CPT-only network document as the loader
+    once computed it, rescanning every name per layer: the reference for
+    the linear-time loader.  Returns (order, None) or (None, cycle message)."""
+    temporal = set(doc.get("inter_edges", {}))
+    pending = {
+        nd["name"]: set(nd["model"]["parents"])
+        - ({nd["name"]} if nd["name"] in temporal else set())
+        for nd in doc["nodes"]
+    }
+    names = [nd["name"] for nd in doc["nodes"]]
+    order, placed = [], set()
+    while pending:
+        ready = [n for n in names if n in pending and pending[n] <= placed]
+        if not ready:
+            return None, "dependency cycle: " + " -> ".join(_find_cycle(pending, placed))
+        for n in ready:
+            order.append(n)
+            placed.add(n)
+            del pending[n]
+    return tuple(order), None
+
+
+def random_dag_doc(rng: random.Random, n: int, dynamic: bool, cycle: bool) -> dict:
+    """Binary CPT nodes over a random DAG, declared in shuffled order; a
+    dynamic network gives some nodes a temporal self-edge, and `cycle`
+    closes a cycle through two nodes."""
+    names = [f"V{k}" for k in rng.sample(range(10 * n), n)]
+    parents = {
+        name: rng.sample(names[:i], min(i, rng.randint(0, 3))) for i, name in enumerate(names)
+    }
+    if cycle:
+        i, j = sorted(rng.sample(range(n), 2))
+        parents[names[i]].append(names[j])
+        if names[i] not in parents[names[j]]:
+            parents[names[j]].append(names[i])
+    temporal = [name for name in names if dynamic and rng.random() < 0.3]
+    nodes = []
+    for name in names:
+        given = parents[name] + ([name] if name in temporal else [])
+        rng.shuffle(given)
+        rows = [{"given": list(a), "p": ["1/4", "3/4"]}
+                for a in itertools.product((0, 1), repeat=len(given))]
+        nodes.append({"name": name, "model": {"kind": "cpt", "parents": given, "rows": rows}})
+    rng.shuffle(nodes)
+    if not dynamic:
+        return {"type": "bn", "nodes": nodes}
+    return {"type": "dynbn", "nodes": nodes,
+            "inter_edges": {name: [name] for name in temporal},
+            "initial": {name: 0 for name in temporal}}
+
+
+class TestLinearLoader:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_order_matches_layered_reference(self, seed):
+        rng = random.Random(seed)
+        doc = random_dag_doc(rng, rng.randint(1, 40), dynamic=seed % 3 == 0, cycle=False)
+        net = load_bn(doc)
+        bn = net.net if isinstance(net, DynBayesNet) else net
+        assert bn.order == layered_order(doc)[0]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_cycle_message_matches_layered_reference(self, seed):
+        rng = random.Random(1000 + seed)
+        doc = random_dag_doc(rng, rng.randint(2, 40), dynamic=seed % 3 == 0, cycle=True)
+        _, want = layered_order(doc)
+        with pytest.raises(SchemaError) as exc:
+            load_bn(doc)
+        assert str(exc.value) == want
+
+    def test_bad_cycle_text(self):
+        with pytest.raises(SchemaError) as exc:
+            load_bn_path(DATA / "bad_cycle.json")
+        assert str(exc.value) == "dependency cycle: A -> B -> A"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(parents=["Z"]), "node B: unknown parent 'Z'"),
+        (lambda m: m.update(parents=["A", "A"]), "node B: duplicate parent"),
+        (lambda m: m["rows"].append({"given": ["0"], "p": ["1", "0"]}),
+         "node B: duplicate row for assignment ['0']"),
+    ])
+    def test_error_texts(self, edit, message):
+        doc = doc_chain()
+        edit(doc["nodes"][1]["model"])
+        with pytest.raises(SchemaError) as exc:
+            load_bn(doc)
+        assert str(exc.value) == message
+
+    def test_unknown_node_text(self):
+        with pytest.raises(SchemaError) as exc:
+            load_bn(doc_chain()).node("Z")
+        assert str(exc.value) == "unknown node 'Z'"
+
+    def test_lookups_survive_binding(self):
+        doc = doc_chain()
+        doc["params"] = ["r"]
+        doc["nodes"][1]["model"]["rows"][0]["p"] = ["1 - r", "r"]
+        bn = bind(load_bn(doc), {"r": F(1, 5)})
+        assert bn.node("B").model.vector((0,)) == (F(4, 5), F(1, 5))
+        with pytest.raises(KeyError):
+            bn.node("B").model.vector((2,))

@@ -1,5 +1,6 @@
 """Surface syntax: tokens, expressions, programs, error positions."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,52 @@ class TestNumbers:
     def test_fractions(self):
         p = parse_poly("2/3 + 1/6")
         assert p.const_value() == F(5, 6)
+
+
+def numeric_text(rng: random.Random) -> str:
+    """A number or a quotient of two in any spacing, with leading zeros."""
+    def number():
+        text = "0" * rng.choice([0, 0, 1, 2]) + str(rng.randint(0, 999))
+        if rng.random() < 0.4:
+            text += "." + str(rng.randint(0, 999)).zfill(rng.randint(1, 3))
+        return text
+
+    space = lambda: rng.choice(["", "", " ", "  ", "\t", "\n "])
+    text = space() + number()
+    if rng.random() < 0.6:
+        den = number()
+        while not F(den):
+            den = number()
+        text += space() + "/" + space() + den
+    return text + space()
+
+
+class TestNumericFastPath:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_parser(self, seed):
+        rng = random.Random(seed)
+        texts = ["0/7", "007", " 3 / 4 ", "1.50/0.250"] + [numeric_text(rng) for _ in range(200)]
+        for text in texts:
+            fast, parsed = parse_ratfun(text), parse_ratfun(f"({text})")
+            assert fast == parsed and str(fast) == str(parsed), text
+
+    @pytest.mark.parametrize("text, result", [
+        ("1/0", "1:2: division by zero"),
+        ("0/0", "1:2: division by zero"),
+        (" 1 / 0.0 ", "1:4: division by zero"),
+        ("-1/2", "-1/2"),
+        ("1e3", "1:2: unexpected 'e3'"),
+        ("1/2/3", "1/6"),
+        ("r/2", "1/2*r"),
+        ("1.", "1:2: unexpected character '.'"),
+        ("", "1:1: unexpected end of input"),
+    ])
+    def test_other_texts_take_the_parser(self, text, result):
+        try:
+            got = str(parse_ratfun(text, ["r"]))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == result
 
 
 class TestExpressions:

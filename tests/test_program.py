@@ -85,6 +85,15 @@ class TestValidate:
         with pytest.raises(ProgramError, match="references y"):
             parse_program(src)
 
+    def test_several_forward_references_name_the_first_alphabetically(self):
+        src = """
+        x := 0; y := 0;
+        while true { x := y + z + w + q + x; y := 1; }
+        """
+        with pytest.raises(ProgramError) as exc:
+            parse_program(src)
+        assert str(exc.value) == "update of x references q, which is not declared earlier"
+
     def test_backward_reference_allowed(self):
         src = """
         x := 0; y := 0;
