@@ -610,8 +610,14 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
         if parent == nd.name and nd.name not in temporal:
             raise SchemaError(f"{where}: depends on itself (missing inter edge?)")
 
+    def known(name: str) -> Node:
+        p = by_name.get(name)
+        if p is None:
+            raise SchemaError(f"{where}: unknown parent {name!r}")
+        return p
+
     def discrete_parent(name: str) -> Node:
-        p = by_name[name]
+        p = known(name)
         if not p.is_discrete:
             raise SchemaError(
                 f"{where}: continuous node {name} cannot parent a discrete "
@@ -651,7 +657,7 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
         return nd
     if isinstance(m, LinearGaussian):
         for p in m.parents:
-            if by_name[p].is_discrete:
+            if known(p).is_discrete:
                 raise SchemaError(
                     f"{where}: discrete parent {p} in a plain Gaussian mean; "
                     "use a clg model instead"
@@ -667,9 +673,7 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
         )
     for _, lg in m.table:
         for cp in lg.parents:
-            if cp not in by_name:
-                raise SchemaError(f"{where}: unknown parent {cp!r}")
-            if by_name[cp].is_discrete:
+            if known(cp).is_discrete:
                 raise SchemaError(
                     f"{where}: discrete parent {cp} belongs in the clg "
                     "'parents' list, not in coefficients"

@@ -26,11 +26,9 @@ from typing import Optional, Sequence
 from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, unique_keys
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
-from .exppoly import expoly_limit
 from .parser import parse_poly, parse_program
-from .moments import MomentEngine
 from .program import bind, pretty
-from .queries import _exact_str, expected_samples, forward_filter, run_query
+from .queries import _exact_str, expected_samples, forward_filter, predict_loop, run_query
 from .symbolic import RationalFunction, decimal_str
 from . import oracle
 
@@ -200,25 +198,18 @@ def _cmd_analyze(args) -> int:
     goal = parse_poly(
         args.goal, prog.variables, tuple(p.name for p in prog.params)
     ) ** args.k
-    prog = bind(prog, bindings)
-    closed = MomentEngine(prog).closed(goal.substitute(bindings))
+    result = predict_loop(bind(prog, bindings), goal.substitute(bindings), args.at, args.limit)
     doc: dict = {"goal": f"E[({args.goal})^{args.k}]" if args.k > 1 else f"E[{args.goal}]"}
-    assumptions = list(closed.assumptions)
     if args.at is not None:
-        doc.update(_value_fields(closed.at(args.at), args.digits))
+        doc.update(_value_fields(result.value, args.digits))
         doc["at"] = args.at
-    elif args.limit:
-        lim = expoly_limit(closed.tail, prog.param_map())
-        for a in lim.assumptions:
-            if a not in assumptions:
-                assumptions.append(a)
-        if lim.kind == "diverges":
-            doc["exact"] = "diverges"
-        else:
-            doc.update(_value_fields(lim.value, args.digits))
+    elif not args.limit:
+        doc["closed_form"] = str(result.value)
+    elif result.value is None:
+        doc["exact"] = "diverges"
     else:
-        doc["closed_form"] = str(closed)
-    doc["assumptions"] = assumptions
+        doc.update(_value_fields(result.value, args.digits))
+    doc["assumptions"] = list(result.assumptions)
     _emit(doc, args.json)
     return 0
 

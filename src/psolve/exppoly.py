@@ -153,10 +153,6 @@ class ExpPoly:
             total = total + coeff * base**n * Fraction(n) ** degree
         return total
 
-    def eval(self, n: int, values: Optional[Mapping[str, Fraction]] = None) -> Fraction:
-        v = self.at(n)
-        return v.eval(values or {})
-
     def subs(self, mapping) -> "ExpPoly":
         return ExpPoly(
             tuple((t.coeff.subs(mapping), t.base.subs(mapping), t.degree) for t in self.terms)

@@ -15,19 +15,18 @@ final expectation.  A worklist closes the set of needed moments, then
 closed forms are solved bottom-up along the dependency order.
 
 One `MomentEngine` serves every expectation taken of one compiled
-program, by one of two paths.  A body that overwrites every variable from
-draws and parameters alone (a compiled static network) needs no
-recurrence: `MomentEngine.one_pass` substitutes the body into the query
-once and takes one expectation.  The query comes as a list of factors (a
-target and one indicator per evidence node) whose single-term factors
-are merged up front; the variables are then eliminated bucket by bucket,
-each substituted into the product of only the factors that mention it,
-so negative evidence (a factor 1 - F) no longer doubles the polynomial.
-`substitute_body` walks one polynomial whole (an extraction, or a query
-without negative evidence) or a list of factors bucket by bucket, and
-both walks run the same per-variable step, `substitute_var`.  Any other
-body goes through `MomentEngine.closed`, which closes the query's
-monomials with `compute_mbis` and combines their closed forms in n.
+program, and `MomentEngine.substitute_body` is its one way to substitute
+the loop body into a query: the query comes as a list of factors, and
+the variables are eliminated bucket by bucket, each substituted into the
+product of only the factors that mention it, by one per-variable step,
+`substitute_var`.  An extraction passes one monomial; a static query
+passes its target and one indicator per evidence node, so negative
+evidence (a factor 1 - F) does not double the polynomial.  A body that
+overwrites every variable from draws and parameters alone (a compiled
+static network) needs no recurrence: `MomentEngine.one_pass` substitutes
+the body into the query once and takes one expectation.  Any other body
+goes through `MomentEngine.closed`, which closes the query's monomials
+with `compute_mbis` and combines their closed forms in n.
 `compute_mbis` and `check_mbis` take a program or the engine built for
 it; `closed` passes its own engine, so extraction, solving and the
 back-substitution check of one query share one engine and its caches.
@@ -108,7 +107,6 @@ class MomentEngine:
         self._private = frozenset(s for s, count in uses.items() if count == 1)
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
-        self._early: dict[tuple[str, int], Polynomial | None] = {}
         self._init_moments: dict[tuple[str, int], RationalFunction] = {}
 
     # -- update powers -----------------------------------------------------
@@ -173,14 +171,11 @@ class MomentEngine:
     def _early_moment(self, sym: str, k: int) -> Polynomial | None:
         """E[sym^k] as a polynomial in the parameters, or None when it is
         not one or is not known."""
-        key = (sym, k)
-        if key not in self._early:
-            try:
-                m = self._draw_moment(sym, k)
-            except UnsupportedError:
-                m = None
-            self._early[key] = m.num if m is not None and m.is_poly() else None
-        return self._early[key]
+        try:
+            m = self._draw_moment(sym, k)
+        except UnsupportedError:
+            return None
+        return m.num if m.is_poly() else None
 
     def _reduce(self, poly: Polynomial) -> Polynomial:
         """Finite-support reduction of the variables whose powers reach
@@ -215,43 +210,41 @@ class MomentEngine:
         return self._reduce(Polynomial(out))
 
     def substitute_body(self, *factors: Polynomial) -> Polynomial:
-        """One full body substitution into the product of the factors: the
-        result refers only to start-of-iteration values, draws and
-        parameters.
+        """One full body substitution into the product of one or more
+        factors: the result refers only to start-of-iteration values, draws
+        and parameters.
 
-        One factor is walked whole, one `substitute_var` step per variable
-        present, last declared first.  Several factors are eliminated
-        bucket by bucket in the same order (Dechter's bucket elimination):
-        the factors that mention the variable are multiplied and reduced,
-        the step runs on that product alone, and its result goes back on
-        the list.  The factors left at the end mention no updated variable
-        (for a static body) and are multiplied into the one polynomial
-        whose expectation is taken, so draws shared between updates stay
-        symbolic until then.  Support reduction is a ring map, so the
-        result is the polynomial the expanded product would give, while
-        the work grows with the largest bucket, not with the number of
-        factors.
+        The variables are eliminated last declared first, bucket by bucket
+        (Dechter's bucket elimination): the factors that mention the
+        variable are multiplied and reduced, `substitute_var` runs on that
+        product alone, and its result goes back on the list.  A single
+        factor, such as the monomial of an extraction, is one bucket after
+        another.  Support reduction is a ring map, so the result is the
+        polynomial the expanded product would give, while the work grows
+        with the largest bucket, not with the number of factors.  Each
+        factor left at the end is a step's reduced result or mentions no
+        program variable, and no program variable is in two of them, since
+        a bucket takes every factor that mentions its variable; so their
+        product, the polynomial whose expectation is taken, needs no
+        reduction, and draws shared between updates stay symbolic until
+        then.
         """
-        if len(factors) == 1:
-            poly = factors[0]
-            present = poly.symbols()
-            for var in reversed(self.vars):
-                if var in present:
-                    poly = self.substitute_var(var, poly)
-                    present = poly.symbols()
-            return poly
         pending = [(f, f.symbols()) for f in factors]
         for var in reversed(self.vars):
             bucket = [f for f, syms in pending if var in syms]
             if not bucket:
                 continue
-            pending = [(f, syms) for f, syms in pending if var not in syms]
+            if len(bucket) < len(pending):
+                pending = [(f, syms) for f, syms in pending if var not in syms]
+            else:  # a lone factor, as in an extraction, leaves none behind
+                pending = []
             merged = bucket[0]
             for f in bucket[1:]:
                 merged = self._reduce(merged * f)
             merged = self.substitute_var(var, merged)
             pending.append((merged, merged.symbols()))
-        return self._reduce(math.prod((f for f, _ in pending), start=Polynomial.const(1)))
+        body, *rest = (f for f, _ in pending)
+        return math.prod(rest, start=body)
 
     # -- expectation normal form ------------------------------------------
 
@@ -331,16 +324,10 @@ class MomentEngine:
         """E[product of the factors] after the first iteration of a body
         that overwrites every variable from draws and parameters alone, as
         a compiled static network does: one substitution, one expectation,
-        no recurrence.
-
-        A query passes its target and one indicator per evidence node.  The
-        single-term factors (a monomial target, the indicator of a positive
-        binary value, a constant) are multiplied into one monomial.  When at
-        most one factor has more terms, the monomial joins it and one
-        polynomial is substituted, as for a query without negative
-        evidence; otherwise the monomial is one more factor, so that it
-        widens none of the others."""
-        body = self.substitute_body(*self._query_factors(factors))
+        no recurrence.  A query passes its target and one indicator per
+        evidence node; each factor is reduced and goes into its own bucket
+        list entry, so that it widens only the buckets of its variables."""
+        body = self.substitute_body(*(self._reduce(f) for f in factors))
         linear, constant = self.expectation(body)
         if linear:
             left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))
@@ -349,22 +336,6 @@ class MomentEngine:
                 "does not overwrite every variable"
             )
         return constant
-
-    def _query_factors(self, factors) -> list[Polynomial]:
-        """The factors of a query with its single-term factors merged (see
-        `one_pass`), each reduced."""
-        mono = Polynomial.const(1)
-        multi: list[Polynomial] = []
-        for f in factors:
-            if len(f.terms) > 1:
-                multi.append(f)
-            else:
-                mono = mono * f
-        if len(multi) <= 1 or mono.is_zero():
-            multi = [math.prod(multi, start=mono)]
-        elif mono != 1:
-            multi.insert(0, mono)
-        return [self._reduce(f) for f in multi]
 
     def closed(self, poly: Polynomial) -> ClosedForm:
         """E[poly] as a function of n: the monomials of the reduced

@@ -39,7 +39,7 @@ from .encode import compile_bn, compile_dynbn
 from .errors import QueryError, UnsupportedError
 from .parser import parse_poly
 from .moments import MomentEngine
-from .program import Assignment, LoopProgram, bind
+from .program import Assignment, LoopProgram
 from .queries import forward_filter
 from .recurrence import ClosedForm
 from .symbolic import (
@@ -440,11 +440,11 @@ def mc_estimate(
     n_samples: int,
     seed: int = 0,
     n_iters: int = 1,
-    param_values: Optional[Mapping[str, Fraction]] = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> list[MCEstimate]:
     """Sample means and standard errors of target expressions after
-    n_iters loop iterations."""
+    n_iters loop iterations.  The model must have no free parameters:
+    bind them first (`bayesnet.bind`, `program.bind`)."""
     if n_samples < 1:
         raise QueryError(f"sample count must be positive, got {n_samples}")
     if isinstance(model, DynBayesNet):
@@ -453,13 +453,11 @@ def mc_estimate(
         prog = compile_bn(model)
     else:
         prog = model
-    values = param_values or {}
-    missing = [p.name for p in prog.params if p.name not in values]
+    missing = [p.name for p in prog.params]
     if missing:
         raise QueryError(
             f"simulation needs numeric values for parameters {missing}"
         )
-    prog = bind(prog, values)
     polys = []
     for t in targets:
         if isinstance(t, Polynomial):
@@ -506,7 +504,6 @@ def differential_check(
     bn: Union[BayesNet, DynBayesNet],
     mc_samples: Optional[int] = None,
     seed: int = 0,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> list[CheckLine]:
     """Engine-vs-oracle comparison on a network's basic moments.
 
@@ -536,7 +533,7 @@ def differential_check(
             lines += _check_dyn(bn, closeds)
     else:
         if all(nd.is_discrete for nd in bn.nodes):
-            table = enumerate_discrete(bn, cap)
+            table = enumerate_discrete(bn)
             lines.append(
                 CheckLine("joint total", "1", str(table.total()),
                           table.total() == RF_ONE)
@@ -549,7 +546,7 @@ def differential_check(
             wants = table.expectations([poly for _, poly in polys])
             targets = [(label, poly, want) for (label, poly), want in zip(polys, wants)]
         else:
-            mix = gaussian_propagate(bn, cap)
+            mix = gaussian_propagate(bn)
             targets = []
             for name in bn.order:
                 if not bn.node(name).is_discrete:

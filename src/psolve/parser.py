@@ -331,11 +331,11 @@ class _Parser:
         return Assignment(target, (Branch(RF_ONE, first),))
 
 
-def parse_program(source: str, check: bool = True) -> LoopProgram:
-    """Parse loop source text; raises ParseError with line:column on bad input."""
+def parse_program(source: str) -> LoopProgram:
+    """Parse and validate loop source text; raises ParseError with
+    line:column on bad input."""
     prog = _Parser(source).program()
-    if check:
-        validate(prog)
+    validate(prog)
     return prog
 
 

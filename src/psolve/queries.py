@@ -14,6 +14,8 @@ a distribution divides each state's indicator the same way.  Dynamic
 networks keep n symbolic: prediction returns the closed form
 (`MomentEngine.closed`), its value at a horizon, or its limit, from the
 moment recurrences, each of which is back-substituted before it is used.
+`predict_loop` does this for any loop program; `predict` calls it on a
+compiled network and the command line's `analyze` on a parsed program.
 
 Everything is exact.  Symbolic parameters flow through unchanged, so the
 same code path answers numeric queries and sensitivity queries; decisions
@@ -205,6 +207,17 @@ def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
     return QueryResult("distribution", vector, assumptions)
 
 
+def _sample_evidence(bn: BayesNet, evidence):
+    """A sample-count query's evidence, normalized: non-empty, on a static
+    network."""
+    if isinstance(bn, DynBayesNet):
+        raise UnsupportedError("sample-count queries apply to static networks")
+    pairs = normalize_evidence(bn, evidence)
+    if not pairs:
+        raise QueryError("empty evidence: every sample would be accepted")
+    return pairs
+
+
 def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryResult:
     """Expected number of samples drawn until the first one matching the
     evidence, i.e. 1/P(evidence).
@@ -213,11 +226,7 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     pass over its network variables, and with cross_check the monitor's
     count is solved as well and its limit must equal 1/p exactly.
     """
-    if isinstance(bn, DynBayesNet):
-        raise UnsupportedError("sample-count queries apply to static networks")
-    pairs = normalize_evidence(bn, evidence)
-    if not pairs:
-        raise QueryError("empty evidence: every sample would be accepted")
+    pairs = _sample_evidence(bn, evidence)
     monitor = compile_sampling_monitor(bn, pairs)
     engine = MomentEngine(monitor.program)
     _, p, assumptions = _evidence_mass(engine, bn, pairs)
@@ -242,13 +251,14 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
 
 
 def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
-    """Expected number of evidence-matching instances among n samples."""
+    """Expected number of evidence-matching instances among n samples,
+    n * P(evidence), from one pass on the compiled network."""
     if n_samples < 0:
         raise QueryError(f"sample count must be nonnegative, got {n_samples}")
-    res = expected_samples(bn, evidence, cross_check=False)
-    p = RationalFunction(Polynomial.const(Fraction(1))) / res.value
+    pairs = _sample_evidence(bn, evidence)
+    _, p, assumptions = _evidence_mass(MomentEngine(compile_bn(bn)), bn, pairs)
     value = p * RationalFunction(Polynomial.const(Fraction(n_samples)))
-    return QueryResult("positive", value, res.assumptions)
+    return QueryResult("positive", value, assumptions)
 
 
 def sensitivity(bn, query_spec: Mapping) -> QueryResult:
@@ -269,13 +279,23 @@ def predict(
     """E[target] over time: the closed form in n, its value at a horizon,
     or its limit."""
     poly = _target_poly(dyn.net, target)
-    closed = MomentEngine(compile_dynbn(dyn)).closed(poly)
+    return predict_loop(compile_dynbn(dyn), poly, at, limit)
+
+
+def predict_loop(
+    prog: LoopProgram, poly: Polynomial, at: Optional[int], limit: bool
+) -> QueryResult:
+    """E[poly] of a loop program over time: the closed form in n, its
+    value after `at` iterations, or its limit, which is decided over the
+    program's parameter domains; a diverging limit has the value None and
+    the diagnostic "diverges"."""
+    closed = MomentEngine(prog).closed(poly)
     if at is not None:
         if at < 0:
             raise QueryError(f"horizon must be nonnegative, got {at}")
         return QueryResult("predict", closed.at(at), closed.assumptions)
     if limit:
-        lim = expoly_limit(closed.tail, {p.name: p for p in dyn.net.params})
+        lim = expoly_limit(closed.tail, prog.param_map())
         assumptions = list(closed.assumptions)
         _merge(assumptions, lim.assumptions)
         if lim.kind == "diverges":

@@ -144,6 +144,22 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="unknown parent"):
             load_bn(doc)
 
+    @pytest.mark.parametrize("model, name", [
+        ({"kind": "lingauss", "intercept": "0", "coeffs": {"Q": "1"}, "variance": "1"}, "Q"),
+        ({"kind": "clg", "parents": ["Z"], "table": [
+            {"given": [0], "intercept": "0", "variance": "1"},
+            {"given": [1], "intercept": "1", "variance": "1"}]}, "Z"),
+        ({"kind": "clg", "parents": ["A"], "table": [
+            {"given": [0], "intercept": "0", "variance": "1"},
+            {"given": [1], "intercept": "1", "coeffs": {"Q": "2"}, "variance": "1"}]}, "Q"),
+    ], ids=["lingauss-coeff", "clg-parent", "clg-coeff"])
+    def test_unknown_gaussian_parent(self, model, name):
+        doc = doc_chain()
+        doc["nodes"][1] = {"name": "B", "model": model}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == f"node B: unknown parent {name!r}"
+
     def test_unknown_node_key(self):
         doc = doc_chain()
         doc["nodes"][0]["extra"] = 1

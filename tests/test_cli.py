@@ -75,6 +75,29 @@ class TestAnalyze:
         assert "exact: 3/8" in out
         assert "decimal: 0.375000" in out
 
+    def test_diverging_limit(self, capsys, tmp_path):
+        prog = tmp_path / "grow.psl"
+        prog.write_text("x := 1;\nwhile true {\n    x := 2*x + 1;\n}\n")
+        code, out, _ = run(capsys, "analyze", str(prog), "--goal", "x", "--limit")
+        assert code == 0
+        assert out == "goal: E[x]\nexact: diverges\nassumptions: (none)\n"
+        code, out, _ = run(capsys, "analyze", str(prog), "--goal", "x", "--limit",
+                           "--json")
+        assert code == 0
+        assert json.loads(out) == {"goal": "E[x]", "exact": "diverges", "assumptions": []}
+
+    def test_symbolic_limit_lists_its_assumptions(self, capsys, tmp_path):
+        prog = tmp_path / "sym.psl"
+        prog.write_text("param a;\ny := 1;\nwhile true {\n    y := a*y + 2 [1/2] y;\n}\n")
+        code, out, _ = run(capsys, "analyze", str(prog), "--goal", "y", "--limit",
+                           "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "goal": "E[y]",
+            "exact": "-2/(a - 1)",
+            "assumptions": ["1 != 1/2*a + 1/2", "|1/2*a + 1/2| < 1"],
+        }
+
     def test_at_and_limit_conflict(self, capsys):
         code, _, err = run(capsys, "analyze", UMBRELLA_PSL, "--goal", "R",
                            "--at", "3", "--limit")
@@ -157,6 +180,21 @@ class TestCompile:
         code, out, err = run(capsys, "compile-bn", str(net))
         assert (code, out) == (1, "")
         assert 'JSON object lists "p" twice' in err
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "lingauss", "intercept": "0", "coeffs": {"Q": "1"}, "variance": "1"},
+        {"kind": "clg", "parents": ["Q"], "table": [
+            {"given": [0], "intercept": "0", "variance": "1"},
+            {"given": [1], "intercept": "1", "variance": "1"}]},
+    ], ids=["lingauss", "clg"])
+    def test_unknown_gaussian_parent_exits_1(self, capsys, tmp_path, model):
+        net = tmp_path / "gauss.json"
+        net.write_text(json.dumps({"type": "bn", "nodes": [
+            {"name": "A", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+            {"name": "B", "model": model}]}))
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, out) == (1, "")
+        assert err == "error: node B: unknown parent 'Q'\n"
 
 
 class TestQuery:
@@ -331,6 +369,18 @@ class TestSamples:
         assert doc["exact"] == doc["monitor_limit"] == "500000000/1258221"
         assert doc["probability"] == "1258221/500000000"
         assert doc["assumptions"] == []
+
+    def test_expected_positive_printed(self, capsys):
+        spec = '{"query": "samples", "evidence": {"A": 1}, "N": 1000}'
+        code, out, err = run(capsys, "query", ALARM_SENS, "--spec", spec)
+        assert (code, err) == (0, "")
+        assert out == (
+            "query: positive\n"
+            "exact: -279*b*q + 939*b + 289*q + 1\n"
+            "decimal: -279*b*q + 939*b + 289*q + 1\n"
+            "assumptions:\n"
+            "  (-279/1000*b*q + 939/1000*b + 289/1000*q + 1/1000) != 0\n"
+        )
 
     def test_partial_binding(self, capsys):
         code, out, _ = run(capsys, "samples", ALARM_SENS, "--evidence", "A=1",

@@ -2,6 +2,7 @@
 expectation of static bodies."""
 
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
 from psolve.bayesnet import load_bn, load_bn_path
-from psolve.encode import compile_bn, compile_dynbn
+from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import DegreeCapError, InternalCheckError, UnsupportedError
 from psolve.exppoly import ExpPoly
 from psolve.moments import MomentEngine, check_mbis, compute_mbis, degree_cap
@@ -20,7 +21,7 @@ from psolve.oracle import differential_check, enumerate_discrete, gaussian_propa
 from psolve.parser import parse_program
 from psolve.program import Assignment, Branch, DrawSpec, Initializer, LoopProgram
 from psolve.queries import conditional_moment
-from psolve.symbolic import RF_ONE, Monomial, Polynomial, RationalFunction
+from psolve.symbolic import RF_ONE, RF_ZERO, Monomial, Polynomial, RationalFunction
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -431,6 +432,65 @@ class TestDrawIntegration:
         ]
         assert sizes and max(sizes) <= 16
         assert time.monotonic() - t0 < 10.0
+
+
+class TestOneSubstitutionPath:
+    """Every body substitution is bucket elimination: how a query is split
+    into factors changes how the work is done, not the result."""
+
+    @staticmethod
+    def _split(rng, pieces):
+        """The pieces shuffled and grouped at random into factors."""
+        pieces = list(pieces)
+        rng.shuffle(pieces)
+        factors: list[Polynomial] = []
+        for piece in pieces:
+            if factors and rng.random() < 0.4:
+                j = rng.randrange(len(factors))
+                factors[j] = factors[j] * piece
+            else:
+                factors.append(piece)
+        return factors
+
+    def test_static_factor_splits(self):
+        rng = random.Random(20261018)
+        split = 0
+        for i in range(40):
+            bn = random_discrete_bn(rng, rng.randint(2, 7))
+            engine = MomentEngine(compile_bn(bn))
+            names = [nd.name for nd in bn.nodes]
+            target = Polynomial.var(rng.choice(names)) ** rng.randint(1, 2)
+            chosen = rng.sample(names, rng.randint(1, len(names)))
+            inds = [indicator_poly(name, rng.randrange(2), 2) for name in chosen]
+            factors = self._split(rng, [target, *inds])
+            split += len(factors) > 1
+            product = math.prod(factors, start=Polynomial.const(1))
+            assert engine.substitute_body(*factors) == engine.substitute_body(product), i
+            got, want = engine.one_pass(*factors), engine.one_pass(product)
+            assert str(got) == str(want), i
+            assert got == enumerate_discrete(bn).expectation(product), i
+        assert split >= 20
+
+    @pytest.mark.parametrize("prog", [
+        parse_program(UMBRELLA),
+        compile_dynbn(load_bn(coupled_doc(7))),
+    ], ids=["umbrella", "coupled-7"])
+    def test_dynamic_extraction_per_variable_factors(self, prog):
+        rng = random.Random(7)
+        engine = MomentEngine(prog)
+        for i in range(25):
+            chosen = rng.sample(prog.variables, rng.randint(1, min(3, len(prog.variables))))
+            target = Monomial([(v, rng.randint(1, 2)) for v in chosen])
+            factors = [Polynomial.var(v) ** e for v, e in target.powers]
+            rng.shuffle(factors)
+            body = engine.substitute_body(*factors)
+            assert body == engine.substitute_body(Polynomial({target: F(1)})), i
+            linear, constant = engine.expectation(body)
+            rec = engine.extract(target)
+            assert str(linear.pop(target, RF_ZERO)) == str(rec.self_coeff), i
+            assert {m: str(c) for m, c in linear.items()} == {
+                m: str(c) for m, c in rec.linear}, i
+            assert str(constant) == str(rec.constant), i
 
 
 class TestSupportReduction:

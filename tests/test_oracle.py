@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from psolve.bayesnet import joint_rows, load_bn, load_bn_path
+from psolve.bayesnet import bind, joint_rows, load_bn, load_bn_path
 from psolve import moments
 from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import (
@@ -225,11 +225,8 @@ class TestMcEstimate:
             mc_estimate(bn, ["A"], 1000, seed=0)
 
     def test_param_binding_applied(self):
-        bn = load_bn_path(DATA / "alarm_sens.json")
-        est = mc_estimate(
-            bn, ["B"], 200_000, seed=2,
-            param_values={"b": F(1, 2), "q": F(1, 100)},
-        )[0]
+        bn = bind(load_bn_path(DATA / "alarm_sens.json"), {"b": F(1, 2), "q": F(1, 100)})
+        est = mc_estimate(bn, ["B"], 200_000, seed=2)[0]
         assert abs(est.mean - 0.5) < 4 * est.stderr
 
     def test_dynbn_iterations(self):

@@ -239,6 +239,10 @@ class TestOneCompilePerCall:
         expected_samples(asia, {"Asia": 1, "Lung": 1})
         assert compiles == ["compile_sampling_monitor"]
 
+    def test_expected_positive_compiles_no_monitor(self, asia, compiles):
+        expected_positive(asia, {"Asia": 1, "Lung": 1}, 1000)
+        assert compiles == ["compile_bn"]
+
 
 class TestExpectedSamples:
     def test_asia_exact(self, asia):
