@@ -12,7 +12,10 @@ the substituted body grows with its expectation rather than with the
 number of draws; a draw shared between updates, or whose moment is not a
 polynomial in the parameters or is not known, stays symbolic until the
 final expectation.  A worklist closes the set of needed moments, then
-closed forms are solved bottom-up along the dependency order.
+closed forms are solved bottom-up along the dependency order, each by
+`recurrence.py` from a recurrence in n whose inhomogeneous term combines
+the closed forms of the moments it depends on (`_first_order`), so it
+lists their assumptions after its own.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program, and `MomentEngine.substitute_body` is its one way to substitute
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapError, InternalCheckError, ProgramError, UnsupportedError
-from .exppoly import ExpPoly
 from .program import LoopProgram, is_draw
 from .recurrence import ClosedForm, FirstOrderRecurrence, solve_first_order, verify_solution
 from .symbolic import (
@@ -349,21 +351,7 @@ class MomentEngine:
             if not m.is_unit()
         ]
         mbis = compute_mbis(self, [m for m, _ in terms])
-        closeds = [(mbis[m].closed, c) for m, c in terms]
-        assumptions: list[str] = []
-        tail = ExpPoly.const(const)
-        for cf, c in closeds:
-            tail = tail + ExpPoly.const(c) * cf.tail
-            for item in cf.assumptions:
-                if item not in assumptions:
-                    assumptions.append(item)
-        prefix = []
-        for j in range(max((cf.start for cf, _ in closeds), default=0)):
-            value = const
-            for cf, c in closeds:
-                value = value + c * cf.at(j)
-            prefix.append(value)
-        return ClosedForm(tuple(prefix), tail, tuple(assumptions)).normalized()
+        return ClosedForm.combine(const, [(c, mbis[m].closed) for m, c in terms]).normalized()
 
     # -- initial values ----------------------------------------------------
 
@@ -411,18 +399,13 @@ def _toposort(recs: dict[Monomial, MomentRecurrence]) -> list[Monomial]:
     return order
 
 
-def _g_tail(rec: MomentRecurrence, solved: dict[Monomial, ClosedForm]) -> ExpPoly:
-    g = ExpPoly.const(rec.constant) if not rec.constant.is_zero() else ExpPoly.zero()
-    for dep, a in rec.linear:
-        g = g + solved[dep].tail * a
-    return g
-
-
-def _g_at(rec: MomentRecurrence, solved: dict[Monomial, ClosedForm], n: int) -> RationalFunction:
-    g = rec.constant
-    for dep, a in rec.linear:
-        g = g + a * solved[dep].at(n)
-    return g
+def _first_order(
+    engine: MomentEngine, m: Monomial, rec: MomentRecurrence, solved: dict[Monomial, ClosedForm]
+) -> FirstOrderRecurrence:
+    """E[m]'s recurrence in n alone: its inhomogeneous term is the constant
+    plus the solved closed forms of the moments it depends on."""
+    g = ClosedForm.combine(rec.constant, [(a, solved[dep]) for dep, a in rec.linear])
+    return FirstOrderRecurrence(rec.self_coeff, g, engine.initial_moment(m))
 
 
 def compute_mbis(
@@ -471,17 +454,7 @@ def compute_mbis(
 
     solved: dict[Monomial, ClosedForm] = {}
     for m in _toposort(recs):
-        rec = recs[m]
-        start = max((solved[dep].start for dep, _ in rec.linear), default=0)
-        values = [engine.initial_moment(m)]
-        for j in range(start):
-            values.append(rec.self_coeff * values[j] + _g_at(rec, solved, j))
-        cf = solve_first_order(
-            FirstOrderRecurrence(rec.self_coeff, _g_tail(rec, solved), values[start]),
-            start=start,
-            prefix=tuple(values[:start]),
-        )
-        solved[m] = cf
+        solved[m] = solve_first_order(_first_order(engine, m, recs[m], solved))
 
     mbis = {m: MBI(m, recs[m], solved[m]) for m in recs}
     if check:
@@ -491,7 +464,9 @@ def compute_mbis(
 
 def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> None:
     """Back-substitution check: every closed form must satisfy its recurrence
-    and initial value exactly.  Raises InternalCheckError on failure.
+    and initial value exactly.  `recurrence.verify_solution` makes the
+    comparisons; the InternalCheckError it raises is reraised with the
+    moment named.
 
     `prog` is a `LoopProgram` or the `MomentEngine` built for one; the
     recurrences come from the MBIs and the initial values from the
@@ -502,20 +477,10 @@ def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> N
     solved = {m: mbi.closed for m, mbi in mbis.items()}
     for m, mbi in mbis.items():
         rec = mbi.recurrence
-        cf = mbi.closed
         for dep, _ in rec.linear:
             if dep not in solved:
                 raise InternalCheckError(f"moment {m} depends on unsolved {dep}")
-        if not cf.at(0) == engine.initial_moment(m):
-            raise InternalCheckError(f"closed form of E[{m}] wrong at n = 0")
-        start = max((solved[dep].start for dep, _ in rec.linear), default=0)
-        fo = FirstOrderRecurrence(rec.self_coeff, _g_tail(rec, solved), cf.at(start))
-        if not verify_solution(fo, cf, start=start):
-            raise InternalCheckError(f"closed form of E[{m}] fails back-substitution")
-        for j in range(start):
-            lhs = cf.at(j + 1)
-            rhs = rec.self_coeff * cf.at(j) + _g_at(rec, solved, j)
-            if not lhs == rhs:
-                raise InternalCheckError(
-                    f"closed form of E[{m}] fails the recurrence at n = {j}"
-                )
+        try:
+            verify_solution(_first_order(engine, m, rec, solved), mbi.closed)
+        except InternalCheckError as exc:
+            raise InternalCheckError(f"closed form of E[{m}] {exc}") from None

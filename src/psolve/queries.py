@@ -45,7 +45,7 @@ from .exppoly import expoly_limit
 from .moments import MomentEngine
 from .parser import parse_poly
 from .program import LoopProgram
-from .recurrence import ClosedForm
+from .recurrence import ClosedForm, merge_assumptions
 from .symbolic import (
     Monomial,
     Polynomial,
@@ -111,12 +111,6 @@ def expectation_at(prog: LoopProgram, poly: Polynomial, n: int):
     """E[poly] after n loop iterations, with solver assumptions."""
     closed = MomentEngine(prog).closed(poly)
     return closed.at(n), closed.assumptions
-
-
-def _merge(into: list[str], new: Sequence[str]) -> None:
-    for item in new:
-        if item not in into:
-            into.append(item)
 
 
 def _target_poly(bn: BayesNet, target) -> Polynomial:
@@ -230,7 +224,6 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     monitor = compile_sampling_monitor(bn, pairs)
     engine = MomentEngine(monitor.program)
     _, p, assumptions = _evidence_mass(engine, bn, pairs)
-    assumptions = list(assumptions)
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
@@ -245,9 +238,9 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
             raise InternalCheckError(
                 f"monitor limit {limit.value} disagrees with 1/p = {value}"
             )
-        _merge(assumptions, limit.assumptions)
+        assumptions = merge_assumptions(assumptions, limit.assumptions)
         extras.append(("monitor_limit", str(limit.value)))
-    return QueryResult("samples", value, tuple(assumptions), extras=tuple(extras))
+    return QueryResult("samples", value, assumptions, extras=tuple(extras))
 
 
 def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
@@ -289,20 +282,17 @@ def predict_loop(
     value after `at` iterations, or its limit, which is decided over the
     program's parameter domains; a diverging limit has the value None and
     the diagnostic "diverges"."""
+    if at is not None and at < 0:
+        raise QueryError(f"horizon must be nonnegative, got {at}")
     closed = MomentEngine(prog).closed(poly)
     if at is not None:
-        if at < 0:
-            raise QueryError(f"horizon must be nonnegative, got {at}")
         return QueryResult("predict", closed.at(at), closed.assumptions)
     if limit:
         lim = expoly_limit(closed.tail, prog.param_map())
-        assumptions = list(closed.assumptions)
-        _merge(assumptions, lim.assumptions)
+        assumptions = merge_assumptions(closed.assumptions, lim.assumptions)
         if lim.kind == "diverges":
-            return QueryResult(
-                "predict", None, tuple(assumptions), diagnostics=("diverges",)
-            )
-        return QueryResult("predict", lim.value, tuple(assumptions))
+            return QueryResult("predict", None, assumptions, diagnostics=("diverges",))
+        return QueryResult("predict", lim.value, assumptions)
     return QueryResult("predict", closed, closed.assumptions)
 
 

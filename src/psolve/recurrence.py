@@ -1,27 +1,33 @@
-"""First-order linear recurrences with constant coefficient.
+"""Piecewise closed forms and first-order linear recurrences.
 
-f(n+1) = c * f(n) + g(n), with g an exponential polynomial, solved by
-undetermined coefficients.  A base equal to c (decided exactly on rational
-functions) is resonant and raises the particular-solution degree by one; a
-symbolic base merely unequal to c is treated as nonresonant and the
-assumption recorded.  c = 0 has no exponential closed form, so solutions
-are piecewise: explicit values below a start index, an ExpPoly tail above.
+A `ClosedForm` is explicit values below a start index and an ExpPoly tail
+from there on, with the assumptions under which it holds.
+`ClosedForm.combine` is the one linear combination of closed forms and
+`merge_assumptions` the one ordered merge of assumption lists.
+
+f(n+1) = c * f(n) + g(n), with g a `ClosedForm`, is iterated exactly below
+g's start and solved by undetermined coefficients on g's tail.  A base
+equal to c (decided exactly on rational functions) is resonant and raises
+the particular-solution degree by one; a symbolic base merely unequal to c
+is treated as nonresonant and the assumption recorded.  c = 0 has no
+exponential closed form, so that solution is piecewise too.  A solution
+lists its own assumptions, then g's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
+from .errors import InternalCheckError
 from .exppoly import ExpPoly
 from .symbolic import RationalFunction, RF_ZERO
 
 
-@dataclass(frozen=True)
-class FirstOrderRecurrence:
-    self_coeff: RationalFunction
-    inhomog: ExpPoly
-    initial: RationalFunction  # value at the start index
+def merge_assumptions(*lists: Sequence[str]) -> tuple[str, ...]:
+    """The entries of every list in order, each kept at its first place."""
+    return tuple(dict.fromkeys(item for items in lists for item in items))
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,28 @@ class ClosedForm:
     prefix: tuple[RationalFunction, ...]
     tail: ExpPoly
     assumptions: tuple[str, ...] = ()
+
+    @staticmethod
+    def combine(
+        constant: RationalFunction, terms: Sequence[tuple[RationalFunction, "ClosedForm"]]
+    ) -> "ClosedForm":
+        """constant + the sum of coeff * cf over the (coeff, cf) terms.
+
+        The prefix runs to the latest start among the terms, the tail is
+        the same combination of their tails, and the assumptions are the
+        terms' in order.
+        """
+        tail = ExpPoly.const(constant)
+        for c, cf in terms:
+            tail = tail + cf.tail * c
+        prefix = []
+        for j in range(max((cf.start for _, cf in terms), default=0)):
+            value = constant
+            for c, cf in terms:
+                value = value + c * cf.at(j)
+            prefix.append(value)
+        assumptions = merge_assumptions(*(cf.assumptions for _, cf in terms))
+        return ClosedForm(tuple(prefix), tail, assumptions)
 
     @property
     def start(self) -> int:
@@ -67,6 +95,15 @@ class ClosedForm:
             return str(self.tail)
         pieces = ", ".join(f"f({i}) = {v}" for i, v in enumerate(self.prefix))
         return f"{self.tail} for n >= {self.start}; {pieces}"
+
+
+@dataclass(frozen=True)
+class FirstOrderRecurrence:
+    """f(n+1) = self_coeff * f(n) + inhomog(n) for n >= 0, f(0) = initial."""
+
+    self_coeff: RationalFunction
+    inhomog: ClosedForm
+    initial: RationalFunction
 
 
 def _particular(g: ExpPoly, c: RationalFunction) -> tuple[list, list[str]]:
@@ -112,48 +149,44 @@ def _particular(g: ExpPoly, c: RationalFunction) -> tuple[list, list[str]]:
     return terms, assumptions
 
 
-def solve_first_order(
-    rec: FirstOrderRecurrence,
-    start: int = 0,
-    prefix: tuple[RationalFunction, ...] = (),
-) -> ClosedForm:
-    """Solve f(n+1) = c*f(n) + g(n) for n >= start with f(start) = rec.initial.
+def solve_first_order(rec: FirstOrderRecurrence) -> ClosedForm:
+    """Solve f(n+1) = c*f(n) + g(n), f(0) = rec.initial.
 
-    `prefix` supplies the exact values f(0), ..., f(start-1) when start > 0.
+    Below g's start the values are iterated exactly; from there on g is
+    its tail, and the tail of f follows by undetermined coefficients.
     """
-    if len(prefix) != start:
-        raise ValueError("prefix must list exactly the values below start")
-    c = rec.self_coeff
+    c, g = rec.self_coeff, rec.inhomog
+    start = g.start
+    values = [rec.initial]
+    for j in range(start):
+        values.append(c * values[j] + g.at(j))
     if c.is_zero():
-        tail = rec.inhomog.shift(-1)
-        return ClosedForm(prefix + (rec.initial,), tail).normalized()
-    part_terms, assumptions = _particular(rec.inhomog, c)
+        return ClosedForm(tuple(values), g.tail.shift(-1), g.assumptions).normalized()
+    part_terms, assumptions = _particular(g.tail, c)
     part = ExpPoly(part_terms)
     if start > 0 and not c.is_const():
         assumptions.append(f"{c} != 0")
-    amp = (rec.initial - part.at(start)) / c**start
+    amp = (values[start] - part.at(start)) / c**start
     tail = part + ExpPoly.term(amp, c, 0)
-    return ClosedForm(prefix, tail, tuple(assumptions)).normalized()
+    merged = merge_assumptions(assumptions, g.assumptions)
+    return ClosedForm(tuple(values[:start]), tail, merged).normalized()
 
 
-def verify_solution(rec: FirstOrderRecurrence, cf: ClosedForm, start: int = 0) -> bool:
-    """Check the closed form against the recurrence.
+def verify_solution(rec: FirstOrderRecurrence, cf: ClosedForm) -> None:
+    """Check the closed form against the recurrence; raise
+    InternalCheckError naming the first comparison that fails.
 
-    The tail is checked formally (the ExpPoly identity tail(n+1) - c*tail(n)
-    - g(n) = 0), the boundary and any prefix steps pointwise in exact
-    arithmetic.  Nothing is sampled and nothing is rounded.
+    In order: the value at n = 0, the formal tail identity (the ExpPoly
+    tail(n+1) - c*tail(n) - g.tail(n) is zero), then each step f(n+1) =
+    c*f(n) + g(n) up to two past the later of the two starts, across
+    both piecewise boundaries.  Nothing is sampled and nothing is rounded.
     """
-    if not cf.at(start) == rec.initial:
-        return False
-    c = rec.self_coeff
-    tail_ident = cf.tail.shift(1) - ExpPoly.term(c, 1, 0) * cf.tail - rec.inhomog
+    if not cf.at(0) == rec.initial:
+        raise InternalCheckError("wrong at n = 0")
+    c, g = rec.self_coeff, rec.inhomog
+    tail_ident = cf.tail.shift(1) - ExpPoly.term(c, 1, 0) * cf.tail - g.tail
     if not tail_ident.is_zero():
-        return False
-    # Pointwise spot checks across the piecewise boundary.
-    hi = max(cf.start + 2, start + 2)
-    for n in range(start, hi):
-        lhs = cf.at(n + 1)
-        rhs = c * cf.at(n) + rec.inhomog.at(n)
-        if not lhs == rhs:
-            return False
-    return True
+        raise InternalCheckError("fails back-substitution")
+    for n in range(max(cf.start, g.start) + 2):
+        if not cf.at(n + 1) == c * cf.at(n) + g.at(n):
+            raise InternalCheckError(f"fails the recurrence at n = {n}")

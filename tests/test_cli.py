@@ -86,6 +86,23 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out) == {"goal": "E[x]", "exact": "diverges", "assumptions": []}
 
+    def test_closed_form_lists_its_dependencies_assumptions(self, capsys, tmp_path):
+        prog = tmp_path / "xyz.psl"
+        prog.write_text(
+            "param a; param b;\n"
+            "z := 1; y := 0; x := 0;\n"
+            "while true {\n    z := b*z;\n    y := a*y + z;\n    x := x + y;\n}\n"
+        )
+        code, out, _ = run(capsys, "analyze", str(prog), "--goal", "x")
+        assert code == 0
+        assert out == (
+            "goal: E[x]\n"
+            "closed_form: (a^2*b - 2*a*b^2 + b^3)/(a^3*b - 2*a^2*b^2 + a*b^3 - a^3"
+            " + a^2*b + a*b^2 - b^3 + a^2 - 2*a*b + b^2)"
+            " + (a*b/(a^2 - a*b - a + b))*a^n + (-b^2/(a*b - b^2 - a + b))*b^n\n"
+            "assumptions:\n  a != 1\n  b != 1\n  b != a\n"
+        )
+
     def test_symbolic_limit_lists_its_assumptions(self, capsys, tmp_path):
         prog = tmp_path / "sym.psl"
         prog.write_text("param a;\ny := 1;\nwhile true {\n    y := a*y + 2 [1/2] y;\n}\n")

@@ -144,6 +144,18 @@ class TestComputeMbis:
         )
         assert closed.assumptions
 
+    def test_closed_form_keeps_its_dependencies_assumptions(self):
+        # E[y] needs b != a; E[x] sums E[y], so it is solved from that
+        # closed form and holds only under the same assumption
+        prog = parse_program(
+            "param a; param b; z := 1; y := 0; x := 0; "
+            "while true { z := b*z; y := a*y + z; x := x + y; }"
+        )
+        x, y = Monomial.of("x"), Monomial.of("y")
+        mbis = compute_mbis(prog, [x])
+        assert mbis[y].closed.assumptions == ("b != a",)
+        assert mbis[x].closed.assumptions == ("a != 1", "b != 1", "b != a")
+
     def test_engine_is_accepted_and_reused(self, monkeypatch):
         prog = parse_program(UMBRELLA)
         goals = [Monomial.of("R"), Monomial.of("U")]

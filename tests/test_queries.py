@@ -298,6 +298,25 @@ class TestPredict:
         with pytest.raises(QueryError, match="horizon"):
             predict(umbrella, "R", at=-1)
 
+    def test_negative_horizon_is_rejected_before_solving(self, umbrella, monkeypatch):
+        calls = []
+        original = psolve.queries.MomentEngine.closed
+
+        def counted(self, poly):
+            calls.append(poly)
+            return original(self, poly)
+
+        monkeypatch.setattr(psolve.queries.MomentEngine, "closed", counted)
+        with pytest.raises(QueryError, match="horizon must be nonnegative, got -1"):
+            predict(umbrella, "R", at=-1)
+        assert calls == []
+
+    def test_closed_form_lists_the_assumptions_it_was_solved_from(self):
+        # U's closed form is solved from R's, which assumes 1 != r - 3/10
+        dyn = load_bn_path(DATA / "umbrella_sens.json")
+        assert predict(dyn, "R").assumptions == ("1 != r - 3/10",)
+        assert predict(dyn, "U").assumptions == ("1 != r - 3/10",)
+
 
 class TestForwardFilter:
     def test_umbrella_two_wet_observations(self):

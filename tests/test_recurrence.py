@@ -1,10 +1,12 @@
 """First-order recurrence solving."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psolve.errors import InternalCheckError
 from psolve.exppoly import ExpPoly
 from psolve.recurrence import (
     ClosedForm,
@@ -20,7 +22,7 @@ def rf(v):
 
 
 def rec(c, g, f0):
-    return FirstOrderRecurrence(rf(c), g, rf(f0))
+    return FirstOrderRecurrence(rf(c), ClosedForm((), g), rf(f0))
 
 
 class TestBasic:
@@ -30,7 +32,7 @@ class TestBasic:
         expected = ExpPoly.const(F(1, 2)) + ExpPoly.term(F(1, 2), F(2, 5))
         assert cf.prefix == ()
         assert cf.tail == expected
-        assert verify_solution(rec(F(2, 5), ExpPoly.const(F(3, 10)), 1), cf)
+        verify_solution(rec(F(2, 5), ExpPoly.const(F(3, 10)), 1), cf)
 
     def test_homogeneous(self):
         cf = solve_first_order(rec(F(1, 3), ExpPoly.zero(), F(5)))
@@ -45,7 +47,7 @@ class TestBasic:
         # f(n+1) = 1/2 f(n) + (1/3)^n, f(0) = 0
         r = rec(F(1, 2), ExpPoly.term(1, F(1, 3)), 0)
         cf = solve_first_order(r)
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
         assert cf.at(0) == rf(0)
         assert cf.at(1) == rf(1)
         assert cf.at(2) == rf(F(1, 2) + F(1, 3))
@@ -54,7 +56,7 @@ class TestBasic:
         # f(n+1) = 2 f(n) + 2^n needs an n 2^n particular term
         r = rec(2, ExpPoly.term(1, 2), 1)
         cf = solve_first_order(r)
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
         assert any(t.degree == 1 for t in cf.tail.terms)
         assert cf.at(3) == rf(8 + 3 * 4)
 
@@ -78,7 +80,7 @@ class TestZeroCoefficient:
         g = ExpPoly.term(1, F(1, 2)) + ExpPoly.const(1)
         r = rec(0, g, F(9))
         cf = solve_first_order(r)
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
         for n in range(1, 5):
             assert cf.at(n) == g.at(n - 1)
 
@@ -87,9 +89,9 @@ class TestSymbolic:
     def test_symbolic_coefficient(self):
         # f(n+1) = c f(n) + (1 - c), f(0) = 1 is constantly 1
         c = rf(Polynomial.var("c"))
-        r = FirstOrderRecurrence(c, ExpPoly.const(RF_ONE - c), RF_ONE)
+        r = FirstOrderRecurrence(c, ClosedForm((), ExpPoly.const(RF_ONE - c)), RF_ONE)
         cf = solve_first_order(r)
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
         for n in range(4):
             assert cf.at(n) == RF_ONE
 
@@ -98,23 +100,33 @@ class TestSymbolic:
         # so the solver must assume they differ and say so
         c = rf(Polynomial.var("c"))
         rr = rf(Polynomial.var("r"))
-        r = FirstOrderRecurrence(c, ExpPoly.term(1, rr), rf(1))
+        r = FirstOrderRecurrence(c, ClosedForm((), ExpPoly.term(1, rr)), rf(1))
         cf = solve_first_order(r)
         assert cf.assumptions
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
 
     def test_constant_difference_needs_no_assumption(self):
         # coefficient r - 3/10 versus base r differ by the constant 3/10,
         # which is decidable, so no assumption is recorded
         rr = rf(Polynomial.var("r"))
-        r = FirstOrderRecurrence(rr - rf(F(3, 10)), ExpPoly.term(1, rr), rf(1))
+        r = FirstOrderRecurrence(rr - rf(F(3, 10)), ClosedForm((), ExpPoly.term(1, rr)), rf(1))
         cf = solve_first_order(r)
         assert cf.assumptions == ()
-        assert verify_solution(r, cf)
+        verify_solution(r, cf)
+
+    def test_assumptions_own_then_inhomogeneous_terms(self):
+        # own: resonance check 1 != c, and c != 0 for the step past g's
+        # prefix; then g's, without repeats
+        c = rf(Polynomial.var("c"))
+        g = ClosedForm((rf(1),), ExpPoly.const(1), ("g != 0", "c != 0"))
+        r = FirstOrderRecurrence(c, g, rf(0))
+        cf = solve_first_order(r)
+        verify_solution(r, cf)
+        assert cf.assumptions == ("1 != c", "c != 0", "g != 0")
 
     def test_unit_base_assumption(self):
         c = rf(Polynomial.var("c"))
-        r = FirstOrderRecurrence(c, ExpPoly.const(1), rf(0))
+        r = FirstOrderRecurrence(c, ClosedForm((), ExpPoly.const(1)), rf(0))
         cf = solve_first_order(r)
         # base 1 versus coefficient c needs the assumption 1 != c
         assert any("c" in a for a in cf.assumptions)
@@ -134,10 +146,46 @@ class TestClosedForm:
         assert ClosedForm((rf(7),), ExpPoly.const(3)).total() is None
         assert ClosedForm((), ExpPoly.const(3)).total() == ExpPoly.const(3)
 
+    def test_combine(self):
+        a = ClosedForm((rf(7), rf(1)), ExpPoly.term(1, F(1, 2)), ("p != 1", "q != 0"))
+        b = ClosedForm((rf(-2),), ExpPoly.const(3) + ExpPoly.term(1, 2, 1), ("q != 0", "s != 2"))
+        const, ca, cb = rf(F(1, 3)), rf(2), rf(F(-5, 4))
+        cf = ClosedForm.combine(const, [(ca, a), (cb, b)])
+        assert cf.start == 2
+        for n in range(7):
+            assert cf.at(n) == const + ca * a.at(n) + cb * b.at(n)
+        assert cf.assumptions == ("p != 1", "q != 0", "s != 2")
+
     def test_subs(self):
         c = Polynomial.var("c")
         cf = ClosedForm((), ExpPoly.term(RationalFunction(c), F(1, 2)))
         assert cf.subs({"c": F(3)}).at(1) == rf(F(3, 2))
+
+
+class TestVerifySolution:
+    """verify_solution names the first comparison that fails."""
+
+    UMBRELLA = rec(F(2, 5), ExpPoly.const(F(3, 10)), 1)
+
+    def test_wrong_initial_value(self):
+        cf = solve_first_order(self.UMBRELLA)
+        bad = replace(cf, tail=cf.tail + ExpPoly.const(1))
+        with pytest.raises(InternalCheckError, match=r"^wrong at n = 0$"):
+            verify_solution(self.UMBRELLA, bad)
+
+    def test_wrong_tail(self):
+        # 1/2 + 1/2*(3/5)^n is 1 at n = 0 but solves another recurrence
+        bad = ClosedForm((), ExpPoly.const(F(1, 2)) + ExpPoly.term(F(1, 2), F(3, 5)))
+        with pytest.raises(InternalCheckError, match=r"^fails back-substitution$"):
+            verify_solution(self.UMBRELLA, bad)
+
+    def test_wrong_step_below_the_inhomogeneous_start(self):
+        # f(n+1) = g(n) with g(0) = 5 and g = 3 after: f is 7, 5, 3, 3, ...
+        r = FirstOrderRecurrence(rf(0), ClosedForm((rf(5),), ExpPoly.const(3)), rf(7))
+        assert solve_first_order(r).prefix == (rf(7), rf(5))
+        # right at n = 0 and a solution in the tail, but f(1) misses g(0)
+        with pytest.raises(InternalCheckError, match=r"^fails the recurrence at n = 0$"):
+            verify_solution(r, ClosedForm((rf(7),), ExpPoly.const(3)))
 
 
 # -- property tests --------------------------------------------------------
@@ -160,13 +208,33 @@ def recurrences(draw):
 @settings(max_examples=80, deadline=None)
 def test_solution_satisfies_recurrence(r):
     cf = solve_first_order(r)
-    assert verify_solution(r, cf)
+    verify_solution(r, cf)
 
 
 @given(recurrences(), st.integers(0, 8))
 @settings(max_examples=80, deadline=None)
 def test_solution_matches_iteration(r, n):
     cf = solve_first_order(r)
+    value = r.initial
+    for i in range(n):
+        value = r.self_coeff * value + r.inhomog.at(i)
+    assert cf.at(n) == value
+
+
+@st.composite
+def piecewise_recurrences(draw):
+    """A recurrence whose inhomogeneous term has 0-3 values before its tail."""
+    r = draw(recurrences())
+    c = draw(st.just(F(0)) | coeffs)
+    prefix = tuple(rf(draw(coeffs)) for _ in range(draw(st.integers(0, 3))))
+    return FirstOrderRecurrence(rf(c), ClosedForm(prefix, r.inhomog.tail), r.initial)
+
+
+@given(piecewise_recurrences(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_piecewise_inhomogeneous_term(r, n):
+    cf = solve_first_order(r)
+    verify_solution(r, cf)
     value = r.initial
     for i in range(n):
         value = r.self_coeff * value + r.inhomog.at(i)
