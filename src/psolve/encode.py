@@ -69,11 +69,22 @@ def indicator_poly(name: str, value: int, support: int) -> Polynomial:
 def normalize_evidence(
     bn: BayesNet, evidence
 ) -> Tuple[Tuple[str, int], ...]:
-    """Turn {node: state} (or pairs) into ((name, index), ...), checking
-    that every node is discrete and mentioned at most once."""
-    items = evidence.items() if isinstance(evidence, Mapping) else evidence
+    """Turn {node: state} (or a list or tuple of [node, state] pairs) into
+    ((name, index), ...), checking that every name is a string, every node
+    is discrete and mentioned at most once."""
+    if isinstance(evidence, Mapping):
+        items = evidence.items()
+    elif isinstance(evidence, (list, tuple)):
+        items = evidence
+    else:
+        raise QueryError(
+            f"evidence must be a mapping or a list of [node, state] pairs, got {evidence!r}"
+        )
     out: list[tuple[str, int]] = []
-    for name, value in items:
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2 or not isinstance(item[0], str):
+            raise QueryError(f"evidence entry {item!r} is not a [node, state] pair")
+        name, value = item
         node = bn.node(name)
         if not node.is_discrete:
             raise UnsupportedError(
@@ -168,7 +179,7 @@ def _emit_cpt(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
         return
     aux_names = []
     for i, (assignment, vec) in enumerate(cpt.rows):
-        ind = evidence_indicator(bn, zip(cpt.parents, assignment))
+        ind = evidence_indicator(bn, tuple(zip(cpt.parents, assignment)))
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, _value_branches(vec, ind, m), Polynomial.zero(), m)
         aux_names.append(aux)
@@ -203,7 +214,7 @@ def _emit_clg(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
     clg: CLG = node.model
     aux_names = []
     for i, (assignment, lg) in enumerate(clg.table):
-        ind = evidence_indicator(bn, zip(clg.parents, assignment))
+        ind = evidence_indicator(bn, tuple(zip(clg.parents, assignment)))
         expr = ind * _gauss_expr(builder, lg, node.name)
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, [Branch(RF_ONE, expr)], Polynomial.zero())
@@ -248,7 +259,7 @@ def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
         # rows are exclusive, so all joint moments match the CPT exactly.
         expr = Polynomial.zero()
         for assignment, vec in cpt.rows:
-            ind = evidence_indicator(bn, zip(cpt.parents, assignment))
+            ind = evidence_indicator(bn, tuple(zip(cpt.parents, assignment)))
             expr = expr + builder.registry.fresh(DrawSpec("bern", vec[1])) * ind
         builder.emit(node.name, [Branch(RF_ONE, expr)], init, m)
         return

@@ -27,7 +27,11 @@ passes its target and one indicator per evidence node, so negative
 evidence (a factor 1 - F) does not double the polynomial.  A body that
 overwrites every variable from draws and parameters alone (a compiled
 static network) needs no recurrence: `MomentEngine.one_pass` substitutes
-the body into the query once and takes one expectation.  Any other body
+the body into the query once and takes one expectation.  Every
+`one_pass` walk reads and fills the engine's table of bucket messages,
+so the expectations of one query build each message they share once; an
+extraction walk keys nothing, since it never meets the same bucket
+twice.  Any other body
 goes through `MomentEngine.closed`, which closes the query's monomials
 with `compute_mbis` and combines their closed forms in n.
 `compute_mbis` and `check_mbis` take a program or the engine built for
@@ -37,6 +41,7 @@ back-substitution check of one query share one engine and its caches.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -110,6 +115,12 @@ class MomentEngine:
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], RationalFunction] = {}
+        # the message table of `one_pass` walks: (var, the id of the
+        # bucket's lone factor or the sorted ids of its factors) ->
+        # (message, its symbols, its id)
+        self._messages: dict[tuple[str, object], tuple[Polynomial, frozenset[str], int]] = {}
+        self._interned: dict[frozenset, int] = {}
+        self._ids = itertools.count()
 
     # -- update powers -----------------------------------------------------
 
@@ -211,7 +222,16 @@ class MomentEngine:
                 out[m] = out.get(m, Fraction(0)) + coeff * c2
         return self._reduce(Polynomial(out))
 
-    def substitute_body(self, *factors: Polynomial) -> Polynomial:
+    def _intern(self, poly: Polynomial) -> int:
+        """The message-table id of a bucket factor or product, interned by
+        its terms, so that equal polynomials get one id."""
+        key = frozenset(poly.terms.items())
+        pid = self._interned.get(key)
+        if pid is None:
+            pid = self._interned[key] = next(self._ids)
+        return pid
+
+    def substitute_body(self, *factors: Polynomial, shared: bool = False) -> Polynomial:
         """One full body substitution into the product of one or more
         factors: the result refers only to start-of-iteration values, draws
         and parameters.
@@ -219,34 +239,77 @@ class MomentEngine:
         The variables are eliminated last declared first, bucket by bucket
         (Dechter's bucket elimination): the factors that mention the
         variable are multiplied and reduced, `substitute_var` runs on that
-        product alone, and its result goes back on the list.  A single
-        factor, such as the monomial of an extraction, is one bucket after
-        another.  Support reduction is a ring map, so the result is the
-        polynomial the expanded product would give, while the work grows
-        with the largest bucket, not with the number of factors.  Each
-        factor left at the end is a step's reduced result or mentions no
+        product alone, and its result, the bucket's message, goes back on
+        the list.  A single factor, such as the monomial of an extraction,
+        is one bucket after another.  Support reduction is a ring map, so
+        the result is the polynomial the expanded product would give, while
+        the work grows with the largest bucket, not with the number of
+        factors.  Each factor left at the end is a message or mentions no
         program variable, and no program variable is in two of them, since
         a bucket takes every factor that mentions its variable; so their
         product, the polynomial whose expectation is taken, needs no
         reduction, and draws shared between updates stay symbolic until
         then.
+
+        With shared=True, as every `one_pass` walks, the buckets go through
+        the engine's message table, so that the expectations of one query
+        (numerator and denominator, the states of a distribution, the
+        targets of a check) build each message once, as in Kask, Dechter,
+        Larrosa and Dechter's bucket trees.  A message is fixed by its
+        variable and the product of its bucket.  Each input factor is
+        interned by its terms and each message gets a fresh small id; a
+        bucket is keyed by its variable and the ids of its factors
+        (`_shared_message`), and a bucket seen before skips its product,
+        reduction and step.  No polynomial is hashed on a hit.  An
+        extraction walk keys nothing: `compute_mbis` extracts each monomial
+        once, so nothing there could hit.
         """
-        pending = [(f, f.symbols()) for f in factors]
+        pending = [(f, f.symbols(), self._intern(f) if shared else -1) for f in factors]
         for var in reversed(self.vars):
-            bucket = [f for f, syms in pending if var in syms]
+            bucket = [entry for entry in pending if var in entry[1]]
             if not bucket:
                 continue
             if len(bucket) < len(pending):
-                pending = [(f, syms) for f, syms in pending if var not in syms]
+                pending = [entry for entry in pending if var not in entry[1]]
             else:  # a lone factor, as in an extraction, leaves none behind
                 pending = []
-            merged = bucket[0]
-            for f in bucket[1:]:
-                merged = self._reduce(merged * f)
-            merged = self.substitute_var(var, merged)
-            pending.append((merged, merged.symbols()))
-        body, *rest = (f for f, _ in pending)
+            if shared:
+                pending.append(self._shared_message(var, bucket))
+                continue
+            merged = self.substitute_var(var, self._product(bucket))
+            pending.append((merged, merged.symbols(), -1))
+        body, *rest = (entry[0] for entry in pending)
         return math.prod(rest, start=body)
+
+    def _product(self, bucket: list) -> Polynomial:
+        """The reduced product of a bucket's factors."""
+        merged = bucket[0][0]
+        for f, _, _ in bucket[1:]:
+            merged = self._reduce(merged * f)
+        return merged
+
+    def _shared_message(self, var: str, bucket: list) -> tuple[Polynomial, frozenset[str], int]:
+        """A bucket's message from the table, built and stored on a miss.
+        A lone factor's bucket is keyed by var and the factor's id, a
+        bucket of several by var and their sorted ids.  On a miss, the
+        product of several factors is interned and taken as a lone factor,
+        so that other factors whose product agrees, as under a
+        deterministic node, share its message."""
+        table = self._messages
+        if len(bucket) == 1:
+            key = (var, bucket[0][2])
+            message = table.get(key)
+            if message is None:
+                merged = self.substitute_var(var, bucket[0][0])
+                message = table[key] = (merged, merged.symbols(), next(self._ids))
+            return message
+        key = (var, tuple(sorted([entry[2] for entry in bucket])))
+        message = table.get(key)
+        if message is None:
+            product = self._product(bucket)
+            message = self._shared_message(var, [(product, None, self._intern(product))])
+            table[key] = message
+        return message
 
     # -- expectation normal form ------------------------------------------
 
@@ -328,8 +391,13 @@ class MomentEngine:
         a compiled static network does: one substitution, one expectation,
         no recurrence.  A query passes its target and one indicator per
         evidence node; each factor is reduced and goes into its own bucket
-        list entry, so that it widens only the buckets of its variables."""
-        body = self.substitute_body(*(self._reduce(f) for f in factors))
+        list entry, so that it widens only the buckets of its variables.
+        The walk shares the engine's message table, so a later pass with
+        some of the same factors (the numerator after the denominator of a
+        conditional, a distribution's next state, the pair targets of a
+        check after their single ones) rebuilds none of their messages
+        below the bucket where a new factor joins."""
+        body = self.substitute_body(*(self._reduce(f) for f in factors), shared=True)
         linear, constant = self.expectation(body)
         if linear:
             left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))

@@ -508,7 +508,10 @@ def differential_check(
     """Engine-vs-oracle comparison on a network's basic moments.
 
     The network is compiled once; every engine value comes from the one
-    moment engine of that program, and the Monte Carlo comparison (enabled
+    moment engine of that program.  A pair target E[X*Y] goes to the engine
+    as the two factors X and Y, so its walk reuses the bucket messages of
+    the E[X] and E[Y] walks up to the bucket where the two meet; the
+    enumeration oracle gets the product.  The Monte Carlo comparison (enabled
     by mc_samples) samples the same program and accepts anything within
     four standard errors.  Exact oracles compare exactly.  A dynamic
     network with a continuous node has only the Monte Carlo oracle, which
@@ -538,24 +541,23 @@ def differential_check(
                 CheckLine("joint total", "1", str(table.total()),
                           table.total() == RF_ONE)
             )
-            names = [nd.name for nd in bn.nodes]
-            polys = [(f"E[{a}]", Polynomial.var(a)) for a in names] + [
-                (f"E[{a}*{b}]", Polynomial.var(a) * Polynomial.var(b))
-                for a, b in itertools.combinations(names, 2)
+            xs = {nd.name: Polynomial.var(nd.name) for nd in bn.nodes}
+            splits = [(f"E[{a}]", (x,)) for a, x in xs.items()] + [
+                (f"E[{a}*{b}]", (xs[a], xs[b])) for a, b in itertools.combinations(xs, 2)
             ]
-            wants = table.expectations([poly for _, poly in polys])
-            targets = [(label, poly, want) for (label, poly), want in zip(polys, wants)]
+            wants = table.expectations([math.prod(fs[1:], start=fs[0]) for _, fs in splits])
+            targets = [(label, fs, want) for (label, fs), want in zip(splits, wants)]
         else:
             mix = gaussian_propagate(bn)
             targets = []
             for name in bn.order:
                 if not bn.node(name).is_discrete:
                     x = Polynomial.var(name)
-                    targets.append((f"E[{name}]", x, mix.moment1(name)))
-                    targets.append((f"E[{name}^2]", x ** 2, mix.moment2(name)))
+                    targets.append((f"E[{name}]", (x,), mix.moment1(name)))
+                    targets.append((f"E[{name}^2]", (x ** 2,), mix.moment2(name)))
         engine = MomentEngine(compile_bn(bn))
-        for label, poly, want in targets:
-            got = engine.one_pass(poly)
+        for label, factors, want in targets:
+            got = engine.one_pass(*factors)
             lines.append(CheckLine(label, str(got), str(want), got == want))
     if mc_samples:
         lines += _check_mc(bn, engine, closeds, mc_samples, seed)

@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .bayesnet import BayesNet, DynBayesNet, joint_rows
 from .encode import (
@@ -317,8 +317,10 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     previous state and the step's observations, summed onto the new state
     and memoized per call.
     """
+    if not isinstance(observations, (list, tuple)):
+        raise QueryError(f"observations must be a list of steps, got {observations!r}")
     states, prior = _filter_setup(dyn)
-    slices = [_normalize_obs(dyn.net, step) for step in observations]
+    slices = [normalize_evidence(dyn.net, step) for step in observations]
     for nd in dyn.net.nodes:
         if not nd.is_discrete:
             raise UnsupportedError(
@@ -365,12 +367,6 @@ def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:
         state = tuple(values[s] for s in dyn.temporal)
         dist[state] = dist.get(state, RF_ZERO) + weight
     return dist
-
-
-def _normalize_obs(bn: BayesNet, step) -> tuple[tuple[str, int], ...]:
-    if not isinstance(step, Mapping) and not isinstance(step, Sequence):
-        raise QueryError(f"each observation step must be a mapping, got {step!r}")
-    return normalize_evidence(bn, step)
 
 
 def _filter_setup(dyn: DynBayesNet):
@@ -448,8 +444,8 @@ def run_query(bn, spec: Mapping) -> QueryResult:
         return forward_filter(bn, spec.get("observations", []))
     if kind == "distribution":
         _require(spec, {"query", "node", "evidence"})
-        if "node" not in spec:
-            raise QueryError('distribution needs a "node"')
+        if not isinstance(spec.get("node"), str):
+            raise QueryError('distribution needs a "node" name')
         return node_distribution(bn, spec["node"], spec.get("evidence"))
     raise QueryError(f"unknown query kind {kind!r}")
 

@@ -361,6 +361,38 @@ class TestQuery:
         assert code == 0
         assert line in out
 
+    @pytest.mark.parametrize("net, spec, message", [
+        ("alarm.json", '{"query": "conditional", "target": "B", "evidence": "A"}',
+         "evidence must be a mapping or a list of [node, state] pairs, got 'A'"),
+        ("alarm.json", '{"query": "conditional", "target": "B", "evidence": 5}',
+         "evidence must be a mapping or a list of [node, state] pairs, got 5"),
+        ("alarm.json", '{"query": "conditional", "target": "B", "evidence": [5]}',
+         "evidence entry 5 is not a [node, state] pair"),
+        ("alarm.json", '{"query": "conditional", "target": "B", "evidence": [["A", 1, 2]]}',
+         "evidence entry ['A', 1, 2] is not a [node, state] pair"),
+        ("alarm.json", '{"query": "conditional", "target": "B", "evidence": [[1, 1]]}',
+         "evidence entry [1, 1] is not a [node, state] pair"),
+        ("alarm.json", '{"query": "distribution", "node": ["A"]}',
+         'distribution needs a "node" name'),
+        ("umbrella_filter.json", '{"query": "filter", "observations": ["U"]}',
+         "evidence must be a mapping or a list of [node, state] pairs, got 'U'"),
+        ("umbrella_filter.json", '{"query": "filter", "observations": "U"}',
+         "observations must be a list of steps, got 'U'"),
+    ], ids=["evidence-string", "evidence-number", "evidence-list-of-number",
+            "evidence-triple", "evidence-number-name", "distribution-node-list",
+            "observation-step-string", "observations-string"])
+    def test_malformed_document_exits_1(self, capsys, net, spec, message):
+        code, out, err = run(capsys, "query", str(DATA / net), "--spec", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    def test_evidence_pairs_accepted(self, capsys):
+        code, out, _ = run(capsys, "query", ALARM, "--spec",
+                           '{"query": "conditional", "target": "B", "evidence": [["A", 1]]}')
+        assert code == 0
+        assert "exact: 156670/419407" in out
+
 
 class TestSamples:
     def test_conjunction_evidence(self, capsys):

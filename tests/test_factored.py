@@ -1,8 +1,10 @@
 """Factored evidence: a static query passes its target and one indicator
 per evidence node to `MomentEngine.one_pass`, which eliminates the
-variables bucket by bucket instead of expanding the product first."""
+variables bucket by bucket instead of expanding the product first, and
+builds each bucket message once per engine."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -11,17 +13,17 @@ from pathlib import Path
 import pytest
 
 from psolve.bayesnet import load_bn, load_bn_path
-from psolve.encode import indicator_poly
+from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import QueryError
-from psolve.moments import MomentEngine
-from psolve.oracle import enumerate_discrete
+from psolve.moments import MomentEngine, compute_mbis
+from psolve.oracle import differential_check, enumerate_discrete
 from psolve.queries import (
     conditional_moment,
     expected_samples,
     joint_moment,
     node_distribution,
 )
-from psolve.symbolic import Polynomial
+from psolve.symbolic import Monomial, Polynomial
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -162,3 +164,141 @@ class TestBundledAnswers:
         result = fn(load_bn_path(DATA / f"{net}.json"), *args)
         assert result.exact() == exact
         assert result.assumptions == assumptions
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The number of `substitute_var` calls made so far: one per bucket
+    message built."""
+    count = [0]
+    original = MomentEngine.substitute_var
+
+    def counted(self, var, poly):
+        count[0] += 1
+        return original(self, var, poly)
+
+    monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+    return count
+
+
+def chain(n):
+    """Binary chain X0 -> ... -> X{n-1} with rows that differ."""
+    nodes = [{"name": "X0", "model": {"kind": "cpt", "p": ["3/5", "2/5"]}}]
+    for i in range(1, n):
+        p1, p0 = F(i % 7 + 2, 11), F(i % 5 + 1, 13)
+        nodes.append({"name": f"X{i}", "model": {
+            "kind": "cpt", "parents": [f"X{i - 1}"], "rows": [
+                {"given": [1], "p": [str(1 - p1), str(p1)]},
+                {"given": [0], "p": [str(1 - p0), str(p0)]},
+            ]}})
+    return load_bn({"type": "bn", "nodes": nodes})
+
+
+def grid(n):
+    """An n x n binary grid; G{i}_{j} has the parents above and left."""
+    nodes = []
+    for i in range(n):
+        for j in range(n):
+            parents = [f"G{a}_{b}" for a, b in ((i - 1, j), (i, j - 1)) if a >= 0 and b >= 0]
+            rows = []
+            for given in itertools.product((0, 1), repeat=len(parents)):
+                p1 = F(1 + 2 * sum(given), 3 + 2 * len(parents))
+                rows.append({"given": list(given), "p": [str(1 - p1), str(p1)]})
+            model = ({"kind": "cpt", "parents": parents, "rows": rows} if parents
+                     else {"kind": "cpt", "p": ["2/3", "1/3"]})
+            nodes.append({"name": f"G{i}_{j}", "model": model})
+    return load_bn({"type": "bn", "nodes": nodes})
+
+
+class TestMessageCounts:
+    """The expectations of one query share every bucket message they have
+    in common: each is built once per engine."""
+
+    def test_chain_conditional_is_one_pass_and_the_targets_bucket(self, steps):
+        bn = chain(12)
+        MomentEngine(compile_bn(bn)).one_pass(indicator_poly("X11", 1, 2))
+        one_pass = steps[0]
+        steps[0] = 0
+        got = conditional_moment(bn, "X0", 1, {"X11": 1}).value
+        assert steps[0] == one_pass + 1, (steps[0], one_pass)
+        assert got == enumerate_discrete(bn).conditional(Polynomial.var("X0"), [("X11", 1)])
+
+    def test_check_asia_shares_the_walks_of_its_targets(self, steps):
+        lines = differential_check(load_bn_path(DATA / "asia.json"))
+        assert len(lines) == 37 and all(line.ok for line in lines)
+        assert steps[0] <= 154, steps[0]  # 410 with one walk per target
+
+    def test_grid_conditional_costs_about_one_pass(self, steps):
+        t0 = time.monotonic()
+        bn = grid(6)
+        corners = {"G0_5": 0, "G5_0": 0, "G5_5": 0}
+        inds = [indicator_poly(name, value, 2) for name, value in corners.items()]
+        MomentEngine(compile_bn(bn)).one_pass(*inds)
+        one_pass = steps[0]
+        steps[0] = 0
+        got = conditional_moment(bn, "G0_0", 1, corners)
+        assert got.exact() == "682168308233/2092467098587"
+        assert steps[0] <= 1.1 * one_pass, (steps[0], one_pass)
+        assert time.monotonic() - t0 < 10.0
+
+    def test_extraction_keys_nothing(self, steps):
+        engine = MomentEngine(compile_dynbn(load_bn_path(DATA / "umbrella.json")))
+        mbis = compute_mbis(engine, [Monomial.of("R"), Monomial.of("U")])
+        assert mbis and steps[0] > 0
+        assert engine._messages == {} and engine._interned == {}
+
+
+class TestWarmEngine:
+    """An engine that has answered other expectations gives the answers a
+    fresh engine gives, whatever the order of the questions."""
+
+    @staticmethod
+    def _questions(rng, bn):
+        """(label, factors of the numerator, factors of the denominator or
+        None) for E[X], E[X*Y] as one factor and split, conditionals and
+        distribution states."""
+        names = [nd.name for nd in bn.nodes]
+        xs = {name: Polynomial.var(name) for name in names}
+        out = [(f"E[{a}]", [xs[a]], None) for a in names]
+        for a, b in itertools.combinations(names, 2):
+            out.append((f"E[{a}*{b}]", [xs[a] * xs[b]], None))
+            out.append((f"E[{a}]E[{b}]", [xs[a], xs[b]], None))
+        for nd in rng.sample(bn.nodes, min(3, len(bn.nodes))):
+            others = [o for o in bn.nodes if o is not nd]
+            chosen = rng.sample(others, rng.randint(0, min(3, len(others))))
+            inds = [indicator_poly(o.name, rng.randrange(o.support), o.support)
+                    for o in chosen]
+            for v in range(nd.support):
+                state = indicator_poly(nd.name, v, nd.support)
+                out.append((f"P({nd.name}={v} | {len(inds)})", [state, *inds], inds or None))
+            out.append((f"E[{nd.name}^2 | {len(inds)}]", [xs[nd.name] ** 2, *inds], inds or None))
+        rng.shuffle(out)
+        return out
+
+    def test_shared_engine_matches_fresh_engines_and_enumeration(self):
+        t0 = time.monotonic()
+        rng = random.Random(20261019)
+        asked = 0
+        for i in range(12):
+            bn = load_bn(mixed_doc(rng, rng.randint(3, 6)))
+            table = enumerate_discrete(bn)
+            prog = compile_bn(bn)
+            warm = MomentEngine(prog)
+            for label, num, den in self._questions(rng, bn):
+                product = math.prod(num, start=Polynomial.const(1))
+                want = table.expectation(product)
+                got = warm.one_pass(*num)
+                fresh = MomentEngine(prog).one_pass(*num)
+                if den is not None:
+                    mass = table.expectation(math.prod(den, start=Polynomial.const(1)))
+                    if mass.is_zero():
+                        continue
+                    want = want / mass
+                    got = got / warm.one_pass(*den)
+                    fresh = fresh / MomentEngine(prog).one_pass(*den)
+                assert got.const_value() == fresh.const_value() == want.const_value(), (i, label)
+                assert str(got) == str(fresh) == str(want), (i, label)
+                asked += 1
+            assert warm._messages
+        assert asked >= 300, asked
+        assert time.monotonic() - t0 < 30.0
