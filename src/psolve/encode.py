@@ -99,15 +99,33 @@ def normalize_evidence(
 
 def evidence_indicator(bn: BayesNet, evidence) -> Polynomial:
     """Product of per-node indicators; 1 exactly on samples matching the
-    evidence.  A CPT or CLG row's indicator is this product over the row's
-    parent assignment."""
-    factors = [
-        indicator_poly(name, value, bn.node(name).support)
-        for name, value in normalize_evidence(bn, evidence)
-    ]
+    evidence, which `normalize_evidence` checks first."""
+    return _indicator_product(bn, normalize_evidence(bn, evidence))
+
+
+def indicator_factors(bn: BayesNet, pairs) -> list[Polynomial]:
+    """One indicator factor per (node, state index) pair, taken as checked:
+    pairs from `normalize_evidence` or a row's loaded parent assignment."""
+    return [indicator_poly(name, value, bn.node(name).support) for name, value in pairs]
+
+
+def _indicator_product(bn: BayesNet, pairs) -> Polynomial:
+    """The product of the pairs' indicators, 1 for no pairs; a CPT or CLG
+    row's indicator is this product over the row's parent assignment."""
+    factors = indicator_factors(bn, pairs)
     if not factors:
         return Polynomial.const(Fraction(1))
     return math.prod(factors[1:], start=factors[0])
+
+
+def sample_evidence(bn: BayesNet, evidence) -> Tuple[Tuple[str, int], ...]:
+    """A sample-count query's evidence, normalized, non-empty, on a static network."""
+    if isinstance(bn, DynBayesNet):
+        raise UnsupportedError("sample-count queries apply to static networks")
+    pairs = normalize_evidence(bn, evidence)
+    if not pairs:
+        raise QueryError("empty evidence: every sample would be accepted")
+    return pairs
 
 
 class _Builder:
@@ -179,7 +197,7 @@ def _emit_cpt(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
         return
     aux_names = []
     for i, (assignment, vec) in enumerate(cpt.rows):
-        ind = evidence_indicator(bn, tuple(zip(cpt.parents, assignment)))
+        ind = _indicator_product(bn, zip(cpt.parents, assignment))
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, _value_branches(vec, ind, m), Polynomial.zero(), m)
         aux_names.append(aux)
@@ -214,7 +232,7 @@ def _emit_clg(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> 
     clg: CLG = node.model
     aux_names = []
     for i, (assignment, lg) in enumerate(clg.table):
-        ind = evidence_indicator(bn, tuple(zip(clg.parents, assignment)))
+        ind = _indicator_product(bn, zip(clg.parents, assignment))
         expr = ind * _gauss_expr(builder, lg, node.name)
         aux = builder.fresh(f"{node.name}_{i + 1}")
         builder.emit(aux, [Branch(RF_ONE, expr)], Polynomial.zero())
@@ -259,7 +277,7 @@ def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
         # rows are exclusive, so all joint moments match the CPT exactly.
         expr = Polynomial.zero()
         for assignment, vec in cpt.rows:
-            ind = evidence_indicator(bn, tuple(zip(cpt.parents, assignment)))
+            ind = _indicator_product(bn, zip(cpt.parents, assignment))
             expr = expr + builder.registry.fresh(DrawSpec("bern", vec[1])) * ind
         builder.emit(node.name, [Branch(RF_ONE, expr)], init, m)
         return
@@ -274,9 +292,11 @@ def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
 
 @dataclass(frozen=True)
 class MonitorProgram:
-    """A compiled network extended with the rejection-sampling bookkeeping."""
+    """A compiled network extended with the rejection-sampling bookkeeping,
+    and the normalized evidence it accepts."""
 
     program: LoopProgram
+    evidence: Tuple[Tuple[str, int], ...]
     evidence_var: str
     continue_var: str
     count_var: str
@@ -290,17 +310,12 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     update reads the already-updated continue flag, whose sum alone counts
     only the rejected prefix.
     """
-    if isinstance(bn, DynBayesNet):
-        raise UnsupportedError("sampling monitors apply to static networks")
-    pairs = normalize_evidence(bn, evidence)
-    if not pairs:
-        raise QueryError("empty evidence: every sample would be accepted")
+    pairs = sample_evidence(bn, evidence)
     builder = _static_builder(bn)
-    ind = evidence_indicator(bn, pairs)
     one = Polynomial.const(Fraction(1))
 
     ev = builder.fresh("ev")
-    builder.emit(ev, [Branch(RF_ONE, ind)], Polynomial.zero(), 2)
+    builder.emit(ev, [Branch(RF_ONE, _indicator_product(bn, pairs))], Polynomial.zero(), 2)
     cont = builder.fresh("continue")
     keep = Polynomial.var(cont) * (one - Polynomial.var(ev))
     builder.emit(cont, [Branch(RF_ONE, keep)], one, 2)
@@ -310,6 +325,7 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
 
     return MonitorProgram(
         program=builder.program(bn.params),
+        evidence=pairs,
         evidence_var=ev,
         continue_var=cont,
         count_var=count,

@@ -6,16 +6,16 @@ substitutes every variable's update into the target monomial, last declared
 variable first, so that by the end every variable reference means its value
 at the start of the iteration; branchy updates contribute a probability mix
 of branch powers (one shared coin per variable per monomial), and draws
-turn into their raw moments.  A draw that only one update uses becomes
-its moments inside that update's powers, where it enters the monomial, so
-the substituted body grows with its expectation rather than with the
-number of draws; a draw shared between updates, or whose moment is not a
-polynomial in the parameters or is not known, stays symbolic until the
-final expectation.  A worklist closes the set of needed moments, then
-closed forms are solved bottom-up along the dependency order, each by
-`recurrence.py` from a recurrence in n whose inhomogeneous term combines
-the closed forms of the moments it depends on (`_first_order`), so it
-lists their assumptions after its own.
+turn into their raw moments.  Every draw belongs to one statement
+(`program.validate`), so an update's draws become their moments inside
+that update's powers, where they enter the monomial, and the substituted
+body grows with its expectation rather than with the number of draws;
+only a draw whose moment is not a polynomial in the parameters stays
+symbolic until the final expectation.  A worklist closes the set of
+needed moments, then closed forms are solved bottom-up along the
+dependency order, each by `recurrence.py` from a recurrence in n whose
+inhomogeneous term combines the closed forms of the moments it depends on
+(`_first_order`), so it lists their assumptions after its own.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program, and `MomentEngine.substitute_body` is its one way to substitute
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,10 +107,6 @@ class MomentEngine:
         self.vars = prog.variables
         self.var_set = set(self.vars)
         self.supports = dict(prog.supports)
-        uses: Counter[str] = Counter()
-        for upd in prog.updates:
-            uses.update({s for br in upd.branches for s in br.expr.symbols() if is_draw(s)})
-        self._private = frozenset(s for s, count in uses.items() if count == 1)
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], RationalFunction] = {}
@@ -125,15 +120,16 @@ class MomentEngine:
     # -- update powers -----------------------------------------------------
 
     def _upd_pow(self, var: str, k: int) -> Polynomial:
-        """(var's update)^k averaged over its branch coin and its private
-        draws: a polynomial in earlier variables, parameters and the draws
-        that stay symbolic.  A branch whose expression is 0 adds nothing.
+        """(var's update)^k averaged over its branch coin and its draws: a
+        polynomial in earlier variables, parameters and the draws that stay
+        symbolic.  A branch whose expression is 0 adds nothing.
 
-        A draw private to this update reaches a substituted monomial only
-        through this one factor and is independent of everything else in
-        it, so each power d^j is replaced by E[d^j] here.  A draw shared
-        with another update, or whose moment is not a polynomial in the
-        parameters or is not known, stays symbolic for `expectation`.
+        A draw of this update belongs to no other statement, so it reaches
+        a substituted monomial only through this one factor and is
+        independent of everything else in it: each power d^j is replaced
+        by E[d^j] here.  A draw whose moment is not a polynomial in the
+        parameters, such as bern(1/(1 + b)), stays symbolic for
+        `expectation`.
         """
         key = (var, k)
         cached = self._upd_pows.get(key)
@@ -153,25 +149,26 @@ class MomentEngine:
                 total = total + power * br.prob.const_value()
             else:
                 total = total + br.prob.num * power
-        if self._private:
+        if self.prog.draws:
             total = self._integrate(total)
         total = self._reduce(total)
         self._upd_pows[key] = total
         return total
 
     def _integrate(self, poly: Polynomial) -> Polynomial:
-        """Replace every power of a private draw whose moment is a known
-        polynomial by that moment."""
+        """Replace every power of a draw whose moment is a polynomial in the
+        parameters by that moment."""
         out: dict[Monomial, Fraction] = {}
+        draws = self.prog.draws
         for mono, coeff in poly.terms.items():
             keep: list[tuple[str, int]] = []
             moment = None
             for s, e in mono.powers:
-                m = self._early_moment(s, e) if s in self._private else None
-                if m is None:
+                m = self._draw_moment(s, e) if s in draws else None
+                if m is None or not m.is_poly():
                     keep.append((s, e))
                 else:
-                    moment = m if moment is None else moment * m
+                    moment = m.num if moment is None else moment * m.num
             if moment is None:
                 out[mono] = out.get(mono, Fraction(0)) + coeff
                 continue
@@ -180,15 +177,6 @@ class MomentEngine:
                 m = rest * m2
                 out[m] = out.get(m, Fraction(0)) + coeff * c2
         return Polynomial(out)
-
-    def _early_moment(self, sym: str, k: int) -> Polynomial | None:
-        """E[sym^k] as a polynomial in the parameters, or None when it is
-        not one or is not known."""
-        try:
-            m = self._draw_moment(sym, k)
-        except UnsupportedError:
-            return None
-        return m.num if m.is_poly() else None
 
     def _reduce(self, poly: Polynomial) -> Polynomial:
         """Finite-support reduction of the variables whose powers reach
@@ -248,8 +236,7 @@ class MomentEngine:
         program variable, and no program variable is in two of them, since
         a bucket takes every factor that mentions its variable; so their
         product, the polynomial whose expectation is taken, needs no
-        reduction, and draws shared between updates stay symbolic until
-        then.
+        reduction.  No factors at all is the empty product, 1.
 
         With shared=True, as every `one_pass` walks, the buckets go through
         the engine's message table, so that the expectations of one query
@@ -278,6 +265,8 @@ class MomentEngine:
                 continue
             merged = self.substitute_var(var, self._product(bucket))
             pending.append((merged, merged.symbols(), -1))
+        if not pending:
+            return Polynomial.const(1)
         body, *rest = (entry[0] for entry in pending)
         return math.prod(rest, start=body)
 
@@ -328,9 +317,8 @@ class MomentEngine:
         independent of the state and of each other, so each monomial factors
         into draw moments, a parameter monomial and one moment variable.
         The draws left in a substituted body are those `_upd_pow` keeps
-        symbolic (shared, with a moment that is not a polynomial, or with
-        no known moment, which raises here); an initializer's draws all
-        become moments here.
+        symbolic, whose moments are not polynomials; an initializer's draws
+        all become moments here.
         """
         acc_poly: dict[Monomial, dict[Monomial, Fraction]] = {}
         acc_rf: dict[Monomial, RationalFunction] = {}
@@ -479,7 +467,6 @@ def _first_order(
 def compute_mbis(
     prog: LoopProgram | MomentEngine,
     goals,
-    cap: int | None = None,
     check: bool = True,
 ) -> dict[Monomial, MBI]:
     """Closed forms for the expected values of the goal monomials.
@@ -491,8 +478,7 @@ def compute_mbis(
     produced it.  With check=True every solution is verified by
     back-substitution on the same engine before being returned.
     """
-    if cap is None:
-        cap = degree_cap()
+    cap = degree_cap()
     engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
     recs: dict[Monomial, MomentRecurrence] = {}
     parent: dict[Monomial, Monomial] = {}

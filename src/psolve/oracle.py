@@ -221,7 +221,7 @@ class GaussianMixture:
         return num / den
 
 
-def gaussian_propagate(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> GaussianMixture:
+def gaussian_propagate(bn: BayesNet) -> GaussianMixture:
     """Exact means and covariances of every continuous node, per discrete
     configuration, weighted by the discrete subnet's joint."""
     discrete = [nd for nd in bn.nodes if nd.is_discrete]
@@ -234,7 +234,7 @@ def gaussian_propagate(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> GaussianMi
             nodes=tuple(discrete),
             order=tuple(n for n in bn.order if bn.node(n).is_discrete),
         )
-        table = enumerate_discrete(sub, cap)
+        table = enumerate_discrete(sub)
         configs = [
             (tuple(zip(table.names, assignment)), weight)
             for assignment, weight in table.rows
@@ -359,11 +359,6 @@ class _Simulator:
             for br in upd.branches:
                 for sym in _draw_syms(prog, br.expr):
                     self._slot(("update", i, sym))
-        for spec in prog.draws.values():
-            if spec.kind == "moments":
-                raise UnsupportedError(
-                    "cannot simulate a draw given only by raw moments"
-                )
 
     def _slot(self, key) -> int:
         if key not in self.slots:

@@ -12,6 +12,10 @@ with expression mean becomes mean + g with g a fresh zero-mean draw, and
 uniform(lo, hi) becomes lo + (hi - lo) * u with u a fresh standard uniform
 draw.  Draw symbols start with '$' so they can never collide with source
 identifiers; every occurrence is an independent draw, fresh each iteration.
+
+Every draw belongs to one statement: `validate` requires each draw that an
+initializer or an update uses to have a known distribution and to occur in
+no other statement, though the branches of one update may share it.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ def _doublefact(k: int) -> int:
 
 @dataclass(frozen=True)
 class DrawSpec:
-    """A normalized distribution draw: zero-mean Gaussian, standard uniform,
-    Bernoulli, or an explicit raw-moment sequence."""
+    """A normalized distribution draw: zero-mean Gaussian, standard uniform
+    or Bernoulli."""
 
-    kind: str  # "gauss0" | "unif01" | "bern" | "moments"
+    kind: str  # "gauss0" | "unif01" | "bern"
     arg: Optional[RationalFunction] = None  # variance, success probability
-    raw_moments: tuple[RationalFunction, ...] = ()
 
     def moment(self, k: int) -> RationalFunction:
         if k == 0:
@@ -60,17 +63,12 @@ class DrawSpec:
             return RationalFunction(Fraction(1, k + 1))
         if self.kind == "bern":
             return self.arg
-        if self.kind == "moments":
-            if k > len(self.raw_moments):
-                raise UnsupportedError(f"moment {k} not known for this draw")
-            return self.raw_moments[k - 1]
         raise ValueError(f"unknown draw kind {self.kind}")
 
     def subs(self, values: Mapping[str, Fraction]) -> "DrawSpec":
         return DrawSpec(
             kind=self.kind,
             arg=None if self.arg is None else self.arg.subs(values),
-            raw_moments=tuple(m.subs(values) for m in self.raw_moments),
         )
 
     def render(self) -> str:
@@ -80,7 +78,7 @@ class DrawSpec:
             return "uniform(0, 1)"
         if self.kind == "bern":
             return f"bern({self.arg})"
-        return f"moments({', '.join(str(m) for m in self.raw_moments)})"
+        raise ValueError(f"unknown draw kind {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -241,13 +239,18 @@ def validate(prog: LoopProgram) -> None:
         if size < 2:
             raise ProgramError(f"support of {var} must be at least 2")
 
+    owners: dict[str, tuple[str, str]] = {}  # draw -> its statement
     for init in prog.inits:
-        bad = {s for s in init.expr.symbols() if not is_draw(s)} - params
+        symbols = init.expr.symbols()
+        bad = {s for s in symbols if not is_draw(s)} - params
         if bad:
             raise ProgramError(
                 f"initializer of {init.target} references {sorted(bad)[0]}; "
                 "only parameters and known distributions are allowed"
             )
+        drawn = [s for s in symbols if is_draw(s)]
+        if drawn:
+            _claim_draws(prog, owners, drawn, ("initializer", init.target))
         size = prog.supports.get(init.target)
         if size is not None:
             _check_init_support(init, size, prog)
@@ -256,6 +259,7 @@ def validate(prog: LoopProgram) -> None:
     for upd in prog.updates:
         target = upd.target
         total = RF_ZERO
+        drawn = []
         for br in upd.branches:
             if not br.prob.is_poly():
                 raise UnsupportedError(
@@ -274,17 +278,18 @@ def validate(prog: LoopProgram) -> None:
             symbols = br.expr.symbols()
             if target in symbols:
                 split_self(br.expr, target)  # raises unless linear in the target
-            bad = [
-                s for s in symbols
-                if s != target and s not in params and s not in earlier and not is_draw(s)
-            ]
+            outside = [s for s in symbols if s != target and s not in params and s not in earlier]
+            bad = [s for s in outside if not is_draw(s)]
             if bad:
                 raise ProgramError(
                     f"update of {target} references {min(bad)}, "
                     "which is not declared earlier"
                 )
+            drawn += outside  # every symbol left is a draw
         if total != 1:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
+        if drawn:
+            _claim_draws(prog, owners, drawn, ("update", target))
         earlier.add(target)
 
     for sym, spec in prog.draws.items():
@@ -302,6 +307,21 @@ def validate(prog: LoopProgram) -> None:
         if spec.kind == "gauss0" and spec.arg.is_const():
             if spec.arg.const_value() < 0:
                 raise ProgramError("negative Gaussian variance")
+
+
+def _claim_draws(prog: LoopProgram, owners, draws, stmt: tuple[str, str]) -> None:
+    """Record stmt, a statement's kind and target, as the owner of its draws,
+    each with a known distribution and no other owner; the alphabetically
+    first draw that breaks this is reported."""
+    for sym in sorted(draws):
+        owner = owners.setdefault(sym, stmt)
+        if owner != stmt:
+            raise ProgramError("draw {} occurs in the {} of {} and in the {} of {}".format(
+                sym, *owner, *stmt))
+        spec = prog.draws.get(sym)
+        if spec is None or spec.kind not in ("gauss0", "unif01", "bern"):
+            problem = "no distribution" if spec is None else f"unknown kind {spec.kind!r}"
+            raise ProgramError("draw {} in the {} of {} has {}".format(sym, *stmt, problem))
 
 
 def _check_init_support(init: Initializer, size: int, prog: LoopProgram) -> None:
@@ -427,7 +447,7 @@ def pretty(prog: LoopProgram) -> str:
 
 
 def _spec_key(spec: DrawSpec) -> tuple:
-    return (spec.kind, str(spec.arg), tuple(str(m) for m in spec.raw_moments))
+    return (spec.kind, str(spec.arg))
 
 
 def _canonical_key(prog: LoopProgram) -> tuple:

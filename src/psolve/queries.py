@@ -36,9 +36,10 @@ from .encode import (
     compile_bn,
     compile_dynbn,
     compile_sampling_monitor,
-    evidence_indicator,
+    indicator_factors,
     indicator_poly,
     normalize_evidence,
+    sample_evidence,
 )
 from .errors import InternalCheckError, QueryError, UnsupportedError
 from .exppoly import expoly_limit
@@ -113,18 +114,20 @@ def expectation_at(prog: LoopProgram, poly: Polynomial, n: int):
     return closed.at(n), closed.assumptions
 
 
-def _target_poly(bn: BayesNet, target) -> Polynomial:
-    """A query target: a node name, an expression string over nodes, a
-    polynomial, or an event mapping {node: state}."""
-    if isinstance(target, Polynomial):
-        return target
-    if isinstance(target, Monomial):
-        return Polynomial({target: Fraction(1)})
+def _target_factors(bn: BayesNet, target, k: int = 1) -> list[Polynomial]:
+    """A query target to the k-th power as factors: one indicator per node
+    of an event mapping {node: state}, one polynomial for a node name, an
+    expression string over nodes, a monomial or a polynomial.  A dynamic
+    query takes their product."""
     if isinstance(target, Mapping):
-        return evidence_indicator(bn, target)
-    if isinstance(target, str):
-        return parse_poly(target, bn.node_names, bn.param_names)
-    raise QueryError(f"cannot interpret query target {target!r}")
+        return [f**k for f in indicator_factors(bn, normalize_evidence(bn, target))]
+    if isinstance(target, Monomial):
+        target = Polynomial({target: Fraction(1)})
+    elif isinstance(target, str):
+        target = parse_poly(target, bn.node_names, bn.param_names)
+    elif not isinstance(target, Polynomial):
+        raise QueryError(f"cannot interpret query target {target!r}")
+    return [target**k]
 
 
 # -- static-network queries ------------------------------------------------
@@ -136,31 +139,18 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
     if k < 1:
         raise QueryError(f"moment order must be positive, got {k}")
     if isinstance(bn, DynBayesNet):
-        poly = _target_poly(bn.net, target) ** k
+        poly = math.prod(_target_factors(bn.net, target), start=Polynomial.const(1)) ** k
         closed = MomentEngine(compile_dynbn(bn)).closed(poly)
         return QueryResult("moment", closed, closed.assumptions)
     factors = _target_factors(bn, target, k)
     return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(*factors))
 
 
-def _indicators(bn: BayesNet, pairs) -> list[Polynomial]:
-    """One indicator factor per (node, state) pair."""
-    return [indicator_poly(name, value, bn.node(name).support) for name, value in pairs]
-
-
-def _target_factors(bn: BayesNet, target, k: int) -> list[Polynomial]:
-    """The static target to the k-th power as factors: one per node of an
-    event mapping, one for any other target."""
-    if isinstance(target, Mapping):
-        return [f**k for f in _indicators(bn, normalize_evidence(bn, target))]
-    return [_target_poly(bn, target) ** k]
-
-
 def _evidence_mass(engine: MomentEngine, bn: BayesNet, pairs):
     """The evidence's indicator factors, P(evidence) on the engine of a
     compiled static network, and the assumption a symbolic P(evidence)
     carries; evidence of probability zero is a QueryError."""
-    inds = _indicators(bn, pairs)
+    inds = indicator_factors(bn, pairs)
     p = engine.one_pass(*inds)
     if p.is_zero():
         detail = ", ".join(f"{name}={value}" for name, value in pairs)
@@ -194,22 +184,12 @@ def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
         raise QueryError(f"node {name} is continuous; it has no state vector")
     engine = MomentEngine(compile_bn(bn))
     states = [indicator_poly(name, i, node.support) for i in range(node.support)]
-    if not evidence:
+    pairs = () if evidence is None else normalize_evidence(bn, evidence)
+    if not pairs:
         return QueryResult("distribution", tuple(engine.one_pass(s) for s in states))
-    inds, den, assumptions = _evidence_mass(engine, bn, normalize_evidence(bn, evidence))
+    inds, den, assumptions = _evidence_mass(engine, bn, pairs)
     vector = tuple(engine.one_pass(s, *inds) / den for s in states)
     return QueryResult("distribution", vector, assumptions)
-
-
-def _sample_evidence(bn: BayesNet, evidence):
-    """A sample-count query's evidence, normalized: non-empty, on a static
-    network."""
-    if isinstance(bn, DynBayesNet):
-        raise UnsupportedError("sample-count queries apply to static networks")
-    pairs = normalize_evidence(bn, evidence)
-    if not pairs:
-        raise QueryError("empty evidence: every sample would be accepted")
-    return pairs
 
 
 def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryResult:
@@ -220,10 +200,9 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     pass over its network variables, and with cross_check the monitor's
     count is solved as well and its limit must equal 1/p exactly.
     """
-    pairs = _sample_evidence(bn, evidence)
-    monitor = compile_sampling_monitor(bn, pairs)
+    monitor = compile_sampling_monitor(bn, evidence)
     engine = MomentEngine(monitor.program)
-    _, p, assumptions = _evidence_mass(engine, bn, pairs)
+    _, p, assumptions = _evidence_mass(engine, bn, monitor.evidence)
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
@@ -248,7 +227,7 @@ def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
     n * P(evidence), from one pass on the compiled network."""
     if n_samples < 0:
         raise QueryError(f"sample count must be nonnegative, got {n_samples}")
-    pairs = _sample_evidence(bn, evidence)
+    pairs = sample_evidence(bn, evidence)
     _, p, assumptions = _evidence_mass(MomentEngine(compile_bn(bn)), bn, pairs)
     value = p * RationalFunction(Polynomial.const(Fraction(n_samples)))
     return QueryResult("positive", value, assumptions)
@@ -271,7 +250,7 @@ def predict(
 ) -> QueryResult:
     """E[target] over time: the closed form in n, its value at a horizon,
     or its limit."""
-    poly = _target_poly(dyn.net, target)
+    poly = math.prod(_target_factors(dyn.net, target), start=Polynomial.const(1))
     return predict_loop(compile_dynbn(dyn), poly, at, limit)
 
 

@@ -374,12 +374,20 @@ class TestQuery:
          "evidence entry [1, 1] is not a [node, state] pair"),
         ("alarm.json", '{"query": "distribution", "node": ["A"]}',
          'distribution needs a "node" name'),
+        ("alarm.json", '{"query": "distribution", "node": "A", "evidence": 0}',
+         "evidence must be a mapping or a list of [node, state] pairs, got 0"),
+        ("alarm.json", '{"query": "distribution", "node": "A", "evidence": false}',
+         "evidence must be a mapping or a list of [node, state] pairs, got False"),
+        ("alarm.json", '{"query": "distribution", "node": "A", "evidence": ""}',
+         "evidence must be a mapping or a list of [node, state] pairs, got ''"),
         ("umbrella_filter.json", '{"query": "filter", "observations": ["U"]}',
          "evidence must be a mapping or a list of [node, state] pairs, got 'U'"),
         ("umbrella_filter.json", '{"query": "filter", "observations": "U"}',
          "observations must be a list of steps, got 'U'"),
     ], ids=["evidence-string", "evidence-number", "evidence-list-of-number",
             "evidence-triple", "evidence-number-name", "distribution-node-list",
+            "distribution-evidence-zero", "distribution-evidence-false",
+            "distribution-evidence-empty-string",
             "observation-step-string", "observations-string"])
     def test_malformed_document_exits_1(self, capsys, net, spec, message):
         code, out, err = run(capsys, "query", str(DATA / net), "--spec", spec)
@@ -392,6 +400,25 @@ class TestQuery:
                            '{"query": "conditional", "target": "B", "evidence": [["A", 1]]}')
         assert code == 0
         assert "exact: 156670/419407" in out
+
+    @pytest.mark.parametrize("evidence", ["{}", "[]", "null"])
+    def test_distribution_without_evidence(self, capsys, evidence):
+        _, plain, _ = run(capsys, "query", ALARM, "--spec",
+                          '{"query": "distribution", "node": "A"}')
+        code, out, _ = run(capsys, "query", ALARM, "--spec",
+                           f'{{"query": "distribution", "node": "A", "evidence": {evidence}}}')
+        assert (code, out) == (0, plain)
+        assert "exact: (498741779/500000000, 1258221/500000000)" in out
+
+    @pytest.mark.parametrize("net, spec", [
+        ("alarm.json", '{"query": "moment", "target": {}}'),
+        ("alarm.json", '{"query": "conditional", "target": {}, "evidence": {"A": 1}}'),
+        ("umbrella.json", '{"query": "moment", "target": {}}'),
+    ], ids=["static-moment", "static-conditional", "dynamic-moment"])
+    def test_empty_event_has_expectation_one(self, capsys, net, spec):
+        code, out, _ = run(capsys, "query", str(DATA / net), "--spec", spec)
+        assert code == 0
+        assert "exact: 1\n" in out
 
 
 class TestSamples:

@@ -14,12 +14,14 @@ from conftest import random_clgbn, random_discrete_bn, random_gbn
 
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
-from psolve.errors import DegreeCapError, InternalCheckError, UnsupportedError
+from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
 from psolve.exppoly import ExpPoly
 from psolve.moments import MomentEngine, check_mbis, compute_mbis, degree_cap
-from psolve.oracle import differential_check, enumerate_discrete, gaussian_propagate
+from psolve.oracle import differential_check, enumerate_discrete, gaussian_propagate, mc_estimate
 from psolve.parser import parse_program
-from psolve.program import Assignment, Branch, DrawSpec, Initializer, LoopProgram
+from psolve.program import (
+    Assignment, Branch, DrawSpec, Initializer, LoopProgram, pretty, validate,
+)
 from psolve.queries import conditional_moment
 from psolve.symbolic import RF_ONE, RF_ZERO, Monomial, Polynomial, RationalFunction
 
@@ -237,11 +239,6 @@ class TestDegreeCap:
         monkeypatch.setenv("PSOLVE_DEGREE_CAP", "3")
         assert degree_cap() == 3
 
-    def test_cap_enforced(self):
-        prog = parse_program("x := 0; while true { x := x + gauss(0, 1); }")
-        with pytest.raises(DegreeCapError):
-            compute_mbis(prog, [Monomial.of("x", 4)], cap=3)
-
     def test_cap_from_env(self, monkeypatch):
         monkeypatch.setenv("PSOLVE_DEGREE_CAP", "2")
         prog = parse_program("x := 0; while true { x := x + gauss(0, 1); }")
@@ -361,14 +358,16 @@ def chain_doc(n: int) -> dict:
 
 
 class TestDrawIntegration:
-    """A draw used by one update becomes its moments inside that update's
-    powers; every other draw stays symbolic until `expectation`."""
+    """Every draw belongs to one statement, so an update's draws become
+    their moments inside that update's powers; only a draw whose moment is
+    not a polynomial stays symbolic until `expectation`."""
 
-    def test_shared_draw_is_not_integrated_early(self):
-        # x := d; y := x + d with one draw d in both updates: x*y = 2*d^2,
-        # so E[x*y] = 2*E[d^2] = 6, not E[d^2] + E[d]^2 = 3.
+    def test_printed_shared_draw_is_two_draws(self):
+        # x := d; y := x + d with one draw d in both updates breaks the
+        # rule; printed, it draws gauss(0, 3) twice, so that
+        # E[x*y] = E[d1^2] + E[d1]*E[d2] = 3, and the sampler agrees
         d = Polynomial.var("$0")
-        x = Polynomial.var("x")
+        x, y = Polynomial.var("x"), Polynomial.var("y")
         zero = Polynomial.zero()
         prog = LoopProgram(
             params=(),
@@ -378,26 +377,14 @@ class TestDrawIntegration:
                      Assignment("y", (Branch(RF_ONE, x + d),))),
             draws={"$0": DrawSpec("gauss0", RationalFunction(3))},
         )
-        engine = MomentEngine(prog)
-        assert engine.one_pass(x * Polynomial.var("y")) == rf(6)
-        assert engine.substitute_body(x * Polynomial.var("y")) == 2 * d * d
-
-    def test_unknown_moment_stays_symbolic_and_raises_at_expectation(self):
-        # only E[d] = 2 is known: x gets it early, x^2 keeps d^2 and the
-        # expectation reports the missing moment
-        x = Polynomial.var("x")
-        prog = LoopProgram(
-            params=(),
-            supports={},
-            inits=(Initializer("x", Polynomial.zero()),),
-            updates=(Assignment("x", (Branch(RF_ONE, Polynomial.var("$0")),)),),
-            draws={"$0": DrawSpec("moments", raw_moments=(RationalFunction(2),))},
-        )
-        engine = MomentEngine(prog)
-        assert engine.one_pass(x) == rf(2)
-        assert str(engine.substitute_body(x * x)) == "$0^2"
-        with pytest.raises(UnsupportedError, match="moment 2 not known"):
-            engine.one_pass(x * x)
+        with pytest.raises(ProgramError) as info:
+            validate(prog)
+        assert str(info.value) == "draw $0 occurs in the update of x and in the update of y"
+        printed = parse_program(pretty(prog))
+        assert len(printed.draws) == 2
+        assert MomentEngine(printed).one_pass(x * y) == rf(3)
+        est = mc_estimate(printed, [x * y], 50_000, seed=1)[0]
+        assert abs(est.mean - 3) < 4 * est.stderr
 
     def test_parametric_denominator_draw_stays_symbolic(self):
         prog = parse_program(

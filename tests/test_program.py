@@ -48,11 +48,9 @@ class TestDrawSpec:
     def test_moment_zero_is_one(self):
         assert DrawSpec("bern", rf(F(1, 2))).moment(0) == RF_ONE
 
-    def test_explicit_moment_list(self):
-        d = DrawSpec("moments", raw_moments=(rf(1), rf(2)))
-        assert d.moment(2) == rf(2)
-        with pytest.raises(UnsupportedError):
-            d.moment(3)
+    def test_unknown_kind_has_no_moments(self):
+        with pytest.raises(ValueError, match="unknown draw kind moments"):
+            DrawSpec("moments").moment(1)
 
     def test_symbolic_argument(self):
         p = rf(Polynomial.var("p"))
@@ -183,6 +181,64 @@ class TestValidate:
         )
         with pytest.raises(ProgramError, match="reserved"):
             validate(renamed)
+
+
+def two_updates(x_init, x_expr, y_expr, draws):
+    """x, then y, each updated by one branch, built without the parser."""
+    return LoopProgram(
+        params=(),
+        supports={},
+        inits=(Initializer("x", x_init), Initializer("y", Polynomial.zero())),
+        updates=(Assignment("x", (Branch(RF_ONE, x_expr),)),
+                 Assignment("y", (Branch(RF_ONE, y_expr),))),
+        draws=draws,
+    )
+
+
+class TestDrawOwnership:
+    """Every draw a statement uses has a known distribution and belongs to
+    that statement alone."""
+
+    d = Polynomial.var("$0")
+    gauss = {"$0": DrawSpec("gauss0", rf(3))}
+
+    @pytest.mark.parametrize("case", ["two-updates", "init-and-update", "undeclared", "unknown-kind"])
+    def test_rejected(self, case):
+        d, x, zero = self.d, Polynomial.var("x"), Polynomial.zero()
+        prog, message = {
+            "two-updates": (
+                two_updates(zero, d, x + d, self.gauss),
+                "draw $0 occurs in the update of x and in the update of y",
+            ),
+            "init-and-update": (
+                two_updates(d, x, x + d, self.gauss),
+                "draw $0 occurs in the initializer of x and in the update of y",
+            ),
+            "undeclared": (
+                two_updates(zero, Polynomial.var("$1") + d, x, {}),
+                "draw $0 in the update of x has no distribution",
+            ),
+            "unknown-kind": (
+                two_updates(zero, d, x, {"$0": DrawSpec("moments")}),
+                "draw $0 in the update of x has unknown kind 'moments'",
+            ),
+        }[case]
+        with pytest.raises(ProgramError) as info:
+            validate(prog)
+        assert str(info.value) == message
+
+    def test_branches_of_one_update_share_a_draw(self):
+        x = Polynomial.var("x")
+        prog = LoopProgram(
+            params=(),
+            supports={},
+            inits=(Initializer("x", Polynomial.zero()),),
+            updates=(Assignment("x", (
+                Branch(rf(F(1, 2)), self.d), Branch(rf(F(1, 2)), 2 * self.d + x),
+            )),),
+            draws=self.gauss,
+        )
+        validate(prog)
 
 
 class TestPretty:
