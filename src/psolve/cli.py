@@ -28,8 +28,14 @@ from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
 from .parser import parse_poly, parse_program
 from .program import bind, pretty
-from .queries import _exact_str, expected_samples, forward_filter, predict_loop, run_query
-from .symbolic import RationalFunction, decimal_str
+from .queries import (
+    _exact_str,
+    decimal_or_none,
+    expected_samples,
+    forward_filter,
+    predict_loop,
+    run_query,
+)
 from . import oracle
 
 
@@ -168,21 +174,10 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 def _value_fields(value, digits: int) -> dict:
     out = {"exact": _exact_str(value)}
-    dec = _decimal(value, digits)
+    dec = decimal_or_none(value, digits)
     if dec is not None:
         out["decimal"] = dec
     return out
-
-
-def _decimal(value, digits: int) -> Optional[str]:
-    if isinstance(value, tuple):
-        parts = [_decimal(v, digits) for v in value]
-        if all(p is not None for p in parts):
-            return "(" + ", ".join(parts) + ")"
-        return None
-    if isinstance(value, RationalFunction) and value.is_const():
-        return decimal_str(value.const_value(), digits)
-    return None
 
 
 def _cmd_analyze(args) -> int:

@@ -56,6 +56,9 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
+    _mono,
+    _poly_of_sums,
+    _poly_of_terms,
     reduce_finite_support,
 )
 
@@ -170,13 +173,16 @@ class MomentEngine:
                 else:
                     moment = m.num if moment is None else moment * m.num
             if moment is None:
-                out[mono] = out.get(mono, Fraction(0)) + coeff
+                prev = out.get(mono)
+                out[mono] = coeff if prev is None else prev + coeff
                 continue
-            rest = Monomial(keep)
+            rest = _mono(tuple(keep))
             for m2, c2 in moment.terms.items():
                 m = rest * m2
-                out[m] = out.get(m, Fraction(0)) + coeff * c2
-        return Polynomial(out)
+                c = coeff * c2
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+        return _poly_of_sums(out)
 
     def _reduce(self, poly: Polynomial) -> Polynomial:
         """Finite-support reduction of the variables whose powers reach
@@ -195,20 +201,29 @@ class MomentEngine:
 
     def substitute_var(self, var: str, poly: Polynomial) -> Polynomial:
         """One elimination step: every power var^e in poly becomes var's
-        averaged update power, then support reduction.  poly must hold every
-        occurrence of var in the query, so that var^(a+b) takes one branch
-        coin."""
+        averaged update power (`_upd_pow`), then support reduction.  poly
+        must hold every occurrence of var in the query, so that var^(a+b)
+        takes one branch coin.
+
+        The result equals `poly.substitute({var: update})` averaged over
+        var's coin and draws and then reduced, but each term is expanded
+        once against the cached update power and summed into one dict; the
+        zero sums are dropped once, at the end, and the terms keep the
+        order in which they first appear."""
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in poly.terms.items():
             e = mono.exponent(var)
             if e == 0:
-                out[mono] = out.get(mono, Fraction(0)) + coeff
+                prev = out.get(mono)
+                out[mono] = coeff if prev is None else prev + coeff
                 continue
             rest = mono.without(var)
             for m2, c2 in self._upd_pow(var, e).terms.items():
                 m = rest * m2
-                out[m] = out.get(m, Fraction(0)) + coeff * c2
-        return self._reduce(Polynomial(out))
+                c = coeff * c2
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+        return self._reduce(_poly_of_sums(out))
 
     def _intern(self, poly: Polynomial) -> int:
         """The message-table id of a bucket factor or product, interned by
@@ -343,20 +358,21 @@ class MomentEngine:
                     pmono.append((s, e))
             if contrib is not None and contrib.is_zero():
                 continue
-            base = Polynomial({Monomial(pmono): coeff})
+            base = _poly_of_terms({_mono(tuple(pmono)): coeff})
             if contrib is not None:
                 base = base * contrib
-            key = Monomial(evar)
+            key = _mono(tuple(evar))
             if rf_factor is None:
                 slot = acc_poly.setdefault(key, {})
                 for m2, c2 in base.terms.items():
-                    slot[m2] = slot.get(m2, Fraction(0)) + c2
+                    prev = slot.get(m2)
+                    slot[m2] = c2 if prev is None else prev + c2
             else:
                 extra = RationalFunction(base) * rf_factor
                 acc_rf[key] = acc_rf.get(key, RF_ZERO) + extra
         linear: dict[Monomial, RationalFunction] = {}
         for key, slot in acc_poly.items():
-            linear[key] = RationalFunction(Polynomial(slot))
+            linear[key] = RationalFunction(_poly_of_sums(slot))
         for key, rf in acc_rf.items():
             linear[key] = linear.get(key, RF_ZERO) + rf
         constant = linear.pop(Monomial.unit(), RF_ZERO)

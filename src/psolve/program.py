@@ -33,6 +33,7 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
+    _poly_of_terms,
 )
 
 
@@ -212,7 +213,7 @@ def split_self(expr: Polynomial, var: str) -> tuple[Polynomial, Polynomial]:
             coeff[mono.without(var)] = c
         else:
             raise ProgramError(f"nonlinear self-dependence of {var} (degree {e})")
-    return Polynomial(coeff), Polynomial(rest)
+    return _poly_of_terms(coeff), _poly_of_terms(rest)
 
 
 def validate(prog: LoopProgram) -> None:
@@ -258,23 +259,28 @@ def validate(prog: LoopProgram) -> None:
     earlier: set[str] = set()
     for upd in prog.updates:
         target = upd.target
+        # constant probabilities sum as Fractions, symbolic ones apart
+        total_const = Fraction(0)
         total = RF_ZERO
         drawn = []
         for br in upd.branches:
-            if not br.prob.is_poly():
-                raise UnsupportedError(
-                    f"branch probability of {target} has a symbolic denominator"
-                )
-            bad = br.prob.symbols() - params
-            if bad:
-                raise ProgramError(
-                    f"branch probability of {target} references {sorted(bad)[0]}"
-                )
-            if br.prob.is_const():
-                p = br.prob.const_value()
-                if p < 0 or p > 1:
+            prob = br.prob
+            if prob.is_const():  # a polynomial with no symbols
+                p = prob.const_value()
+                if p.numerator < 0 or p.numerator > p.denominator:  # p < 0 or p > 1
                     raise ProgramError(f"branch probability {p} of {target} outside [0, 1]")
-            total = total + br.prob
+                total_const += p
+            else:
+                if not prob.is_poly():
+                    raise UnsupportedError(
+                        f"branch probability of {target} has a symbolic denominator"
+                    )
+                bad = prob.symbols() - params
+                if bad:
+                    raise ProgramError(
+                        f"branch probability of {target} references {sorted(bad)[0]}"
+                    )
+                total = total + prob
             symbols = br.expr.symbols()
             if target in symbols:
                 split_self(br.expr, target)  # raises unless linear in the target
@@ -286,7 +292,8 @@ def validate(prog: LoopProgram) -> None:
                     "which is not declared earlier"
                 )
             drawn += outside  # every symbol left is a draw
-        if total != 1:
+        sums_to_one = total_const == 1 if total.is_zero() else total + total_const == 1
+        if not sums_to_one:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
         if drawn:
             _claim_draws(prog, owners, drawn, ("update", target))
@@ -328,7 +335,7 @@ def _check_init_support(init: Initializer, size: int, prog: LoopProgram) -> None
     expr = init.expr
     if expr.is_const():
         v = expr.const_value()
-        if v.denominator != 1 or not 0 <= v < size:
+        if v.denominator != 1 or not 0 <= v.numerator < size:
             raise ProgramError(
                 f"initializer {v} of {init.target} outside declared support 0..{size - 1}"
             )

@@ -96,13 +96,32 @@ def _exact_str(value) -> str:
 
 
 def _decimal_str(value, digits: int) -> str:
+    """The decimal of a result value, entry by entry for a tuple; an entry
+    with no decimal (see `decimal_or_none`) prints exactly."""
     if value is None:
         return "undefined"
     if isinstance(value, tuple):
         return "(" + ", ".join(_decimal_str(v, digits) for v in value) + ")"
+    dec = decimal_or_none(value, digits)
+    return _exact_str(value) if dec is None else dec
+
+
+def decimal_or_none(value, digits: int) -> Optional[str]:
+    """The fixed-point decimal of a numeric value, or None if it is not one.
+
+    A constant rational function is numeric, and so is a closed form with
+    no prefix and a constant tail, whose value is that constant; a tuple
+    is numeric when every entry is."""
+    if isinstance(value, tuple):
+        parts = [decimal_or_none(v, digits) for v in value]
+        if all(p is not None for p in parts):
+            return "(" + ", ".join(parts) + ")"
+        return None
+    if isinstance(value, ClosedForm) and not value.prefix and value.tail.is_const():
+        value = value.tail.at(0)
     if isinstance(value, RationalFunction) and value.is_const():
         return decimal_str(value.const_value(), digits)
-    return _exact_str(value)
+    return None
 
 
 # -- expectation plumbing --------------------------------------------------
@@ -250,6 +269,8 @@ def predict(
 ) -> QueryResult:
     """E[target] over time: the closed form in n, its value at a horizon,
     or its limit."""
+    if not isinstance(dyn, DynBayesNet):
+        raise UnsupportedError("predict queries apply to dynamic networks")
     poly = math.prod(_target_factors(dyn.net, target), start=Polynomial.const(1))
     return predict_loop(compile_dynbn(dyn), poly, at, limit)
 

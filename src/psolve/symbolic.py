@@ -13,6 +13,16 @@ A constant rational function carries its exact `Fraction` value, and
 arithmetic and equality between two constants never touch polynomials, so
 numeric answers run at `Fraction` speed while symbolic ones keep the
 polynomial path.
+
+The public constructors `Monomial(...)` and `Polynomial(...)` validate and
+canonicalize their input.  The arithmetic does not go through them: every
+internal result is built by `_mono` (a power tuple already sorted by
+symbol, each symbol once, every exponent positive) or `_poly_of_terms` (a
+term dict with no zero coefficient; `_poly_of_sums` first drops the zero
+sums of an accumulation, once).  Each operation keeps that invariant
+itself, so a result is exactly what the validating constructor would give,
+term for term and in the same order.  A monomial's hash is that of its
+power tuple, computed once when it is built.
 """
 
 from __future__ import annotations
@@ -33,10 +43,11 @@ class Monomial:
     Stored as a tuple of (symbol, exponent) pairs sorted by symbol, all
     exponents positive.  The empty tuple is the unit monomial.  Ordering is
     graded lexicographic: total degree first, then higher power of the
-    alphabetically earliest differing symbol wins.
+    alphabetically earliest differing symbol wins.  The hash of `powers`
+    is computed once, when the monomial is built.
     """
 
-    __slots__ = ("powers",)
+    __slots__ = ("powers", "_hash")
 
     def __init__(self, powers: Iterable[tuple[str, int]] = ()):
         items: dict[str, int] = {}
@@ -45,7 +56,9 @@ class Monomial:
                 raise ValueError(f"negative exponent for {sym}")
             if exp:
                 items[sym] = items.get(sym, 0) + exp
-        object.__setattr__(self, "powers", tuple(sorted(items.items())))
+        canonical = tuple(sorted(items.items()))
+        _set_powers(self, canonical)
+        _set_hash(self, hash(canonical))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -56,7 +69,11 @@ class Monomial:
 
     @staticmethod
     def of(sym: str, exp: int = 1) -> "Monomial":
-        return Monomial(((sym, exp),))
+        if exp > 0:
+            return _mono(((sym, exp),))
+        if exp == 0:
+            return _UNIT
+        raise ValueError(f"negative exponent for {sym}")
 
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
@@ -74,13 +91,42 @@ class Monomial:
         return not self.powers
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.powers + other.powers)
+        a, b = self.powers, other.powers
+        if not b:
+            return self
+        if not a:
+            return other
+        # Merge the two sorted power tuples.
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            sa, sb = a[i][0], b[j][0]
+            if sa < sb:
+                out.append(a[i])
+                i += 1
+            elif sb < sa:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((sa, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _mono(tuple(out))
 
     def __pow__(self, k: int) -> "Monomial":
-        return Monomial((s, e * k) for s, e in self.powers)
+        if k == 1 or not self.powers:
+            return self
+        if k > 0:
+            return _mono(tuple((s, e * k) for s, e in self.powers))
+        if k == 0:
+            return _UNIT
+        raise ValueError(f"negative exponent for {self.powers[0][0]}")
 
     def without(self, sym: str) -> "Monomial":
-        return Monomial((s, e) for s, e in self.powers if s != sym)
+        return _mono(tuple(p for p in self.powers if p[0] != sym))
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(s) >= e for s, e in self.powers)
@@ -92,13 +138,13 @@ class Monomial:
             if r < 0:
                 raise ValueError(f"{other} does not divide {self}")
             out[s] = r
-        return Monomial(out.items())
+        return _mono(tuple(p for p in out.items() if p[1]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.powers == other.powers
 
     def __hash__(self) -> int:
-        return hash(self.powers)
+        return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
         da, db = self.degree(), other.degree()
@@ -121,8 +167,24 @@ class Monomial:
         return f"Monomial({self})"
 
 
-_UNIT = Monomial.__new__(Monomial)
-object.__setattr__(_UNIT, "powers", ())
+# Slot setters that bypass the immutability guards, for the constructors
+# that build canonical objects directly.
+_set_powers = Monomial.powers.__set__
+_set_hash = Monomial._hash.__set__
+
+
+def _mono(powers: tuple) -> Monomial:
+    """A Monomial over an already canonical power tuple: sorted by symbol,
+    each symbol once, every exponent positive."""
+    mono = object.__new__(Monomial)
+    _set_powers(mono, powers)
+    _set_hash(mono, hash(powers))
+    return mono
+
+
+_UNIT = _mono(())
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Polynomial:
@@ -149,11 +211,12 @@ class Polynomial:
 
     @staticmethod
     def const(value: Scalar) -> "Polynomial":
-        return Polynomial({_UNIT: Fraction(value)})
+        c = value if type(value) is Fraction else Fraction(value)
+        return _poly_of_terms({_UNIT: c} if c else {})
 
     @staticmethod
     def var(sym: str) -> "Polynomial":
-        return Polynomial({Monomial.of(sym): Fraction(1)})
+        return _poly_of_terms({Monomial.of(sym): _ONE})
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -170,10 +233,10 @@ class Polynomial:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(_UNIT, Fraction(0))
+        return self.terms.get(_UNIT, _ZERO)
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, _ZERO)
 
     def degree(self) -> int:
         return max((m.degree() for m in self.terms), default=0)
@@ -182,10 +245,7 @@ class Polynomial:
         return max((m.exponent(sym) for m in self.terms), default=0)
 
     def symbols(self) -> frozenset[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            out |= m.symbols()
-        return frozenset(out)
+        return frozenset({s for m in self.terms for s, _ in m.powers})
 
     def leading(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
@@ -223,29 +283,37 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+        return _poly_of_sums(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _poly_of_terms({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            prev = out.get(m)
+            out[m] = -c if prev is None else prev - c
+        return _poly_of_sums(out)
 
     def __rsub__(self, other) -> "Polynomial":
-        return Polynomial._coerce(other) + (-self)
+        other = Polynomial._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if type(other) is Fraction else Fraction(other)
             if not c:
-                return Polynomial()
-            return Polynomial({m: k * c for m, k in self.terms.items()})
+                return _poly_of_terms({})
+            return _poly_of_terms({m: k * c for m, k in self.terms.items()})
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -253,8 +321,10 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = ma * mb
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(out)
+                c = ca * cb
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+        return _poly_of_sums(out)
 
     __rmul__ = __mul__
 
@@ -300,7 +370,7 @@ class Polynomial:
                 else:
                     keep.append((s, e))
             if keep:
-                factor = factor * Polynomial({Monomial(keep): Fraction(1)})
+                factor = factor * _poly_of_terms({_mono(tuple(keep)): _ONE})
             out = out + factor
         return out
 
@@ -384,9 +454,10 @@ def exact_div(num: Polynomial, den: Polynomial) -> Optional[Polynomial]:
             return None
         qm = rm / dm
         qc = rc / dc
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        rem = rem - den * Polynomial({qm: qc})
-    return Polynomial(quot)
+        prev = quot.get(qm)
+        quot[qm] = qc if prev is None else prev + qc
+        rem = rem - den * _poly_of_terms({qm: qc})
+    return _poly_of_sums(quot)
 
 
 class RationalFunction:
@@ -584,8 +655,6 @@ def _as_poly(value) -> Polynomial:
     raise TypeError(f"cannot treat {value!r} as a polynomial")
 
 
-# Slot setters that bypass the immutability guards, for the constructors
-# below that build canonical objects directly.
 _set_terms = Polynomial.terms.__set__
 _set_num = RationalFunction.num.__set__
 _set_den = RationalFunction.den.__set__
@@ -599,9 +668,15 @@ def _poly_of_terms(terms: dict) -> Polynomial:
     return poly
 
 
+def _poly_of_sums(sums: dict) -> Polynomial:
+    """A Polynomial over an accumulated term dict: its zero coefficients are
+    dropped once, and the rest keep their insertion order."""
+    return _poly_of_terms({m: c for m, c in sums.items() if c})
+
+
 # Shared denominator of every rational function whose denominator is 1, and
 # shared numerator of the constant 0.
-_POLY_ONE = _poly_of_terms({_UNIT: Fraction(1)})
+_POLY_ONE = _poly_of_terms({_UNIT: _ONE})
 _POLY_ZERO = _poly_of_terms({})
 
 
@@ -669,14 +744,17 @@ def reduce_finite_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
     for mono, coeff in poly.terms.items():
         e = mono.exponent(sym)
         if e < size:
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            prev = out.get(mono)
+            out[mono] = coeff if prev is None else prev + coeff
             continue
         rest = mono.without(sym)
         for j, c in enumerate(rem[e]):
             if c:
                 m = rest if j == 0 else rest * Monomial.of(sym, j)
-                out[m] = out.get(m, Fraction(0)) + coeff * c
-    return Polynomial(out)
+                c = coeff * c
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+    return _poly_of_sums(out)
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:

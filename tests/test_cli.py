@@ -418,7 +418,13 @@ class TestQuery:
     def test_empty_event_has_expectation_one(self, capsys, net, spec):
         code, out, _ = run(capsys, "query", str(DATA / net), "--spec", spec)
         assert code == 0
-        assert "exact: 1\n" in out
+        assert "exact: 1\ndecimal: 1.000000\n" in out
+
+    def test_predict_on_static_network_exits_1(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec",
+                             '{"query": "predict", "target": "A"}')
+        assert (code, out) == (1, "")
+        assert err == "error: predict queries apply to dynamic networks\n"
 
 
 class TestSamples:

@@ -129,10 +129,34 @@ class TestValidate:
         prog = parse_program("param r; x := 0; while true { x := choose { 1 @ r; 0 @ 1 - r; }; }")
         assert len(prog.update_for("x").branches) == 2
 
+    def test_constant_and_symbolic_branch_probs_sum_together(self):
+        choose = "param r; x := 0; while true {{ x := choose {{ 1 @ {}; 2 @ r; 0 @ {} - r; }}; }}"
+        assert len(parse_program(choose.format("1/2", "1/2")).update_for("x").branches) == 3
+        # the symbolic probabilities cancel, so the constant ones must sum to 1
+        assert len(parse_program(choose.format("1", "0")).update_for("x").branches) == 3
+        for a, b in (("1/2", "1/3"), ("1/2", "0"), ("0", "0")):
+            with pytest.raises(ProgramError, match="sum to 1"):
+                parse_program(choose.format(a, b))
+
     def test_branch_prob_out_of_range(self):
         src = "x := 0; while true { x := 1 [3/2] 0; }"
         with pytest.raises(ProgramError, match="outside"):
             parse_program(src)
+
+    @pytest.mark.parametrize("p, ok", [("0", True), ("1", True), ("0 - 1/2", False), ("101/100", False)])
+    def test_branch_prob_range_is_closed(self, p, ok):
+        src = f"x := 0; while true {{ x := 1 [{p}] 0; }}"
+        if ok:
+            parse_program(src)
+        else:
+            with pytest.raises(ProgramError, match=r"outside \[0, 1\]"):
+                parse_program(src)
+
+    @pytest.mark.parametrize("init", ["2", "0 - 1", "1/2"])
+    def test_constant_init_outside_support(self, init):
+        with pytest.raises(ProgramError, match="outside declared support 0..1"):
+            parse_program(f"support x 2; x := {init}; while true {{ x := 0; }}")
+        parse_program("support x 2; x := 1; while true { x := 0; }")
 
     def test_update_order_must_match_declaration(self):
         prog = parse_program("x := 0; y := 0; while true { x := 0; y := 1; }")

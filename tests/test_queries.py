@@ -311,6 +311,10 @@ class TestPredict:
             predict(umbrella, "R", at=-1)
         assert calls == []
 
+    def test_static_network_is_unsupported(self, alarm):
+        with pytest.raises(UnsupportedError, match="predict queries apply to dynamic networks"):
+            predict(alarm, "A")
+
     def test_closed_form_lists_the_assumptions_it_was_solved_from(self):
         # U's closed form is solved from R's, which assumes 1 != r - 3/10
         dyn = load_bn_path(DATA / "umbrella_sens.json")
@@ -514,6 +518,17 @@ class TestQueryResult:
         assert again["query"] == "conditional"
         assert again["exact"] == "156670/419407"
         assert again["decimal"] == "0.373551"
+
+    def test_constant_closed_form_prints_its_decimal(self, umbrella):
+        # E[1] over time is the closed form 1 with no prefix
+        res = joint_moment(umbrella, {})
+        assert res.exact() == "1"
+        assert res.decimal() == "1.000000"
+        assert res.decimal() == joint_moment(load_bn_path(DATA / "alarm.json"), {}).decimal()
+
+    def test_nonconstant_closed_form_prints_exactly(self, umbrella):
+        res = predict(umbrella, "R")
+        assert res.decimal() == res.exact()
 
     def test_assumption_list_always_present(self, alarm):
         res = joint_moment(alarm, "B")

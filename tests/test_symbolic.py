@@ -1,6 +1,7 @@
 """Exact arithmetic layer: monomials, polynomials, rational functions."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,9 @@ from psolve.symbolic import (
     exact_div,
     reduce_finite_support,
 )
+from psolve.bayesnet import load_bn_path
+from psolve.encode import compile_bn, compile_dynbn
+from psolve.moments import MomentEngine
 from psolve.parser import parse_poly, parse_ratfun
 
 x = Polynomial.var("x")
@@ -334,3 +338,119 @@ def test_constant_division_by_zero():
         RationalFunction(0) ** -1
     with pytest.raises(ZeroDivisionError):
         RationalFunction(1, 0)
+
+
+# -- canonical construction ------------------------------------------------
+
+# The arithmetic builds monomials and polynomials directly, skipping the
+# validating constructors; each result must be what those constructors
+# would give, term for term and in the same order.
+
+monomials = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.integers(0, 3)), max_size=5
+).map(Monomial)
+
+
+@given(monomials, monomials, st.sampled_from("abcde"), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_fast_monomial_ops_match_validating_constructor(ma, mb, sym, k):
+    def same(fast, slow):
+        assert fast == slow and fast.powers == slow.powers
+        assert hash(fast) == hash(slow) == hash(fast.powers)
+
+    same(ma * mb, Monomial(ma.powers + mb.powers))
+    same(ma.without(sym), Monomial((s, e) for s, e in ma.powers if s != sym))
+    same(ma**k, Monomial((s, e * k) for s, e in ma.powers))
+    same(Monomial.of(sym, k), Monomial([(sym, k)]))
+    if mb.divides(ma):
+        same(ma / mb, Monomial((s, e - mb.exponent(s)) for s, e in ma.powers))
+    assert ma**0 == Monomial.unit()
+
+
+@given(monomials)
+@settings(max_examples=60, deadline=None)
+def test_equal_monomials_hash_equal(m):
+    again = Monomial(reversed(m.powers))
+    assert again == m and hash(again) == hash(m) == hash(m.powers)
+    assert {m: 1}[again] == 1
+
+
+# Few monomials and coefficients, so that sums cancel often.
+small_coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2)])
+
+
+@st.composite
+def cancelling_polynomials(draw):
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from("xy"), st.integers(0, 1)), max_size=2),
+        small_coeffs,
+    ), max_size=5))
+    p = Polynomial.zero()
+    for powers, c in terms:
+        p = p + Polynomial({Monomial(powers): c})
+    return p
+
+
+def _reference(pairs) -> dict:
+    """Sum (monomial, coefficient) pairs into a plain dict, then drop zeros."""
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, F(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _check_terms(poly, want: dict):
+    assert list(poly.terms.items()) == list(want.items())
+    assert all(type(c) is F and c != 0 for c in poly.terms.values())
+
+
+@given(cancelling_polynomials(), cancelling_polynomials(), st.sampled_from([0, 1, -2, F(1, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_polynomial_ops_match_dict_reference(a, b, k):
+    ta, tb = list(a.terms.items()), list(b.terms.items())
+    _check_terms(a + b, _reference(ta + tb))
+    _check_terms(a - b, _reference(ta + [(m, -c) for m, c in tb]))
+    _check_terms(-a, _reference([(m, -c) for m, c in ta]))
+    _check_terms(a * b, _reference([(ma * mb, ca * cb) for ma, ca in ta for mb, cb in tb]))
+    _check_terms(a * k, _reference([(m, c * k) for m, c in ta]))
+    _check_terms(k * a, _reference([(m, c * k) for m, c in ta]))
+    const_k = [(Monomial.unit(), F(k))] if k else []  # Polynomial.const(0) has no terms
+    _check_terms(k - a, _reference(const_k + [(m, -c) for m, c in ta]))
+
+
+@st.composite
+def _network_step(draw, engines):
+    """A compiled network's engine, one of its variables and a reduced
+    polynomial over its variables (each exponent below the support)."""
+    engine = draw(st.sampled_from(engines))
+    var = draw(st.sampled_from(engine.vars))
+    poly = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(engine.vars), max_size=3, unique=True))
+        poly = poly + Polynomial({Monomial((v, 1) for v in chosen): draw(small_coeffs)})
+    return engine, var, poly
+
+
+def _engines():
+    data = Path(__file__).resolve().parent.parent / "data"
+    return [
+        MomentEngine(compile_bn(load_bn_path(data / "alarm.json"))),
+        MomentEngine(compile_dynbn(load_bn_path(data / "umbrella.json"))),
+    ]
+
+
+@given(_network_step(_engines()))
+@settings(max_examples=80, deadline=None)
+def test_substitute_var_matches_substitute_then_reduce(step):
+    # On a reduced polynomial every variable occurs at most linearly, so
+    # its branch coin and its draws average out into the mean update.
+    engine, var, poly = step
+    prog = engine.prog
+    mean = Polynomial.zero()
+    for br in prog.update_for(var).branches:
+        draws = {s: prog.draws[s].moment(1).num for s in br.expr.symbols() if s in prog.draws}
+        mean = mean + br.prob.num * br.expr.substitute(draws)
+    want = engine._reduce(poly.substitute({var: mean}))
+    got = engine.substitute_var(var, poly)
+    assert got == want
+    assert all(type(c) is F and c != 0 for c in got.terms.values())
