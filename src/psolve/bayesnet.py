@@ -25,15 +25,16 @@ import functools
 import itertools
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
-from .symbolic import Param, Polynomial, RationalFunction, RF_ONE
+from .symbolic import Param, Polynomial, RationalFunction, RF_ONE, RF_ZERO, _rf_const
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -637,14 +638,17 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
                 "parent assignments"
             )
         for (_, vec), given in zip(m.rows, resolved):
-            total = RationalFunction(Polynomial.zero())
             for entry in vec:
                 if entry.is_const() and not 0 <= entry.const_value() <= 1:
                     raise SchemaError(
                         f"{where}: probability {entry.const_value()} outside [0, 1]"
                     )
-                total = total + entry
-            if total != RF_ONE:
+            if all(entry.is_const() for entry in vec):
+                # a plain-number row sums its values; both totals print alike
+                total = sum(entry.const_value() for entry in vec)
+            else:
+                total = sum(vec, RF_ZERO)
+            if total != 1:
                 raise SchemaError(
                     f"{where}: probabilities for {list(given)} sum to {total}"
                 )
@@ -779,7 +783,7 @@ def _ratfun(value, param_names, where) -> RationalFunction:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number, found a boolean")
     if isinstance(value, int):
-        return RationalFunction(Polynomial.const(Fraction(value)))
+        return _rf_const(Fraction(value))
     if isinstance(value, float):
         raise SchemaError(
             f"{where}: {value!r} is a binary float; write it as a string "

@@ -17,6 +17,7 @@ consistency check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .queries import (
     predict_loop,
     run_query,
 )
-from . import oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +54,11 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  Parsing keeps no
+    state on it: each call fills a new namespace, and an `append` option
+    copies its default list before it appends."""
     top = _Parser(prog="psolve", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", metavar="command")
 
@@ -303,6 +307,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import oracle  # only `check` needs the oracles
+
     bn = _load_net(args.network)
     if args.mc is not None and args.mc < 1:
         raise InputError(f"--mc must be positive, got {args.mc}")

@@ -14,7 +14,9 @@ The first two keep symbolic parameters as rational functions, so they can
 cross-check sensitivity answers too.  The sampler is deterministic given
 (seed, sample count, chunk size): it derives every random number from a
 counter-based SplitMix64 stream keyed by (seed, draw slot, iteration), so
-results never depend on execution order or worker count.
+results never depend on execution order or worker count.  numpy is
+imported by the sampler alone (`mc_estimate` and its helpers), so the
+exact oracles and a `check` without Monte Carlo never load it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .bayesnet import (
     BayesNet,
@@ -49,6 +49,9 @@ from .symbolic import (
     RF_ONE,
     RF_ZERO,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_STATE_CAP = 1 << 20
 DEFAULT_CHUNK = 65536
@@ -319,6 +322,8 @@ def _stream_key(*parts: int) -> int:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     x = x.copy()
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -330,6 +335,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _uniforms(key: int, start: int, count: int) -> np.ndarray:
     """count uniforms in (0, 1) at counter positions start..start+count-1."""
+    import numpy as np
+
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     bits = _mix64(np.uint64(key) + idx * np.uint64(_GAMMA))
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) / float(1 << 53)
@@ -366,6 +373,8 @@ class _Simulator:
         return self.slots[key]
 
     def _draw(self, key, iteration: int, start: int, count: int) -> np.ndarray:
+        import numpy as np
+
         slot = self.slots[key]
         sym = key[2]
         spec = self.prog.draws[sym]
@@ -420,6 +429,8 @@ def _draw_syms(prog: LoopProgram, poly: Polynomial) -> list[str]:
 
 
 def _eval_poly(poly: Polynomial, env: Mapping[str, np.ndarray], count: int) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(count)
     for mono, coeff in poly.terms.items():
         term = np.full(count, float(coeff))
@@ -440,6 +451,8 @@ def mc_estimate(
     """Sample means and standard errors of target expressions after
     n_iters loop iterations.  The model must have no free parameters:
     bind them first (`bayesnet.bind`, `program.bind`)."""
+    import numpy as np
+
     if n_samples < 1:
         raise QueryError(f"sample count must be positive, got {n_samples}")
     if isinstance(model, DynBayesNet):
@@ -532,10 +545,8 @@ def differential_check(
     else:
         if all(nd.is_discrete for nd in bn.nodes):
             table = enumerate_discrete(bn)
-            lines.append(
-                CheckLine("joint total", "1", str(table.total()),
-                          table.total() == RF_ONE)
-            )
+            total = table.total()
+            lines.append(CheckLine("joint total", "1", str(total), total == RF_ONE))
             xs = {nd.name: Polynomial.var(nd.name) for nd in bn.nodes}
             splits = [(f"E[{a}]", (x,)) for a, x in xs.items()] + [
                 (f"E[{a}*{b}]", (xs[a], xs[b])) for a, b in itertools.combinations(xs, 2)

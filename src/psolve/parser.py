@@ -23,7 +23,7 @@ from .program import (
     LoopProgram,
     validate,
 )
-from .symbolic import Param, Polynomial, RationalFunction, RF_ONE
+from .symbolic import Param, Polynomial, RationalFunction, RF_ONE, _rf_const
 
 RESERVED = {"while", "true", "param", "support", "in", "bern", "gauss", "uniform", "choose", "n"}
 
@@ -343,9 +343,12 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
     m = _QUOTIENT_RE.match(text)
     if m:
-        num, den = Fraction(m[1]), Fraction(m[2] or 1)
+        num = Fraction(m[1])
+        if m[2] is None:
+            return _rf_const(num)
+        den = Fraction(m[2])
         if den:  # a zero divisor goes on to the parser, which reports where
-            return RationalFunction(num / den)
+            return _rf_const(num / den)
     parser = _Parser(text)
     parser.params = {p: Param(p) for p in params}
     parser.allowed = set()

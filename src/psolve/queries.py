@@ -317,6 +317,8 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     previous state and the step's observations, summed onto the new state
     and memoized per call.
     """
+    if not isinstance(dyn, DynBayesNet):
+        raise UnsupportedError("filter queries apply to dynamic networks")
     if not isinstance(observations, (list, tuple)):
         raise QueryError(f"observations must be a list of steps, got {observations!r}")
     states, prior = _filter_setup(dyn)

@@ -1,4 +1,5 @@
-"""Seeded random network generators shared by the differential suites.
+"""Seeded random network generators shared by the differential suites,
+and the numeric texts of the parser and loader tests.
 
 Everything takes an explicit random.Random so failures reproduce from the
 seed printed in the test id.  Documents go through load_bn, so generated
@@ -20,6 +21,24 @@ def rational(rng: random.Random, lo: int, hi: int, den_max: int = 8) -> Fraction
 def probability(rng: random.Random, den_max: int = 12) -> Fraction:
     den = rng.randint(1, den_max)
     return Fraction(rng.randint(0, den), den)
+
+
+def numeric_text(rng: random.Random) -> str:
+    """A number or a quotient of two in any spacing, with leading zeros."""
+    def number():
+        text = "0" * rng.choice([0, 0, 1, 2]) + str(rng.randint(0, 999))
+        if rng.random() < 0.4:
+            text += "." + str(rng.randint(0, 999)).zfill(rng.randint(1, 3))
+        return text
+
+    space = lambda: rng.choice(["", "", " ", "  ", "\t", "\n "])
+    text = space() + number()
+    if rng.random() < 0.6:
+        den = number()
+        while not Fraction(den):
+            den = number()
+        text += space() + "/" + space() + den
+    return text + space()
 
 
 def random_discrete_doc(rng: random.Random, n_nodes: int, max_parents: int = 3,

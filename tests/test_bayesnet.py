@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import numeric_text
 
 from psolve.bayesnet import (
     BayesNet,
@@ -21,6 +22,7 @@ from psolve.bayesnet import (
     load_bn_path,
 )
 from psolve.errors import SchemaError
+from psolve.parser import parse_ratfun
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -213,6 +215,57 @@ class TestSchemaErrors:
         doc["nodes"][0]["model"]["p"] = [True, False]
         with pytest.raises(SchemaError, match="boolean"):
             load_bn(doc)
+
+
+class TestNumericEntries:
+    """A plain-number entry takes the parser's numeric fast path; what the
+    loader keeps equals the general parser's value and prints alike."""
+
+    @staticmethod
+    def same(got, text):
+        want = parse_ratfun(f"({text})")  # parenthesized: the general path
+        assert got == want and str(got) == str(want), repr(text)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_general_parser(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            text = numeric_text(rng)
+            net = load_bn({"nodes": [{"name": "X", "model": {
+                "kind": "lingauss", "intercept": text, "variance": "1"}}]})
+            self.same(net.node("X").model.intercept, text)
+            if parse_ratfun(text).const_value() <= 1:
+                net = load_bn({"nodes": [{"name": "A", "model": {
+                    "kind": "cpt", "p": [f"1 - ({text})", text]}}]})
+                self.same(net.node("A").model.vector(())[1], text)
+            value = rng.randint(0, 999)
+            net = load_bn({"nodes": [{"name": "X", "model": {
+                "kind": "lingauss", "intercept": value, "variance": "1"}}]})
+            self.same(net.node("X").model.intercept, str(value))
+
+    @pytest.mark.parametrize("params, p, message", [
+        ([], ["2", "-1"], "node A: probability 2 outside [0, 1]"),
+        ([], ["1/2", "1/3"], "node A: probabilities for [] sum to 5/6"),
+        ([], [1, 1], "node A: probabilities for [] sum to 2"),
+        (["a"], ["a", "1/2"], "node A: probabilities for [] sum to a + 1/2"),
+        (["a"], ["1/2", "a/(1+a)", "1/2"],
+         "node A: probabilities for [] sum to (2*a + 1)/(a + 1)"),
+        ([], [0.5, 0.5], 'node A probability: 0.5 is a binary float; write it as '
+                         'a string like "0.95" so it stays exact'),
+        ([], [True, False], "node A probability: expected a number, found a boolean"),
+    ])
+    def test_error_texts(self, params, p, message):
+        doc = {"params": params, "nodes": [{"name": "A", "model": {"kind": "cpt", "p": p}}]}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == message
+
+    def test_row_sum_names_its_assignment(self):
+        doc = doc_chain()
+        doc["nodes"][1]["model"]["rows"][1]["p"] = ["1/3", "1/3"]
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == "node B: probabilities for [1] sum to 2/3"
 
 
 class TestDeterministic:

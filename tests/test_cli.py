@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from psolve.cli import main
+from psolve.cli import _build_parser, main
 from psolve.oracle import CheckLine
 from psolve.parser import parse_program
 from psolve.program import validate
@@ -27,6 +28,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args):
+    """Run a fresh interpreter in the repository root with src importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestAnalyze:
@@ -426,6 +439,12 @@ class TestQuery:
         assert (code, out) == (1, "")
         assert err == "error: predict queries apply to dynamic networks\n"
 
+    def test_filter_on_static_network_exits_1(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec",
+                             '{"query": "filter", "observations": [{"M": 1}]}')
+        assert (code, out) == (1, "")
+        assert err == "error: filter queries apply to dynamic networks\n"
+
 
 class TestSamples:
     def test_conjunction_evidence(self, capsys):
@@ -666,13 +685,95 @@ class TestTopLevel:
         assert "error:" in err
 
     def test_module_entry_point(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "psolve", "--help"],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = python("-m", "psolve", "--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: psolve")
+
+
+class TestOneParserPerProcess:
+    """`main` builds its parser once per process; a call leaves nothing on
+    it that the next call could see."""
+
+    SPEC = TestQuery.SPEC
+    BOUND = ("query: conditional\nexact: 156670/419407\ndecimal: 0.373551\n"
+             "assumptions: (none)\n")
+    FREE = ("query: conditional\n"
+            "exact: (-10*b*q - 940*b)/(279*b*q - 939*b - 289*q - 1)\n"
+            "decimal: (-10*b*q - 940*b)/(279*b*q - 939*b - 289*q - 1)\n"
+            "assumptions:\n"
+            "  (-279/1000*b*q + 939/1000*b + 289/1000*q + 1/1000) != 0\n")
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_param_list_starts_empty_on_every_call(self, capsys):
+        bound = ("--param", "b=1/1000", "--param", "q=1/500")
+        query = ("query", ALARM_SENS, "--spec", self.SPEC)
+        assert run(capsys, *query, *bound) == (0, self.BOUND, "")
+        assert run(capsys, *query) == (0, self.FREE, "")
+        assert run(capsys, *query, "--param", "b=1", "--param", "b=2") == (
+            1, "", "error: --param b given twice\n")
+        assert run(capsys, *query, *bound) == (0, self.BOUND, "")
+        assert run(capsys, *query) == (0, self.FREE, "")
+
+    def test_argparse_error_then_good_call(self, capsys):
+        query = ("query", ALARM, "--spec", self.SPEC)
+        assert run(capsys, *query, "--digits", "-3") == (
+            1, "", "error: argument --digits: must be nonnegative, got -3\n")
+        assert run(capsys, *query) == (0, self.BOUND, "")
+        assert run(capsys, *query, "--digits", "3")[1].endswith(
+            "decimal: 0.374\nassumptions: (none)\n")
+        assert run(capsys, *query) == (0, self.BOUND, "")
+
+    def test_no_subcommand_after_a_command(self, capsys):
+        assert run(capsys, "query", ALARM, "--spec", self.SPEC)[0] == 0
+        assert run(capsys) == (1, "", "error: pick a subcommand (try --help)\n")
+
+
+class TestNumpyStaysOut:
+    """Only the Monte Carlo sampler imports numpy."""
+
+    MARKS_MC = """\
+network: data/marks.json
+checks:
+  ok   E[ALG]: engine 253/5, oracle 253/5
+  ok   E[ALG^2]: engine 66829/25, oracle 66829/25
+  ok   E[ANL]: engine 11631/250, oracle 11631/250
+  ok   E[ANL^2]: engine 149080491/62500, oracle 149080491/62500
+  ok   E[Stat]: engine 1042211/25000, oracle 1042211/25000
+  ok   E[Stat^2]: engine 1272324089651/625000000, oracle 1272324089651/625000000
+  ok   MC E[ALG]: engine 50.600000, oracle 50.901435 (se 2.34e-01)
+  ok   MC E[ANL]: engine 46.524000, oracle 46.587011 (se 3.17e-01)
+  ok   MC E[Stat]: engine 41.688440, oracle 41.885326 (se 3.74e-01)
+passed: 9
+failed: 0
+"""
+
+    SCRIPT = textwrap.dedent("""\
+        import contextlib, io, sys
+        assert "numpy" not in sys.modules, "numpy is loaded at start-up"
+        from psolve.cli import main
+        assert "numpy" not in sys.modules, "import psolve.cli"
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0, argv
+            return out.getvalue()
+
+        for argv in (
+            ("query", "data/alarm.json", "--spec", '{"query": "moment", "target": "A"}'),
+            ("check", "data/alarm.json"),
+            ("compile-bn", "data/asia.json"),
+        ):
+            run(*argv)
+            assert "numpy" not in sys.modules, argv
+        out = run("check", "data/marks.json", "--mc", "2000")
+        assert "numpy" in sys.modules, "check --mc"
+        sys.stdout.write(out)
+    """)
+
+    def test_only_monte_carlo_loads_numpy(self):
+        proc = python("-c", self.SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.MARKS_MC

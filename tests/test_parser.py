@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import numeric_text
 
 from psolve.errors import ParseError
 from psolve.parser import parse_poly, parse_program, parse_ratfun
@@ -21,24 +22,6 @@ class TestNumbers:
     def test_fractions(self):
         p = parse_poly("2/3 + 1/6")
         assert p.const_value() == F(5, 6)
-
-
-def numeric_text(rng: random.Random) -> str:
-    """A number or a quotient of two in any spacing, with leading zeros."""
-    def number():
-        text = "0" * rng.choice([0, 0, 1, 2]) + str(rng.randint(0, 999))
-        if rng.random() < 0.4:
-            text += "." + str(rng.randint(0, 999)).zfill(rng.randint(1, 3))
-        return text
-
-    space = lambda: rng.choice(["", "", " ", "  ", "\t", "\n "])
-    text = space() + number()
-    if rng.random() < 0.6:
-        den = number()
-        while not F(den):
-            den = number()
-        text += space() + "/" + space() + den
-    return text + space()
 
 
 class TestNumericFastPath:

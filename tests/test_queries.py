@@ -323,6 +323,10 @@ class TestPredict:
 
 
 class TestForwardFilter:
+    def test_static_network_is_unsupported(self, alarm):
+        with pytest.raises(UnsupportedError, match="filter queries apply to dynamic networks"):
+            forward_filter(alarm, [{"M": 1}])
+
     def test_umbrella_two_wet_observations(self):
         dyn = load_bn_path(DATA / "umbrella_filter.json")
         res = forward_filter(dyn, [{"U": 1}, {"U": 1}])
