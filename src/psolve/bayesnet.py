@@ -643,12 +643,8 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
                     raise SchemaError(
                         f"{where}: probability {entry.const_value()} outside [0, 1]"
                     )
-            if all(entry.is_const() for entry in vec):
-                # a plain-number row sums its values; both totals print alike
-                total = sum(entry.const_value() for entry in vec)
-            else:
-                total = sum(vec, RF_ZERO)
-            if total != 1:
+            total = sum(vec, RF_ZERO)
+            if total != RF_ONE:
                 raise SchemaError(
                     f"{where}: probabilities for {list(given)} sum to {total}"
                 )

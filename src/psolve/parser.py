@@ -343,10 +343,7 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
     m = _QUOTIENT_RE.match(text)
     if m:
-        num = Fraction(m[1])
-        if m[2] is None:
-            return _rf_const(num)
-        den = Fraction(m[2])
+        num, den = Fraction(m[1]), Fraction(m[2] or 1)
         if den:  # a zero divisor goes on to the parser, which reports where
             return _rf_const(num / den)
     parser = _Parser(text)

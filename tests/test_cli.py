@@ -777,3 +777,10 @@ failed: 0
         proc = python("-c", self.SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == self.MARKS_MC
+
+    def test_module_entry_point_skips_numpy(self):
+        proc = python("-X", "importtime", "-m", "psolve",
+                      "check", "data/alarm.json", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert "| psolve.cli" in proc.stderr
+        assert "numpy" not in proc.stderr
