@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -632,9 +633,9 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
         resolved = _resolve_assignments(
             [given for given, _ in m.rows], m.parents, by_name, where
         )
-        if len(resolved) != _product(shape):
+        if len(resolved) != math.prod(shape):
             raise SchemaError(
-                f"{where}: {len(resolved)} rows but {_product(shape)} "
+                f"{where}: {len(resolved)} rows but {math.prod(shape)} "
                 "parent assignments"
             )
         for (_, vec), given in zip(m.rows, resolved):
@@ -667,9 +668,9 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
     resolved = _resolve_assignments(
         [given for given, _ in m.table], m.parents, by_name, where
     )
-    if len(resolved) != _product(shape):
+    if len(resolved) != math.prod(shape):
         raise SchemaError(
-            f"{where}: {len(resolved)} table rows but {_product(shape)} assignments"
+            f"{where}: {len(resolved)} table rows but {math.prod(shape)} assignments"
         )
     for _, lg in m.table:
         for cp in lg.parents:
@@ -698,7 +699,7 @@ def _check_det_range(nd: Node, m: Deterministic, by_name) -> None:
     if any(s not in by_name for s in m.expr.symbols()):
         return  # parameters present; the range is the user's promise
     shape = [by_name[p].support for p in m.parents]
-    if _product(shape) > 4096:
+    if math.prod(shape) > 4096:
         return
     for assignment in itertools.product(*map(range, shape)):
         value = m.expr.eval(dict(zip(m.parents, map(Fraction, assignment))))
@@ -751,13 +752,6 @@ def _find_cycle(pending: dict, placed: set) -> list[str]:
             return path[path.index(nxt):] + [nxt]
         path.append(nxt)
         current = nxt
-
-
-def _product(shape) -> int:
-    out = 1
-    for s in shape:
-        out *= s
-    return out
 
 
 def _fraction(value, where) -> Fraction:

@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("program", help="loop program file")
     p.add_argument("--goal", required=True, help="goal expression")
     p.add_argument("--k", type=int, default=1, help="moment order")
-    p.add_argument("--at", type=int, default=None, help="evaluate at n")
+    p.add_argument("--at", type=_nonnegative, default=None, help="evaluate at n")
     p.add_argument("--limit", action="store_true", help="long-run limit")
     common(p)
 
@@ -190,10 +190,6 @@ def _cmd_analyze(args) -> int:
     bindings = _parse_bindings(args.param)
     if args.k < 1:
         raise InputError(f"moment order must be positive, got {args.k}")
-    if args.at is not None and args.limit:
-        raise InputError("--at and --limit are mutually exclusive")
-    if args.at is not None and args.at < 0:
-        raise InputError(f"--at must be nonnegative, got {args.at}")
     goal = parse_poly(
         args.goal, prog.variables, tuple(p.name for p in prog.params)
     ) ** args.k
@@ -291,10 +287,7 @@ def _parse_obs(text: str) -> list:
 
 
 def _cmd_filter(args) -> int:
-    bn = _load_net(args.network)
-    if not isinstance(bn, DynBayesNet):
-        raise InputError(f"{args.network} is not a dynamic network")
-    bn = bind_net(bn, _parse_bindings(args.param))
+    bn = bind_net(_load_net(args.network), _parse_bindings(args.param))
     result = forward_filter(bn, _parse_obs(args.obs))
     doc = result.to_json(args.digits)
     steps = []

@@ -36,7 +36,7 @@ class UnsupportedError(InputError):
 
 
 class DegreeCapError(InputError):
-    """The moment worklist produced a monomial above the degree cap."""
+    """The moment closure reached a monomial above the degree cap."""
 
 
 class InternalCheckError(Exception):

@@ -11,11 +11,12 @@ turn into their raw moments.  Every draw belongs to one statement
 that update's powers, where they enter the monomial, and the substituted
 body grows with its expectation rather than with the number of draws;
 only a draw whose moment is not a polynomial in the parameters stays
-symbolic until the final expectation.  A worklist closes the set of
-needed moments, then closed forms are solved bottom-up along the
-dependency order, each by `recurrence.py` from a recurrence in n whose
-inhomogeneous term combines the closed forms of the moments it depends on
-(`_first_order`), so it lists their assumptions after its own.
+symbolic until the final expectation.  One depth-first pass (`_close`)
+extracts every needed moment and orders each after the moments it depends
+on; then the closed forms are solved bottom-up in that order, each by
+`recurrence.py` from a recurrence in n whose inhomogeneous term combines
+the closed forms of the moments it depends on (`_first_order`), so it
+lists their assumptions after its own.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program, and `MomentEngine.substitute_body` is its one way to substitute
@@ -446,29 +447,36 @@ class MomentEngine:
         return total
 
 
-def _toposort(recs: dict[Monomial, MomentRecurrence]) -> list[Monomial]:
-    order: list[Monomial] = []
-    state: dict[Monomial, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(m: Monomial, path: list[Monomial]) -> None:
-        mark = state.get(m)
-        if mark == 2:
-            return
-        if mark == 1:
+def _close(
+    engine: MomentEngine,
+    m: Monomial,
+    path: list[Monomial],
+    recs: dict[Monomial, MomentRecurrence],
+    order: list[Monomial],
+    cap: int,
+) -> None:
+    """Close E[m] depth first: extract its recurrence into `recs`, close
+    the moments it depends on, then append m to `order`, after all of
+    them.  `path` holds the moments from a goal down to the one that
+    needs m.  A moment met again on its own path is a cycle, and a
+    monomial above the degree cap aborts with the path that reached it."""
+    if m in recs:
+        if m in path:
             cyc = " -> ".join(str(x) for x in path + [m])
             raise UnsupportedError(
                 f"cyclic moment dependence: {cyc}; the loop is outside the "
                 "Prob-solvable fragment"
             )
-        state[m] = 1
-        for dep, _ in recs[m].linear:
-            visit(dep, path + [m])
-        state[m] = 2
-        order.append(m)
-
-    for m in recs:
-        visit(m, [])
-    return order
+        return
+    if m.degree() > cap:
+        trail = " <- ".join(str(x) for x in reversed(path + [m]))
+        raise DegreeCapError(f"moment degree {m.degree()} exceeds cap {cap}: {trail}")
+    rec = recs[m] = engine.extract(m)
+    path.append(m)
+    for dep, _ in rec.linear:
+        _close(engine, dep, path, recs, order, cap)
+    path.pop()
+    order.append(m)
 
 
 def _first_order(
@@ -488,42 +496,27 @@ def compute_mbis(
     """Closed forms for the expected values of the goal monomials.
 
     `prog` is a `LoopProgram` or the `MomentEngine` built for one; a
-    program gets its engine built here, once.  The worklist adds every
-    moment the goals transitively depend on; a monomial whose total degree
-    exceeds the cap (PSOLVE_DEGREE_CAP or 64) aborts with the chain that
-    produced it.  With check=True every solution is verified by
+    program gets its engine built here, once.  `_close` extracts every
+    moment the goals transitively depend on, the last goal first, and
+    orders them; a cyclic dependence, or a monomial whose total degree
+    exceeds the cap (PSOLVE_DEGREE_CAP or 64), aborts with the chain that
+    reached it.  Every recurrence is extracted before any is solved, in
+    that order.  With check=True every solution is verified by
     back-substitution on the same engine before being returned.
     """
     cap = degree_cap()
     engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
-    recs: dict[Monomial, MomentRecurrence] = {}
-    parent: dict[Monomial, Monomial] = {}
-    pending: list[Monomial] = []
+    goals = list(goals)
     for goal in goals:
         if not isinstance(goal, Monomial):
             raise TypeError("goals must be monomials over program variables")
-        pending.append(goal)
-    while pending:
-        m = pending.pop()
-        if m in recs:
-            continue
-        if m.degree() > cap:
-            chain = [m]
-            while chain[-1] in parent:
-                chain.append(parent[chain[-1]])
-            trail = " <- ".join(str(x) for x in chain)
-            raise DegreeCapError(
-                f"moment degree {m.degree()} exceeds cap {cap}: {trail}"
-            )
-        rec = engine.extract(m)
-        recs[m] = rec
-        for dep, _ in rec.linear:
-            if dep not in recs:
-                parent.setdefault(dep, m)
-                pending.append(dep)
+    recs: dict[Monomial, MomentRecurrence] = {}
+    order: list[Monomial] = []
+    for goal in reversed(goals):
+        _close(engine, goal, [], recs, order, cap)
 
     solved: dict[Monomial, ClosedForm] = {}
-    for m in _toposort(recs):
+    for m in order:
         solved[m] = solve_first_order(_first_order(engine, m, recs[m], solved))
 
     mbis = {m: MBI(m, recs[m], solved[m]) for m in recs}

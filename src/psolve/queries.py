@@ -281,7 +281,9 @@ def predict_loop(
     """E[poly] of a loop program over time: the closed form in n, its
     value after `at` iterations, or its limit, which is decided over the
     program's parameter domains; a diverging limit has the value None and
-    the diagnostic "diverges"."""
+    the diagnostic "diverges".  `at` and `limit` exclude each other."""
+    if at is not None and limit:
+        raise QueryError('"at" and "limit" are mutually exclusive')
     if at is not None and at < 0:
         raise QueryError(f"horizon must be nonnegative, got {at}")
     closed = MomentEngine(prog).closed(poly)
@@ -437,10 +439,7 @@ def run_query(bn, spec: Mapping) -> QueryResult:
         target = spec.get("target", spec.get("node"))
         if target is None:
             raise QueryError('predict needs a "target" node or expression')
-        at, limit = _int_field(spec, "at"), _bool_field(spec, "limit", False)
-        if at is not None and limit:
-            raise QueryError('"at" and "limit" are mutually exclusive')
-        return predict(bn, target, at, limit)
+        return predict(bn, target, _int_field(spec, "at"), _bool_field(spec, "limit", False))
     if kind == "filter":
         _require(spec, {"query", "observations"})
         return forward_filter(bn, spec.get("observations", []))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
+from psolve import moments
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
@@ -244,6 +245,61 @@ class TestDegreeCap:
         prog = parse_program("x := 0; while true { x := x + gauss(0, 1); }")
         with pytest.raises(DegreeCapError):
             compute_mbis(prog, [Monomial.of("x", 3)])
+
+    TRAIL = "x := 0; y := 0; while true { x := x + bern(1/2); y := y + x*x; }"
+    SCALED = "x := 0; y := 1; while true { x := x + bern(1/2); y := x*y; }"
+
+    @pytest.mark.parametrize("source, cap, goal, message", [
+        (TRAIL, "1", Monomial.of("y"), "moment degree 2 exceeds cap 1: x^2 <- y"),
+        (TRAIL, "2", Monomial.of("x") * Monomial.of("y"),
+         "moment degree 3 exceeds cap 2: x^3 <- x*y"),
+        (SCALED, "2", Monomial.of("y"), "moment degree 3 exceeds cap 2: x^2*y <- x*y <- y"),
+    ])
+    def test_error_names_the_chain_that_reached_the_moment(
+        self, monkeypatch, source, cap, goal, message
+    ):
+        monkeypatch.setenv("PSOLVE_DEGREE_CAP", cap)
+        with pytest.raises(DegreeCapError) as info:
+            compute_mbis(parse_program(source), [goal])
+        assert str(info.value) == message
+
+
+class TestClosure:
+    """`compute_mbis` closes the goals' moments in one depth-first pass and
+    solves each after the moments it depends on."""
+
+    DRAWS = parse_program(
+        "x := 0; y := 0; z := 0; while true { x := x + bern(1/3); "
+        "y := 1/2*y + gauss(x, 2); z := z + x*uniform(0, 2); }"
+    )
+    GOALS = [Monomial.of("y", 3), Monomial.of("z", 2)]
+
+    def test_each_moment_extracted_and_solved_once(self, monkeypatch):
+        extracted, solved = [], []
+        extract, solve = MomentEngine.extract, moments.solve_first_order
+
+        def counted_extract(self, target):
+            extracted.append(target)
+            return extract(self, target)
+
+        def counted_solve(rec):
+            solved.append(rec)
+            return solve(rec)
+
+        monkeypatch.setattr(MomentEngine, "extract", counted_extract)
+        monkeypatch.setattr(moments, "solve_first_order", counted_solve)
+        mbis = compute_mbis(self.DRAWS, self.GOALS)
+        assert len(mbis) == 12
+        assert sorted(extracted) == sorted(mbis)
+        assert len(solved) == len(mbis)
+
+    def test_goal_order_does_not_change_the_closed_forms(self):
+        goals = self.GOALS + [Monomial.of("x") * Monomial.of("y"), Monomial.of("z")]
+        want = compute_mbis(self.DRAWS, goals)
+        for perm in itertools.permutations(goals):
+            got = compute_mbis(self.DRAWS, list(perm))
+            assert got.keys() == want.keys()
+            assert all(str(got[m].closed) == str(want[m].closed) for m in want)
 
 
 class TestStochasticDependencyChain:

@@ -315,6 +315,10 @@ class TestPredict:
         with pytest.raises(UnsupportedError, match="predict queries apply to dynamic networks"):
             predict(alarm, "A")
 
+    def test_horizon_and_limit_are_mutually_exclusive(self, umbrella):
+        with pytest.raises(QueryError, match='"at" and "limit" are mutually exclusive'):
+            predict(umbrella, "R", at=3, limit=True)
+
     def test_closed_form_lists_the_assumptions_it_was_solved_from(self):
         # U's closed form is solved from R's, which assumes 1 != r - 3/10
         dyn = load_bn_path(DATA / "umbrella_sens.json")
