@@ -293,10 +293,13 @@ def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
 @dataclass(frozen=True)
 class MonitorProgram:
     """A compiled network extended with the rejection-sampling bookkeeping,
-    and the normalized evidence it accepts."""
+    and the normalized evidence it accepts: one flag variable per evidence
+    node (`evidence_vars`, in evidence order) and their product, the
+    acceptance flag `evidence_var`."""
 
     program: LoopProgram
     evidence: Tuple[Tuple[str, int], ...]
+    evidence_vars: Tuple[str, ...]
     evidence_var: str
     continue_var: str
     count_var: str
@@ -306,16 +309,25 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     """Append variables that stop counting at the first sample matching the
     evidence; lim E[count] is the expected number of samples drawn.
 
-    count starts at 1: it must include the accepted sample itself, and the
+    Each evidence node gets a flag, `ev_<node>`, set to its indicator, and
+    the acceptance flag ev is their product, one monomial, so that a
+    negative value (an indicator 1 - X) does not double its terms.  count
+    starts at 1: it must include the accepted sample itself, and the
     update reads the already-updated continue flag, whose sum alone counts
     only the rejected prefix.
     """
     pairs = sample_evidence(bn, evidence)
     builder = _static_builder(bn)
     one = Polynomial.const(Fraction(1))
+    zero = Polynomial.zero()
 
+    flags = []
+    for (name, _), ind in zip(pairs, indicator_factors(bn, pairs)):
+        flags.append(builder.fresh(f"ev_{name}"))
+        builder.emit(flags[-1], [Branch(RF_ONE, ind)], zero, 2)
     ev = builder.fresh("ev")
-    builder.emit(ev, [Branch(RF_ONE, _indicator_product(bn, pairs))], Polynomial.zero(), 2)
+    accept = Polynomial({Monomial((flag, 1) for flag in flags): Fraction(1)})
+    builder.emit(ev, [Branch(RF_ONE, accept)], zero, 2)
     cont = builder.fresh("continue")
     keep = Polynomial.var(cont) * (one - Polynomial.var(ev))
     builder.emit(cont, [Branch(RF_ONE, keep)], one, 2)
@@ -326,6 +338,7 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     return MonitorProgram(
         program=builder.program(bn.params),
         evidence=pairs,
+        evidence_vars=tuple(flags),
         evidence_var=ev,
         continue_var=cont,
         count_var=count,

@@ -28,13 +28,16 @@ passes its target and one indicator per evidence node, so negative
 evidence (a factor 1 - F) does not double the polynomial.  A body that
 overwrites every variable from draws and parameters alone (a compiled
 static network) needs no recurrence: `MomentEngine.one_pass` substitutes
-the body into the query once and takes one expectation.  Every
-`one_pass` walk reads and fills the engine's table of bucket messages,
-so the expectations of one query build each message they share once; an
-extraction walk keys nothing, since it never meets the same bucket
-twice.  Any other body
-goes through `MomentEngine.closed`, which closes the query's monomials
-with `compute_mbis` and combines their closed forms in n.
+the body into the query once and takes one expectation.  Every walk,
+`one_pass` or extraction, reads and fills the engine's table of bucket
+messages, so the expectations of one query build each message they share
+once.  A message left alone in its walk with one term, or with one term
+still to substitute beside start-of-iteration values, goes on as one
+factor per variable of that term, so an extraction meets the messages
+other walks built: the sampling monitor's count reuses the P(evidence)
+pass.  Any other body goes through `MomentEngine.closed`, which closes
+the query's monomials with `compute_mbis` and combines their closed
+forms in n.
 `compute_mbis` and `check_mbis` take a program or the engine built for
 it; `closed` passes its own engine, so extraction, solving and the
 back-substitution check of one query share one engine and its caches.
@@ -114,10 +117,11 @@ class MomentEngine:
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], RationalFunction] = {}
-        # the message table of `one_pass` walks: (var, the id of the
-        # bucket's lone factor or the sorted ids of its factors) ->
-        # (message, its symbols, its id)
-        self._messages: dict[tuple[str, object], tuple[Polynomial, frozenset[str], int]] = {}
+        self._rank = {var: i for i, var in enumerate(self.vars)}
+        # the message table of every walk: (var, the id of the bucket's
+        # lone factor or the sorted ids of its factors) -> (message, its
+        # symbols, its id, its split or None; see `_split`)
+        self._messages: dict[tuple[str, object], tuple] = {}
         self._interned: dict[frozenset, int] = {}
         self._ids = itertools.count()
 
@@ -235,7 +239,7 @@ class MomentEngine:
             pid = self._interned[key] = next(self._ids)
         return pid
 
-    def substitute_body(self, *factors: Polynomial, shared: bool = False) -> Polynomial:
+    def substitute_body(self, *factors: Polynomial) -> Polynomial:
         """One full body substitution into the product of one or more
         factors: the result refers only to start-of-iteration values, draws
         and parameters.
@@ -251,23 +255,32 @@ class MomentEngine:
         factors.  Each factor left at the end is a message or mentions no
         program variable, and no program variable is in two of them, since
         a bucket takes every factor that mentions its variable; so their
-        product, the polynomial whose expectation is taken, needs no
-        reduction.  No factors at all is the empty product, 1.
+        product needs no reduction.  No factors at all is the empty
+        product, 1.
 
-        With shared=True, as every `one_pass` walks, the buckets go through
-        the engine's message table, so that the expectations of one query
-        (numerator and denominator, the states of a distribution, the
-        targets of a check) build each message once, as in Kask, Dechter,
-        Larrosa and Dechter's bucket trees.  A message is fixed by its
-        variable and the product of its bucket.  Each input factor is
-        interned by its terms and each message gets a fresh small id; a
-        bucket is keyed by its variable and the ids of its factors
-        (`_shared_message`), and a bucket seen before skips its product,
-        reduction and step.  No polynomial is hashed on a hit.  An
-        extraction walk keys nothing: `compute_mbis` extracts each monomial
-        once, so nothing there could hit.
+        Every walk goes through the engine's message table, so that the
+        expectations of one query (numerator and denominator, the states of
+        a distribution, the targets of a check, the moments of a closure)
+        build each message once, as in Kask, Dechter, Larrosa and Dechter's
+        bucket trees.  A message is fixed by its variable and the product
+        of its bucket.  Each input factor is interned by its terms and each
+        message gets a fresh small id; a bucket is keyed by its variable
+        and the ids of its factors (`_message`), and a bucket seen before
+        skips its product, reduction and step.  No polynomial is hashed on
+        a hit.
+
+        A message that is the only factor left may split (`_split`): the
+        part of it that needs no more substitution is set aside, and the
+        rest goes on as one factor per variable still to eliminate, which
+        are interned, so that the walk meets the buckets other walks have
+        built.  A split walk returns the sum of what it set aside and the
+        scaled product of its last factors.  An update reads only earlier
+        variables and its own, so a start-of-iteration value enters the
+        walk in its variable's message alone: no program variable is in
+        two factors of those products, and they need no reduction.
         """
-        pending = [(f, f.symbols(), self._intern(f) if shared else -1) for f in factors]
+        pending = [(f, f.symbols(), self._intern(f), None) for f in factors]
+        aside = None  # the walk's polynomial is aside + scale * coeff * pending
         for var in reversed(self.vars):
             bucket = [entry for entry in pending if var in entry[1]]
             if not bucket:
@@ -276,24 +289,35 @@ class MomentEngine:
                 pending = [entry for entry in pending if var not in entry[1]]
             else:  # a lone factor, as in an extraction, leaves none behind
                 pending = []
-            if shared:
-                pending.append(self._shared_message(var, bucket))
+            message = self._message(var, bucket)
+            if pending or message[3] is None:
+                pending.append(message)
                 continue
-            merged = self.substitute_var(var, self._product(bucket))
-            pending.append((merged, merged.symbols(), -1))
-        if not pending:
-            return Polynomial.const(1)
-        body, *rest = (entry[0] for entry in pending)
-        return math.prod(rest, start=body)
+            terms, mono, c, ahead = message[3]  # the only factor left splits
+            if aside is None:
+                aside, scale, coeff = dict(terms), mono, c
+            else:
+                _add_scaled(aside, terms, scale, coeff)
+                scale, coeff = scale * mono, coeff * c
+            pending = list(ahead)
+        if pending:
+            body, *rest = (entry[0] for entry in pending)
+            body = math.prod(rest, start=body)
+        else:
+            body = Polynomial.const(1)
+        if aside is None:
+            return body
+        _add_scaled(aside, body.terms, scale, coeff)
+        return _poly_of_sums(aside)
 
     def _product(self, bucket: list) -> Polynomial:
         """The reduced product of a bucket's factors."""
         merged = bucket[0][0]
-        for f, _, _ in bucket[1:]:
-            merged = self._reduce(merged * f)
+        for entry in bucket[1:]:
+            merged = self._reduce(merged * entry[0])
         return merged
 
-    def _shared_message(self, var: str, bucket: list) -> tuple[Polynomial, frozenset[str], int]:
+    def _message(self, var: str, bucket: list) -> tuple:
         """A bucket's message from the table, built and stored on a miss.
         A lone factor's bucket is keyed by var and the factor's id, a
         bucket of several by var and their sorted ids.  On a miss, the
@@ -306,15 +330,59 @@ class MomentEngine:
             message = table.get(key)
             if message is None:
                 merged = self.substitute_var(var, bucket[0][0])
-                message = table[key] = (merged, merged.symbols(), next(self._ids))
+                syms = merged.symbols()
+                split = (self._split(var, merged, syms)
+                         if len(merged.terms) == 1 or var in syms else None)
+                message = table[key] = (merged, syms, next(self._ids), split)
             return message
         key = (var, tuple(sorted([entry[2] for entry in bucket])))
         message = table.get(key)
         if message is None:
             product = self._product(bucket)
-            message = self._shared_message(var, [(product, None, self._intern(product))])
+            message = self._message(var, [(product, None, self._intern(product), None)])
             table[key] = message
         return message
+
+    def _split(self, var: str, message: Polynomial, syms: frozenset[str]):
+        """How var's message goes on when it is the only factor left:
+        (aside, scale, coeff, factors), or None when it does not split.
+
+        A message with exactly one term that mentions a variable still to
+        eliminate splits.  That term goes on as coeff * scale times one
+        factor per such variable, where coeff is its coefficient and the
+        monomial scale holds its other symbols: parameters, draws and
+        start-of-iteration values of variables already eliminated.  The
+        other terms (the term dict aside) need no more substitution, and
+        the message is aside + coeff * scale * the product of the factors.
+        `_message` asks only for a message with one term or one that
+        mentions var's own start-of-iteration value, which only an
+        extraction walk carries, so the test costs O(1) on any other
+        message.  This is what turns the sampling monitor's
+        `continue*(1 - ev)` into the lone factor ev.
+        """
+        rank = self._rank
+        r = rank[var]
+        ahead = {s for s in syms if rank.get(s, r) < r}
+        if not ahead:
+            return None
+        terms = message.terms
+        live = None
+        for mono in terms:
+            for s, _ in mono.powers:
+                if s in ahead:
+                    if live is not None:
+                        return None
+                    live = mono
+                    break
+        keep, factors = [], []
+        for s, e in live.powers:
+            if s in ahead:
+                factor = _poly_of_terms({_mono(((s, e),)): Fraction(1)})
+                factors.append((factor, frozenset((s,)), self._intern(factor), None))
+            else:
+                keep.append((s, e))
+        aside = {m: c for m, c in terms.items() if m is not live}
+        return aside, _mono(tuple(keep)), terms[live], tuple(factors)
 
     # -- expectation normal form ------------------------------------------
 
@@ -402,7 +470,7 @@ class MomentEngine:
         conditional, a distribution's next state, the pair targets of a
         check after their single ones) rebuilds none of their messages
         below the bucket where a new factor joins."""
-        body = self.substitute_body(*(self._reduce(f) for f in factors), shared=True)
+        body = self.substitute_body(*(self._reduce(f) for f in factors))
         linear, constant = self.expectation(body)
         if linear:
             left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))
@@ -447,6 +515,14 @@ class MomentEngine:
         return total
 
 
+def _add_scaled(acc: dict, terms: dict, mono: Monomial, coeff: Fraction) -> None:
+    """acc += coeff * mono * (the polynomial of these terms), term by term."""
+    for m, c in terms.items():
+        m, c = mono * m, coeff * c
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
+
+
 def _close(
     engine: MomentEngine,
     m: Monomial,
@@ -462,7 +538,7 @@ def _close(
     monomial above the degree cap aborts with the path that reached it."""
     if m in recs:
         if m in path:
-            cyc = " -> ".join(str(x) for x in path + [m])
+            cyc = " -> ".join(str(x) for x in path[path.index(m):] + [m])
             raise UnsupportedError(
                 f"cyclic moment dependence: {cyc}; the loop is outside the "
                 "Prob-solvable fragment"

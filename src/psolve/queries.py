@@ -165,16 +165,16 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
     return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(*factors))
 
 
-def _evidence_mass(engine: MomentEngine, bn: BayesNet, pairs):
-    """The evidence's indicator factors, P(evidence) on the engine of a
-    compiled static network, and the assumption a symbolic P(evidence)
-    carries; evidence of probability zero is a QueryError."""
-    inds = indicator_factors(bn, pairs)
-    p = engine.one_pass(*inds)
+def _evidence_mass(engine: MomentEngine, pairs, factors):
+    """P(evidence), one pass over the factors that stand for the evidence
+    pairs on the engine of a compiled static network, and the assumption a
+    symbolic P(evidence) carries; evidence of probability zero is a
+    QueryError."""
+    p = engine.one_pass(*factors)
     if p.is_zero():
         detail = ", ".join(f"{name}={value}" for name, value in pairs)
         raise QueryError(f"evidence {detail} has probability zero")
-    return inds, p, (() if p.is_const() else (f"({p}) != 0",))
+    return p, (() if p.is_const() else (f"({p}) != 0",))
 
 
 def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
@@ -188,7 +188,8 @@ def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
         raise QueryError("conditional query needs non-empty evidence")
     factors = _target_factors(bn, target, k)
     engine = MomentEngine(compile_bn(bn))
-    inds, den, assumptions = _evidence_mass(engine, bn, pairs)
+    inds = indicator_factors(bn, pairs)
+    den, assumptions = _evidence_mass(engine, pairs, inds)
     return QueryResult("conditional", engine.one_pass(*factors, *inds) / den, assumptions)
 
 
@@ -206,7 +207,8 @@ def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
     pairs = () if evidence is None else normalize_evidence(bn, evidence)
     if not pairs:
         return QueryResult("distribution", tuple(engine.one_pass(s) for s in states))
-    inds, den, assumptions = _evidence_mass(engine, bn, pairs)
+    inds = indicator_factors(bn, pairs)
+    den, assumptions = _evidence_mass(engine, pairs, inds)
     vector = tuple(engine.one_pass(s, *inds) / den for s in states)
     return QueryResult("distribution", vector, assumptions)
 
@@ -216,12 +218,16 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     evidence, i.e. 1/P(evidence).
 
     Only the rejection-monitor program is compiled: P(evidence) is one body
-    pass over its network variables, and with cross_check the monitor's
-    count is solved as well and its limit must equal 1/p exactly.
+    pass over the monitor's per-node evidence flags, and with cross_check
+    the monitor's count is solved as well, on the same engine, and its
+    limit must equal 1/p exactly.  The count's extraction walks reach the
+    flags through the acceptance flag's message and reuse the messages
+    that pass built.
     """
     monitor = compile_sampling_monitor(bn, evidence)
     engine = MomentEngine(monitor.program)
-    _, p, assumptions = _evidence_mass(engine, bn, monitor.evidence)
+    flags = [Polynomial.var(flag) for flag in monitor.evidence_vars]
+    p, assumptions = _evidence_mass(engine, monitor.evidence, flags)
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
@@ -247,7 +253,8 @@ def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
     if n_samples < 0:
         raise QueryError(f"sample count must be nonnegative, got {n_samples}")
     pairs = sample_evidence(bn, evidence)
-    _, p, assumptions = _evidence_mass(MomentEngine(compile_bn(bn)), bn, pairs)
+    engine = MomentEngine(compile_bn(bn))
+    p, assumptions = _evidence_mass(engine, pairs, indicator_factors(bn, pairs))
     value = p * RationalFunction(Polynomial.const(Fraction(n_samples)))
     return QueryResult("positive", value, assumptions)
 

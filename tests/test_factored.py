@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from psolve.bayesnet import load_bn, load_bn_path
-from psolve.encode import compile_bn, compile_dynbn, indicator_poly
+from psolve.encode import compile_bn, indicator_poly
 from psolve.errors import QueryError
-from psolve.moments import MomentEngine, compute_mbis
+from psolve.moments import MomentEngine
 from psolve.oracle import differential_check, enumerate_discrete
 from psolve.queries import (
     conditional_moment,
@@ -23,7 +23,7 @@ from psolve.queries import (
     joint_moment,
     node_distribution,
 )
-from psolve.symbolic import Monomial, Polynomial
+from psolve.symbolic import Polynomial
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -241,11 +241,18 @@ class TestMessageCounts:
         assert steps[0] <= 1.1 * one_pass, (steps[0], one_pass)
         assert time.monotonic() - t0 < 10.0
 
-    def test_extraction_keys_nothing(self, steps):
-        engine = MomentEngine(compile_dynbn(load_bn_path(DATA / "umbrella.json")))
-        mbis = compute_mbis(engine, [Monomial.of("R"), Monomial.of("U")])
-        assert mbis and steps[0] > 0
-        assert engine._messages == {} and engine._interned == {}
+    def test_samples_cross_check_reuses_the_evidence_pass(self, steps):
+        bn = chain(40)
+        evidence = {"X39": 0, "X20": 1}
+        alone = expected_samples(bn, evidence, cross_check=False)
+        without = steps[0]
+        steps[0] = 0
+        got = expected_samples(bn, evidence)
+        # the count's walks build only the monitor's own buckets (count,
+        # continue, ev) and then meet the messages of the P(evidence) pass
+        assert steps[0] <= without + 4, (steps[0], without)
+        assert got.value == alone.value
+        assert dict(got.extras)["monitor_limit"] == str(alone.value)
 
 
 class TestWarmEngine:

@@ -634,3 +634,16 @@ class TestSharedChainRule:
         message = str(info.value)
         assert message.startswith("cyclic moment dependence: S1 -> S0*S1 -> S1")
         assert "outside the Prob-solvable fragment" in message
+
+    def test_cyclic_moment_dependence_names_the_cycle_alone(self):
+        # S2 reads S1, S1 reads S0: the walk from S2 passes S0*S1*S2
+        # before it meets the cycle, which the message names alone
+        three = dict(COUPLED, nodes=[
+            *COUPLED["nodes"][:2],
+            {"name": "S2", "model": {"kind": "cpt", "parents": ["S2", "S1"], "rows": [
+                {"given": list(g), "p": _row(p)} for g, p in P_S1.items()]}},
+        ], inter_edges={"S0": ["S0"], "S1": ["S1"], "S2": ["S2"]},
+            initial={"S0": 0, "S1": 1, "S2": 0})
+        with pytest.raises(UnsupportedError) as info:
+            predict(load_bn(three), "S2")
+        assert str(info.value).startswith("cyclic moment dependence: S0*S1 -> S1 -> S0*S1;")
