@@ -125,12 +125,17 @@ class ExpPoly:
         """The sequence n -> self(n + k); k may be negative (bases are nonzero)."""
         if k == 0:
             return self
+        return ExpPoly(self.shifted_terms(k))
+
+    def shifted_terms(self, k: int) -> list[tuple]:
+        """The (coeff, base, degree) terms of n -> self(n + k), not yet
+        merged, for a caller that builds one ExpPoly from several lists."""
         out = []
         for coeff, base, degree in self.terms:
             scaled = coeff * base**k
             for j in range(degree + 1):
-                out.append((scaled * comb(degree, j) * Fraction(k) ** (degree - j), base, j))
-        return ExpPoly(out)
+                out.append((scaled * (comb(degree, j) * k ** (degree - j)), base, j))
+        return out
 
     def __eq__(self, other) -> bool:
         diff = self - other
@@ -148,9 +153,10 @@ class ExpPoly:
             raise ValueError("index must be >= 0")
         total = RF_ZERO
         for coeff, base, degree in self.terms:
-            if n == 0 and degree > 0:
-                continue
-            total = total + coeff * base**n * Fraction(n) ** degree
+            if not degree:
+                total = total + coeff * base**n
+            elif n:
+                total = total + coeff * base**n * n**degree
         return total
 
     def subs(self, mapping) -> "ExpPoly":

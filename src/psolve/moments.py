@@ -16,7 +16,9 @@ extracts every needed moment and orders each after the moments it depends
 on; then the closed forms are solved bottom-up in that order, each by
 `recurrence.py` from a recurrence in n whose inhomogeneous term combines
 the closed forms of the moments it depends on (`_first_order`), so it
-lists their assumptions after its own.
+lists their assumptions after its own.  That recurrence is built once per
+moment and kept on its `MBI`; the back-substitution check verifies the
+closed form against it rather than building it again.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program, and `MomentEngine.substitute_body` is its one way to substitute
@@ -38,9 +40,9 @@ other walks built: the sampling monitor's count reuses the P(evidence)
 pass.  Any other body goes through `MomentEngine.closed`, which closes
 the query's monomials with `compute_mbis` and combines their closed
 forms in n.
-`compute_mbis` and `check_mbis` take a program or the engine built for
-it; `closed` passes its own engine, so extraction, solving and the
-back-substitution check of one query share one engine and its caches.
+`compute_mbis` takes a program or the engine built for it; `closed`
+passes its own engine, so the extractions and initial values of one
+query share one engine and its caches.
 """
 
 from __future__ import annotations
@@ -95,10 +97,13 @@ class MomentRecurrence:
 
 @dataclass(frozen=True)
 class MBI:
-    """A solved moment invariant: the recurrence and its closed form."""
+    """A solved moment invariant: the recurrence over moments, the
+    recurrence in n it was solved from (`_first_order`), and its closed
+    form."""
 
     target: Monomial
     recurrence: MomentRecurrence
+    first_order: FirstOrderRecurrence
     closed: ClosedForm
 
     def at(self, n: int) -> RationalFunction:
@@ -577,8 +582,11 @@ def compute_mbis(
     orders them; a cyclic dependence, or a monomial whose total degree
     exceeds the cap (PSOLVE_DEGREE_CAP or 64), aborts with the chain that
     reached it.  Every recurrence is extracted before any is solved, in
-    that order.  With check=True every solution is verified by
-    back-substitution on the same engine before being returned.
+    that order.  Each moment's recurrence in n is built once, by
+    `_first_order` from the closed forms of the moments it depends on;
+    it is solved and kept on the MBI.  With check=True every solution is
+    verified by back-substitution against that kept recurrence
+    (`check_mbis`) before being returned.
     """
     cap = degree_cap()
     engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
@@ -592,10 +600,12 @@ def compute_mbis(
         _close(engine, goal, [], recs, order, cap)
 
     solved: dict[Monomial, ClosedForm] = {}
+    first: dict[Monomial, FirstOrderRecurrence] = {}
     for m in order:
-        solved[m] = solve_first_order(_first_order(engine, m, recs[m], solved))
+        first[m] = _first_order(engine, m, recs[m], solved)
+        solved[m] = solve_first_order(first[m])
 
-    mbis = {m: MBI(m, recs[m], solved[m]) for m in recs}
+    mbis = {m: MBI(m, recs[m], first[m], solved[m]) for m in recs}
     if check:
         check_mbis(engine, mbis)
     return mbis
@@ -603,23 +613,24 @@ def compute_mbis(
 
 def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> None:
     """Back-substitution check: every closed form must satisfy its recurrence
-    and initial value exactly.  `recurrence.verify_solution` makes the
-    comparisons; the InternalCheckError it raises is reraised with the
+    and initial value exactly.  Each closed form is checked against the
+    recurrence in n its MBI keeps, the one it was solved from, so a wrong
+    closed form is blamed on its own moment, not on the moments that read
+    it; every dependency must be among the MBIs.
+    `recurrence.verify_solution` makes the comparisons (the value at
+    n = 0, the formal tail identity, each step across the piecewise
+    boundaries); the InternalCheckError it raises is reraised with the
     moment named.
 
-    `prog` is a `LoopProgram` or the `MomentEngine` built for one; the
-    recurrences come from the MBIs and the initial values from the
-    engine's cache, so an engine that has just solved them builds nothing
-    again.
+    `prog` is the `LoopProgram` or `MomentEngine` the MBIs were solved
+    for; the check reads nothing from it, since the MBIs carry their
+    recurrences.
     """
-    engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
-    solved = {m: mbi.closed for m, mbi in mbis.items()}
     for m, mbi in mbis.items():
-        rec = mbi.recurrence
-        for dep, _ in rec.linear:
-            if dep not in solved:
+        for dep, _ in mbi.recurrence.linear:
+            if dep not in mbis:
                 raise InternalCheckError(f"moment {m} depends on unsolved {dep}")
         try:
-            verify_solution(_first_order(engine, m, rec, solved), mbi.closed)
+            verify_solution(mbi.first_order, mbi.closed)
         except InternalCheckError as exc:
             raise InternalCheckError(f"closed form of E[{m}] {exc}") from None

@@ -12,6 +12,13 @@ the particular-solution degree by one; a symbolic base merely unequal to c
 is treated as nonresonant and the assumption recorded.  c = 0 has no
 exponential closed form, so that solution is piecewise too.  A solution
 lists its own assumptions, then g's.
+
+`verify_solution` checks a closed form against the recurrence it was
+solved from; the moment engine builds each moment's recurrence once and
+checks against that same object.  It compares the value at n = 0, the
+formal tail identity, and each step up to two past the later start.
+Each combination, tail and identity here is one ExpPoly built over one
+term list, not a chain of ExpPoly `+`, `*` and `shift`.
 """
 
 from __future__ import annotations
@@ -46,11 +53,13 @@ class ClosedForm:
 
         The prefix runs to the latest start among the terms, the tail is
         the same combination of their tails, and the assumptions are the
-        terms' in order.
+        terms' in order.  The tail is one ExpPoly built over one term list,
+        the constant and then each c * term in order, so each (base,
+        degree) slot sums its coefficients in that order.
         """
-        tail = ExpPoly.const(constant)
+        tail = [(constant, 1, 0)]
         for c, cf in terms:
-            tail = tail + cf.tail * c
+            tail.extend((coeff * c, base, degree) for coeff, base, degree in cf.tail.terms)
         prefix = []
         for j in range(max((cf.start for _, cf in terms), default=0)):
             value = constant
@@ -58,7 +67,7 @@ class ClosedForm:
                 value = value + c * cf.at(j)
             prefix.append(value)
         assumptions = merge_assumptions(*(cf.assumptions for _, cf in terms))
-        return ClosedForm(tuple(prefix), tail, assumptions)
+        return ClosedForm(tuple(prefix), ExpPoly(tail), assumptions)
 
     @property
     def start(self) -> int:
@@ -167,7 +176,7 @@ def solve_first_order(rec: FirstOrderRecurrence) -> ClosedForm:
     if start > 0 and not c.is_const():
         assumptions.append(f"{c} != 0")
     amp = (values[start] - part.at(start)) / c**start
-    tail = part + ExpPoly.term(amp, c, 0)
+    tail = ExpPoly(part.terms + ((amp, c, 0),))
     merged = merge_assumptions(assumptions, g.assumptions)
     return ClosedForm(tuple(values[:start]), tail, merged).normalized()
 
@@ -179,14 +188,19 @@ def verify_solution(rec: FirstOrderRecurrence, cf: ClosedForm) -> None:
     In order: the value at n = 0, the formal tail identity (the ExpPoly
     tail(n+1) - c*tail(n) - g.tail(n) is zero), then each step f(n+1) =
     c*f(n) + g(n) up to two past the later of the two starts, across
-    both piecewise boundaries.  Nothing is sampled and nothing is rounded.
+    both piecewise boundaries.  cf is evaluated once per index, and the
+    identity is one ExpPoly over one term list.  Nothing is sampled and
+    nothing is rounded.
     """
-    if not cf.at(0) == rec.initial:
-        raise InternalCheckError("wrong at n = 0")
     c, g = rec.self_coeff, rec.inhomog
-    tail_ident = cf.tail.shift(1) - ExpPoly.term(c, 1, 0) * cf.tail - g.tail
-    if not tail_ident.is_zero():
+    values = [cf.at(n) for n in range(max(cf.start, g.start) + 3)]
+    if not values[0] == rec.initial:
+        raise InternalCheckError("wrong at n = 0")
+    ident = cf.tail.shifted_terms(1)
+    ident.extend((-(c * coeff), base, degree) for coeff, base, degree in cf.tail.terms)
+    ident.extend((-coeff, base, degree) for coeff, base, degree in g.tail.terms)
+    if not ExpPoly(ident).is_zero():
         raise InternalCheckError("fails back-substitution")
-    for n in range(max(cf.start, g.start) + 2):
-        if not cf.at(n + 1) == c * cf.at(n) + g.at(n):
+    for n in range(len(values) - 1):
+        if not values[n + 1] == c * values[n] + g.at(n):
             raise InternalCheckError(f"fails the recurrence at n = {n}")

@@ -404,11 +404,11 @@ class Polynomial:
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
             if mono.is_unit():
-                body = str(abs(coeff))
+                body = _number_str(abs(coeff))
             elif abs(coeff) == 1:
                 body = str(mono)
             else:
-                body = f"{abs(coeff)}*{mono}"
+                body = f"{_number_str(abs(coeff))}*{mono}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -632,7 +632,7 @@ class RationalFunction:
 
     def __str__(self) -> str:
         if self._const is not None:
-            return str(self._const)
+            return _number_str(self._const)
         if self.is_poly():
             return str(self.num)
         num = str(self.num)
@@ -757,6 +757,24 @@ def reduce_finite_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
     return _poly_of_sums(out)
 
 
+def _number_str(value: Scalar) -> str:
+    """str(value) for an int or Fraction of any length.  str() refuses an
+    int with more digits than the interpreter's limit (4300 by default), so
+    such an int is split at a power of ten and printed half by half; the
+    limit itself is left alone."""
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{_number_str(value.numerator)}/{_number_str(value.denominator)}"
+        value = value.numerator
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    k = value.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(abs(value), 10**k)
+    return ("-" if value < 0 else "") + _number_str(high) + _number_str(low).zfill(k)
+
+
 def decimal_str(value: Fraction, digits: int = 6) -> str:
     """Exact fixed-point rendering with round-half-to-even."""
     scaled = round(value * Fraction(10) ** digits)  # Fraction rounds half-even
@@ -764,5 +782,5 @@ def decimal_str(value: Fraction, digits: int = 6) -> str:
     scaled = abs(scaled)
     whole, frac = divmod(scaled, 10**digits)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return f"{sign}{_number_str(whole)}"
+    return f"{sign}{_number_str(whole)}.{_number_str(frac).zfill(digits)}"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,36 @@ class TestQuery:
                              '{"query": "filter", "observations": [{"M": 1}]}')
         assert (code, out) == (1, "")
         assert err == "error: filter queries apply to dynamic networks\n"
+
+
+def _long_int(text):
+    """int(text) for a decimal string longer than the interpreter's digit
+    limit, read a thousand digits at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestLongAnswers:
+    """An exact answer whose integers have more digits than str() allows
+    by default is printed in full."""
+
+    @pytest.mark.parametrize("argv, n", [
+        (["query", str(DATA / "umbrella.json"), "--spec",
+          '{"query": "predict", "target": "R", "at": 100000}'], 100000),
+        (["analyze", UMBRELLA_PSL, "--goal", "R", "--at", "20000"], 20000),
+    ])
+    def test_umbrella_far_ahead(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        exact = next(line for line in out.splitlines() if line.startswith("exact: "))
+        num, den = exact.removeprefix("exact: ").split("/")
+        assert len(den) > 4300
+        # E[R](n) = 1/2 + (1/2)(2/5)^n
+        assert F(_long_int(num), _long_int(den)) == F(1, 2) + F(1, 2) * F(2, 5) ** n
+        assert "decimal: 0.500000" in out
 
 
 class TestSamples:

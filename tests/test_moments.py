@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
-from psolve import moments
+from psolve import exppoly, moments, queries, recurrence
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
@@ -225,6 +225,16 @@ class TestCheckMbisRejects:
                            match=r"E\[y\] fails the recurrence at n = 0"):
             check_mbis(prog, bad)
 
+    def test_tampered_dependency_is_named(self):
+        # U reads R; each closed form is checked against the recurrence it
+        # was solved from, so a wrong E[R] is blamed on R, not on U
+        prog, mbis = self.umbrella("U")
+        r = Monomial.of("R")
+        tail = ExpPoly.const(F(1, 2)) + ExpPoly.term(F(1, 2), F(3, 5))
+        bad = self.tamper(mbis, r, tail=tail)
+        with pytest.raises(InternalCheckError, match=r"^closed form of E\[R\] fails back-substitution"):
+            check_mbis(prog, bad)
+
     def test_missing_dependency(self):
         prog, mbis = self.umbrella("U")
         bad = {m: mbi for m, mbi in mbis.items() if m != Monomial.of("R")}
@@ -300,6 +310,57 @@ class TestClosure:
             got = compute_mbis(self.DRAWS, list(perm))
             assert got.keys() == want.keys()
             assert all(str(got[m].closed) == str(want[m].closed) for m in want)
+
+
+class TestClosedFormCounts:
+    """A `predict` builds each moment's recurrence once: one
+    `ClosedForm.combine` per closed moment, for its inhomogeneous term, and
+    one for the goal, each an ExpPoly built once."""
+
+    COUPLED = {
+        "type": "dynbn",
+        "nodes": [
+            {"name": "S0", "model": {"kind": "cpt", "parents": ["S0"], "rows": [
+                {"given": [1], "p": ["1/2", "1/2"]}, {"given": [0], "p": ["4/5", "1/5"]}]}},
+            {"name": "S1", "model": {"kind": "cpt", "parents": ["S1", "S0"], "rows": [
+                {"given": [1, 1], "p": ["2/5", "3/5"]}, {"given": [1, 0], "p": ["1/2", "1/2"]},
+                {"given": [0, 1], "p": ["3/5", "2/5"]}, {"given": [0, 0], "p": ["7/10", "3/10"]}]}},
+            {"name": "S2", "model": {"kind": "cpt", "parents": ["S2", "S1"], "rows": [
+                {"given": [1, 1], "p": ["3/10", "7/10"]}, {"given": [1, 0], "p": ["1/2", "1/2"]},
+                {"given": [0, 1], "p": ["1/2", "1/2"]}, {"given": [0, 0], "p": ["7/10", "3/10"]}]}},
+        ],
+        "inter_edges": {"S0": ["S0"], "S1": ["S1"], "S2": ["S2"]},
+        "initial": {"S0": 1, "S1": 0, "S2": 1},
+    }
+
+    def test_predict_combines_once_per_moment(self, monkeypatch):
+        combined, built, closures = [0], [0], []
+        combine, init = recurrence.ClosedForm.combine, exppoly.ExpPoly.__init__
+        close = moments.compute_mbis
+
+        def counted_combine(constant, terms):
+            combined[0] += 1
+            return combine(constant, terms)
+
+        def counted_init(self, terms=()):
+            built[0] += 1
+            init(self, terms)
+
+        def counted_close(prog, goals, check=True):
+            mbis = close(prog, goals, check)
+            closures.append(len(mbis))
+            return mbis
+
+        monkeypatch.setattr(recurrence.ClosedForm, "combine", staticmethod(counted_combine))
+        monkeypatch.setattr(exppoly.ExpPoly, "__init__", counted_init)
+        monkeypatch.setattr(moments, "compute_mbis", counted_close)
+        result = queries.predict(load_bn(self.COUPLED), "S2")
+        assert closures == [3]
+        assert combined[0] == closures[0] + 1
+        # per moment: its inhomogeneous term, the particular solution, the
+        # tail and the tail identity; one more for the goal
+        assert built[0] == 4 * closures[0] + 1
+        assert len(result.value.tail.terms) == 4
 
 
 class TestStochasticDependencyChain:

@@ -211,6 +211,16 @@ class TestDecimalStr:
         assert decimal_str(F(-1, 8), 3) == "-0.125"
         assert decimal_str(F(5)) == "5.000000"
 
+    def test_integers_of_any_length(self):
+        # longer than str()'s default limit of 4300 digits; the zeros in
+        # the middle survive the split
+        big = 10**5000 + 1
+        text = "1" + "0" * 4999 + "1"
+        assert decimal_str(F(-big), 0) == "-" + text
+        assert decimal_str(F(big, 10), 1) == text[:-1] + ".1"
+        assert str(RationalFunction(F(big, 3))) == text + "/3"
+        assert str(x * F(-big) + 1) == f"-{text}*x + 1"
+
 
 # -- property tests --------------------------------------------------------
 
