@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -53,6 +54,7 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
+    _rf_const,
     decimal_str,
 )
 
@@ -308,23 +310,32 @@ def predict_loop(
 def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     """Posterior over the temporal state after each observation step.
 
-    Implements the forward pass on unnormalized messages: predict one slice
-    ahead through the transition model and reweight by the likelihood of
-    the step's observations.  The step's belief is emitted as the message
-    divided by its total, one division per state.  The carried message is
-    not divided by the total: every state is multiplied by one common
-    factor, the product of the message's distinct denominators over the
-    content of the total's numerator, which leaves the next beliefs
-    unchanged.  For a numeric model that factor is 1/total, so the carried
-    message is the normalized belief.  For a symbolic one, dividing by the
-    total would double the degree at each step (nothing cancels without a
-    polynomial gcd); the factor keeps coefficients small and the carried
-    message polynomial, so the degree grows linearly in the number of
-    steps.  A step may observe any subset of non-temporal discrete nodes;
-    an empty step is a pure prediction step.  The one-step distribution is
-    the chain-rule joint of the slice (`bayesnet.joint_rows`) given the
-    previous state and the step's observations, summed onto the new state
-    and memoized per call.
+    Implements the forward pass on integer weights, one per state: Python
+    ints when the network has no parameters, polynomials with integer
+    coefficients when it has.  One loop serves both.  The prior and each
+    step's distribution P(next state, obs | previous state) are cleared of
+    denominators once, when they are built (`_cleared`): every entry is
+    multiplied by one common factor, the lcm of the constant denominators
+    times the product of the distinct polynomial ones.  The factor is
+    common to every previous state a step reads, so it scales every new
+    weight alike and leaves the beliefs unchanged.  A step sums
+    w[prev] * N[prev][next] into the new weights and divides them by their
+    common integer content; it emits each state's belief as its weight over
+    the weights' total.  No `RationalFunction` arithmetic runs per step,
+    and a numeric step runs no `Fraction` arithmetic either: it multiplies,
+    adds and takes one gcd of ints, and builds its beliefs.  Since only the
+    emitted beliefs are divided, a symbolic belief's degree grows linearly
+    in the number of steps instead of doubling.  A step may observe any
+    subset of non-temporal discrete nodes; an empty step is a pure
+    prediction step.  The one-step distribution is the chain-rule joint of
+    the slice (`bayesnet.joint_rows`) given the previous state and the
+    step's observations, summed onto the new state and memoized per
+    observation.
+
+    A symbolic filter records one assumption: the last step's total, made
+    primitive, is nonzero.  That total is P(all observations) up to a
+    constant and the cleared denominators, and P(obs_1..T) <= P(obs_1..t),
+    so it covers the division at every step.
     """
     if not isinstance(dyn, DynBayesNet):
         raise UnsupportedError("filter queries apply to dynamic networks")
@@ -337,38 +348,88 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
             raise UnsupportedError(
                 f"filtering needs an all-discrete slice, {nd.name} is not"
             )
+    symbolic = bool(dyn.net.params)
+    content, divide, belief = (
+        (_poly_content, _poly_divide, RationalFunction) if symbolic
+        else (_int_content, operator.floordiv, _int_belief)
+    )
     space = tuple(prior)
     memo: dict = {}
-    message = prior
+    weights = _cleared({(): prior}, symbolic)[()]
+    total = None
     out = []
     for t, obs in enumerate(slices, start=1):
-        new_message = {s: RF_ZERO for s in space}
-        for prev, weight in message.items():
-            if weight.is_zero():
-                continue
-            if (prev, obs) not in memo:
-                memo[prev, obs] = _step_dist(dyn, prev, obs)
-            for state, prob in memo[prev, obs].items():
-                new_message[state] = new_message[state] + weight * prob
-        total = sum(new_message.values(), RF_ZERO)
-        if total.is_zero():
+        if obs not in memo:
+            memo[obs] = _cleared({prev: _step_dist(dyn, prev, obs) for prev in space}, symbolic)
+        step = memo[obs]
+        new: dict = {}
+        for prev, weight in weights.items():
+            for state, n in step[prev].items():
+                acc = new.get(state)
+                new[state] = weight * n if acc is None else acc + weight * n
+        total = sum(new.values())
+        if total == 0:
             raise QueryError(
                 f"observation step {t} ({obs}) has zero likelihood under "
                 "the current belief"
             )
-        out.append(tuple(new_message[s] / total for s in space))
-        dens: list[Polynomial] = []
-        for v in new_message.values():
-            if v.den not in dens:
-                dens.append(v.den)
-        scale = math.prod(dens, start=Polynomial.const(1 / total.num.content()))
-        message = {s: RationalFunction(v.num * scale, v.den) for s, v in new_message.items()}
+        g = math.gcd(*map(content, new.values()))
+        if g != 1:
+            new = {s: divide(w, g) for s, w in new.items()}
+            total = divide(total, g)
+        out.append(tuple(belief(new[s], total) if s in new else RF_ZERO for s in space))
+        weights = new
+    assumptions = ()
+    if symbolic and total is not None and not total.is_const():
+        assumptions = (f"({total * (1 / total.content())}) != 0",)
     labels = tuple(", ".join(f"{n}={v}" for n, v in zip(states, s)) for s in space)
     return QueryResult(
         "filter",
         tuple(out),
+        assumptions,
         extras=(("states", " | ".join(labels)),),
     )
+
+
+def _int_content(weight: int) -> int:
+    return weight
+
+
+def _int_belief(weight: int, total: int) -> RationalFunction:
+    return _rf_const(Fraction(weight, total))
+
+
+def _poly_content(weight: Polynomial) -> int:
+    """The gcd of the integer coefficients of a weight polynomial."""
+    return weight.content().numerator
+
+
+def _poly_divide(weight: Polynomial, g: int) -> Polynomial:
+    return weight * Fraction(1, g)
+
+
+def _cleared(rows: dict, symbolic: bool) -> dict:
+    """Rows of probabilities ({key: {state: RationalFunction}}), each entry
+    multiplied by one factor common to all rows that clears every
+    denominator: ints for a numeric network, polynomials with integer
+    coefficients for a symbolic one.  Zero entries are dropped."""
+    rows = {key: {s: v for s, v in row.items() if not v.is_zero()} for key, row in rows.items()}
+    entries = [v for row in rows.values() for v in row.values()]
+    if not symbolic:
+        scale = math.lcm(*(v.const_value().denominator for v in entries))
+        return {key: {s: int(v.const_value() * scale) for s, v in row.items()}
+                for key, row in rows.items()}
+    dens: list[Polynomial] = []
+    for v in entries:
+        if v.den not in dens:
+            dens.append(v.den)
+    others = [math.prod(dens[:i] + dens[i + 1:], start=Polynomial.const(1))
+              for i in range(len(dens))]
+    rows = {key: {s: v.num * others[dens.index(v.den)] for s, v in row.items()}
+            for key, row in rows.items()}
+    scale = math.lcm(*(c.denominator for row in rows.values() for p in row.values()
+                       for c in p.terms.values()))
+    return {key: {s: p * scale for s, p in row.items()} for key, row in rows.items()}
 
 
 def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:

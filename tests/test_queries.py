@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import psolve.oracle
 import psolve.queries
@@ -372,6 +373,17 @@ class TestForwardFilter:
         with pytest.raises(QueryError, match="step 1"):
             forward_filter(dyn, [{"U": 0}])
 
+    def test_symbolic_filter_assumes_its_last_total_nonzero(self):
+        dyn = load_bn_path(DATA / "umbrella_sens.json")
+        res = forward_filter(dyn, [{"U": 1}, {"U": 0}])
+        # P(U1 = 1, U2 = 0) = -63/100*r^2 + 301/500*r + 59/500 from R0 = 1,
+        # made primitive
+        assert res.assumptions == ("(-315*r^2 + 301*r + 59) != 0",)
+
+    def test_numeric_filter_assumes_nothing(self):
+        dyn = load_bn_path(DATA / "umbrella_filter.json")
+        assert forward_filter(dyn, [{"U": 1}, {"U": 0}]).assumptions == ()
+
 
 def _umbrella_steps(seed, steps):
     """Seeded observation steps: umbrella seen, not seen, or not observed."""
@@ -380,8 +392,9 @@ def _umbrella_steps(seed, steps):
 
 
 class TestFilterGrowth:
-    """The filter carries unnormalized messages, so a symbolic belief's
-    degree grows linearly in the number of steps instead of doubling."""
+    """The filter carries integer weights and divides only the beliefs it
+    emits, so a symbolic belief's degree grows linearly in the number of
+    steps instead of doubling."""
 
     def test_symbolic_degree_linear_in_steps(self):
         dyn = load_bn_path(DATA / "umbrella_sens.json")
@@ -438,6 +451,126 @@ class TestFilterGrowth:
             belief = {s: p / total for s, p in pred.items()}
             assert all(b.is_const() for b in got)
             assert [b.const_value() for b in got] == [belief[0], belief[1]]
+
+
+# Deterministic reading D of the temporal node S, by the support of S.
+_DET_EXPR = {2: "1 - S", 3: "S*(2 - S)"}
+_DET = {2: lambda s: 1 - s, 3: lambda s: s * (2 - s)}
+
+
+@st.composite
+def _filter_cases(draw, symbolic=False):
+    """A small dynamic network and observation steps: temporal S (2 or 3
+    states), a noisy reading O of S (2 or 3 states) and a deterministic
+    reading D; rows with zero entries and mixed denominators; steps that
+    observe any of S, O and D, or nothing.  A symbolic case has binary S
+    and O, one transition row in r and one emission row over 1 + r."""
+    k, m = (2, 2) if symbolic else (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+
+    def rows(size):
+        out = []
+        for v in range(k):
+            weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any))
+            out.append({"given": [v], "p": [str(F(w, sum(weights))) for w in weights]})
+        return out
+
+    trans, emit = rows(k), rows(m)
+    if symbolic:
+        trans[1]["p"] = ["1 - r", "r"]
+        emit[0]["p"] = ["1/(1 + r)", "r/(1 + r)"]
+    if k == 2 and draw(st.booleans()):
+        initial = f"bern({draw(st.sampled_from(['1/3', '1/2', '2/7']))})"
+    else:
+        initial = draw(st.integers(0, k - 1))
+    doc = {
+        "type": "dynbn",
+        "nodes": [
+            {"name": "S", "model": {"kind": "cpt", "parents": ["S"], "rows": trans}},
+            {"name": "O", "model": {"kind": "cpt", "parents": ["S"], "rows": emit}},
+            {"name": "D", "model": {"kind": "det", "expr": _DET_EXPR[k]}},
+        ],
+        "inter_edges": {"S": ["S"]},
+        "initial": {"S": initial},
+    }
+    if symbolic:
+        doc["params"] = [{"name": "r", "domain": ["0", "1"]}]
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        step = {}
+        for name, size in (("S", k), ("O", m), ("D", 2)):
+            if draw(st.integers(0, 3)) == 0:
+                step[name] = draw(st.integers(0, size - 1))
+        steps.append(step)
+    return doc, steps
+
+
+def _plain_filter(doc, steps):
+    """The forward pass of a `_filter_cases` network over plain Fractions,
+    one belief list per step; a step of zero likelihood ends the list with
+    None."""
+    models = {nd["name"]: nd["model"] for nd in doc["nodes"]}
+    trans = [[F(p) for p in row["p"]] for row in models["S"]["rows"]]
+    emit = [[F(p) for p in row["p"]] for row in models["O"]["rows"]]
+    k = len(trans)
+    det = _DET[k]
+    initial = doc["initial"]["S"]
+    if isinstance(initial, int):
+        belief = [F(s == initial) for s in range(k)]
+    else:
+        p = F(initial[len("bern("):-1])
+        belief = [1 - p, p]
+    out = []
+    for obs in steps:
+        new = []
+        for s in range(k):
+            w = sum(belief[prev] * trans[prev][s] for prev in range(k))
+            if obs.get("S", s) != s or obs.get("D", det(s)) != det(s):
+                w = F(0)
+            if "O" in obs:
+                w *= emit[s][obs["O"]]
+            new.append(w)
+        total = sum(new)
+        if not total:
+            out.append(None)
+            break
+        belief = [w / total for w in new]
+        out.append(belief)
+    return out
+
+
+class TestFilterKernel:
+    """The integer-weight filter against a plain Fraction forward pass, and
+    a symbolic filter against the filters of its bound networks."""
+
+    @given(_filter_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_fraction_pass(self, case):
+        doc, steps = case
+        dyn = load_bn(doc)
+        want = _plain_filter(doc, steps)
+        if want and want[-1] is None:
+            with pytest.raises(QueryError, match=f"step {len(want)} "):
+                forward_filter(dyn, steps)
+            return
+        got = forward_filter(dyn, steps).value
+        assert [[b.const_value() for b in step] for step in got] == want
+
+    @given(
+        _filter_cases(symbolic=True),
+        st.lists(st.fractions(F(1, 20), F(19, 20), max_denominator=20), min_size=1, max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic_matches_bound_network(self, case, points):
+        doc, steps = case
+        dyn = load_bn(doc)
+        try:
+            symbolic = forward_filter(dyn, steps).value
+        except QueryError:
+            for r in points:
+                with pytest.raises(QueryError):
+                    forward_filter(bind(dyn, {"r": r}), steps)
+            return
+        TestFilterGrowth._assert_matches_bound(dyn, steps, symbolic, points)
 
 
 class TestRunQuery:

@@ -1,5 +1,5 @@
-"""Loading and compiling grow linearly in the network size, and so does
-the sample count with negative evidence.
+"""Loading and compiling grow linearly in the network size, and so do
+the sample count with negative evidence and the numeric filter.
 
 Wall-clock time on a shared host swings too much to assert growth rates,
 so these tests count the Python lines executed instead: the count is
@@ -7,14 +7,17 @@ deterministic, and doubling the network should at most double it, with a
 little slack for fixed costs.
 """
 
+import fractions
+import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from psolve.bayesnet import load_bn
+from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn
-from psolve.queries import expected_samples
+from psolve.queries import expected_samples, forward_filter
 
 GROWTH = 2.1
 
@@ -30,12 +33,16 @@ def chain_doc(n: int) -> dict:
     return {"type": "bn", "nodes": nodes}
 
 
-def lines_executed(fn) -> int:
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def lines_executed(fn, filename=None) -> int:
+    """The Python lines `fn` executes, or only those in one source file."""
     count = 0
 
     def tracer(frame, event, arg):
         nonlocal count
-        if event == "line":
+        if event == "line" and (filename is None or frame.f_code.co_filename == filename):
             count += 1
         return tracer
 
@@ -95,3 +102,22 @@ def test_samples_cross_check_grows_like_the_network():
     assert large <= 1.5 * small, (small, large)
     alone = samples_lines(16, cross_check=False)
     assert large <= 1.6 * alone, (large, alone)
+
+
+def filter_lines(steps: int, filename=None) -> int:
+    dyn = load_bn_path(DATA / "umbrella_filter.json")
+    rng = random.Random(steps)
+    obs = [rng.choice(({"U": 1}, {"U": 0}, {})) for _ in range(steps)]
+    run = lambda: forward_filter(dyn, obs)  # noqa: E731
+    run()  # warm the CPT lookups
+    return lines_executed(run, filename)
+
+
+def test_numeric_filter_steps_do_no_fraction_arithmetic():
+    """The numeric filter carries integer weights: per step, fractions.py
+    only builds the two emitted beliefs, about 33 lines, where arithmetic
+    on Fraction-valued messages runs about 400."""
+    source = fractions.Fraction.__new__.__code__.co_filename
+    assert filter_lines(240, source) <= 40 * 240
+    small, large = filter_lines(120), filter_lines(240)
+    assert large <= GROWTH * small, (small, large)
