@@ -140,8 +140,13 @@ class Node:
         if isinstance(value, str):
             if value in self.states:
                 return self.states.index(value)
-            if value.isdigit() and int(value) < len(self.states):
-                return int(value)
+            if value.isdecimal():
+                try:
+                    index = int(value)
+                except ValueError:  # more digits than int() converts: no state
+                    index = len(self.states)
+                if index < len(self.states):
+                    return index
             raise SchemaError(f"unknown state {value!r} of node {self.name}")
         if not 0 <= value < len(self.states):
             raise SchemaError(f"state {value} out of range for node {self.name}")
@@ -302,10 +307,13 @@ def unique_keys(pairs) -> dict:
 
 
 def load_bn_path(path: Union[str, Path]) -> Union[BayesNet, DynBayesNet]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path}: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     return load_bn(doc)
 

@@ -136,6 +136,8 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path}: {exc}") from exc
 
 
 def _load_net(path: str):
@@ -214,7 +216,10 @@ def _cmd_compile(args) -> int:
     prog = compile_dynbn(bn) if isinstance(bn, DynBayesNet) else compile_bn(bn)
     text = pretty(prog)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         print(text, end="")
     return 0
@@ -227,7 +232,7 @@ def _cmd_query(args) -> int:
         raw = _read(args.spec)
     try:
         spec = json.loads(raw, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"query spec is not valid JSON: {exc}") from exc
     result = run_query(bind_net(bn, _parse_bindings(args.param)), spec)
     _emit(result.to_json(args.digits), args.json)
@@ -239,7 +244,7 @@ def _parse_conj(text: str) -> dict:
     if text.startswith("{"):
         try:
             return json.loads(text, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"evidence is not valid JSON: {exc}") from exc
     out: dict = {}
     for part in text.split(","):
@@ -259,7 +264,14 @@ def _parse_conj(text: str) -> dict:
 
 
 def _state(text: str):
-    return int(text) if text.lstrip("-").isdigit() else text
+    if not text.lstrip("-").isdecimal():
+        return text
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise InputError(
+            f"evidence state has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _cmd_samples(args) -> int:
@@ -274,7 +286,7 @@ def _parse_obs(text: str) -> list:
     if text.startswith("["):
         try:
             steps = json.loads(text, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"observations are not valid JSON: {exc}") from exc
         if not isinstance(steps, list):
             raise InputError("observations must be a JSON list of objects")

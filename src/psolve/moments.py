@@ -7,9 +7,10 @@ variable first, so that by the end every variable reference means its value
 at the start of the iteration; branchy updates contribute a probability mix
 of branch powers (one shared coin per variable per monomial), and draws
 turn into their raw moments.  Every draw belongs to one statement
-(`program.validate`), so an update's draws become their moments inside
-that update's powers, where they enter the monomial, and the substituted
-body grows with its expectation rather than with the number of draws;
+(`program.validate`), so the draws of an update or an initializer become
+their moments inside that statement's powers (`_integrate`), where they
+enter the monomial, and the substituted body grows with its expectation
+rather than with the number of draws;
 only a draw whose moment is not a polynomial in the parameters stays
 symbolic until the final expectation.  One depth-first pass (`_close`)
 extracts every needed moment and orders each after the moments it depends
@@ -162,37 +163,25 @@ class MomentEngine:
                 total = total + power * br.prob.const_value()
             else:
                 total = total + br.prob.num * power
-        if self.prog.draws:
-            total = self._integrate(total)
-        total = self._reduce(total)
+        total = self._reduce(self._integrate(total))
         self._upd_pows[key] = total
         return total
 
     def _integrate(self, poly: Polynomial) -> Polynomial:
         """Replace every power of a draw whose moment is a polynomial in the
-        parameters by that moment."""
-        out: dict[Monomial, Fraction] = {}
+        parameters by that moment (`map_powers`); a draw whose moment is
+        not a polynomial stays symbolic for `expectation`."""
         draws = self.prog.draws
-        for mono, coeff in poly.terms.items():
-            keep: list[tuple[str, int]] = []
-            moment = None
-            for s, e in mono.powers:
-                m = self._draw_moment(s, e) if s in draws else None
-                if m is None or not m.is_poly():
-                    keep.append((s, e))
-                else:
-                    moment = m.num if moment is None else moment * m.num
-            if moment is None:
-                prev = out.get(mono)
-                out[mono] = coeff if prev is None else prev + coeff
-                continue
-            rest = _mono(tuple(keep))
-            for m2, c2 in moment.terms.items():
-                m = rest * m2
-                c = coeff * c2
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-        return _poly_of_sums(out)
+        if not draws:
+            return poly
+
+        def image(s: str, e: int):
+            if s not in draws:
+                return None
+            moment = self._draw_moment(s, e)
+            return moment.num if moment.is_poly() else None
+
+        return poly.map_powers(image)
 
     def _reduce(self, poly: Polynomial) -> Polynomial:
         """Finite-support reduction of the variables whose powers reach
@@ -216,24 +205,13 @@ class MomentEngine:
         takes one branch coin.
 
         The result equals `poly.substitute({var: update})` averaged over
-        var's coin and draws and then reduced, but each term is expanded
-        once against the cached update power and summed into one dict; the
-        zero sums are dropped once, at the end, and the terms keep the
-        order in which they first appear."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in poly.terms.items():
-            e = mono.exponent(var)
-            if e == 0:
-                prev = out.get(mono)
-                out[mono] = coeff if prev is None else prev + coeff
-                continue
-            rest = mono.without(var)
-            for m2, c2 in self._upd_pow(var, e).terms.items():
-                m = rest * m2
-                c = coeff * c2
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-        return self._reduce(_poly_of_sums(out))
+        var's coin and draws and then reduced; `map_powers` expands each
+        term once against the cached update power."""
+
+        def image(s: str, e: int):
+            return self._upd_pow(var, e) if s == var else None
+
+        return self._reduce(poly.map_powers(image))
 
     def _intern(self, poly: Polynomial) -> int:
         """The message-table id of a bucket factor or product, interned by
@@ -405,44 +383,32 @@ class MomentEngine:
         Returns (linear map monomial -> coefficient, constant).  Draws are
         independent of the state and of each other, so each monomial factors
         into draw moments, a parameter monomial and one moment variable.
-        The draws left in a substituted body are those `_upd_pow` keeps
-        symbolic, whose moments are not polynomials; an initializer's draws
-        all become moments here.
+        Every draw whose moment is a polynomial has already become that
+        moment (`_integrate`, in each update power and each initializer
+        power), so the draws left here are those whose moments are not
+        polynomials; their terms are summed as rational functions.
         """
         acc_poly: dict[Monomial, dict[Monomial, Fraction]] = {}
         acc_rf: dict[Monomial, RationalFunction] = {}
         for mono, coeff in poly.terms.items():
             evar: list[tuple[str, int]] = []
             pmono: list[tuple[str, int]] = []
-            contrib = None
             rf_factor = None
             for s, e in mono.powers:
                 if s in self.var_set:
                     evar.append((s, e))
                 elif is_draw(s):
                     m = self._draw_moment(s, e)
-                    if m.is_zero():
-                        contrib = Polynomial()
-                        break
-                    if m.is_poly():
-                        contrib = m.num if contrib is None else contrib * m.num
-                    else:
-                        rf_factor = m if rf_factor is None else rf_factor * m
+                    rf_factor = m if rf_factor is None else rf_factor * m
                 else:
                     pmono.append((s, e))
-            if contrib is not None and contrib.is_zero():
-                continue
-            base = _poly_of_terms({_mono(tuple(pmono)): coeff})
-            if contrib is not None:
-                base = base * contrib
-            key = _mono(tuple(evar))
+            key, pm = _mono(tuple(evar)), _mono(tuple(pmono))
             if rf_factor is None:
                 slot = acc_poly.setdefault(key, {})
-                for m2, c2 in base.terms.items():
-                    prev = slot.get(m2)
-                    slot[m2] = c2 if prev is None else prev + c2
+                prev = slot.get(pm)
+                slot[pm] = coeff if prev is None else prev + coeff
             else:
-                extra = RationalFunction(base) * rf_factor
+                extra = RationalFunction(_poly_of_terms({pm: coeff})) * rf_factor
                 acc_rf[key] = acc_rf.get(key, RF_ZERO) + extra
         linear: dict[Monomial, RationalFunction] = {}
         for key, slot in acc_poly.items():
@@ -514,7 +480,7 @@ class MomentEngine:
                         break
                 else:
                     raise ProgramError(f"variable {var} has no initializer")
-                _, cached = self.expectation(self._reduce(expr**k))
+                _, cached = self.expectation(self._reduce(self._integrate(expr**k)))
                 self._init_moments[key] = cached
             total = total * cached
         return total

@@ -10,6 +10,7 @@ renaming, which program equality ignores.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -70,6 +71,17 @@ def _tokenize(source: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+def _number(text: str, line: int, col: int, kind=Fraction):
+    """kind(text) for a numeric literal.  A literal with more digits than
+    the interpreter converts to an int is a ParseError that names the
+    limit; the limit itself is left alone."""
+    try:
+        return kind(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number has more than {limit} digits", line, col) from None
 
 
 class _Parser:
@@ -162,14 +174,14 @@ class _Parser:
             if tok.kind != "num" or "." in tok.text:
                 self.fail("expected an integer exponent")
             self.advance()
-            value = value ** int(tok.text)
+            value = value ** _number(tok.text, tok.line, tok.col, int)
         return value
 
     def atom(self, dists_ok: bool) -> RationalFunction:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return RationalFunction(Fraction(tok.text))
+            return RationalFunction(_number(tok.text, tok.line, tok.col))
         if self.accept("("):
             value = self.expr(dists_ok)
             self.expect(")")
@@ -297,7 +309,7 @@ class _Parser:
         self.expect(";")
         if name in supports:
             self.fail(f"support of {name} declared twice", tok)
-        supports[name] = int(size_tok.text)
+        supports[name] = _number(size_tok.text, size_tok.line, size_tok.col, int)
 
     def update(self) -> Assignment:
         target = self.ident("variable")
@@ -343,7 +355,8 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
     m = _QUOTIENT_RE.match(text)
     if m:
-        num, den = Fraction(m[1]), Fraction(m[2] or 1)
+        num = _number(m[1], 1, m.start(1) + 1)
+        den = _number(m[2], 1, m.start(2) + 1) if m[2] else 1
         if den:  # a zero divisor goes on to the parser, which reports where
             return _rf_const(num / den)
     parser = _Parser(text)

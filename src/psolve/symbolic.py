@@ -23,15 +23,19 @@ sums of an accumulation, once).  Each operation keeps that invariant
 itself, so a result is exactly what the validating constructor would give,
 term for term and in the same order.  A monomial's hash is that of its
 power tuple, computed once when it is built.
+
+Every rewrite that replaces powers by polynomials and re-expands goes
+through one kernel, `Polynomial.map_powers`: substitution, support
+reduction, and the moment engine's body steps and draw moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -351,28 +355,44 @@ class Polynomial:
 
     # -- substitution and evaluation ---------------------------------------
 
+    def map_powers(self, image: Callable[[str, int], Optional["Polynomial"]]) -> "Polynomial":
+        """Replace each power s^e by the polynomial image(s, e), or keep it
+        where the image is None, and expand into one term dict.  The zero
+        sums are dropped once, at the end, and the terms keep the order in
+        which they first appear.  `image` runs once per power of each
+        term, so a caller caches what it computes."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            keep: list[tuple[str, int]] = []
+            factor = None
+            for s, e in mono.powers:
+                img = image(s, e)
+                if img is None:
+                    keep.append((s, e))
+                else:
+                    factor = img if factor is None else factor * img
+            if factor is None:
+                prev = out.get(mono)
+                out[mono] = coeff if prev is None else prev + coeff
+                continue
+            rest = _mono(tuple(keep))
+            for m2, c2 in factor.terms.items():
+                m, c = rest * m2, coeff * c2
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+        return _poly_of_sums(out)
+
     def substitute(self, mapping: Mapping[str, Union["Polynomial", Scalar]]) -> "Polynomial":
         """Replace each named symbol with a polynomial (or constant)."""
         if not mapping:
             return self
         repl = {s: Polynomial._coerce(v) for s, v in mapping.items()}
-        out = Polynomial()
-        powers: dict[tuple[str, int], Polynomial] = {}
-        for mono, coeff in self.terms.items():
-            factor = Polynomial.const(coeff)
-            keep: list[tuple[str, int]] = []
-            for s, e in mono.powers:
-                if s in repl:
-                    key = (s, e)
-                    if key not in powers:
-                        powers[key] = repl[s] ** e
-                    factor = factor * powers[key]
-                else:
-                    keep.append((s, e))
-            if keep:
-                factor = factor * _poly_of_terms({_mono(tuple(keep)): _ONE})
-            out = out + factor
-        return out
+
+        @cache
+        def image(s: str, e: int) -> Optional[Polynomial]:
+            return repl[s] ** e if s in repl else None
+
+        return self.map_powers(image)
 
     def eval(self, values: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
@@ -711,50 +731,27 @@ def reduce_finite_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
     """Reduce powers of `sym` modulo sym*(sym-1)*...*(sym-size+1).
 
     The result agrees with `poly` on every point where sym takes a value in
-    {0, ..., size-1} and has degree < size in sym.
+    {0, ..., size-1} and has degree < size in sym.  The image of sym^size
+    is sym^size minus that falling factorial, and each higher power is sym
+    times the image one below it, mapped again.
     """
     if size < 1:
         raise ValueError("support size must be >= 1")
     top = poly.degree_in(sym)
     if top < size:
         return poly
-    # rem[k] = coefficient vector of sym^k reduced, length `size`.
-    rem: list[list[Fraction]] = []
-    for k in range(size):
-        row = [Fraction(0)] * size
-        row[k] = Fraction(1)
-        rem.append(row)
-    # sym^size = sum_j mu_j sym^j where mu is sym*(sym-1)*...*(sym-size+1)
-    # minus its leading term, negated: compute falling-factorial coefficients.
-    mu = Polynomial.const(1)
     x = Polynomial.var(sym)
+    falling = Polynomial.const(1)
     for i in range(size):
-        mu = mu * (x - i)
-    reduce_top = [-mu.coeff(Monomial.of(sym, j)) if j else -mu.coeff(_UNIT) for j in range(size)]
-    for k in range(size, top + 1):
-        prev = rem[k - 1]
-        row = [Fraction(0)] * size
-        for j in range(size - 1):
-            row[j + 1] += prev[j]
-        if prev[size - 1]:
-            for j in range(size):
-                row[j] += prev[size - 1] * reduce_top[j]
-        rem.append(row)
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.terms.items():
-        e = mono.exponent(sym)
-        if e < size:
-            prev = out.get(mono)
-            out[mono] = coeff if prev is None else prev + coeff
-            continue
-        rest = mono.without(sym)
-        for j, c in enumerate(rem[e]):
-            if c:
-                m = rest if j == 0 else rest * Monomial.of(sym, j)
-                c = coeff * c
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-    return _poly_of_sums(out)
+        falling = falling * (x - i)
+    images = {size: x**size - falling}
+
+    def image(s: str, e: int) -> Optional[Polynomial]:
+        return images.get(e) if s == sym else None
+
+    for e in range(size + 1, top + 1):
+        images[e] = (x * images[e - 1]).map_powers(image)
+    return poly.map_powers(image)
 
 
 def _number_str(value: Scalar) -> str:

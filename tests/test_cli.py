@@ -481,6 +481,96 @@ class TestLongAnswers:
         assert "decimal: 0.500000" in out
 
 
+class TestUnreadableFiles:
+    """An input file that is not text, or an output path that cannot be
+    written, ends in one error line and exit code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "BAD", "--spec", '{"query": "moment", "target": "A"}'],
+        ["analyze", "BAD", "--goal", "x"],
+        ["query", ALARM, "--spec", "BAD"],
+    ], ids=["network", "program", "spec"])
+    def test_undecodable_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, *(str(path) if a == "BAD" else a for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot decode {path}: ")
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "no_such_dir" / "out.psl"
+        code, out, err = run(capsys, "compile-bn", ALARM, "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = "7" * (LIMIT + 1)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="int-string conversion is unlimited")
+class TestNumbersPastTheDigitLimit:
+    """A number with more digits than the interpreter converts to an int
+    ends in an error, not a traceback; the limit is left as it is."""
+
+    @pytest.mark.parametrize("source, where", [
+        (f"x := {TOO_LONG}; while true {{ x := x; }}", "1:6"),
+        (f"x := 1; while true {{ x := x^{TOO_LONG}; }}", "1:29"),
+        (f"support x {TOO_LONG}; x := bern(1/2); while true {{ x := x; }}", "1:11"),
+    ], ids=["literal", "exponent", "support"])
+    def test_program_source(self, capsys, tmp_path, source, where):
+        prog = tmp_path / "long.psl"
+        prog.write_text(source)
+        code, out, err = run(capsys, "analyze", str(prog), "--goal", "x")
+        assert (code, out) == (1, "")
+        assert err == f"error: {where}: number has more than {LIMIT} digits\n"
+
+    @pytest.mark.parametrize("goal", [f"R*{TOO_LONG}", f"R^{TOO_LONG}"],
+                             ids=["literal", "exponent"])
+    def test_goal(self, capsys, goal):
+        code, out, err = run(capsys, "analyze", UMBRELLA_PSL, "--goal", goal)
+        assert (code, out) == (1, "")
+        assert err == f"error: 1:3: number has more than {LIMIT} digits\n"
+
+    def test_cpt_probability(self, capsys, tmp_path):
+        net = tmp_path / "long.json"
+        net.write_text(json.dumps({"type": "bn", "nodes": [
+            {"name": "A", "model": {"kind": "cpt", "p": [f"1/{TOO_LONG}", "1"]}}]}))
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, out) == (1, "")
+        assert err == f"error: node A probability: 1:3: number has more than {LIMIT} digits\n"
+
+    def test_network_integer(self, capsys, tmp_path):
+        net = tmp_path / "long.json"
+        net.write_text('{"type": "bn", "nodes": [{"name": "A", "model": '
+                       f'{{"kind": "cpt", "p": [1, {TOO_LONG}]}}}}]}}')
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {net}: not valid JSON: ")
+        assert f"({LIMIT} digits)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", ALARM, "--spec", f'{{"query": "moment", "target": "B", "k": {TOO_LONG}}}'],
+        ["samples", ALARM, "--evidence", f'{{"J": {TOO_LONG}}}'],
+        ["filter", str(DATA / "umbrella.json"), "--obs", f'[{{"U": {TOO_LONG}}}]'],
+    ], ids=["spec", "evidence", "observations"])
+    def test_json_integer(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "not valid JSON" in err and f"({LIMIT} digits)" in err
+
+    def test_evidence_state(self, capsys):
+        code, out, err = run(capsys, "samples", ALARM, "--evidence", f"J={TOO_LONG}")
+        assert (code, out) == (1, "")
+        assert err == f"error: evidence state has more than {LIMIT} digits\n"
+
+    def test_state_index_string(self, capsys):
+        code, out, err = run(capsys, "query", ALARM, "--spec", json.dumps(
+            {"query": "conditional", "target": "B", "evidence": {"J": TOO_LONG}}))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown state '7777")
+
+
 class TestSamples:
     def test_conjunction_evidence(self, capsys):
         code, out, _ = run(capsys, "samples", ASIA,
@@ -549,6 +639,12 @@ class TestSamples:
         code, _, err = run(capsys, "samples", ASIA, "--evidence", "Asia")
         assert code == 1
         assert "NAME=VALUE" in err
+
+    @pytest.mark.parametrize("evidence", ["J=\u00b2", '{"J": "\u00b2"}'], ids=["pair", "json"])
+    def test_digit_that_is_no_number(self, capsys, evidence):
+        # str.isdigit() holds for a superscript two, which int() refuses
+        assert run(capsys, "samples", ALARM, "--evidence", evidence) == (
+            1, "", "error: unknown state '\u00b2' of node J\n")
 
 
 class TestFilter:

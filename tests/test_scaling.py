@@ -1,5 +1,6 @@
 """Loading and compiling grow linearly in the network size, and so do
-the sample count with negative evidence and the numeric filter.
+the sample count with negative evidence, the numeric filter and
+polynomial substitution.
 
 Wall-clock time on a shared host swings too much to assert growth rates,
 so these tests count the Python lines executed instead: the count is
@@ -18,6 +19,7 @@ import pytest
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn
 from psolve.queries import expected_samples, forward_filter
+from psolve.symbolic import Monomial, Polynomial
 
 GROWTH = 2.1
 
@@ -120,4 +122,18 @@ def test_numeric_filter_steps_do_no_fraction_arithmetic():
     source = fractions.Fraction.__new__.__code__.co_filename
     assert filter_lines(240, source) <= 40 * 240
     small, large = filter_lines(120), filter_lines(240)
+    assert large <= GROWTH * small, (small, large)
+
+
+def substitute_lines(n: int) -> int:
+    """x -> y + 1 in the n terms (i + 1) * v_i * x^(1 + i % 3)."""
+    poly = Polynomial({Monomial([(f"v{i}", 1), ("x", 1 + i % 3)]): i + 1 for i in range(n)})
+    image = Polynomial.var("y") + 1
+    return lines_executed(lambda: poly.substitute({"x": image}))
+
+
+def test_substitute_is_linear():
+    """Every term is expanded into one accumulation; adding the terms up
+    polynomial by polynomial rebuilds the running sum once per term."""
+    small, large = substitute_lines(500), substitute_lines(1000)
     assert large <= GROWTH * small, (small, large)

@@ -269,6 +269,38 @@ def test_substitute_then_eval(a, b):
     assert composed.eval(env) == a.eval({"x": b.eval(env), "y": vy})
 
 
+@given(polynomials(("x", "y", "z")))
+@settings(max_examples=40, deadline=None)
+def test_map_powers_identity_image(a):
+    same = a.map_powers(lambda s, e: None)
+    assert same == a
+    assert list(same.terms.items()) == list(a.terms.items())
+
+
+@st.composite
+def _support_cases(draw):
+    """A polynomial in x (exponents up to 9) and y, a support size 2-4 for
+    x, and a rational value for y."""
+    p = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        mono = Monomial([("x", draw(st.integers(0, 9))), ("y", draw(st.integers(0, 2)))])
+        p = p + Polynomial({mono: draw(fractions)})
+    return p, draw(st.integers(2, 4)), draw(fractions)
+
+
+@given(_support_cases())
+@settings(max_examples=80, deadline=None)
+def test_support_reduction_agrees_on_the_support(case):
+    # The defining property, checked by evaluation alone, whatever the
+    # reduction expands through.
+    p, size, vy = case
+    reduced = reduce_finite_support(p, "x", size)
+    assert reduced.degree_in("x") < size
+    for vx in range(size):
+        env = {"x": F(vx), "y": vy}
+        assert reduced.eval(env) == p.eval(env)
+
+
 @given(polynomials(), polynomials())
 @settings(max_examples=40, deadline=None)
 def test_rf_roundtrip_mul_div(a, b):
