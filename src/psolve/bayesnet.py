@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -35,9 +36,17 @@ from typing import Optional, Union
 from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
-from .symbolic import Param, Polynomial, RationalFunction, RF_ONE, RF_ZERO, _rf_const
+from .symbolic import (
+    Param, Polynomial, RationalFunction, RF_ONE, RF_ZERO, _number_str, _rf_const,
+)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A state an error echoes is cut to this many characters.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 Assignment = tuple[int, ...]
 
@@ -147,9 +156,11 @@ class Node:
                     index = len(self.states)
                 if index < len(self.states):
                     return index
-            raise SchemaError(f"unknown state {value!r} of node {self.name}")
+            raise SchemaError(f"unknown state {_echo(value)!r} of node {self.name}")
         if not 0 <= value < len(self.states):
-            raise SchemaError(f"state {value} out of range for node {self.name}")
+            raise SchemaError(
+                f"state {_echo(_number_str(value))} out of range for node {self.name}"
+            )
         return value
 
 
@@ -306,16 +317,27 @@ def unique_keys(pairs) -> dict:
     return out
 
 
+def parse_json(text: str, what: str, invalid: str, error: type[InputError] = InputError):
+    """json.loads(text) with `unique_keys`.  Text that is not JSON raises
+    error(f"{invalid}: {detail}").  An integer with more digits than the
+    interpreter converts is valid JSON that Python refuses, so it raises
+    error(f"{what}: number has more than N digits"), as the program parser
+    says it; the limit itself is left alone."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"{invalid}: {exc}") from exc
+    except ValueError:  # an int past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise error(f"{what}: number has more than {limit} digits") from None
+
+
 def load_bn_path(path: Union[str, Path]) -> Union[BayesNet, DynBayesNet]:
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return load_bn(doc)
+    return load_bn(parse_json(text, str(path), f"{path}: not valid JSON", SchemaError))
 
 
 def load_bn(doc: Mapping) -> Union[BayesNet, DynBayesNet]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, unique_keys
+from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, parse_json
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
 from .parser import parse_poly, parse_program
@@ -230,10 +230,7 @@ def _cmd_query(args) -> int:
     raw = args.spec.strip()
     if not raw.startswith("{"):
         raw = _read(args.spec)
-    try:
-        spec = json.loads(raw, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InputError(f"query spec is not valid JSON: {exc}") from exc
+    spec = parse_json(raw, "query spec", "query spec is not valid JSON")
     result = run_query(bind_net(bn, _parse_bindings(args.param)), spec)
     _emit(result.to_json(args.digits), args.json)
     return 0
@@ -242,10 +239,7 @@ def _cmd_query(args) -> int:
 def _parse_conj(text: str) -> dict:
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return json.loads(text, object_pairs_hook=unique_keys)
-        except ValueError as exc:
-            raise InputError(f"evidence is not valid JSON: {exc}") from exc
+        return parse_json(text, "evidence", "evidence is not valid JSON")
     out: dict = {}
     for part in text.split(","):
         part = part.strip()
@@ -284,10 +278,7 @@ def _cmd_samples(args) -> int:
 def _parse_obs(text: str) -> list:
     text = text.strip()
     if text.startswith("["):
-        try:
-            steps = json.loads(text, object_pairs_hook=unique_keys)
-        except ValueError as exc:
-            raise InputError(f"observations are not valid JSON: {exc}") from exc
+        steps = parse_json(text, "observations", "observations are not valid JSON")
         if not isinstance(steps, list):
             raise InputError("observations must be a JSON list of objects")
         return steps

@@ -1,11 +1,16 @@
 """Exponential polynomials in an integer index n.
 
 An ExpPoly is a finite sum of terms coeff * base^n * n^degree where coeff
-and base are rational functions of the parameters and degree is a natural
-number.  These are exactly the sequences produced by solving first-order
-linear recurrences with constant coefficients, and the closed forms the
-moment engine reports.  Bases are never zero: a vanishing homogeneous
-coefficient is handled piecewise upstream instead of storing 0^n.
+and base are coefficients (`symbolic.Coeff`: a `Fraction` where no
+parameter occurs, a rational function of the parameters where one does)
+and degree is a natural number.  These are exactly the sequences produced
+by solving first-order linear recurrences with constant coefficients, and
+the closed forms the moment engine reports.  Bases are never zero: a
+vanishing homogeneous coefficient is handled piecewise upstream instead of
+storing 0^n.
+
+`ExpPoly.at` and `Limit.value` hand out `RationalFunction`s; the solve
+layer evaluates with `ExpPoly._at`, which returns the coefficient type.
 """
 
 from __future__ import annotations
@@ -15,29 +20,26 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .symbolic import Param, Polynomial, RationalFunction, RF_ONE, RF_ZERO
+from .symbolic import Coeff, Param, Polynomial, RationalFunction, as_coeff, coeff_str, coeff_subs
 
 RFLike = Union[int, Fraction, Polynomial, RationalFunction]
 
 
 class ExpTerm(NamedTuple):
-    coeff: RationalFunction
-    base: RationalFunction
+    """coeff * base^n * n^degree; coeff and base are never constant
+    `RationalFunction`s (`as_coeff`)."""
+
+    coeff: Coeff
+    base: Coeff
     degree: int
-
-
-def _rf(value: RFLike) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
 
 
 class ExpPoly:
     """Canonical sum of coeff * base^n * n^degree terms.
 
-    Terms with equal (base, degree) are merged (base equality is the
-    cross-multiplication test) and zero coefficients dropped, so the empty
-    term tuple is the zero sequence.
+    Coefficients and bases go through `as_coeff`, terms with equal (base,
+    degree) are merged (base equality is the cross-multiplication test) and
+    zero coefficients dropped, so the empty term tuple is the zero sequence.
     """
 
     __slots__ = ("terms",)
@@ -45,21 +47,21 @@ class ExpPoly:
     def __init__(self, terms=()):
         merged: list[list] = []
         for t in terms:
-            coeff, base, degree = _rf(t[0]), _rf(t[1]), int(t[2])
+            coeff, base, degree = as_coeff(t[0]), as_coeff(t[1]), int(t[2])
             if degree < 0:
                 raise ValueError("negative n-degree")
-            if base.is_zero():
+            if not base:
                 raise ValueError("0^n term is not representable; handle piecewise")
-            if coeff.is_zero():
+            if not coeff:
                 continue
             for slot in merged:
                 if slot[2] == degree and slot[1] == base:
-                    slot[0] = slot[0] + coeff
+                    slot[0] = as_coeff(slot[0] + coeff)
                     break
             else:
                 merged.append([coeff, base, degree])
-        final = [ExpTerm(c, b, d) for c, b, d in merged if not c.is_zero()]
-        final.sort(key=lambda t: (0 if t.base == RF_ONE else 1, str(t.base), t.degree))
+        final = [ExpTerm(c, b, d) for c, b, d in merged if c]
+        final.sort(key=lambda t: (0 if t.base == 1 else 1, coeff_str(t.base), t.degree))
         object.__setattr__(self, "terms", tuple(final))
 
     def __setattr__(self, name, value):
@@ -85,7 +87,7 @@ class ExpPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(t.base == RF_ONE and t.degree == 0 for t in self.terms)
+        return all(t.base == 1 and t.degree == 0 for t in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,19 +151,24 @@ class ExpPoly:
 
     def at(self, n: int) -> RationalFunction:
         """Exact value at a concrete index, as a rational function of the params."""
+        return RationalFunction._coerce(self._at(n))
+
+    def _at(self, n: int) -> Coeff:
+        """Exact value at a concrete index, as a coefficient."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        total = RF_ZERO
+        total = 0
         for coeff, base, degree in self.terms:
             if not degree:
                 total = total + coeff * base**n
             elif n:
                 total = total + coeff * base**n * n**degree
-        return total
+        return as_coeff(total)
 
     def subs(self, mapping) -> "ExpPoly":
         return ExpPoly(
-            tuple((t.coeff.subs(mapping), t.base.subs(mapping), t.degree) for t in self.terms)
+            tuple((coeff_subs(t.coeff, mapping), coeff_subs(t.base, mapping), t.degree)
+                  for t in self.terms)
         )
 
     def __str__(self) -> str:
@@ -170,9 +177,9 @@ class ExpPoly:
         parts = []
         for coeff, base, degree in self.terms:
             factors = []
-            cs = str(coeff)
-            if not base == RF_ONE:
-                bs = str(base)
+            cs = coeff_str(coeff)
+            if not base == 1:
+                bs = coeff_str(base)
                 if any(ch in bs for ch in "/*-+^ "):
                     bs = f"({bs})"
                 factors.append(f"{bs}^n")
@@ -182,7 +189,7 @@ class ExpPoly:
                 factors.append(f"n^{degree}")
             if not factors:
                 parts.append(cs)
-            elif coeff == RF_ONE:
+            elif coeff == 1:
                 parts.append("*".join(factors))
             else:
                 if "/" in cs or " " in cs:
@@ -215,17 +222,16 @@ def expoly_limit(f: ExpPoly, params: Mapping[str, Param] | None = None) -> Limit
         b = p.bounds()
         if b is not None:
             bounds[p.name] = b
-    value = RF_ZERO
+    value = 0
     assumptions: list[str] = []
     for coeff, base, degree in f.terms:
-        if base == RF_ONE:
+        if base == 1:
             if degree == 0:
                 value = value + coeff
                 continue
             return Limit("diverges", None)
-        if base.is_const():
-            b = base.const_value()
-            if abs(b) < 1:
+        if not isinstance(base, RationalFunction):
+            if abs(base) < 1:
                 continue
             return Limit("diverges", None)
         iv = None
@@ -240,6 +246,7 @@ def expoly_limit(f: ExpPoly, params: Mapping[str, Param] | None = None) -> Limit
             if lo > 1 or hi < -1:
                 return Limit("diverges", None)
         assumptions.append(f"|{base}| < 1")
+    value = RationalFunction._coerce(value)
     if assumptions:
         return Limit("conditional", value, tuple(assumptions))
     return Limit("converges", value)

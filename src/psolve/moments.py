@@ -58,14 +58,15 @@ from .errors import DegreeCapError, InternalCheckError, ProgramError, Unsupporte
 from .program import LoopProgram, is_draw
 from .recurrence import ClosedForm, FirstOrderRecurrence, solve_first_order, verify_solution
 from .symbolic import (
+    Coeff,
     Monomial,
     Polynomial,
     RationalFunction,
-    RF_ONE,
     RF_ZERO,
     _mono,
     _poly_of_sums,
     _poly_of_terms,
+    as_coeff,
     reduce_finite_support,
 )
 
@@ -88,12 +89,14 @@ def degree_cap() -> int:
 
 @dataclass(frozen=True)
 class MomentRecurrence:
-    """E[target](n+1) = self_coeff * E[target](n) + sum a_i E[N_i](n) + constant."""
+    """E[target](n+1) = self_coeff * E[target](n) + sum a_i E[N_i](n) + constant.
+
+    The coefficients are `Coeff`s: Fractions where no parameter occurs."""
 
     target: Monomial
-    self_coeff: RationalFunction
-    linear: tuple[tuple[Monomial, RationalFunction], ...]
-    constant: RationalFunction
+    self_coeff: Coeff
+    linear: tuple[tuple[Monomial, Coeff], ...]
+    constant: Coeff
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class MomentEngine:
         self.supports = dict(prog.supports)
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
-        self._init_moments: dict[tuple[str, int], RationalFunction] = {}
+        self._init_moments: dict[tuple[str, int], Coeff] = {}
         self._rank = {var: i for i, var in enumerate(self.vars)}
         # the message table of every walk: (var, the id of the bucket's
         # lone factor or the sorted ids of its factors) -> (message, its
@@ -377,10 +380,11 @@ class MomentEngine:
             self._moments[key] = cached
         return cached
 
-    def expectation(self, poly: Polynomial) -> tuple[dict[Monomial, RationalFunction], RationalFunction]:
+    def expectation(self, poly: Polynomial) -> tuple[dict[Monomial, Coeff], Coeff]:
         """Split E[poly] into a linear combination of moment variables.
 
-        Returns (linear map monomial -> coefficient, constant).  Draws are
+        Returns (linear map monomial -> coefficient, constant), each a
+        `Coeff`: a Fraction where no parameter occurs.  Draws are
         independent of the state and of each other, so each monomial factors
         into draw moments, a parameter monomial and one moment variable.
         Every draw whose moment is a polynomial has already become that
@@ -410,13 +414,13 @@ class MomentEngine:
             else:
                 extra = RationalFunction(_poly_of_terms({pm: coeff})) * rf_factor
                 acc_rf[key] = acc_rf.get(key, RF_ZERO) + extra
-        linear: dict[Monomial, RationalFunction] = {}
+        linear: dict[Monomial, Coeff] = {}
         for key, slot in acc_poly.items():
-            linear[key] = RationalFunction(_poly_of_sums(slot))
+            linear[key] = as_coeff(_poly_of_sums(slot))
         for key, rf in acc_rf.items():
-            linear[key] = linear.get(key, RF_ZERO) + rf
-        constant = linear.pop(Monomial.unit(), RF_ZERO)
-        linear = {k: v for k, v in linear.items() if not v.is_zero()}
+            linear[key] = as_coeff(linear.get(key, 0) + rf)
+        constant = linear.pop(Monomial.unit(), Fraction(0))
+        linear = {k: v for k, v in linear.items() if v}
         return linear, constant
 
     def extract(self, target: Monomial) -> MomentRecurrence:
@@ -425,7 +429,7 @@ class MomentEngine:
             raise ProgramError(f"unknown program variable {sorted(bad)[0]} in moment target")
         body = self.substitute_body(Polynomial({target: Fraction(1)}))
         linear, constant = self.expectation(body)
-        self_coeff = linear.pop(target, RF_ZERO)
+        self_coeff = linear.pop(target, Fraction(0))
         ordered = tuple(sorted(linear.items(), key=lambda kv: kv[0], reverse=True))
         return MomentRecurrence(target, self_coeff, ordered, constant)
 
@@ -449,27 +453,23 @@ class MomentEngine:
                 f"one body pass leaves state moments {left}; the program "
                 "does not overwrite every variable"
             )
-        return constant
+        return RationalFunction._coerce(constant)
 
     def closed(self, poly: Polynomial) -> ClosedForm:
         """E[poly] as a function of n: the monomials of the reduced
         polynomial closed by `compute_mbis` (every solution
         back-substituted), combined, with their assumptions merged."""
         reduced = self._reduce(poly)
-        const = RationalFunction(Polynomial.const(reduced.coeff(Monomial.unit())))
-        terms = [
-            (m, RationalFunction(Polynomial.const(c)))
-            for m, c in reduced.terms.items()
-            if not m.is_unit()
-        ]
+        const = reduced.coeff(Monomial.unit())
+        terms = [(m, c) for m, c in reduced.terms.items() if not m.is_unit()]
         mbis = compute_mbis(self, [m for m, _ in terms])
         return ClosedForm.combine(const, [(c, mbis[m].closed) for m, c in terms]).normalized()
 
     # -- initial values ----------------------------------------------------
 
-    def initial_moment(self, target: Monomial) -> RationalFunction:
+    def initial_moment(self, target: Monomial) -> Coeff:
         """E[target] at n = 0; initializers are mutually independent."""
-        total = RF_ONE
+        total = Fraction(1)
         for var, k in target.powers:
             key = (var, k)
             cached = self._init_moments.get(key)
@@ -483,7 +483,7 @@ class MomentEngine:
                 _, cached = self.expectation(self._reduce(self._integrate(expr**k)))
                 self._init_moments[key] = cached
             total = total * cached
-        return total
+        return as_coeff(total)
 
 
 def _add_scaled(acc: dict, terms: dict, mono: Monomial, coeff: Fraction) -> None:

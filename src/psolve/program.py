@@ -32,8 +32,9 @@ from .symbolic import (
     Polynomial,
     RationalFunction,
     RF_ONE,
-    RF_ZERO,
+    _number_str,
     _poly_of_terms,
+    as_coeff,
 )
 
 
@@ -259,17 +260,16 @@ def validate(prog: LoopProgram) -> None:
     earlier: set[str] = set()
     for upd in prog.updates:
         target = upd.target
-        # constant probabilities sum as Fractions, symbolic ones apart
-        total_const = Fraction(0)
-        total = RF_ZERO
+        total = Fraction(0)  # a Coeff: a Fraction until a symbolic branch joins
         drawn = []
         for br in upd.branches:
             prob = br.prob
             if prob.is_const():  # a polynomial with no symbols
                 p = prob.const_value()
                 if p.numerator < 0 or p.numerator > p.denominator:  # p < 0 or p > 1
-                    raise ProgramError(f"branch probability {p} of {target} outside [0, 1]")
-                total_const += p
+                    raise ProgramError(
+                        f"branch probability {_number_str(p)} of {target} outside [0, 1]"
+                    )
             else:
                 if not prob.is_poly():
                     raise UnsupportedError(
@@ -280,7 +280,7 @@ def validate(prog: LoopProgram) -> None:
                     raise ProgramError(
                         f"branch probability of {target} references {sorted(bad)[0]}"
                     )
-                total = total + prob
+            total = total + as_coeff(prob)
             symbols = br.expr.symbols()
             if target in symbols:
                 split_self(br.expr, target)  # raises unless linear in the target
@@ -292,8 +292,7 @@ def validate(prog: LoopProgram) -> None:
                     "which is not declared earlier"
                 )
             drawn += outside  # every symbol left is a draw
-        sums_to_one = total_const == 1 if total.is_zero() else total + total_const == 1
-        if not sums_to_one:
+        if total != 1:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
         if drawn:
             _claim_draws(prog, owners, drawn, ("update", target))

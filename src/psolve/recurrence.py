@@ -1,7 +1,11 @@
 """Piecewise closed forms and first-order linear recurrences.
 
 A `ClosedForm` is explicit values below a start index and an ExpPoly tail
-from there on, with the assumptions under which it holds.
+from there on, with the assumptions under which it holds.  Every
+coefficient here is a `symbolic.Coeff`: a plain `Fraction` where no
+parameter occurs, a rational function of the parameters where one does.
+`ClosedForm.at` hands out a `RationalFunction`; the solve layer evaluates
+with `ClosedForm._at`, which returns the coefficient type.
 `ClosedForm.combine` is the one linear combination of closed forms and
 `merge_assumptions` the one ordered merge of assumption lists.
 
@@ -29,7 +33,7 @@ from typing import Sequence
 
 from .errors import InternalCheckError
 from .exppoly import ExpPoly
-from .symbolic import RationalFunction, RF_ZERO
+from .symbolic import Coeff, RationalFunction, as_coeff, coeff_str, coeff_subs
 
 
 def merge_assumptions(*lists: Sequence[str]) -> tuple[str, ...]:
@@ -41,13 +45,13 @@ def merge_assumptions(*lists: Sequence[str]) -> tuple[str, ...]:
 class ClosedForm:
     """Piecewise closed form: prefix[n] below start, tail(n) from start on."""
 
-    prefix: tuple[RationalFunction, ...]
+    prefix: tuple[Coeff, ...]
     tail: ExpPoly
     assumptions: tuple[str, ...] = ()
 
     @staticmethod
     def combine(
-        constant: RationalFunction, terms: Sequence[tuple[RationalFunction, "ClosedForm"]]
+        constant: Coeff, terms: Sequence[tuple[Coeff, "ClosedForm"]]
     ) -> "ClosedForm":
         """constant + the sum of coeff * cf over the (coeff, cf) terms.
 
@@ -64,8 +68,8 @@ class ClosedForm:
         for j in range(max((cf.start for _, cf in terms), default=0)):
             value = constant
             for c, cf in terms:
-                value = value + c * cf.at(j)
-            prefix.append(value)
+                value = value + c * cf._at(j)
+            prefix.append(as_coeff(value))
         assumptions = merge_assumptions(*(cf.assumptions for _, cf in terms))
         return ClosedForm(tuple(prefix), ExpPoly(tail), assumptions)
 
@@ -74,9 +78,12 @@ class ClosedForm:
         return len(self.prefix)
 
     def at(self, n: int) -> RationalFunction:
+        return RationalFunction._coerce(self._at(n))
+
+    def _at(self, n: int) -> Coeff:
         if n < len(self.prefix):
             return self.prefix[n]
-        return self.tail.at(n)
+        return self.tail._at(n)
 
     def total(self) -> ExpPoly | None:
         """The tail, if it is valid from n = 0 (no piecewise exception)."""
@@ -85,7 +92,7 @@ class ClosedForm:
     def normalized(self) -> "ClosedForm":
         """Drop trailing prefix values that the tail already reproduces."""
         prefix = list(self.prefix)
-        while prefix and self.tail.at(len(prefix) - 1) == prefix[-1]:
+        while prefix and self.tail._at(len(prefix) - 1) == prefix[-1]:
             prefix.pop()
         if len(prefix) == len(self.prefix):
             return self
@@ -94,7 +101,7 @@ class ClosedForm:
     def subs(self, mapping) -> "ClosedForm":
         """Substitute parameter values; may fail if a base becomes zero."""
         return ClosedForm(
-            tuple(v.subs(mapping) for v in self.prefix),
+            tuple(coeff_subs(v, mapping) for v in self.prefix),
             self.tail.subs(mapping),
             self.assumptions,
         )
@@ -102,7 +109,7 @@ class ClosedForm:
     def __str__(self) -> str:
         if not self.prefix:
             return str(self.tail)
-        pieces = ", ".join(f"f({i}) = {v}" for i, v in enumerate(self.prefix))
+        pieces = ", ".join(f"f({i}) = {coeff_str(v)}" for i, v in enumerate(self.prefix))
         return f"{self.tail} for n >= {self.start}; {pieces}"
 
 
@@ -110,18 +117,18 @@ class ClosedForm:
 class FirstOrderRecurrence:
     """f(n+1) = self_coeff * f(n) + inhomog(n) for n >= 0, f(0) = initial."""
 
-    self_coeff: RationalFunction
+    self_coeff: Coeff
     inhomog: ClosedForm
-    initial: RationalFunction
+    initial: Coeff
 
 
-def _particular(g: ExpPoly, c: RationalFunction) -> tuple[list, list[str]]:
+def _particular(g: ExpPoly, c: Coeff) -> tuple[list, list[str]]:
     """Particular solution terms for f(n+1) - c*f(n) = g(n)."""
-    groups: list[tuple[RationalFunction, dict[int, RationalFunction]]] = []
+    groups: list[tuple[Coeff, dict[int, Coeff]]] = []
     for coeff, base, degree in g.terms:
         for b, coeffs in groups:
             if b == base:
-                coeffs[degree] = coeffs.get(degree, RF_ZERO) + coeff
+                coeffs[degree] = coeffs.get(degree, 0) + coeff
                 break
         else:
             groups.append((base, {degree: coeff}))
@@ -130,12 +137,12 @@ def _particular(g: ExpPoly, c: RationalFunction) -> tuple[list, list[str]]:
     assumptions: list[str] = []
     for base, coeffs in groups:
         top = max(coeffs)
-        diff = base - c
-        if diff.is_zero():
+        diff = as_coeff(base - c)
+        if not diff:
             # Resonant: q has degrees 1..top+1, with r*(q(n+1) - q(n)) = p(n).
-            q: dict[int, RationalFunction] = {}
+            q: dict[int, Coeff] = {}
             for j in range(top, -1, -1):
-                rhs = coeffs.get(j, RF_ZERO) / base
+                rhs = coeffs.get(j, 0) / base
                 for l in range(j + 2, top + 2):
                     if l in q:
                         rhs = rhs - q[l] * comb(l, j)
@@ -143,12 +150,12 @@ def _particular(g: ExpPoly, c: RationalFunction) -> tuple[list, list[str]]:
             for deg, qc in q.items():
                 terms.append((qc, base, deg))
         else:
-            if not diff.is_const():
-                assumptions.append(f"{base} != {c}")
+            if isinstance(diff, RationalFunction):
+                assumptions.append(f"{coeff_str(base)} != {coeff_str(c)}")
             # Nonresonant: r*q(n+1) - c*q(n) = p(n) with deg q = top.
             q = {}
             for j in range(top, -1, -1):
-                rhs = coeffs.get(j, RF_ZERO)
+                rhs = coeffs.get(j, 0)
                 for l in range(j + 1, top + 1):
                     if l in q:
                         rhs = rhs - base * q[l] * comb(l, j)
@@ -164,18 +171,18 @@ def solve_first_order(rec: FirstOrderRecurrence) -> ClosedForm:
     Below g's start the values are iterated exactly; from there on g is
     its tail, and the tail of f follows by undetermined coefficients.
     """
-    c, g = rec.self_coeff, rec.inhomog
+    c, g = as_coeff(rec.self_coeff), rec.inhomog
     start = g.start
-    values = [rec.initial]
+    values = [as_coeff(rec.initial)]
     for j in range(start):
-        values.append(c * values[j] + g.at(j))
-    if c.is_zero():
+        values.append(as_coeff(c * values[j] + g._at(j)))
+    if not c:
         return ClosedForm(tuple(values), g.tail.shift(-1), g.assumptions).normalized()
     part_terms, assumptions = _particular(g.tail, c)
     part = ExpPoly(part_terms)
-    if start > 0 and not c.is_const():
+    if start > 0 and isinstance(c, RationalFunction):
         assumptions.append(f"{c} != 0")
-    amp = (values[start] - part.at(start)) / c**start
+    amp = (values[start] - part._at(start)) / c**start
     tail = ExpPoly(part.terms + ((amp, c, 0),))
     merged = merge_assumptions(assumptions, g.assumptions)
     return ClosedForm(tuple(values[:start]), tail, merged).normalized()
@@ -193,7 +200,7 @@ def verify_solution(rec: FirstOrderRecurrence, cf: ClosedForm) -> None:
     nothing is rounded.
     """
     c, g = rec.self_coeff, rec.inhomog
-    values = [cf.at(n) for n in range(max(cf.start, g.start) + 3)]
+    values = [cf._at(n) for n in range(max(cf.start, g.start) + 3)]
     if not values[0] == rec.initial:
         raise InternalCheckError("wrong at n = 0")
     ident = cf.tail.shifted_terms(1)
@@ -202,5 +209,5 @@ def verify_solution(rec: FirstOrderRecurrence, cf: ClosedForm) -> None:
     if not ExpPoly(ident).is_zero():
         raise InternalCheckError("fails back-substitution")
     for n in range(len(values) - 1):
-        if not values[n + 1] == c * values[n] + g.at(n):
+        if not values[n + 1] == c * values[n] + g._at(n):
             raise InternalCheckError(f"fails the recurrence at n = {n}")

@@ -12,7 +12,11 @@ functions are therefore unhashable.
 A constant rational function carries its exact `Fraction` value, and
 arithmetic and equality between two constants never touch polynomials, so
 numeric answers run at `Fraction` speed while symbolic ones keep the
-polynomial path.
+polynomial path.  The solve layer skips even that wrapper: its coefficient
+type `Coeff` is a plain `Fraction` where no parameter occurs and a
+`RationalFunction` where one does, and `as_coeff` collapses a constant of
+any kind to its `Fraction`; `coeff_str` and `coeff_subs` print and
+substitute either kind.
 
 The public constructors `Monomial(...)` and `Polynomial(...)` validate and
 canonicalize their input.  The arithmetic does not go through them: every
@@ -534,6 +538,10 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for a Fraction."""
+        return bool(self.num.terms)
+
     def is_const(self) -> bool:
         return self._const is not None
 
@@ -711,6 +719,40 @@ def _rf_const(value: Fraction) -> RationalFunction:
 
 RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
+
+# A coefficient of the solve layer (closed forms, recurrences and moment
+# expectations): a Fraction where no parameter occurs, a RationalFunction
+# where one does.  RationalFunction takes a Fraction operand on either side,
+# so ordinary operators do the arithmetic for both kinds.
+Coeff = Union[Fraction, RationalFunction]
+
+
+def as_coeff(value) -> Coeff:
+    """value as a coefficient: an int, a Fraction, or a constant Polynomial
+    or RationalFunction collapses to its Fraction, and a nonconstant
+    Polynomial becomes a RationalFunction.  A symbolic result can cancel to
+    a constant (r - (r - 3/10)), so a result whose constness matters goes
+    through here before it is tested."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, RationalFunction):
+        return value if value._const is None else value._const
+    if isinstance(value, Polynomial):
+        return value.const_value() if value.is_const() else RationalFunction(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot treat {value!r} as a coefficient")
+
+
+def coeff_str(value: Coeff) -> str:
+    """The printed form of a coefficient, of any length; a Fraction prints
+    as the constant RationalFunction of its value does."""
+    return str(value) if isinstance(value, RationalFunction) else _number_str(value)
+
+
+def coeff_subs(value: Coeff, mapping: Mapping[str, Union[Polynomial, Scalar]]) -> Coeff:
+    """A coefficient with parameter values substituted."""
+    return as_coeff(value.subs(mapping)) if isinstance(value, RationalFunction) else value
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -101,6 +102,15 @@ class TestLoadBasics:
         bn = load_bn(doc_chain())
         with pytest.raises(SchemaError, match="state"):
             bn.node("A").state_index("soggy")
+
+    def test_long_states_are_echoed_cut(self):
+        # an int past the interpreter's str() limit is a SchemaError too
+        node = load_bn(doc_chain()).node("A")
+        cases = (("7" * 5000, "'" + "7" * 40 + "...'"), (10**5000, "1" + "0" * 39 + "..."))
+        for value, shown in cases:
+            with pytest.raises(SchemaError) as info:
+                node.state_index(value)
+            assert shown in str(info.value) and len(str(info.value)) < 100
 
     def test_params_declared(self):
         bn = load_bn_path(DATA / "alarm_sens.json")
@@ -339,6 +349,18 @@ class TestLoadPath:
         p.write_text("{nope")
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_bn_path(p)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int-string conversion is unlimited")
+        p = tmp_path / "long.json"
+        p.write_text('{"nodes": [{"name": "A", "model": {"kind": "cpt", "p": [1, '
+                     + "9" * (limit + 1) + "]}}]}")
+        with pytest.raises(SchemaError) as info:
+            load_bn_path(p)
+        assert str(info.value) == f"{p}: number has more than {limit} digits"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_all_bundled_files_load(self):
         for path in sorted(DATA.glob("*.json")):

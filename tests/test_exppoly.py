@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psolve.exppoly import ExpPoly, expoly_limit
-from psolve.symbolic import Param, Polynomial, RationalFunction, RF_ONE
+from psolve.recurrence import ClosedForm
+from psolve.symbolic import Param, Polynomial, RationalFunction, RF_ONE, _number_str
 
 
 def rf(v):
@@ -80,12 +81,25 @@ class TestSubs:
         e = ExpPoly.term(r, r - rf(F(3, 10)))
         bound = e.subs({"r": F(1, 2)})
         assert bound.at(1) == rf(F(1, 2) * F(1, 5))
+        # a bound coefficient is a plain Fraction, as if never symbolic
+        (term,) = bound.terms
+        assert term == (F(1, 2), F(1, 5), 0)
+        assert type(term.coeff) is F and type(term.base) is F
 
     def test_substitute_to_zero_base_fails(self):
         r = RationalFunction(Polynomial.var("r"))
         e = ExpPoly.term(1, r)
         with pytest.raises(ValueError):
             e.subs({"r": F(0)})
+
+
+class TestLongNumbers:
+    def test_prints_past_the_digit_limit(self):
+        # str() refuses these integers; the terms sort and print anyway
+        big = F(7**6000, 3**5000)
+        cf = ClosedForm((big,), ExpPoly([(big, half, 0), (1, big, 1)]))
+        text = str(cf)
+        assert _number_str(big.numerator) in text and text.endswith(f"f(0) = {_number_str(big)}")
 
 
 class TestLimit:

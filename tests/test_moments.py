@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
-from psolve import exppoly, moments, queries, recurrence
+from psolve import exppoly, moments, queries, recurrence, symbolic
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
@@ -361,6 +362,88 @@ class TestClosedFormCounts:
         # tail and the tail identity; one more for the goal
         assert built[0] == 4 * closures[0] + 1
         assert len(result.value.tail.terms) == 4
+
+    def test_numeric_solve_builds_no_rational_function(self, monkeypatch):
+        """Without parameters every coefficient of the solve layer is a
+        Fraction: building, solving and checking the recurrences in n
+        constructs no RationalFunction, by either constructor."""
+        inside, entered, made = [0], Counter(), [0]
+
+        def within(name):
+            inner = getattr(moments, name)
+
+            def counted(*args, **kwargs):
+                entered[name] += 1
+                inside[0] += 1
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(moments, name, counted)
+
+        init, const = symbolic.RationalFunction.__init__, symbolic._rf_const
+
+        def counted_init(self, *args):
+            made[0] += inside[0] > 0
+            init(self, *args)
+
+        def counted_const(value):
+            made[0] += inside[0] > 0
+            return const(value)
+
+        for name in ("_first_order", "solve_first_order", "check_mbis"):
+            within(name)
+        monkeypatch.setattr(symbolic.RationalFunction, "__init__", counted_init)
+        monkeypatch.setattr(symbolic, "_rf_const", counted_const)
+        result = queries.predict(load_bn(self.COUPLED), "S2", at=9)
+        assert entered == {"_first_order": 3, "solve_first_order": 3, "check_mbis": 1}
+        assert made[0] == 0
+        assert result.value == rf(F(4776807277, 10000000000))
+
+
+ROADMAP_LOOP = (
+    "y := 0; x := 0; z := 1; while true { y := y + gauss(0, 1); "
+    "x := x + y + bern(1/3); z := 1/2*z + x*uniform(0,1); }"
+)
+
+
+def solve_coefficients(mbi):
+    """Every coefficient an MBI holds: its moment recurrence, its
+    recurrence in n, and the prefix values and term fields of both closed
+    forms."""
+    rec, first = mbi.recurrence, mbi.first_order
+    out = [rec.self_coeff, rec.constant, first.self_coeff, first.initial]
+    out += [a for _, a in rec.linear]
+    for cf in (first.inhomog, mbi.closed):
+        out += cf.prefix
+        out += [v for t in cf.tail.terms for v in (t.coeff, t.base)]
+    return out
+
+
+class TestCoefficientTypes:
+    """A parameter-free coefficient is a plain Fraction; a RationalFunction
+    appears only where a parameter does, never as a constant."""
+
+    def test_numeric_loop_holds_fractions(self):
+        mbis = compute_mbis(parse_program(ROADMAP_LOOP), [Monomial.of("z", 3)])
+        values = [v for mbi in mbis.values() for v in solve_coefficients(mbi)]
+        assert len(mbis) > 10 and values
+        assert all(type(v) is F for v in values)
+
+    def test_symbolic_entries_alone_are_rational_functions(self):
+        dyn = load_bn_path(DATA / "umbrella_sens.json")
+        mbis = compute_mbis(compile_dynbn(dyn), [Monomial.of("R")])
+        closed = queries.predict(dyn, "R").value
+        values = [v for mbi in mbis.values() for v in solve_coefficients(mbi)]
+        values += list(closed.prefix) + [v for t in closed.tail.terms for v in (t.coeff, t.base)]
+        symbolic_values = [v for v in values if isinstance(v, RationalFunction)]
+        assert symbolic_values and len(symbolic_values) < len(values)
+        for v in values:
+            if isinstance(v, RationalFunction):
+                assert v.symbols() == {"r"}, v
+            else:
+                assert type(v) is F, v
 
 
 class TestStochasticDependencyChain:

@@ -239,3 +239,29 @@ def test_piecewise_inhomogeneous_term(r, n):
     for i in range(n):
         value = r.self_coeff * value + r.inhomog.at(i)
     assert cf.at(n) == value
+
+
+def with_fractions(r):
+    """The same recurrence with every constant held as a Fraction."""
+    g = r.inhomog
+    prefix = tuple(v.const_value() for v in g.prefix)
+    return FirstOrderRecurrence(
+        r.self_coeff.const_value(), ClosedForm(prefix, g.tail), r.initial.const_value()
+    )
+
+
+@given(piecewise_recurrences())
+@settings(max_examples=80, deadline=None)
+def test_constant_rational_functions_solve_as_fractions(r):
+    """Constant RationalFunctions and Fractions are one coefficient type:
+    both solve to the same closed form, printed alike, with every
+    coefficient a Fraction."""
+    assert isinstance(r.self_coeff, RationalFunction)
+    plain = with_fractions(r)
+    cf, cf_plain = solve_first_order(r), solve_first_order(plain)
+    verify_solution(plain, cf_plain)
+    assert cf == cf_plain
+    assert str(cf) == str(cf_plain)
+    for closed in (cf, cf_plain):
+        fields = [v for t in closed.tail.terms for v in (t.coeff, t.base)]
+        assert all(type(v) is F for v in closed.prefix + tuple(fields))
