@@ -37,7 +37,7 @@ from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import (
-    Param, Polynomial, RationalFunction, RF_ONE, RF_ZERO, _number_str, _rf_const,
+    Coeff, Param, Polynomial, RationalFunction, RF_ONE, _number_str, _rf_const, as_coeff, coeff_str,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -72,6 +72,12 @@ class CPT:
     @functools.cached_property
     def _by_assignment(self) -> dict:
         return dict(self.rows)
+
+    @functools.cached_property
+    def weights(self) -> dict:
+        """{parent assignment: {value: probability}} with the zero entries
+        dropped: the weight table `joint_rows` multiplies by default."""
+        return {given: {v: p for v, p in enumerate(vec) if p} for given, vec in self.rows}
 
 
 @dataclass(frozen=True)
@@ -224,45 +230,48 @@ class DynBayesNet:
 # -- chain rule ------------------------------------------------------------
 
 
-def joint_rows(bn: BayesNet, given=(), evidence=()):
+def joint_rows(bn: BayesNet, given=(), evidence=(), tables=None):
     """The chain-rule joint of an all-discrete network as (values, weight)
     rows, drawing the nodes in topological order.
 
+    A row's weight is the product of one entry per CPT node, read from
+    `tables[name][parent assignment][value]`.  The default tables are the
+    CPTs' own probabilities (`CPT.weights`); the enumeration oracle passes
+    the same tables with their denominators cleared.  A table lists no
+    zero entry, so no row weighs zero.  The weights start at one, as a
+    `RationalFunction` for the default tables and as the int 1 for given
+    ones, and a deterministic node multiplies nothing in.
+
     `given` seeds values that nodes read before they are drawn, which is
     how a dynamic slice sees its previous temporal state.  Rows that
-    contradict `evidence` or weigh zero are dropped.
+    contradict `evidence` are dropped.
     """
     observed = dict(evidence)
-    rows = [(dict(given), RF_ONE)]
+    rows = [(dict(given), RF_ONE if tables is None else 1)]
     for name in bn.order:
-        node = bn.node(name)
+        m = bn.node(name).model
         nxt = []
-        for values, weight in rows:
-            for value, prob in _local_dist(node, values):
-                if observed.get(name, value) != value:
-                    continue
-                if prob.is_const() and prob.const_value() == 0:
-                    continue
-                nxt.append(({**values, name: value}, weight * prob))
+        if isinstance(m, CPT):
+            table = m.weights if tables is None else tables[name]
+            for values, weight in rows:
+                for value, prob in table[tuple(values[p] for p in m.parents)].items():
+                    if observed.get(name, value) == value:
+                        nxt.append(({**values, name: value}, weight * prob))
+        elif isinstance(m, Deterministic):
+            for values, weight in rows:
+                try:
+                    value = int(m.expr.eval(values))
+                except KeyError as exc:
+                    raise UnsupportedError(
+                        f"deterministic node {name} depends on {exc.args[0]}, "
+                        "which has no value to enumerate"
+                    ) from None
+                if observed.get(name, value) == value:
+                    nxt.append(({**values, name: value}, weight))
+        else:
+            raise UnsupportedError(f"node {name} has no discrete local model to enumerate")
         rows = nxt
     return rows
-
-
-def _local_dist(node: Node, values: Mapping[str, int]):
-    """(value, probability) pairs of one discrete node given the values
-    drawn so far."""
-    m = node.model
-    if isinstance(m, CPT):
-        return enumerate(m.vector(tuple(values[p] for p in m.parents)))
-    if isinstance(m, Deterministic):
-        try:
-            return [(int(m.expr.eval(values)), RF_ONE)]
-        except KeyError as exc:
-            raise UnsupportedError(
-                f"deterministic node {node.name} depends on {exc.args[0]}, "
-                "which has no value to enumerate"
-            ) from None
-    raise UnsupportedError(f"node {node.name} has no discrete local model to enumerate")
 
 
 # -- parameter binding -----------------------------------------------------
@@ -669,15 +678,17 @@ def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
                 "parent assignments"
             )
         for (_, vec), given in zip(m.rows, resolved):
+            total: Coeff = Fraction(0)
             for entry in vec:
-                if entry.is_const() and not 0 <= entry.const_value() <= 1:
+                c = as_coeff(entry)
+                if type(c) is Fraction and not 0 <= c <= 1:
                     raise SchemaError(
-                        f"{where}: probability {entry.const_value()} outside [0, 1]"
+                        f"{where}: probability {_number_str(c)} outside [0, 1]"
                     )
-            total = sum(vec, RF_ZERO)
-            if total != RF_ONE:
+                total = total + c
+            if total != 1:
                 raise SchemaError(
-                    f"{where}: probabilities for {list(given)} sum to {total}"
+                    f"{where}: probabilities for {list(given)} sum to {coeff_str(total)}"
                 )
         rows = tuple((idx, vec) for idx, (_, vec) in zip(resolved, m.rows))
         return replace(nd, model=replace(m, rows=rows))

@@ -4,14 +4,18 @@ Three oracles, in increasing generality and decreasing precision:
 
 - exact joint enumeration for discrete networks, from the chain-rule
   rows of `bayesnet.joint_rows` (the forward filter's one-step rows come
-  from the same function);
+  from the same function).  Each CPT is cleared of denominators once
+  (`symbolic.clear_denominators`), so a row's weight is an int, or a
+  polynomial with integer coefficients when the network has parameters,
+  over one denominator common to all rows; every query is a column sum
+  over those weights with one division at the end;
 - exact mean/covariance propagation for linear-Gaussian and conditional
   linear-Gaussian networks, one summary per discrete configuration;
 - Monte Carlo simulation of the compiled loop program for anything
   samplable.
 
-The first two keep symbolic parameters as rational functions, so they can
-cross-check sensitivity answers too.  The sampler is deterministic given
+The first two keep symbolic parameters exact, so they can cross-check
+sensitivity answers too.  The sampler is deterministic given
 (seed, sample count, chunk size): it derives every random number from a
 counter-based SplitMix64 stream keyed by (seed, draw slot, iteration), so
 results never depend on execution order or worker count.  numpy is
@@ -21,6 +25,7 @@ exact oracles and a `check` without Monte Carlo never load it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +35,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 from .bayesnet import (
     BayesNet,
     CLG,
+    CPT,
     DynBayesNet,
     LinearGaussian,
     Node,
@@ -48,6 +54,7 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
+    clear_denominators,
 )
 
 if TYPE_CHECKING:
@@ -60,90 +67,89 @@ DEFAULT_CHUNK = 65536
 # -- exact enumeration -----------------------------------------------------
 
 
+# A cleared weight: an int for a numeric network, a polynomial with integer
+# coefficients for a symbolic one.
+Weight = Union[int, Polynomial]
+
+
 @dataclass(frozen=True)
 class JointTable:
-    """Exact joint distribution of a discrete network, one row per full
-    assignment in the network's node order."""
+    """Exact joint distribution of a discrete network: one row per full
+    assignment, in the network's node order, with its cleared weight, and
+    one denominator common to every row.  A row's probability is its
+    weight over `den`.
+
+    Every query is a column sum over the weights: E[poly] sums, for each
+    monomial of poly, the weights times the monomial's value on the row,
+    and divides once by `den`.  Numeric weights are ints, so a numeric
+    query does integer arithmetic until that one division; symbolic
+    weights take the same path as polynomials."""
 
     names: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, ...], RationalFunction], ...]
+    rows: tuple[tuple[tuple[int, ...], Weight], ...]
+    den: Weight
+
+    @functools.cached_property
+    def _column(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
 
     def total(self) -> RationalFunction:
-        out = RF_ZERO
-        for _, weight in self.rows:
-            out = out + weight
-        return out
+        return RationalFunction(self._sum(_ONE_POLY, self.rows), self.den)
 
     def expectation(self, poly: Polynomial) -> RationalFunction:
         """E[poly] with the polynomial read over node names."""
         return self.expectations([poly])[0]
 
     def expectations(self, polys: Sequence[Polynomial]) -> list[RationalFunction]:
-        """E[poly] for every poly.
-
-        Numeric row weights are written over one common denominator; for
-        each target the rows are grouped by the values of the target's own
-        nodes, their integer weights summed, and the target evaluated once
-        per group.  Symbolic weights are summed as rational functions in
-        one pass over the rows, every target evaluated on each row."""
-        if not all(weight.is_const() for _, weight in self.rows):
-            outs = [RF_ZERO] * len(polys)
-            for assignment, weight in self.rows:
-                env = dict(zip(self.names, assignment))
-                for i, poly in enumerate(polys):
-                    outs[i] = _add_scaled(outs[i], weight, poly.eval(env))
-            return outs
-        values = [weight.const_value() for _, weight in self.rows]
-        den = math.lcm(*(v.denominator for v in values))
-        counts = [v.numerator * (den // v.denominator) for v in values]
-        column = {name: i for i, name in enumerate(self.names)}
-        outs = []
-        for poly in polys:
-            syms = sorted(poly.symbols())
-            cols = [column[s] for s in syms]
-            groups: dict[tuple[int, ...], int] = {}
-            for (assignment, _), count in zip(self.rows, counts):
-                key = tuple([assignment[c] for c in cols])
-                groups[key] = groups.get(key, 0) + count
-            total = sum(count * poly.eval(dict(zip(syms, key))) for key, count in groups.items())
-            outs.append(RationalFunction(Fraction(total) / den))
-        return outs
+        """E[poly] for every poly."""
+        return [RationalFunction(self._sum(poly, self.rows), self.den) for poly in polys]
 
     def probability(self, event: Sequence[tuple[str, int]]) -> RationalFunction:
-        out = RF_ZERO
-        for assignment, weight in self.rows:
-            env = dict(zip(self.names, assignment))
-            if all(env[name] == value for name, value in event):
-                out = out + weight
-        return out
+        return RationalFunction(self._sum(_ONE_POLY, self._where(event)), self.den)
 
     def conditional(self, poly: Polynomial, event) -> RationalFunction:
-        """E[poly | event]; raises if the event has no numeric mass."""
-        num = RF_ZERO
-        den = RF_ZERO
-        for assignment, weight in self.rows:
-            env = dict(zip(self.names, assignment))
-            if all(env[name] == value for name, value in event):
-                den = den + weight
-                num = _add_scaled(num, weight, poly.eval(env))
-        if den.is_zero() or (den.is_const() and den.const_value() == 0):
+        """E[poly | event]; raises if the event has no numeric mass.  The
+        common denominator cancels from the ratio."""
+        rows = self._where(event)
+        mass = self._sum(_ONE_POLY, rows)
+        if mass == 0:
             raise QueryError(f"event {tuple(event)} has probability zero")
-        return num / den
+        return RationalFunction(self._sum(poly, rows), mass)
+
+    def _where(self, event) -> list:
+        """The rows that agree with every (name, value) pair of the event."""
+        cols = [(self._column[name], value) for name, value in event]
+        return [row for row in self.rows if all(row[0][c] == v for c, v in cols)]
+
+    def _sum(self, poly: Polynomial, rows) -> Union[Weight, Fraction]:
+        """The sum of weight * poly(assignment) over the rows: one column
+        sum per monomial, times its coefficient."""
+        out = 0
+        for mono, coeff in poly.terms.items():
+            cols = [(self._column[s], e) for s, e in mono.powers]
+            column = 0
+            for assignment, weight in rows:
+                for c, e in cols:
+                    v = assignment[c]
+                    if not v:
+                        break
+                    if v != 1:
+                        weight = weight * v**e
+                else:
+                    column = column + weight
+            out = out + (column if coeff == 1 else coeff * column)
+        return out
 
 
-def _add_scaled(
-    total: RationalFunction, weight: RationalFunction, value: Fraction
-) -> RationalFunction:
-    """total + weight * value, skipping the product when value is 0 or 1."""
-    if not value:
-        return total
-    return total + (weight if value == 1 else weight * value)
+_ONE_POLY = Polynomial.const(1)
 
 
 def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable:
-    """The exact joint, one row per chain-rule row of
-    `bayesnet.joint_rows`; only for all-discrete networks whose state space
-    fits under the cap."""
+    """The exact joint of an all-discrete network whose state space fits
+    under the cap.  Each CPT is cleared of denominators once
+    (`symbolic.clear_denominators`); the rows are the chain-rule rows of
+    `bayesnet.joint_rows` over those cleared tables, and the common
+    denominator is the product of the CPTs' clearing factors."""
     size = 1
     for node in bn.nodes:
         if not node.is_discrete:
@@ -156,11 +162,19 @@ def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable
                 f"state space exceeds {cap} assignments; raise the cap to "
                 "enumerate this network"
             )
+    symbolic = bool(bn.params)
+    tables: dict[str, dict] = {}
+    den: Weight = 1
+    for node in bn.nodes:
+        if isinstance(node.model, CPT):
+            tables[node.name], scale = clear_denominators(node.model.weights, symbolic)
+            den = den * scale
     names = bn.node_names
     rows = tuple(
-        (tuple(values[n] for n in names), weight) for values, weight in joint_rows(bn)
+        (tuple(values[n] for n in names), weight)
+        for values, weight in joint_rows(bn, tables=tables)
     )
-    return JointTable(names, rows)
+    return JointTable(names, rows, den)
 
 
 # -- Gaussian propagation --------------------------------------------------
@@ -239,7 +253,7 @@ def gaussian_propagate(bn: BayesNet) -> GaussianMixture:
         )
         table = enumerate_discrete(sub)
         configs = [
-            (tuple(zip(table.names, assignment)), weight)
+            (tuple(zip(table.names, assignment)), RationalFunction(weight, table.den))
             for assignment, weight in table.rows
         ]
     else:

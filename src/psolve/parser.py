@@ -355,10 +355,12 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
     m = _QUOTIENT_RE.match(text)
     if m:
-        num = _number(m[1], 1, m.start(1) + 1)
-        den = _number(m[2], 1, m.start(2) + 1) if m[2] else 1
+        # Integer literals make one Fraction(int, int); a decimal is
+        # Fraction(text).
+        num = _number(m[1], 1, m.start(1) + 1, Fraction if "." in m[1] else int)
+        den = _number(m[2], 1, m.start(2) + 1, Fraction if "." in m[2] else int) if m[2] else 1
         if den:  # a zero divisor goes on to the parser, which reports where
-            return _rf_const(num / den)
+            return _rf_const(Fraction(num, den))
     parser = _Parser(text)
     parser.params = {p: Param(p) for p in params}
     parser.allowed = set()

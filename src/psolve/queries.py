@@ -55,7 +55,11 @@ from .symbolic import (
     RF_ONE,
     RF_ZERO,
     _rf_const,
+    clear_denominators,
     decimal_str,
+    int_content,
+    poly_content,
+    poly_divide,
 )
 
 Value = Union[RationalFunction, ClosedForm, tuple]
@@ -314,9 +318,9 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     ints when the network has no parameters, polynomials with integer
     coefficients when it has.  One loop serves both.  The prior and each
     step's distribution P(next state, obs | previous state) are cleared of
-    denominators once, when they are built (`_cleared`): every entry is
-    multiplied by one common factor, the lcm of the constant denominators
-    times the product of the distinct polynomial ones.  The factor is
+    denominators once, when they are built (`symbolic.clear_denominators`):
+    every entry is multiplied by one common factor, the lcm of the constant
+    denominators times the product of the distinct polynomial ones.  The factor is
     common to every previous state a step reads, so it scales every new
     weight alike and leaves the beliefs unchanged.  A step sums
     w[prev] * N[prev][next] into the new weights and divides them by their
@@ -350,17 +354,19 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
             )
     symbolic = bool(dyn.net.params)
     content, divide, belief = (
-        (_poly_content, _poly_divide, RationalFunction) if symbolic
-        else (_int_content, operator.floordiv, _int_belief)
+        (poly_content, poly_divide, RationalFunction) if symbolic
+        else (int_content, operator.floordiv, _int_belief)
     )
     space = tuple(prior)
     memo: dict = {}
-    weights = _cleared({(): prior}, symbolic)[()]
+    weights = clear_denominators({(): prior}, symbolic)[0][()]
     total = None
     out = []
     for t, obs in enumerate(slices, start=1):
         if obs not in memo:
-            memo[obs] = _cleared({prev: _step_dist(dyn, prev, obs) for prev in space}, symbolic)
+            memo[obs] = clear_denominators(
+                {prev: _step_dist(dyn, prev, obs) for prev in space}, symbolic
+            )[0]
         step = memo[obs]
         new: dict = {}
         for prev, weight in weights.items():
@@ -391,45 +397,8 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     )
 
 
-def _int_content(weight: int) -> int:
-    return weight
-
-
 def _int_belief(weight: int, total: int) -> RationalFunction:
     return _rf_const(Fraction(weight, total))
-
-
-def _poly_content(weight: Polynomial) -> int:
-    """The gcd of the integer coefficients of a weight polynomial."""
-    return weight.content().numerator
-
-
-def _poly_divide(weight: Polynomial, g: int) -> Polynomial:
-    return weight * Fraction(1, g)
-
-
-def _cleared(rows: dict, symbolic: bool) -> dict:
-    """Rows of probabilities ({key: {state: RationalFunction}}), each entry
-    multiplied by one factor common to all rows that clears every
-    denominator: ints for a numeric network, polynomials with integer
-    coefficients for a symbolic one.  Zero entries are dropped."""
-    rows = {key: {s: v for s, v in row.items() if not v.is_zero()} for key, row in rows.items()}
-    entries = [v for row in rows.values() for v in row.values()]
-    if not symbolic:
-        scale = math.lcm(*(v.const_value().denominator for v in entries))
-        return {key: {s: int(v.const_value() * scale) for s, v in row.items()}
-                for key, row in rows.items()}
-    dens: list[Polynomial] = []
-    for v in entries:
-        if v.den not in dens:
-            dens.append(v.den)
-    others = [math.prod(dens[:i] + dens[i + 1:], start=Polynomial.const(1))
-              for i in range(len(dens))]
-    rows = {key: {s: v.num * others[dens.index(v.den)] for s, v in row.items()}
-            for key, row in rows.items()}
-    scale = math.lcm(*(c.denominator for row in rows.values() for p in row.values()
-                       for c in p.terms.values()))
-    return {key: {s: p * scale for s, p in row.items()} for key, row in rows.items()}
 
 
 def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:

@@ -30,7 +30,14 @@ power tuple, computed once when it is built.
 
 Every rewrite that replaces powers by polynomials and re-expands goes
 through one kernel, `Polynomial.map_powers`: substitution, support
-reduction, and the moment engine's body steps and draw moments.
+reduction, and the moment engine's body steps and draw moments.  Support
+reduction reads each power's residue from an integer table built once per
+support size.
+
+`clear_denominators` turns tables of probabilities into integer weights
+over one common factor (ints, or polynomials with integer coefficients),
+with `int_content`/`poly_content` and `poly_divide` to keep them small;
+the forward filter and the enumeration oracle both run on such weights.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, total_ordering
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -773,27 +780,111 @@ def reduce_finite_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
     """Reduce powers of `sym` modulo sym*(sym-1)*...*(sym-size+1).
 
     The result agrees with `poly` on every point where sym takes a value in
-    {0, ..., size-1} and has degree < size in sym.  The image of sym^size
-    is sym^size minus that falling factorial, and each higher power is sym
-    times the image one below it, mapped again.
+    {0, ..., size-1} and has degree < size in sym.  Each power sym^e with
+    e >= size is replaced by its residue, read from the integer table of
+    `_support_residues`.
     """
     if size < 1:
         raise ValueError("support size must be >= 1")
     top = poly.degree_in(sym)
     if top < size:
         return poly
-    x = Polynomial.var(sym)
-    falling = Polynomial.const(1)
-    for i in range(size):
-        falling = falling * (x - i)
-    images = {size: x**size - falling}
+    table = _support_residues(size, top)
+    powers = [_UNIT] + [_mono(((sym, j),)) for j in range(1, size)]
+    images: dict[int, Polynomial] = {}
 
     def image(s: str, e: int) -> Optional[Polynomial]:
-        return images.get(e) if s == sym else None
+        if s != sym or e < size:
+            return None
+        img = images.get(e)
+        if img is None:
+            residue = table[e]
+            img = images[e] = _poly_of_terms(
+                {powers[j]: Fraction(residue[j]) for j in range(size - 1, -1, -1) if residue[j]}
+            )
+        return img
 
-    for e in range(size + 1, top + 1):
-        images[e] = (x * images[e - 1]).map_powers(image)
     return poly.map_powers(image)
+
+
+# Residues of x^e modulo the falling factorial x(x-1)...(x-size+1), by
+# support size: entry e lists the integer coefficients of x^0..x^(size-1).
+# A table is replaced by a longer one, never changed in place.
+_RESIDUES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _support_residues(size: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """The residues of x^0..x^top (at least) for one support size.  The
+    falling factorial is monic with integer coefficients f_j, so x^size is
+    congruent to -sum f_j x^j, and each higher residue is x times the one
+    below with its x^size coefficient folded back the same way.  A size's
+    table is built once and extended when a higher power is asked for."""
+    table = _RESIDUES.get(size, ())
+    if len(table) > top:
+        return table
+    rows = list(table)
+    if not rows:
+        falling = [1]  # coefficients of the falling factorial, lowest first
+        for i in range(size):
+            falling = [(falling[j - 1] if j else 0) - (i * falling[j] if j < len(falling) else 0)
+                       for j in range(len(falling) + 1)]
+        rows = [tuple(int(j == e) for j in range(size)) for e in range(size)]
+        rows.append(tuple(-f for f in falling[:size]))
+    fold = rows[size]
+    while len(rows) <= top:
+        prev = rows[-1]
+        rows.append(tuple((prev[j - 1] if j else 0) + prev[-1] * fold[j] for j in range(size)))
+    table = _RESIDUES[size] = tuple(rows)
+    return table
+
+
+# -- cleared weights ---------------------------------------------------------
+
+
+def clear_denominators(rows: dict, symbolic: bool) -> tuple[dict, Union[int, Polynomial]]:
+    """Rows of probabilities ({key: {state: RationalFunction}}), each entry
+    multiplied by one factor common to all rows that clears every
+    denominator: ints for a numeric table, polynomials with integer
+    coefficients for a symbolic one.  The factor is the lcm of the constant
+    denominators times the product of the distinct polynomial ones.
+    Returns the cleared rows, zero entries dropped, and the factor: an int,
+    or a Polynomial for a symbolic table."""
+    rows = {key: {s: v for s, v in row.items() if v} for key, row in rows.items()}
+    entries = [v for row in rows.values() for v in row.values()]
+    if not symbolic:
+        scale = lcm(*(v.const_value().denominator for v in entries))
+        return {key: {s: _scaled(v.const_value(), scale) for s, v in row.items()}
+                for key, row in rows.items()}, scale
+    dens: list[Polynomial] = []
+    for v in entries:
+        if v.den not in dens:
+            dens.append(v.den)
+    others = [prod(dens[:i] + dens[i + 1:], start=_POLY_ONE) for i in range(len(dens))]
+    rows = {key: {s: v.num * others[dens.index(v.den)] for s, v in row.items()}
+            for key, row in rows.items()}
+    scale = lcm(*(c.denominator for row in rows.values() for p in row.values()
+                  for c in p.terms.values()))
+    return ({key: {s: p * scale for s, p in row.items()} for key, row in rows.items()},
+            prod(dens, start=_POLY_ONE) * scale)
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    return value.numerator * (scale // value.denominator)
+
+
+def int_content(weight: int) -> int:
+    """The content of an integer weight: the weight itself."""
+    return weight
+
+
+def poly_content(weight: Polynomial) -> int:
+    """The gcd of the integer coefficients of a weight polynomial."""
+    return weight.content().numerator
+
+
+def poly_divide(weight: Polynomial, g: int) -> Polynomial:
+    """A weight polynomial divided by an integer that divides its content."""
+    return weight * Fraction(1, g)
 
 
 def _number_str(value: Scalar) -> str:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psolve.bayesnet import bind, joint_rows, load_bn, load_bn_path
 from psolve import moments
@@ -18,7 +19,7 @@ from psolve.oracle import (
 from psolve.parser import parse_poly
 from psolve.symbolic import RF_ZERO, Polynomial
 
-from conftest import random_clgbn, random_discrete_bn, random_gbn
+from conftest import random_clgbn, random_discrete_bn, random_discrete_doc, random_gbn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -128,6 +129,79 @@ class TestEnumerateDiscrete:
         bn = random_discrete_bn(rng, 12)
         with pytest.raises(UnsupportedError):
             enumerate_discrete(bn, cap=100)
+
+
+def _cpt_rows(doc: dict) -> list[dict]:
+    """Every probability row of a network document, root vectors included."""
+    rows = []
+    for node in doc["nodes"]:
+        model = node["model"]
+        if model["kind"] == "cpt":
+            rows += model["rows"] if "rows" in model else [model]
+    return rows
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A random binary network, numeric or with parameters a and r: one
+    row becomes (1 - a, a), and in the "ratden" variant another becomes
+    (1/(1 + r), r/(1 + r)); plus a random event."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    doc = random_discrete_doc(rng, draw(st.integers(1, 5)), det_share=0.3)
+    variant = draw(st.sampled_from(["numeric", "poly", "ratden"]))
+    if variant != "numeric":
+        doc["params"] = ["a", "r"]
+        rows = _cpt_rows(doc)
+        picks = rng.sample(rows, min(len(rows), 2))
+        picks[0]["p"] = ["1 - a", "a"]
+        if variant == "ratden":
+            picks[-1]["p"] = ["1/(1 + r)", "r/(1 + r)"]
+    bn = load_bn(doc)
+    names = bn.node_names
+    event = [(name, draw(st.integers(0, 1))) for name in names if draw(st.booleans())]
+    return bn, variant, event
+
+
+@given(_oracle_cases())
+@settings(max_examples=60, deadline=None)
+def test_table_queries_equal_plain_sums_over_joint_rows(case):
+    # total, probability, every check target of expectations and a
+    # conditional all equal a plain RationalFunction sum over joint_rows;
+    # with constant CPT denominators the printed forms match too
+    bn, variant, event = case
+    names = bn.node_names
+    polys = [Polynomial.const(1)] + [Polynomial.var(a) for a in names] + [
+        Polynomial.var(a) * Polynomial.var(b)
+        for i, a in enumerate(names) for b in names[i + 1:]
+    ]
+    rows = joint_rows(bn)
+
+    def plain(poly, rows):
+        out = RF_ZERO
+        for values, weight in rows:
+            out = out + weight * poly.eval(values)
+        return out
+
+    def same(got, want):
+        assert got == want
+        if variant != "ratden":
+            assert str(got) == str(want)
+
+    table = enumerate_discrete(bn)
+    same(table.total(), plain(Polynomial.const(1), rows))
+    got = table.expectations(polys)
+    assert len(got) == 1 + len(names) + len(names) * (len(names) - 1) // 2
+    for poly, value in zip(polys, got):
+        same(value, plain(poly, rows))
+    inside = [(v, w) for v, w in rows if all(v[n] == x for n, x in event)]
+    mass = plain(Polynomial.const(1), inside)
+    same(table.probability(event), mass)
+    target = Polynomial.var(names[-1]) * 2 - Polynomial.var(names[0])
+    if mass == 0:
+        with pytest.raises(QueryError, match="probability zero"):
+            table.conditional(target, event)
+    else:
+        same(table.conditional(target, event), plain(target, inside) / mass)
 
 
 class TestGaussianPropagate:

@@ -277,25 +277,49 @@ def test_map_powers_identity_image(a):
     assert list(same.terms.items()) == list(a.terms.items())
 
 
+def _falling_factorial_reduction(poly: Polynomial, sym: str, size: int) -> Polynomial:
+    """The reference reduction: expand the falling factorial
+    sym*(sym-1)*...*(sym-size+1), take the image of sym^size as sym^size
+    minus it, each higher power as sym times the image one below, mapped
+    again, and substitute."""
+    top = poly.degree_in(sym)
+    if top < size:
+        return poly
+    x = Polynomial.var(sym)
+    falling = Polynomial.const(1)
+    for i in range(size):
+        falling = falling * (x - i)
+    images = {size: x**size - falling}
+
+    def image(s, e):
+        return images.get(e) if s == sym else None
+
+    for e in range(size + 1, top + 1):
+        images[e] = (x * images[e - 1]).map_powers(image)
+    return poly.map_powers(image)
+
+
 @st.composite
 def _support_cases(draw):
-    """A polynomial in x (exponents up to 9) and y, a support size 2-4 for
-    x, and a rational value for y."""
+    """A support size 1-5 for x, a polynomial in x (exponents up to three
+    times the size) and y, and a rational value for y."""
+    size = draw(st.integers(1, 5))
     p = Polynomial.zero()
     for _ in range(draw(st.integers(0, 5))):
-        mono = Monomial([("x", draw(st.integers(0, 9))), ("y", draw(st.integers(0, 2)))])
+        mono = Monomial([("x", draw(st.integers(0, 3 * size))), ("y", draw(st.integers(0, 2)))])
         p = p + Polynomial({mono: draw(fractions)})
-    return p, draw(st.integers(2, 4)), draw(fractions)
+    return p, size, draw(fractions)
 
 
 @given(_support_cases())
 @settings(max_examples=80, deadline=None)
 def test_support_reduction_agrees_on_the_support(case):
-    # The defining property, checked by evaluation alone, whatever the
-    # reduction expands through.
+    # The defining property, checked by evaluation, and equality with the
+    # falling-factorial expansion.
     p, size, vy = case
     reduced = reduce_finite_support(p, "x", size)
     assert reduced.degree_in("x") < size
+    assert reduced == _falling_factorial_reduction(p, "x", size)
     for vx in range(size):
         env = {"x": F(vx), "y": vy}
         assert reduced.eval(env) == p.eval(env)
