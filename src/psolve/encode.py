@@ -29,12 +29,10 @@ from typing import Mapping, Tuple
 
 from .bayesnet import (
     BayesNet,
-    CLG,
     CPT,
     Deterministic,
     DynBayesNet,
     LinearGaussian,
-    Node,
 )
 from .errors import QueryError, SchemaError, UnsupportedError
 from .program import (
@@ -164,44 +162,83 @@ class _Builder:
 def compile_bn(bn: BayesNet) -> LoopProgram:
     """One loop iteration = one joint sample; variables in topological
     order; moments are read at n = 1."""
-    builder = _static_builder(bn)
-    return builder.program(bn.params)
+    return _build(bn).program(bn.params)
 
 
-def _static_builder(bn: BayesNet) -> _Builder:
+def compile_dynbn(dyn: DynBayesNet) -> LoopProgram:
+    """Iteration n of the loop is time slice n; slice zero lives in the
+    initializers."""
+    return _build(dyn.net, dyn).program(dyn.net.params)
+
+
+def _build(bn: BayesNet, dyn: DynBayesNet | None = None) -> _Builder:
+    """The one node loop of every compile, over bn in topological order.
+    Without dyn every variable starts at 0.  With dyn, whose net is bn,
+    each starts at its slice-zero value, a two-valued CPT node takes one
+    Bernoulli draw per row, and any other row-structured node must not
+    read its own previous slice (see the module docstring)."""
     builder = _Builder()
+    if dyn is not None:
+        builder.registry.draws.update(dyn.draws)
     builder.used.update(bn.node_names)
     zero = Polynomial.zero()
     for name in bn.order:
         node = bn.node(name)
+        init = zero if dyn is None else dyn.initial_expr(name)
+        temporal = dyn is not None and name in dyn.temporal
         m = node.model
         if isinstance(m, CPT):
-            _emit_cpt(builder, bn, node, init=zero)
+            support = m.support
+            if dyn is not None and support == 2:
+                # One Bernoulli draw per row as the coefficient of its indicator:
+                # rows are exclusive, so all joint moments match the CPT exactly.
+                expr = zero
+                for assignment, vec in m.rows:
+                    ind = _indicator_product(bn, zip(m.parents, assignment))
+                    expr = expr + builder.registry.fresh(DrawSpec("bern", vec[1])) * ind
+                builder.emit(name, [Branch(RF_ONE, expr)], init, support)
+            elif temporal:
+                raise UnsupportedError(
+                    f"node {name}: previous-slice dependence of a {support}-valued "
+                    "node is nonlinear (its indicator has degree "
+                    f"{support - 1}); only two-valued nodes may read their own past"
+                )
+            else:
+                _emit_rows(builder, bn, name, m.parents, m.rows, init, support,
+                           functools.partial(_value_branches, m=support))
         elif isinstance(m, Deterministic):
-            builder.emit(name, [Branch(RF_ONE, m.expr)], zero, node.support)
+            builder.emit(name, [Branch(RF_ONE, m.expr)], init, node.support)
         elif isinstance(m, LinearGaussian):
             expr = _gauss_expr(builder, m, name)
-            builder.emit(name, [Branch(RF_ONE, expr)], zero)
+            builder.emit(name, [Branch(RF_ONE, expr)], init)
+        elif temporal:
+            raise UnsupportedError(
+                f"node {name}: a switched Gaussian cannot read its own "
+                "previous slice; its per-configuration parts update first"
+            )
         else:
-            _emit_clg(builder, bn, node, init=zero)
+            _emit_rows(builder, bn, name, m.parents, m.table, init, None,
+                       lambda lg, ind: [Branch(RF_ONE, ind * _gauss_expr(builder, lg, name))])
     return builder
 
 
-def _emit_cpt(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> None:
-    cpt: CPT = node.model
-    m = cpt.support
-    if not cpt.parents:
-        vec = cpt.rows[0][1]
-        builder.emit(node.name, _value_branches(vec, Polynomial.const(Fraction(1)), m),
-                     init, m)
+def _emit_rows(builder: _Builder, bn: BayesNet, name: str, parents, rows,
+               init: Polynomial, support, branches) -> None:
+    """The row emitter of CPTs and CLGs: one auxiliary per row, whose
+    `branches(model, indicator)` hold the node's value when the row's parent
+    assignment is active and 0 otherwise, and the node as their sum.  A
+    node without parents has one row and takes its branches directly."""
+    if not parents:
+        builder.emit(name, branches(rows[0][1], Polynomial.const(Fraction(1))),
+                     init, support)
         return
     aux_names = []
-    for i, (assignment, vec) in enumerate(cpt.rows):
-        ind = _indicator_product(bn, zip(cpt.parents, assignment))
-        aux = builder.fresh(f"{node.name}_{i + 1}")
-        builder.emit(aux, _value_branches(vec, ind, m), Polynomial.zero(), m)
+    for i, (assignment, model) in enumerate(rows):
+        ind = _indicator_product(bn, zip(parents, assignment))
+        aux = builder.fresh(f"{name}_{i + 1}")
+        builder.emit(aux, branches(model, ind), Polynomial.zero(), support)
         aux_names.append(aux)
-    builder.emit(node.name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init, m)
+    builder.emit(name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init, support)
 
 
 def _sum_of_vars(names) -> Polynomial:
@@ -226,68 +263,6 @@ def _gauss_expr(builder: _Builder, lg: LinearGaussian, where: str) -> Polynomial
             f"node {where}: Gaussian mean has a parameter denominator"
         )
     return mean.num + builder.registry.fresh(DrawSpec("gauss0", lg.variance))
-
-
-def _emit_clg(builder: _Builder, bn: BayesNet, node: Node, init: Polynomial) -> None:
-    clg: CLG = node.model
-    aux_names = []
-    for i, (assignment, lg) in enumerate(clg.table):
-        ind = _indicator_product(bn, zip(clg.parents, assignment))
-        expr = ind * _gauss_expr(builder, lg, node.name)
-        aux = builder.fresh(f"{node.name}_{i + 1}")
-        builder.emit(aux, [Branch(RF_ONE, expr)], Polynomial.zero())
-        aux_names.append(aux)
-    builder.emit(node.name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init)
-
-
-def compile_dynbn(dyn: DynBayesNet) -> LoopProgram:
-    """Iteration n of the loop is time slice n; slice zero lives in the
-    initializers."""
-    bn = dyn.net
-    builder = _Builder()
-    builder.registry.draws.update(dyn.draws)
-    builder.used.update(bn.node_names)
-    for name in bn.order:
-        node = bn.node(name)
-        temporal = name in dyn.temporal
-        init = dyn.initial_expr(name)
-        m = node.model
-        if isinstance(m, CPT):
-            _emit_dyn_cpt(builder, bn, node, temporal, init)
-        elif isinstance(m, Deterministic):
-            builder.emit(name, [Branch(RF_ONE, m.expr)], init, node.support)
-        elif isinstance(m, LinearGaussian):
-            expr = _gauss_expr(builder, m, name)
-            builder.emit(name, [Branch(RF_ONE, expr)], init)
-        else:
-            if temporal:
-                raise UnsupportedError(
-                    f"node {name}: a switched Gaussian cannot read its own "
-                    "previous slice; its per-configuration parts update first"
-                )
-            _emit_clg(builder, bn, node, init)
-    return builder.program(bn.params)
-
-
-def _emit_dyn_cpt(builder, bn, node, temporal: bool, init: Polynomial) -> None:
-    cpt: CPT = node.model
-    m = cpt.support
-    if m == 2:
-        # One Bernoulli draw per row as the coefficient of its indicator:
-        # rows are exclusive, so all joint moments match the CPT exactly.
-        expr = Polynomial.zero()
-        for assignment, vec in cpt.rows:
-            ind = _indicator_product(bn, zip(cpt.parents, assignment))
-            expr = expr + builder.registry.fresh(DrawSpec("bern", vec[1])) * ind
-        builder.emit(node.name, [Branch(RF_ONE, expr)], init, m)
-        return
-    if temporal:
-        raise UnsupportedError(
-            f"node {node.name}: previous-slice dependence of a {m}-valued "
-            "node is nonlinear (its indicator has degree "
-            f"{m - 1}); only two-valued nodes may read their own past"
-        )
-    _emit_cpt(builder, bn, node, init)
 
 
 @dataclass(frozen=True)
@@ -317,7 +292,7 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     only the rejected prefix.
     """
     pairs = sample_evidence(bn, evidence)
-    builder = _static_builder(bn)
+    builder = _build(bn)
     one = Polynomial.const(Fraction(1))
     zero = Polynomial.zero()
 

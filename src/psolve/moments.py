@@ -11,7 +11,8 @@ turn into their raw moments.  Every draw belongs to one statement
 their moments inside that statement's powers (`_integrate`), where they
 enter the monomial, and the substituted body grows with its expectation
 rather than with the number of draws;
-only a draw whose moment is not a polynomial in the parameters stays
+only a draw whose moment is not a polynomial in the parameters, or the
+coin of a branch whose probability is not one, stays
 symbolic until the final expectation.  One depth-first pass (`_close`)
 extracts every needed moment and orders each after the moments it depends
 on; then the closed forms are solved bottom-up in that order, each by
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapError, InternalCheckError, ProgramError, UnsupportedError
-from .program import LoopProgram, is_draw
+from .program import DrawSpec, LoopProgram, is_draw
 from .recurrence import ClosedForm, FirstOrderRecurrence, solve_first_order, verify_solution
 from .symbolic import (
     Coeff,
@@ -123,6 +124,8 @@ class MomentEngine:
         self.vars = prog.variables
         self.var_set = set(self.vars)
         self.supports = dict(prog.supports)
+        # the program's draws and the branch coins of `_upd_pow`
+        self.draws = dict(prog.draws)
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], Coeff] = {}
@@ -146,7 +149,10 @@ class MomentEngine:
         independent of everything else in it: each power d^j is replaced
         by E[d^j] here.  A draw whose moment is not a polynomial in the
         parameters, such as bern(1/(1 + b)), stays symbolic for
-        `expectation`.
+        `expectation`.  So does a branch probability that is not a
+        polynomial: branch j takes the Bernoulli coin `$<var>#<j>` of that
+        probability as its weight, registered in `self.draws`.  Each term
+        holds at most one coin of var, so E[coin] = p averages it exactly.
         """
         key = (var, k)
         cached = self._upd_pows.get(key)
@@ -154,18 +160,18 @@ class MomentEngine:
             return cached
         upd = self.prog.update_for(var)
         total = Polynomial()
-        for br in upd.branches:
-            if not br.prob.is_poly():
-                raise UnsupportedError(
-                    f"branch probability of {var} has a symbolic denominator"
-                )
+        for j, br in enumerate(upd.branches):
             if br.expr.is_zero():
                 continue
             power = br.expr if k == 1 else br.expr**k
             if br.prob.is_const():
                 total = total + power * br.prob.const_value()
-            else:
+            elif br.prob.is_poly():
                 total = total + br.prob.num * power
+            else:
+                coin = f"${var}#{j}"
+                self.draws[coin] = DrawSpec("bern", br.prob)
+                total = total + Polynomial.var(coin) * power
         total = self._reduce(self._integrate(total))
         self._upd_pows[key] = total
         return total
@@ -376,7 +382,7 @@ class MomentEngine:
         key = (sym, k)
         cached = self._moments.get(key)
         if cached is None:
-            cached = self.prog.draws[sym].moment(k)
+            cached = self.draws[sym].moment(k)
             self._moments[key] = cached
         return cached
 

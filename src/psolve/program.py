@@ -271,10 +271,6 @@ def validate(prog: LoopProgram) -> None:
                         f"branch probability {_number_str(p)} of {target} outside [0, 1]"
                     )
             else:
-                if not prob.is_poly():
-                    raise UnsupportedError(
-                        f"branch probability of {target} has a symbolic denominator"
-                    )
                 bad = prob.symbols() - params
                 if bad:
                     raise ProgramError(
@@ -390,10 +386,10 @@ def _poly_str(poly: Polynomial, draws: Mapping[str, DrawSpec]) -> str:
 
     def mono_body(mono: Monomial, coeff: Fraction) -> str:
         if mono.is_unit():
-            return str(abs(coeff))
+            return _number_str(abs(coeff))
         factors = [factor(s, e) for s, e in mono.powers]
         if abs(coeff) != 1:
-            factors.insert(0, str(abs(coeff)))
+            factors.insert(0, _number_str(abs(coeff)))
         return "*".join(factors)
 
     pieces: list[tuple[bool, str]] = []  # (positive, body)

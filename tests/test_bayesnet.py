@@ -227,6 +227,152 @@ class TestSchemaErrors:
             load_bn(doc)
 
 
+def doc_umbrella():
+    """A dynamic network: R reads its previous slice, U reads R."""
+    return {
+        "type": "dynbn",
+        "nodes": [
+            {"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                {"given": [0], "p": ["7/10", "3/10"]}, {"given": [1], "p": ["3/10", "7/10"]}]}},
+            {"name": "U", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                {"given": [0], "p": ["4/5", "1/5"]}, {"given": [1], "p": ["1/10", "9/10"]}]}},
+        ],
+        "inter_edges": {"R": ["R"]},
+        "initial": {"R": 1},
+    }
+
+
+DELETE = object()
+GAUSS = {"kind": "lingauss", "variance": "1"}
+CLG_TABLE = [{"given": [0], "variance": "1"}, {"given": [1], "variance": "2"}]
+
+
+# (base document, path to the edited entry, its new value or DELETE, the
+# loader's exact message); one case per raise site of the document loader
+LOADER_ERRORS = [
+    (doc_chain, ("type",), "net", "unknown network type 'net'"),
+    (doc_chain, ("extra",), 1, "unknown top-level keys ['extra']"),
+    (doc_chain, ("nodes",), [], '"nodes" must be a non-empty list'),
+    # _load_params and _fraction
+    (doc_chain, ("params",), {"a": 1}, '"params" must be a list'),
+    (doc_chain, ("params",), [5], "bad parameter entry 5"),
+    (doc_chain, ("params",), ["2a"], "bad parameter name '2a'"),
+    (doc_chain, ("params",), ["a", "a"], "parameter a declared twice"),
+    (doc_chain, ("params",), [{"name": "a", "domain": ["0"]}],
+     "domain of a must be a [lo, hi] pair"),
+    (doc_chain, ("params",), [{"name": "a", "domain": ["1", "0"]}],
+     "empty domain (1, 0) for parameter a"),
+    (doc_chain, ("params",), [{"name": "a", "domain": [True, "1"]}],
+     "domain of a: expected a number, found a boolean"),
+    (doc_chain, ("params",), [{"name": "a", "domain": [0.5, "1"]}],
+     "domain of a: write numbers as strings, not binary floats"),
+    (doc_chain, ("params",), [{"name": "a", "domain": ["x", "1"]}],
+     "domain of a: bad number 'x'"),
+    (doc_chain, ("params",), [{"name": "a", "domain": [None, "1"]}],
+     "domain of a: expected a number, found NoneType"),
+    # _load_inter_edges
+    (doc_umbrella, ("inter_edges",), [], '"inter_edges" must be an object'),
+    (doc_umbrella, ("inter_edges", "R"), "R", "inter_edges['R'] must be a list"),
+    (doc_umbrella, ("inter_edges", "R"), ["U"],
+     "node R may only read its own previous-slice value, not 'U'"),
+    (doc_umbrella, ("inter_edges", "U"), ["U"],
+     "inter_edges declares a previous-slice value for U, but its model never reads it"),
+    # _load_node
+    (doc_chain, ("nodes", 0), 5, "bad node entry 5"),
+    (doc_chain, ("nodes", 0, "name"), "1A", "bad node name '1A'"),
+    (doc_chain, ("nodes", 0, "extra"), 1, "node A: unknown keys ['extra']"),
+    (doc_chain, ("nodes", 0, "model"), {"p": ["1", "0"]},
+     'node A: "model" must be an object with a "kind"'),
+    (doc_chain, ("nodes", 0, "states"), ["x"], "node A: states must be >= 2 distinct strings"),
+    (doc_chain, ("nodes", 0, "states"), ["x", "y", "z"],
+     "node A: 3 states but probability vectors of length 2"),
+    (doc_chain, ("nodes", 1), {"name": "B", "states": ["a", "b"], "model": GAUSS},
+     "node B: a Gaussian node has no states"),
+    (doc_chain, ("nodes", 1), {"name": "B", "states": ["a", "b"], "model": {
+        "kind": "clg", "parents": ["A"], "table": CLG_TABLE}},
+     "node B: a Gaussian node has no states"),
+    (doc_chain, ("nodes", 0, "model", "kind"), "table", "node A: unknown model kind 'table'"),
+    # _load_cpt and _parent_list
+    (doc_chain, ("nodes", 0, "model", "shape"), 1, "node A: unknown model keys ['shape']"),
+    (doc_chain, ("nodes", 0, "model", "p"), DELETE,
+     'node A: a cpt needs "rows" (or "p" for a root)'),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "cpt", "parents": ["A"], "p": ["1", "0"]},
+     'node B: "p" shorthand is only for parentless nodes'),
+    (doc_chain, ("nodes", 1, "model", "rows"), [], 'node B: "rows" must be a non-empty list'),
+    (doc_chain, ("nodes", 1, "model", "rows", 0), ["1/2"],
+     "node B: each row is {'given': [...], 'p': [...]}"),
+    (doc_chain, ("nodes", 1, "model", "rows", 0, "given"), [0, 1],
+     "node B: row 'given' must list one value per parent ['A']"),
+    (doc_chain, ("nodes", 1, "model", "rows", 0, "p"), ["1"],
+     "node B: row 'p' must list >= 2 probabilities"),
+    (doc_chain, ("nodes", 1, "model", "rows", 0, "p"), ["1/2", "1/4", "1/4"],
+     "node B: probability vectors differ in length"),
+    (doc_chain, ("nodes", 1, "model", "parents"), "A",
+     'node B: "parents" must be a list of node names'),
+    # _ratfun
+    (doc_chain, ("nodes", 0, "model", "p"), [True, False],
+     "node A probability: expected a number, found a boolean"),
+    (doc_chain, ("nodes", 0, "model", "p"), [0.75, "1/4"],
+     'node A probability: 0.75 is a binary float; write it as a string like "0.95" '
+     "so it stays exact"),
+    (doc_chain, ("nodes", 0, "model", "p"), ["1/", "1"],
+     "node A probability: 1:3: unexpected end of input"),
+    (doc_chain, ("nodes", 0, "model", "p"), [None, "1"],
+     "node A probability: expected a value, found NoneType"),
+    # _load_det
+    (doc_chain, ("nodes", 1, "model"), {"kind": "det", "expr": "A", "x": 1},
+     "node B: unknown model keys ['x']"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "det"}, 'node B: det needs an "expr" string'),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "det", "expr": "A +"},
+     "node B: bad expr: 1:4: unexpected end of input"),
+    # _load_lingauss
+    (doc_chain, ("nodes", 1, "model"), {**GAUSS, "mean": "0"},
+     "node B: unknown model keys ['mean']"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "lingauss"}, "node B: a Gaussian needs a variance"),
+    (doc_chain, ("nodes", 1, "model"), {**GAUSS, "coeffs": ["A"]},
+     'node B: "coeffs" must map parent -> coefficient'),
+    (doc_chain, ("nodes", 1, "model"), {**GAUSS, "variance": "-1"}, "node B: negative variance"),
+    # _load_clg
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"], "table": CLG_TABLE,
+                                        "x": 1}, "node B: unknown model keys ['x']"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "table": CLG_TABLE},
+     "node B: clg needs discrete parents"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"]},
+     'node B: clg needs a "table" list'),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"], "table": [
+        {"variance": "1"}]}, "node B: each table row needs a 'given' assignment"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"], "table": [
+        {"given": [0, 1], "variance": "1"}]},
+     "node B: row 'given' must list one value per parent ['A']"),
+    # _load_initial
+    (doc_umbrella, ("initial",), [], '"initial" must map node -> expression'),
+    (doc_umbrella, ("initial", "R"), True, "initial value of R: write 0 or 1, not a boolean"),
+    (doc_umbrella, ("initial", "R"), 1.5,
+     "initial value of R: expected an integer or expression string"),
+    (doc_umbrella, ("initial", "R"), 2, "initial value of R: 2 is outside the node's support"),
+    (doc_umbrella, ("initial", "R"), "bern(",
+     "initial value of R: 1:6: unexpected end of input"),
+    (doc_umbrella, ("initial", "Z"), 0, "unknown node 'Z'"),
+]
+
+
+@pytest.mark.parametrize("base, path, value, message", LOADER_ERRORS,
+                         ids=[case[-1][:48] for case in LOADER_ERRORS])
+def test_loader_error_texts(base, path, value, message):
+    doc = base()
+    *head, last = path
+    owner = doc
+    for key in head:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    with pytest.raises(SchemaError) as info:
+        load_bn(doc)
+    assert str(info.value) == message
+
+
 class TestNumericEntries:
     """A plain-number entry takes the parser's numeric fast path; what the
     loader keeps equals the general parser's value and prints alike."""

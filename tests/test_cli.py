@@ -13,7 +13,7 @@ import pytest
 from psolve.cli import _build_parser, main
 from psolve.oracle import CheckLine
 from psolve.parser import parse_program
-from psolve.program import validate
+from psolve.program import pretty, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -549,6 +549,24 @@ class TestNumbersPastTheDigitLimit:
         assert (code, out) == (1, "")
         assert err == f"error: node A probability: 1:3: number has more than {LIMIT} digits\n"
 
+    def test_compiled_coefficient_prints_in_full(self, capsys, tmp_path):
+        # "10^5000" is a short text for a long number: the compiled program
+        # prints all of its digits, and that text parses back to the same
+        # program where the interpreter converts numbers of that length
+        net = tmp_path / "big.json"
+        net.write_text(json.dumps({"type": "bn", "nodes": [
+            {"name": "A", "model": {"kind": "lingauss", "intercept": "1", "variance": "1"}},
+            {"name": "B", "model": {"kind": "lingauss", "coeffs": {"A": "10^5000"},
+                                    "variance": "1"}}]}))
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, err) == (0, "")
+        assert f"    B := gauss(0, 1) + 1{'0' * 5000}*A;\n" in out
+        sys.set_int_max_str_digits(0)
+        try:
+            assert pretty(parse_program(out)) == out
+        finally:
+            sys.set_int_max_str_digits(LIMIT)
+
     def test_network_integer(self, capsys, tmp_path):
         # valid JSON that Python will not convert: named as the parser
         # names it, with no advice to raise the interpreter's limit
@@ -582,6 +600,53 @@ class TestNumbersPastTheDigitLimit:
         assert (code, out) == (1, "")
         # the state is echoed up to 40 characters, not all 4301
         assert err == f"error: unknown state '{TOO_LONG[:40]}...' of node J\n"
+
+
+class TestSymbolicDenominators:
+    """CPT rows whose probabilities have a parameter in the denominator:
+    the compiled static program weighs such a branch by a Bernoulli coin."""
+
+    RATBN = {"type": "bn", "params": [{"name": "r", "domain": ["0.3", "1"]}], "nodes": [
+        {"name": "R", "model": {"kind": "cpt", "p": ["1/(1 + r)", "r/(1 + r)"]}},
+        {"name": "U", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["0.1", "0.9"]}, {"given": [0], "p": ["1 - r/2", "r/2"]}]}}]}
+    THREE_STATES = {"type": "bn", "params": [{"name": "r", "domain": ["0", "1"]}], "nodes": [
+        {"name": "A", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+        {"name": "T", "model": {"kind": "cpt", "parents": ["A"], "rows": [
+            {"given": [1], "p": ["1/(2 + r)", "1/(2 + r)", "r/(2 + r)"]},
+            {"given": [0], "p": ["1/3", "1/3", "1/3"]}]}}]}
+
+    @staticmethod
+    def _net(tmp_path, doc):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        return str(net)
+
+    def test_conditional(self, capsys, tmp_path):
+        # P(R=1 | U=1) = (9/10 * r/(1 + r)) / (7/5 * r/(1 + r))
+        spec = '{"query": "conditional", "target": "R", "evidence": {"U": 1}}'
+        code, out, err = run(capsys, "query", self._net(tmp_path, self.RATBN), "--spec", spec)
+        assert (code, err) == (0, "")
+        assert "exact: 9/14\n" in out
+
+    @pytest.mark.parametrize("doc, line", [
+        (RATBN, "ok   E[R*U]: engine 9/10*r/(r + 1), oracle 9/10*r/(r + 1)"),
+        (THREE_STATES, "ok   E[A*T]: engine (r + 1/2)/(r + 2), oracle (r + 1/2)/(r + 2)"),
+    ], ids=["ratbn", "three-states"])
+    def test_check_passes(self, capsys, tmp_path, doc, line):
+        code, out, err = run(capsys, "check", self._net(tmp_path, doc), "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["passed"], report["failed"]) == (4, 0)
+        assert line in report["checks"]
+
+    def test_loop_branch(self, capsys, tmp_path):
+        prog = tmp_path / "coin.psl"
+        prog.write_text("param b in (0, 1); x := 0; y := 0;\n"
+                        "while true { x := 1 [1/(1 + b)] 0; y := y + x; }\n")
+        code, out, err = run(capsys, "analyze", str(prog), "--goal", "y", "--at", "3")
+        assert (code, err) == (0, "")
+        assert "exact: 3/(b + 1)\n" in out
 
 
 class TestSamples:

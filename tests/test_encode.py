@@ -17,8 +17,8 @@ from psolve.encode import (
 )
 from psolve.errors import SchemaError, UnsupportedError
 from psolve.moments import MomentEngine, compute_mbis
-from psolve.program import validate
-from psolve.queries import expectation_at
+from psolve.program import pretty, validate
+from psolve.queries import expectation_at, predict
 from psolve.symbolic import Monomial, Polynomial, RationalFunction
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -197,8 +197,73 @@ class TestCompileDynbn:
             "initial": {"X": 0},
         }
         dyn = load_bn(doc)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(UnsupportedError) as info:
             compile_dynbn(dyn)
+        assert str(info.value) == (
+            "node X: previous-slice dependence of a 3-valued node is nonlinear "
+            "(its indicator has degree 2); only two-valued nodes may read their own past"
+        )
+
+    def test_temporal_switched_gaussian_unsupported(self):
+        doc = {
+            "type": "dynbn",
+            "nodes": [
+                {"name": "S", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+                {"name": "O", "model": {"kind": "clg", "parents": ["S"], "table": [
+                    {"given": [1], "intercept": "1", "coeffs": {"O": "1/2"}, "variance": "1"},
+                    {"given": [0], "coeffs": {"O": "1/4"}, "variance": "1"}]}}],
+            "inter_edges": {"O": ["O"]},
+            "initial": {"O": 0},
+        }
+        with pytest.raises(UnsupportedError) as info:
+            compile_dynbn(load_bn(doc))
+        assert str(info.value) == (
+            "node O: a switched Gaussian cannot read its own previous slice; "
+            "its per-configuration parts update first"
+        )
+
+    # A temporal binary S (Bernoulli rows), a 3-valued child T and a CLG
+    # child O that do not read their past (one auxiliary per row).
+    MIXED = {
+        "type": "dynbn",
+        "nodes": [
+            {"name": "S", "model": {"kind": "cpt", "parents": ["S"], "rows": [
+                {"given": [0], "p": ["3/4", "1/4"]}, {"given": [1], "p": ["1/3", "2/3"]}]}},
+            {"name": "T", "states": ["lo", "mid", "hi"], "model": {
+                "kind": "cpt", "parents": ["S"], "rows": [
+                    {"given": [1], "p": ["1/2", "1/4", "1/4"]},
+                    {"given": [0], "p": ["1/3", "1/3", "1/3"]}]}},
+            {"name": "O", "model": {"kind": "clg", "parents": ["S"], "table": [
+                {"given": [1], "intercept": "1/2", "variance": "1"},
+                {"given": [0], "intercept": "3/2", "variance": "2"}]}}],
+        "inter_edges": {"S": ["S"]},
+        "initial": {"S": 1},
+    }
+
+    def test_rows_of_non_temporal_nodes(self):
+        prog = compile_dynbn(load_bn(self.MIXED))
+        assert pretty(prog) == "\n".join([
+            "support S 2;", "support T_1 3;", "support T_2 3;", "support T 3;",
+            "S := 1;", "T_1 := 0;", "T_2 := 0;", "T := 0;", "O_1 := 0;", "O_2 := 0;", "O := 0;",
+            "while true {",
+            "    S := bern(2/3)*S + bern(1/4)*(-S + 1);",
+            "    T_1 := choose { 0 @ 1/2; S @ 1/4; 2*S @ 1/4 };",
+            "    T_2 := choose { 0 @ 1/3; -S + 1 @ 1/3; -2*S + 2 @ 1/3 };",
+            "    T := T_1 + T_2;",
+            "    O_1 := gauss(0, 1)*S + 1/2*S;",
+            "    O_2 := -3/2*S + 3/2 + gauss(0, 2)*(-S + 1);",
+            "    O := O_1 + O_2;",
+            "}",
+            "",
+        ])
+
+    def test_rows_of_non_temporal_nodes_answers(self):
+        # S is stationary at P(S = 1) = (1/4)/(1/4 + 1/3) = 3/7, so
+        # lim E[O] = 3/7*1/2 + 4/7*3/2 and lim E[T] = 3/7*3/4 + 4/7*1
+        dyn = load_bn(self.MIXED)
+        assert predict(dyn, "O", limit=True).value == rf(F(15, 14))
+        assert predict(dyn, "T", limit=True).value == rf(F(25, 28))
+        assert str(predict(dyn, "O").value) == "15/14 + (-4/7)*(5/12)^n for n >= 1; f(0) = 0"
 
 
 class TestSamplingMonitor:

@@ -614,6 +614,24 @@ class TestDrawIntegration:
         assert str(rec.self_coeff) == "(-1/3*b^2 - 1/3*b + 1)/(b + 1)"
         assert str(rec.constant) == "1/3*b"
 
+    def test_parametric_denominator_branch_is_a_coin(self):
+        # a branch probability that is not a polynomial weighs its branch
+        # by a Bernoulli coin of the engine, integrated by `expectation`
+        prog = parse_program(
+            """
+            param b in (0, 1);
+            x := 0; y := 0;
+            while true { x := 1 [1/(1 + b)] 0; y := y + x; }
+            """
+        )
+        validate(prog)
+        engine = MomentEngine(prog)
+        assert str(engine.substitute_body(Polynomial.var("x"))) == "$x#0"
+        assert engine.draws["$x#0"] == DrawSpec("bern", prog.updates[0].branches[0].prob)
+        assert "$x#0" not in prog.draws
+        y = Monomial.of("y")
+        assert str(compute_mbis(engine, [y])[y].at(3)) == "3/(b + 1)"
+
     def test_coupled_network_body_stays_small(self, monkeypatch):
         t0 = time.monotonic()
         sizes = []

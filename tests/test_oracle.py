@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from psolve.bayesnet import bind, joint_rows, load_bn, load_bn_path
 from psolve import moments
+from psolve.encode import compile_bn
 from psolve.errors import QueryError, UnsupportedError
 from psolve.oracle import (
     differential_check,
@@ -17,6 +18,7 @@ from psolve.oracle import (
     mc_estimate,
 )
 from psolve.parser import parse_poly
+from psolve.queries import conditional_moment
 from psolve.symbolic import RF_ZERO, Polynomial
 
 from conftest import random_clgbn, random_discrete_bn, random_discrete_doc, random_gbn
@@ -308,6 +310,30 @@ class TestMcEstimate:
         est = mc_estimate(dyn, ["R"], 100_000, seed=0, n_iters=3)[0]
         # E[R] after 3 steps: 1/2 + 1/2 (2/5)^3 = 0.532
         assert abs(est.mean - 0.532) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parametric_denominator_rows_match_enumeration(seed):
+    # static networks with (1/(1 + r), r/(1 + r)) rows: the compiled program
+    # weighs those branches by Bernoulli coins, enumeration sums the rows
+    rng = random.Random(seed)
+    doc = random_discrete_doc(rng, rng.randint(2, 6), det_share=0.2)
+    doc["params"] = [{"name": "r", "domain": ["0", "1"]}]
+    rows = _cpt_rows(doc)
+    for row in rng.sample(rows, max(1, len(rows) // 2)):
+        row["p"] = ["1/(1 + r)", "r/(1 + r)"]
+    bn = load_bn(doc)
+    table = enumerate_discrete(bn)
+    engine = moments.MomentEngine(compile_bn(bn))
+    names = bn.node_names
+    for a, b in zip(names, names[1:]):
+        xa, xb = Polynomial.var(a), Polynomial.var(b)
+        assert engine.one_pass(xa) == table.expectation(xa)
+        assert engine.one_pass(xa, xb) == table.expectation(xa * xb)
+    event = [(names[-1], 1)]
+    if not table.probability(event).is_zero():
+        got = conditional_moment(bn, names[0], 1, dict(event)).value
+        assert got == table.conditional(Polynomial.var(names[0]), event)
 
 
 class TestDifferentialCheck:
