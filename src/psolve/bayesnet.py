@@ -17,6 +17,11 @@ the node's own name in its parent list and must be declared under
 
 `joint_rows` walks an all-discrete network by the chain rule; the
 enumeration oracle and the forward filter both take their rows from it.
+
+A network object carries the moment engine of its compiled program
+(`engine`), built on its first query and kept as long as the object;
+`bind`, `dataclasses.replace` and every load give a new object, and so a
+new engine.
 """
 
 from __future__ import annotations
@@ -186,6 +191,15 @@ class BayesNet:
     def _by_name(self) -> dict[str, Node]:
         return {nd.name: nd for nd in self.nodes}
 
+    @functools.cached_property
+    def engine(self):
+        """The `MomentEngine` of this network's compiled program, built on
+        first use; every query on this object reads it."""
+        from . import encode
+        from .moments import MomentEngine
+
+        return MomentEngine(encode.compile_bn(self))
+
     @property
     def node_names(self) -> tuple[str, ...]:
         return tuple(nd.name for nd in self.nodes)
@@ -216,6 +230,15 @@ class DynBayesNet:
     @functools.cached_property
     def _initial_by_name(self) -> dict[str, Polynomial]:
         return dict(self.initial)
+
+    @functools.cached_property
+    def engine(self):
+        """The `MomentEngine` of this network's compiled program, built on
+        first use; every query on this object reads it."""
+        from . import encode
+        from .moments import MomentEngine
+
+        return MomentEngine(encode.compile_dynbn(self))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         intra = tuple(

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, parse_json
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
+from .moments import MomentEngine
 from .parser import parse_poly, parse_program
 from .program import bind, pretty
 from .queries import (
@@ -195,7 +196,8 @@ def _cmd_analyze(args) -> int:
     goal = parse_poly(
         args.goal, prog.variables, tuple(p.name for p in prog.params)
     ) ** args.k
-    result = predict_loop(bind(prog, bindings), goal.substitute(bindings), args.at, args.limit)
+    engine = MomentEngine(bind(prog, bindings))
+    result = predict_loop(engine, goal.substitute(bindings), args.at, args.limit)
     doc: dict = {"goal": f"E[({args.goal})^{args.k}]" if args.k > 1 else f"E[{args.goal}]"}
     if args.at is not None:
         doc.update(_value_fields(result.value, args.digits))

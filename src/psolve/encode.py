@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Tuple
+from typing import Tuple
 
 from .bayesnet import (
     BayesNet,

@@ -23,7 +23,9 @@ moment and kept on its `MBI`; the back-substitution check verifies the
 closed form against it rather than building it again.
 
 One `MomentEngine` serves every expectation taken of one compiled
-program, and `MomentEngine.substitute_body` is its one way to substitute
+program: a loaded network builds it once (`BayesNet.engine`,
+`DynBayesNet.engine`), and every query on that network uses it.
+`MomentEngine.substitute_body` is its one way to substitute
 the loop body into a query: the query comes as a list of factors, and
 the variables are eliminated bucket by bucket, each substituted into the
 product of only the factors that mention it, by one per-variable step,
@@ -34,17 +36,19 @@ overwrites every variable from draws and parameters alone (a compiled
 static network) needs no recurrence: `MomentEngine.one_pass` substitutes
 the body into the query once and takes one expectation.  Every walk,
 `one_pass` or extraction, reads and fills the engine's table of bucket
-messages, so the expectations of one query build each message they share
-once.  A message left alone in its walk with one term, or with one term
-still to substitute beside start-of-iteration values, goes on as one
-factor per variable of that term, so an extraction meets the messages
-other walks built: the sampling monitor's count reuses the P(evidence)
-pass.  Any other body goes through `MomentEngine.closed`, which closes
+messages, so the expectations of one query, and of the later queries on
+the engine, build each message they share once.  A message left alone in
+its walk with one term, or with one term still to substitute beside
+start-of-iteration values, goes on as one factor per variable of that
+term, so an extraction meets the messages other walks built: the
+sampling monitor's count reuses the P(evidence) pass.  Any other body goes through `MomentEngine.closed`, which closes
 the query's monomials with `compute_mbis` and combines their closed
 forms in n.
 `compute_mbis` takes a program or the engine built for it; `closed`
 passes its own engine, so the extractions and initial values of one
-query share one engine and its caches.
+query share one engine and its caches.  The engine also keeps every MBI
+that passed the back-substitution check, so a later query solves and
+verifies only the moments that are new to it.
 """
 
 from __future__ import annotations
@@ -116,8 +120,8 @@ class MBI:
 
 
 class MomentEngine:
-    """Every expectation of one program; caches its substitution data
-    across many extractions."""
+    """Every expectation of one program; caches its substitution data,
+    bucket messages and verified closed forms across many queries."""
 
     def __init__(self, prog: LoopProgram):
         self.prog = prog
@@ -136,6 +140,9 @@ class MomentEngine:
         self._messages: dict[tuple[str, object], tuple] = {}
         self._interned: dict[frozenset, int] = {}
         self._ids = itertools.count()
+        # every MBI `compute_mbis` solved on this engine and `check_mbis`
+        # verified; later closures read them instead of solving again
+        self._verified: dict[Monomial, MBI] = {}
 
     # -- update powers -----------------------------------------------------
 
@@ -508,11 +515,13 @@ def _close(
     order: list[Monomial],
     cap: int,
 ) -> None:
-    """Close E[m] depth first: extract its recurrence into `recs`, close
-    the moments it depends on, then append m to `order`, after all of
-    them.  `path` holds the moments from a goal down to the one that
-    needs m.  A moment met again on its own path is a cycle, and a
-    monomial above the degree cap aborts with the path that reached it."""
+    """Close E[m] depth first: extract its recurrence into `recs`, or read
+    it from the engine's verified MBI of m, close the moments it depends
+    on, then append m to `order`, after all of them.  `path` holds the
+    moments from a goal down to the one that needs m.  A moment met again
+    on its own path is a cycle, and a monomial above the degree cap aborts
+    with the path that reached it; a verified moment is walked like any
+    other, so both errors do not depend on what the engine has solved."""
     if m in recs:
         if m in path:
             cyc = " -> ".join(str(x) for x in path[path.index(m):] + [m])
@@ -524,7 +533,8 @@ def _close(
     if m.degree() > cap:
         trail = " <- ".join(str(x) for x in reversed(path + [m]))
         raise DegreeCapError(f"moment degree {m.degree()} exceeds cap {cap}: {trail}")
-    rec = recs[m] = engine.extract(m)
+    known = engine._verified.get(m)
+    rec = recs[m] = engine.extract(m) if known is None else known.recurrence
     path.append(m)
     for dep, _ in rec.linear:
         _close(engine, dep, path, recs, order, cap)
@@ -546,19 +556,26 @@ def compute_mbis(
     goals,
     check: bool = True,
 ) -> dict[Monomial, MBI]:
-    """Closed forms for the expected values of the goal monomials.
+    """Closed forms for the expected values of the goal monomials and of
+    every moment they depend on.
 
     `prog` is a `LoopProgram` or the `MomentEngine` built for one; a
-    program gets its engine built here, once.  `_close` extracts every
+    program gets its engine built here, once.  `_close` walks every
     moment the goals transitively depend on, the last goal first, and
     orders them; a cyclic dependence, or a monomial whose total degree
-    exceeds the cap (PSOLVE_DEGREE_CAP or 64), aborts with the chain that
-    reached it.  Every recurrence is extracted before any is solved, in
-    that order.  Each moment's recurrence in n is built once, by
-    `_first_order` from the closed forms of the moments it depends on;
-    it is solved and kept on the MBI.  With check=True every solution is
-    verified by back-substitution against that kept recurrence
-    (`check_mbis`) before being returned.
+    exceeds the cap (PSOLVE_DEGREE_CAP, read on every call, or 64), aborts
+    with the chain that reached it.  Every recurrence is extracted before
+    any is solved, in that order.  Each moment's recurrence in n is built
+    once, by `_first_order` from the closed forms of the moments it
+    depends on; it is solved and kept on the MBI.  With check=True every
+    new solution is verified by back-substitution against that kept
+    recurrence (`check_mbis`) before being returned.
+
+    The engine keeps every MBI that passed the check, so a later call
+    solves, combines and verifies only the moments it has not verified
+    yet; the walk reads the kept recurrences, and the result holds the
+    kept MBIs of the closure beside the new ones.  An MBI returned with
+    check=False is never kept.
     """
     cap = degree_cap()
     engine = prog if isinstance(prog, MomentEngine) else MomentEngine(prog)
@@ -571,16 +588,22 @@ def compute_mbis(
     for goal in reversed(goals):
         _close(engine, goal, [], recs, order, cap)
 
+    verified = engine._verified
     solved: dict[Monomial, ClosedForm] = {}
-    first: dict[Monomial, FirstOrderRecurrence] = {}
+    new: dict[Monomial, MBI] = {}
     for m in order:
-        first[m] = _first_order(engine, m, recs[m], solved)
-        solved[m] = solve_first_order(first[m])
+        known = verified.get(m)
+        if known is not None:
+            solved[m] = known.closed
+            continue
+        first = _first_order(engine, m, recs[m], solved)
+        solved[m] = solve_first_order(first)
+        new[m] = MBI(m, recs[m], first, solved[m])
 
-    mbis = {m: MBI(m, recs[m], first[m], solved[m]) for m in recs}
     if check:
-        check_mbis(engine, mbis)
-    return mbis
+        check_mbis(engine, new)
+        verified.update(new)
+    return {m: new[m] if m in new else verified[m] for m in recs}
 
 
 def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> None:
@@ -588,19 +611,21 @@ def check_mbis(prog: LoopProgram | MomentEngine, mbis: dict[Monomial, MBI]) -> N
     and initial value exactly.  Each closed form is checked against the
     recurrence in n its MBI keeps, the one it was solved from, so a wrong
     closed form is blamed on its own moment, not on the moments that read
-    it; every dependency must be among the MBIs.
+    it; every dependency must be among the MBIs or the MBIs the engine
+    has already verified.
     `recurrence.verify_solution` makes the comparisons (the value at
     n = 0, the formal tail identity, each step across the piecewise
     boundaries); the InternalCheckError it raises is reraised with the
     moment named.
 
     `prog` is the `LoopProgram` or `MomentEngine` the MBIs were solved
-    for; the check reads nothing from it, since the MBIs carry their
-    recurrences.
+    for; the MBIs carry their recurrences, so the check reads only an
+    engine's verified MBIs from it.
     """
+    verified = prog._verified if isinstance(prog, MomentEngine) else {}
     for m, mbi in mbis.items():
         for dep, _ in mbi.recurrence.linear:
-            if dep not in mbis:
+            if dep not in mbis and dep not in verified:
                 raise InternalCheckError(f"moment {m} depends on unsolved {dep}")
         try:
             verify_solution(mbi.first_order, mbi.closed)

@@ -41,7 +41,6 @@ from .bayesnet import (
     Node,
     joint_rows,
 )
-from .encode import compile_bn, compile_dynbn
 from .errors import QueryError, UnsupportedError
 from .parser import parse_poly
 from .moments import MomentEngine
@@ -469,12 +468,7 @@ def mc_estimate(
 
     if n_samples < 1:
         raise QueryError(f"sample count must be positive, got {n_samples}")
-    if isinstance(model, DynBayesNet):
-        prog = compile_dynbn(model)
-    elif isinstance(model, BayesNet):
-        prog = compile_bn(model)
-    else:
-        prog = model
+    prog = model.engine.prog if isinstance(model, (BayesNet, DynBayesNet)) else model
     missing = [p.name for p in prog.params]
     if missing:
         raise QueryError(
@@ -529,16 +523,17 @@ def differential_check(
 ) -> list[CheckLine]:
     """Engine-vs-oracle comparison on a network's basic moments.
 
-    The network is compiled once; every engine value comes from the one
-    moment engine of that program.  A pair target E[X*Y] goes to the engine
-    as the two factors X and Y, so its walk reuses the bucket messages of
-    the E[X] and E[Y] walks up to the bucket where the two meet; the
-    enumeration oracle gets the product.  The Monte Carlo comparison (enabled
-    by mc_samples) samples the same program and accepts anything within
-    four standard errors.  Exact oracles compare exactly.  A dynamic
-    network with a continuous node has only the Monte Carlo oracle, which
-    needs mc_samples and no free parameters; without it the check would
-    compare nothing, so that is an UnsupportedError saying why.
+    Every engine value comes from the network's one moment engine
+    (`BayesNet.engine`), which the queries on it share.  A pair target
+    E[X*Y] goes to the engine as the two factors X and Y, so its walk
+    reuses the bucket messages of the E[X] and E[Y] walks up to the bucket
+    where the two meet; the enumeration oracle gets the product.  The
+    Monte Carlo comparison (enabled by mc_samples) samples the same
+    program and accepts anything within four standard errors.  Exact
+    oracles compare exactly.  A dynamic network with a continuous node has
+    only the Monte Carlo oracle, which needs mc_samples and no free
+    parameters; without it the check would compare nothing, so that is an
+    UnsupportedError saying why.
     """
     lines: list[CheckLine] = []
     closeds: dict[str, ClosedForm] = {}
@@ -552,7 +547,7 @@ def differential_check(
             else:
                 why += "; ask for it with --mc N"
             raise UnsupportedError(f"no independent oracle applies: {why}")
-        engine = MomentEngine(compile_dynbn(bn))
+        engine = bn.engine
         closeds = {name: engine.closed(Polynomial.var(name)) for name in bn.temporal}
         if discrete:
             lines += _check_dyn(bn, closeds)
@@ -575,7 +570,7 @@ def differential_check(
                     x = Polynomial.var(name)
                     targets.append((f"E[{name}]", (x,), mix.moment1(name)))
                     targets.append((f"E[{name}^2]", (x ** 2,), mix.moment2(name)))
-        engine = MomentEngine(compile_bn(bn))
+        engine = bn.engine
         for label, factors, want in targets:
             got = engine.one_pass(*factors)
             lines.append(CheckLine(label, str(got), str(want), got == want))

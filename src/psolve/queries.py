@@ -1,7 +1,9 @@
 """Network analyses on top of moment invariants.
 
-Each query compiles its network once, and every expectation it needs comes
-from the one `MomentEngine` of that program.  Static networks are compiled
+A loaded network is compiled once, on its first query, and every
+expectation of every query on it comes from the one `MomentEngine` of that
+program (`BayesNet.engine`, `DynBayesNet.engine`), whose bucket messages and
+verified closed forms serve the later queries.  Static networks are compiled
 to loops whose first pass produces one joint sample, so every query reads
 moments at n = 1.  That pass overwrites every variable from draws and
 parameters, so a static expectation is one body substitution into the
@@ -14,8 +16,9 @@ a distribution divides each state's indicator the same way.  Dynamic
 networks keep n symbolic: prediction returns the closed form
 (`MomentEngine.closed`), its value at a horizon, or its limit, from the
 moment recurrences, each of which is back-substituted before it is used.
-`predict_loop` does this for any loop program; `predict` calls it on a
-compiled network and the command line's `analyze` on a parsed program.
+`predict_loop` does this on the engine of any loop program; `predict`
+calls it with a network's engine and the command line's `analyze` with
+the engine of a parsed program.
 
 Everything is exact.  Symbolic parameters flow through unchanged, so the
 same code path answers numeric queries and sensitivity queries; decisions
@@ -28,14 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .bayesnet import BayesNet, DynBayesNet, joint_rows
 from .encode import (
-    compile_bn,
-    compile_dynbn,
     compile_sampling_monitor,
     indicator_factors,
     indicator_poly,
@@ -165,10 +167,10 @@ def joint_moment(bn, target, k: int = 1) -> QueryResult:
         raise QueryError(f"moment order must be positive, got {k}")
     if isinstance(bn, DynBayesNet):
         poly = math.prod(_target_factors(bn.net, target), start=Polynomial.const(1)) ** k
-        closed = MomentEngine(compile_dynbn(bn)).closed(poly)
+        closed = bn.engine.closed(poly)
         return QueryResult("moment", closed, closed.assumptions)
     factors = _target_factors(bn, target, k)
-    return QueryResult("moment", MomentEngine(compile_bn(bn)).one_pass(*factors))
+    return QueryResult("moment", bn.engine.one_pass(*factors))
 
 
 def _evidence_mass(engine: MomentEngine, pairs, factors):
@@ -193,7 +195,7 @@ def conditional_moment(bn: BayesNet, target, k: int, evidence) -> QueryResult:
     if not pairs:
         raise QueryError("conditional query needs non-empty evidence")
     factors = _target_factors(bn, target, k)
-    engine = MomentEngine(compile_bn(bn))
+    engine = bn.engine
     inds = indicator_factors(bn, pairs)
     den, assumptions = _evidence_mass(engine, pairs, inds)
     return QueryResult("conditional", engine.one_pass(*factors, *inds) / den, assumptions)
@@ -208,7 +210,7 @@ def node_distribution(bn: BayesNet, name: str, evidence=None) -> QueryResult:
     node = bn.node(name)
     if not node.is_discrete:
         raise QueryError(f"node {name} is continuous; it has no state vector")
-    engine = MomentEngine(compile_bn(bn))
+    engine = bn.engine
     states = [indicator_poly(name, i, node.support) for i in range(node.support)]
     pairs = () if evidence is None else normalize_evidence(bn, evidence)
     if not pairs:
@@ -259,8 +261,7 @@ def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
     if n_samples < 0:
         raise QueryError(f"sample count must be nonnegative, got {n_samples}")
     pairs = sample_evidence(bn, evidence)
-    engine = MomentEngine(compile_bn(bn))
-    p, assumptions = _evidence_mass(engine, pairs, indicator_factors(bn, pairs))
+    p, assumptions = _evidence_mass(bn.engine, pairs, indicator_factors(bn, pairs))
     value = p * RationalFunction(Polynomial.const(Fraction(n_samples)))
     return QueryResult("positive", value, assumptions)
 
@@ -285,25 +286,26 @@ def predict(
     if not isinstance(dyn, DynBayesNet):
         raise UnsupportedError("predict queries apply to dynamic networks")
     poly = math.prod(_target_factors(dyn.net, target), start=Polynomial.const(1))
-    return predict_loop(compile_dynbn(dyn), poly, at, limit)
+    return predict_loop(dyn.engine, poly, at, limit)
 
 
 def predict_loop(
-    prog: LoopProgram, poly: Polynomial, at: Optional[int], limit: bool
+    engine: MomentEngine, poly: Polynomial, at: Optional[int], limit: bool
 ) -> QueryResult:
-    """E[poly] of a loop program over time: the closed form in n, its
-    value after `at` iterations, or its limit, which is decided over the
-    program's parameter domains; a diverging limit has the value None and
-    the diagnostic "diverges".  `at` and `limit` exclude each other."""
+    """E[poly] of a loop program over time, from the engine of that
+    program: the closed form in n, its value after `at` iterations, or its
+    limit, which is decided over the program's parameter domains; a
+    diverging limit has the value None and the diagnostic "diverges".
+    `at` and `limit` exclude each other."""
     if at is not None and limit:
         raise QueryError('"at" and "limit" are mutually exclusive')
     if at is not None and at < 0:
         raise QueryError(f"horizon must be nonnegative, got {at}")
-    closed = MomentEngine(prog).closed(poly)
+    closed = engine.closed(poly)
     if at is not None:
         return QueryResult("predict", closed.at(at), closed.assumptions)
     if limit:
-        lim = expoly_limit(closed.tail, prog.param_map())
+        lim = expoly_limit(closed.tail, engine.prog.param_map())
         assumptions = merge_assumptions(closed.assumptions, lim.assumptions)
         if lim.kind == "diverges":
             return QueryResult("predict", None, assumptions, diagnostics=("diverges",))
@@ -346,7 +348,7 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     if not isinstance(observations, (list, tuple)):
         raise QueryError(f"observations must be a list of steps, got {observations!r}")
     states, prior = _filter_setup(dyn)
-    slices = [normalize_evidence(dyn.net, step) for step in observations]
+    slices = _normalize_steps(dyn.net, observations)
     for nd in dyn.net.nodes:
         if not nd.is_discrete:
             raise UnsupportedError(
@@ -395,6 +397,30 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
         assumptions,
         extras=(("states", " | ".join(labels)),),
     )
+
+
+def _normalize_steps(net: BayesNet, observations) -> list:
+    """`normalize_evidence` of every observation step, run once per
+    distinct step.  A mapping step is memoized by its items, each value
+    with its type (True == 1, but only 1 is a state); a step that is no
+    mapping, or whose items do not hash, goes straight to
+    `normalize_evidence`, so every error and its order stay as they are."""
+    memo: dict = {}
+    out = []
+    for step in observations:
+        if not isinstance(step, Mapping):
+            out.append(normalize_evidence(net, step))
+            continue
+        key = tuple((name, type(value), value) for name, value in step.items())
+        try:
+            pairs = memo.get(key)
+        except TypeError:  # an unhashable name or value
+            out.append(normalize_evidence(net, step))
+            continue
+        if pairs is None:
+            pairs = memo[key] = normalize_evidence(net, step)
+        out.append(pairs)
+    return out
 
 
 def _int_belief(weight: int, total: int) -> RationalFunction:

@@ -1,5 +1,6 @@
 """One moment engine per query: extraction, solving and the
-back-substitution check of a query all run on the engine it built."""
+back-substitution check of a query all run on one engine, the one its
+network or program built."""
 
 import importlib.util
 import json
@@ -53,20 +54,27 @@ def _load_spans():
 
 
 def test_tracer_hooks_see_the_one_engine():
-    # the benchmark's tracer wraps moments.compute_mbis, moments.check_mbis
-    # and MomentEngine.__init__ by name; a hook whose target moved would
-    # silently read 0
+    # the benchmark's tracer wraps encode.compile_dynbn, moments.compute_mbis,
+    # moments.check_mbis and MomentEngine.__init__ by name; a hook whose
+    # target moved would silently read 0.  Three predicts on one network
+    # share its one compile and engine, and solve each moment once.
     dyn = load_bn_path(DATA / "umbrella.json")
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
         with tracer.root():
-            result = predict(dyn, "R", limit=True)
+            closed = predict(dyn, "U")
+            at = predict(dyn, "U", at=5)
+            result = predict(dyn, "U", limit=True)
     finally:
         tracer.uninstall()
-    assert str(result.value) == "1/2"
+    assert str(result.value) == "11/20"
+    assert at.value == closed.value.at(5)
     self_time, counts = tracer.take()
+    assert counts["encode.compile_calls"] == 1
     assert counts["moments.engines"] == 1
-    assert counts["moments.compute_mbis_calls"] == 1
-    assert counts["moments.closure_size"] == 1
+    assert counts["moments.compute_mbis_calls"] == 3
+    # E[U] reads E[R]: a closure of two moments per predict, solved once
+    assert counts["moments.closure_size"] == 3 * 2
+    assert counts["recurrence.solve_calls"] == 2
     assert "moments.check" in self_time

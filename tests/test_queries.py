@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import psolve.oracle
+import psolve.encode
 import psolve.queries
 from psolve.bayesnet import bind, load_bn, load_bn_path
 from psolve.encode import indicator_poly, normalize_evidence
-from psolve.errors import QueryError, UnsupportedError
+from psolve.errors import QueryError, SchemaError, UnsupportedError
+from psolve.moments import MomentEngine
 from psolve.oracle import differential_check, enumerate_discrete
 from psolve.queries import (
     conditional_moment,
@@ -203,9 +204,11 @@ class TestNodeDistribution:
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Names of the compile functions called through queries and oracle."""
+    """Names of the compile functions called: a network's engine compiles
+    through `psolve.encode`, and `expected_samples` compiles its sampling
+    monitor through the name `psolve.queries` imports."""
     calls = []
-    for module in (psolve.queries, psolve.oracle):
+    for module in (psolve.encode, psolve.queries):
         for name in ("compile_bn", "compile_dynbn", "compile_sampling_monitor"):
             original = getattr(module, name, None)
             if original is None:
@@ -219,30 +222,70 @@ def compiles(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """Every `MomentEngine` built."""
+    built = []
+    original = MomentEngine.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(MomentEngine, "__init__", counted)
+    return built
+
+
 class TestOneCompilePerCall:
-    def test_differential_check(self, asia, compiles):
+    # each test loads its own network: a loaded network keeps the program
+    # its first query compiled, so the module fixtures are already compiled
+
+    def test_differential_check(self, compiles):
+        asia = load_bn_path(DATA / "asia.json")
         assert all(line.ok for line in differential_check(asia))
         assert compiles == ["compile_bn"]
 
-    def test_differential_check_with_monte_carlo(self, alarm, compiles):
+    def test_differential_check_with_monte_carlo(self, compiles):
+        alarm = load_bn_path(DATA / "alarm.json")
         assert all(line.ok for line in differential_check(alarm, mc_samples=2000))
         assert compiles == ["compile_bn"]
 
-    def test_differential_check_dynamic(self, umbrella, compiles):
+    def test_differential_check_dynamic(self, compiles):
+        umbrella = load_bn_path(DATA / "umbrella.json")
         assert all(line.ok for line in differential_check(umbrella))
         assert compiles == ["compile_dynbn"]
 
-    def test_node_distribution(self, alarm, compiles):
+    def test_node_distribution(self, compiles):
+        alarm = load_bn_path(DATA / "alarm.json")
         node_distribution(alarm, "A", {"J": 1})
         assert compiles == ["compile_bn"]
 
-    def test_expected_samples(self, asia, compiles):
+    def test_expected_samples(self, compiles):
+        asia = load_bn_path(DATA / "asia.json")
         expected_samples(asia, {"Asia": 1, "Lung": 1})
         assert compiles == ["compile_sampling_monitor"]
 
-    def test_expected_positive_compiles_no_monitor(self, asia, compiles):
+    def test_expected_positive_compiles_no_monitor(self, compiles):
+        asia = load_bn_path(DATA / "asia.json")
         expected_positive(asia, {"Asia": 1, "Lung": 1}, 1000)
         assert compiles == ["compile_bn"]
+
+    def test_three_predicts_share_one_compile(self, compiles, engines):
+        umbrella = load_bn_path(DATA / "umbrella.json")
+        predict(umbrella, "R")
+        predict(umbrella, "R", at=5)
+        predict(umbrella, "R", limit=True)
+        assert compiles == ["compile_dynbn"]
+        assert engines == [umbrella.engine]
+
+    def test_bound_network_compiles_its_own(self, compiles, engines):
+        sens = load_bn_path(DATA / "alarm_sens.json")
+        conditional_moment(sens, "B", 1, {"A": 1})
+        bound = bind(sens, {"b": F(1, 1000)})
+        conditional_moment(bound, "B", 1, {"A": 1})
+        conditional_moment(sens, "B", 1, {"A": 1})
+        assert compiles == ["compile_bn", "compile_bn"]
+        assert engines == [sens.engine, bound.engine]
 
 
 class TestExpectedSamples:
@@ -346,6 +389,27 @@ class TestForwardFilter:
         res = forward_filter(dyn, [{"U": 1}, {}, {"U": 0}])
         for step in res.value:
             assert sum(step, rf(0)) == rf(1)
+
+    def test_each_distinct_step_normalizes_once(self, monkeypatch):
+        dyn = load_bn_path(DATA / "umbrella_filter.json")
+        steps = [{"U": 1}, {}, {"U": 1}, [["U", 0]], {}, [["U", 0]], {"U": 1}]
+        # list steps are not memoized, so this is the unmemoized answer
+        want = forward_filter(dyn, [list(map(list, s.items())) if isinstance(s, dict) else s
+                                    for s in steps])
+        seen = []
+        original = psolve.queries.normalize_evidence
+
+        def counted(net, step):
+            seen.append(step)
+            return original(net, step)
+
+        monkeypatch.setattr(psolve.queries, "normalize_evidence", counted)
+        assert forward_filter(dyn, steps) == want
+        assert seen == [{"U": 1}, {}, [["U", 0]], [["U", 0]]]
+        # True == 1, but a bool is no state: a value of another type is a
+        # step of its own
+        with pytest.raises(SchemaError, match="bad state True for node U"):
+            forward_filter(dyn, [{"U": 1}, {"U": True}])
 
     def test_empty_observation_is_prediction(self):
         dyn = load_bn_path(DATA / "umbrella_filter.json")
