@@ -43,6 +43,7 @@ from .program import (
     DrawSpec,
     Initializer,
     LoopProgram,
+    extend,
     validate,
 )
 from .symbolic import Monomial, Polynomial, RationalFunction, RF_ONE
@@ -285,6 +286,13 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     """Append variables that stop counting at the first sample matching the
     evidence; lim E[count] is the expected number of samples drawn.
 
+    The evidence is checked (`sample_evidence`) before anything compiles.
+    The monitor's statements are appended to the network's compiled
+    program, `bn.engine.prog`, compiled once per network object: the
+    program begins with that program's own initializer and update objects,
+    and only the appended statements depend on the evidence and are
+    validated (`program.extend`).
+
     Each evidence node gets a flag, `ev_<node>`, set to its indicator, and
     the acceptance flag ev is their product, one monomial, so that a
     negative value (an indicator 1 - X) does not double its terms.  count
@@ -293,7 +301,9 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     only the rejected prefix.
     """
     pairs = sample_evidence(bn, evidence)
-    builder = _build(bn)
+    base = bn.engine.prog
+    builder = _Builder()
+    builder.used.update(base.variables)
     one = Polynomial.const(Fraction(1))
     zero = Polynomial.zero()
 
@@ -312,7 +322,7 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     builder.emit(count, [Branch(RF_ONE, total)], one)
 
     return MonitorProgram(
-        program=builder.program(bn.params),
+        program=extend(base, builder.inits, builder.updates, builder.supports),
         evidence=pairs,
         evidence_vars=tuple(flags),
         evidence_var=ev,

@@ -24,7 +24,10 @@ closed form against it rather than building it again.
 
 One `MomentEngine` serves every expectation taken of one compiled
 program: a loaded network builds it once (`BayesNet.engine`,
-`DynBayesNet.engine`), and every query on that network uses it.
+`DynBayesNet.engine`), and every query on that network uses it.  The
+sampling monitor's engine is layered on its network's (see
+`MomentEngine`), so the network's part of a monitor's walks is built
+once per network too.
 `MomentEngine.substitute_body` is its one way to substitute
 the loop body into a query: the query comes as a list of factors, and
 the variables are eliminated bucket by bucket, each substituted into the
@@ -53,6 +56,7 @@ verifies only the moments that are new to it.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -121,15 +125,30 @@ class MBI:
 
 class MomentEngine:
     """Every expectation of one program; caches its substitution data,
-    bucket messages and verified closed forms across many queries."""
+    bucket messages and verified closed forms across many queries.
 
-    def __init__(self, prog: LoopProgram):
+    An engine may be layered on a base engine whose program its own program
+    extends (`program.extend`), as the sampling monitor's engine is on its
+    network's.  The bucket of a base variable is the base's: its message
+    comes from the base's table, built there on a miss with the base's
+    update powers.  A base update reads no later variable, so that message
+    is the layered program's too.  The layered engine shares the base's
+    intern table and id counter, so that their bucket keys agree, and sees
+    the branch coins the base registers.  It keeps its own messages and
+    update powers for its own variables, its draw moments, initial values
+    and verified MBIs, so engines layered on one base, which may name
+    their variables alike, never read each other's entries.  A message of
+    its own gets the interned id of its polynomial, not a fresh one, so
+    that a message in the base's variables alone, such as an evidence
+    flag's indicator, meets the walks the base has built.
+    """
+
+    def __init__(self, prog: LoopProgram, base: MomentEngine | None = None):
         self.prog = prog
         self.vars = prog.variables
         self.var_set = set(self.vars)
         self.supports = dict(prog.supports)
-        # the program's draws and the branch coins of `_upd_pow`
-        self.draws = dict(prog.draws)
+        self.base = base
         self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], Coeff] = {}
@@ -138,11 +157,20 @@ class MomentEngine:
         # lone factor or the sorted ids of its factors) -> (message, its
         # symbols, its id, its split or None; see `_split`)
         self._messages: dict[tuple[str, object], tuple] = {}
-        self._interned: dict[frozenset, int] = {}
-        self._ids = itertools.count()
         # every MBI `compute_mbis` solved on this engine and `check_mbis`
         # verified; later closures read them instead of solving again
         self._verified: dict[Monomial, MBI] = {}
+        if base is None:
+            # the program's draws and the branch coins of `_upd_pow`
+            self.draws = dict(prog.draws)
+            self._interned: dict[frozenset, int] = {}
+            self._ids = itertools.count()
+            return
+        if prog.draws is not base.prog.draws or self.vars[:len(base.vars)] != base.vars:
+            raise ValueError("a layered engine's program must extend its base's")
+        self.draws = collections.ChainMap({}, base.draws)
+        self._interned = base._interned
+        self._ids = base._ids
 
     # -- update powers -----------------------------------------------------
 
@@ -263,7 +291,8 @@ class MomentEngine:
         build each message once, as in Kask, Dechter, Larrosa and Dechter's
         bucket trees.  A message is fixed by its variable and the product
         of its bucket.  Each input factor is interned by its terms and each
-        message gets a fresh small id; a bucket is keyed by its variable
+        message gets a fresh small id (a layered engine's own message its
+        interned id; see the class); a bucket is keyed by its variable
         and the ids of its factors (`_message`), and a bucket seen before
         skips its product, reduction and step.  No polynomial is hashed on
         a hit.
@@ -322,25 +351,38 @@ class MomentEngine:
         bucket of several by var and their sorted ids.  On a miss, the
         product of several factors is interned and taken as a lone factor,
         so that other factors whose product agrees, as under a
-        deterministic node, share its message."""
+        deterministic node, share its message.  A layered engine passes
+        the buckets that are its base's to the base (see the class)."""
+        base = self.base
+        if base is not None and var in base.var_set:
+            return base._message(var, bucket)
         table = self._messages
         if len(bucket) == 1:
             key = (var, bucket[0][2])
             message = table.get(key)
             if message is None:
-                merged = self.substitute_var(var, bucket[0][0])
-                syms = merged.symbols()
-                split = (self._split(var, merged, syms)
-                         if len(merged.terms) == 1 or var in syms else None)
-                message = table[key] = (merged, syms, next(self._ids), split)
+                message = table[key] = self._new_message(var, bucket[0][0])
             return message
         key = (var, tuple(sorted([entry[2] for entry in bucket])))
         message = table.get(key)
         if message is None:
             product = self._product(bucket)
-            message = self._message(var, [(product, None, self._intern(product), None)])
+            lone = (var, self._intern(product))
+            message = table.get(lone)
+            if message is None:
+                message = table[lone] = self._new_message(var, product)
             table[key] = message
         return message
+
+    def _new_message(self, var: str, poly: Polynomial) -> tuple:
+        """var's message for the product poly of its bucket, as the table
+        holds it."""
+        merged = self.substitute_var(var, poly)
+        syms = merged.symbols()
+        split = (self._split(var, merged, syms)
+                 if len(merged.terms) == 1 or var in syms else None)
+        pid = next(self._ids) if self.base is None else self._intern(merged)
+        return merged, syms, pid, split
 
     def _split(self, var: str, message: Polynomial, syms: frozenset[str]):
         """How var's message goes on when it is the only factor left:

@@ -16,6 +16,7 @@ identifiers; every occurrence is an independent draw, fresh each iteration.
 Every draw belongs to one statement: `validate` requires each draw that an
 initializer or an update uses to have a known distribution and to occur in
 no other statement, though the branches of one update may share it.
+`extend` appends statements to a valid program and validates only those.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .errors import InputError, ProgramError, UnsupportedError
@@ -219,6 +221,40 @@ def split_self(expr: Polynomial, var: str) -> tuple[Polynomial, Polynomial]:
 
 def validate(prog: LoopProgram) -> None:
     """Check the structural rules; raises ProgramError on the first violation."""
+    _validate(prog, 0)
+
+
+def extend(base: LoopProgram, inits, updates, supports: Mapping[str, int]) -> LoopProgram:
+    """base followed by the initializers and updates of new variables, with
+    the supports of some of them.  base must be valid; its statements,
+    parameters and draws are shared, not copied.
+
+    Only the new statements are validated, each seeing base's variables as
+    declared earlier, by the rules and with the messages of `validate`, so
+    the first violation is the one `validate` would report.  A new
+    statement that mentions a draw, which a statement of base may own, or a
+    support for one of base's variables has the whole program validated.
+    """
+    prog = LoopProgram(
+        params=base.params,
+        supports={**base.supports, **supports},
+        inits=base.inits + tuple(inits),
+        updates=base.updates + tuple(updates),
+        draws=base.draws,
+    )
+    exprs = [i.expr for i in inits] + [br.expr for u in updates for br in u.branches]
+    if (any(is_draw(s) for expr in exprs for s in expr.symbols())
+            or any(var in base._update_by_target for var in supports)):
+        validate(prog)
+    else:
+        _validate(prog, len(base.inits))
+    return prog
+
+
+def _validate(prog: LoopProgram, start: int) -> None:
+    """`validate`, taking the first `start` initializers and updates as
+    checked: they are a valid program's, with the same parameters, draws
+    and supports."""
     variables = prog.variables
     var_set = set(variables)
     if len(var_set) != len(variables):
@@ -242,7 +278,9 @@ def validate(prog: LoopProgram) -> None:
             raise ProgramError(f"support of {var} must be at least 2")
 
     owners: dict[str, tuple[str, str]] = {}  # draw -> its statement
-    for init in prog.inits:
+    for init in prog.inits[start:]:
+        if not init.expr.terms:
+            continue  # 0 mentions nothing and lies in every support
         symbols = init.expr.symbols()
         bad = {s for s in symbols if not is_draw(s)} - params
         if bad:
@@ -257,30 +295,40 @@ def validate(prog: LoopProgram) -> None:
         if size is not None:
             _check_init_support(init, size, prog)
 
-    earlier: set[str] = set()
-    for upd in prog.updates:
+    known = set(params).union(variables[:start])  # what an update may read
+    for upd in prog.updates[start:]:
         target = upd.target
-        total = Fraction(0)  # a Coeff: a Fraction until a symbolic branch joins
+        # the constant probabilities sum to num/den, on integers over the
+        # lcm of their denominators; the symbolic ones are added at the end
+        num, den = 0, 1
+        symbolic = []
         drawn = []
         for br in upd.branches:
-            prob = br.prob
-            if prob.is_const():  # a polynomial with no symbols
-                p = prob.const_value()
-                if p.numerator < 0 or p.numerator > p.denominator:  # p < 0 or p > 1
+            p = as_coeff(br.prob)
+            if type(p) is Fraction:
+                n, d = p.as_integer_ratio()
+                if n < 0 or n > d:  # p < 0 or p > 1
                     raise ProgramError(
                         f"branch probability {_number_str(p)} of {target} outside [0, 1]"
                     )
+                if d == den:
+                    num += n
+                else:
+                    common = lcm(den, d)
+                    num, den = num * (common // den) + n * (common // d), common
             else:
-                bad = prob.symbols() - params
+                bad = p.symbols() - params
                 if bad:
                     raise ProgramError(
                         f"branch probability of {target} references {sorted(bad)[0]}"
                     )
-            total = total + as_coeff(prob)
-            symbols = br.expr.symbols()
-            if target in symbols:
+                symbolic.append(p)
+            outside = br.expr.symbols() - known
+            if not outside:
+                continue
+            if target in outside:
                 split_self(br.expr, target)  # raises unless linear in the target
-            outside = [s for s in symbols if s != target and s not in params and s not in earlier]
+                outside = outside - {target}
             bad = [s for s in outside if not is_draw(s)]
             if bad:
                 raise ProgramError(
@@ -288,12 +336,15 @@ def validate(prog: LoopProgram) -> None:
                     "which is not declared earlier"
                 )
             drawn += outside  # every symbol left is a draw
-        if total != 1:
+        one = sum(symbolic, Fraction(num, den)) == 1 if symbolic else num == den
+        if not one:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
         if drawn:
             _claim_draws(prog, owners, drawn, ("update", target))
-        earlier.add(target)
+        known.add(target)
 
+    if start:
+        return  # the draws are the checked program's
     for sym, spec in prog.draws.items():
         if spec.arg is not None:
             bad = spec.arg.symbols() - params

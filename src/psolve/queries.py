@@ -225,15 +225,21 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     """Expected number of samples drawn until the first one matching the
     evidence, i.e. 1/P(evidence).
 
-    Only the rejection-monitor program is compiled: P(evidence) is one body
-    pass over the monitor's per-node evidence flags, and with cross_check
-    the monitor's count is solved as well, on the same engine, and its
-    limit must equal 1/p exactly.  The count's extraction walks reach the
-    flags through the acceptance flag's message and reuse the messages
-    that pass built.
+    The monitor's statements are appended to the network's compiled
+    program (`compile_sampling_monitor`), and the monitor's engine is
+    layered on the network's (`MomentEngine`): the network's buckets read
+    and fill the network engine's message table and update powers, so
+    the network is compiled, validated and walked by one engine per
+    object.  P(evidence) is one body pass over the monitor's per-node
+    evidence flags; a flag's message meets the network's walks by its
+    indicator, so a conditional on the same evidence has built them
+    already.  With cross_check the monitor's count is solved as well, on
+    the monitor's engine, and its limit must equal 1/p exactly.  The
+    count's extraction walks reach the flags through the acceptance
+    flag's message and reuse the messages that pass built.
     """
     monitor = compile_sampling_monitor(bn, evidence)
-    engine = MomentEngine(monitor.program)
+    engine = MomentEngine(monitor.program, bn.engine)
     flags = [Polynomial.var(flag) for flag in monitor.evidence_vars]
     p, assumptions = _evidence_mass(engine, monitor.evidence, flags)
     value = RF_ONE / p

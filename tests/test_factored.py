@@ -181,6 +181,20 @@ def steps(monkeypatch):
     return count
 
 
+@pytest.fixture
+def step_vars(monkeypatch):
+    """The variable of every `substitute_var` call made so far."""
+    names = []
+    original = MomentEngine.substitute_var
+
+    def counted(self, var, poly):
+        names.append(var)
+        return original(self, var, poly)
+
+    monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+    return names
+
+
 def chain(n):
     """Binary chain X0 -> ... -> X{n-1} with rows that differ."""
     nodes = [{"name": "X0", "model": {"kind": "cpt", "p": ["3/5", "2/5"]}}]
@@ -253,6 +267,20 @@ class TestMessageCounts:
         assert steps[0] <= without + 4, (steps[0], without)
         assert got.value == alone.value
         assert dict(got.extras)["monitor_limit"] == str(alone.value)
+
+    @pytest.mark.parametrize("evidence", [{"X39": 0, "X20": 1}, {"X39": 1}, {"X39": 0}])
+    def test_samples_after_a_conditional_walks_no_network_variable(self, evidence, step_vars):
+        # the monitor's engine is layered on the network's, and a flag's
+        # message is its indicator, so the conditional's walks serve it
+        bn = chain(40)
+        conditional_moment(bn, "X0", 1, evidence)
+        step_vars.clear()
+        got = expected_samples(bn, evidence)
+        network = set(bn.engine.vars)
+        assert step_vars and not network & set(step_vars), step_vars
+        fresh = expected_samples(chain(40), evidence)
+        assert (got.exact(), got.assumptions, got.extras) == (
+            fresh.exact(), fresh.assumptions, fresh.extras)
 
 
 class TestWarmEngine:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import random_clgbn, random_discrete_bn, random_gbn
 
-from psolve import exppoly, moments, queries, recurrence, symbolic
+from psolve import encode, exppoly, moments, queries, recurrence, symbolic
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
 from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
@@ -734,3 +734,40 @@ class TestSupportReduction:
                 ends.append(p)
             assert got == F(1, 2) * ends[0] / ends[1]
         assert counts[80] < 2.5 * max(counts[40], 1), counts
+
+
+class TestLayeredEngine:
+    """A sampling monitor's engine layered on its network's gives the
+    answers of a standalone engine of the monitor's program, whatever the
+    network's engine has walked before."""
+
+    def test_matches_a_standalone_engine(self):
+        rng = random.Random(20261020)
+        for i in range(25):
+            bn = random_discrete_bn(rng, rng.randint(2, 7))
+            names = list(bn.node_names)
+            for _ in range(3):
+                chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
+                evidence = {name: rng.randrange(2) for name in chosen}
+                if rng.random() < 0.5:  # a conditional's walks on the network first
+                    inds = [indicator_poly(name, v, 2) for name, v in evidence.items()]
+                    bn.engine.one_pass(*inds)
+                    bn.engine.one_pass(Polynomial.var(names[0]), *inds)
+                monitor = encode.compile_sampling_monitor(bn, evidence)
+                flags = [Polynomial.var(flag) for flag in monitor.evidence_vars]
+                count = Monomial.of(monitor.count_var)
+                layered = MomentEngine(monitor.program, bn.engine)
+                alone = MomentEngine(monitor.program)
+                p = alone.one_pass(*flags)
+                assert layered.one_pass(*flags) == p, (i, evidence)
+                if p.is_zero():
+                    continue
+                want = compute_mbis(alone, [count])[count].closed
+                got = compute_mbis(layered, [count])[count].closed
+                assert str(got) == str(want), (i, evidence)
+
+    def test_needs_an_extension_of_its_base(self):
+        base = MomentEngine(parse_program("x := 0; while true { x := x + 1; }"))
+        other = parse_program("y := 0; while true { y := y + 1; }")
+        with pytest.raises(ValueError, match="must extend its base"):
+            MomentEngine(other, base)

@@ -1,6 +1,7 @@
 """One moment engine per query: extraction, solving and the
 back-substitution check of a query all run on one engine, the one its
-network or program built."""
+network or program built; a sample count adds the monitor's engine,
+layered on its network's."""
 
 import importlib.util
 import json
@@ -23,16 +24,18 @@ def _predict(**fields):
     return ["query", UMBRELLA, "--spec", spec]
 
 
-@pytest.mark.parametrize("argv", [
-    _predict(),
-    _predict(at=5),
-    _predict(limit=True),
-    ["samples", str(DATA / "asia.json"), "--evidence", "Asia=1,Lung=1"],
-    ["check", UMBRELLA, "--mc", "500"],
-    ["analyze", str(DATA / "umbrella.psl"), "--goal", "R"],
+@pytest.mark.parametrize("argv, bases", [
+    (_predict(), [None]),
+    (_predict(at=5), [None]),
+    (_predict(limit=True), [None]),
+    (["samples", str(DATA / "asia.json"), "--evidence", "Asia=1,Lung=1"], [None, 0]),
+    (["check", UMBRELLA, "--mc", "500"], [None]),
+    (["analyze", str(DATA / "umbrella.psl"), "--goal", "R"], [None]),
 ], ids=["predict", "predict-at", "predict-limit", "samples-cross-check",
         "check-mc", "analyze"])
-def test_one_engine_per_query(argv, monkeypatch, capsys):
+def test_one_engine_per_query(argv, bases, monkeypatch, capsys):
+    # bases: each engine built, in order, by the index of the engine it is
+    # layered on; the sampling monitor's engine is layered on its network's
     built = []
     original = MomentEngine.__init__
 
@@ -42,7 +45,7 @@ def test_one_engine_per_query(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(MomentEngine, "__init__", counted)
     assert main(argv) == 0, capsys.readouterr().err
-    assert len(built) == 1
+    assert [None if e.base is None else built.index(e.base) for e in built] == bases
 
 
 def _load_spans():

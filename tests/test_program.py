@@ -13,6 +13,7 @@ from psolve.program import (
     DrawSpec,
     Initializer,
     LoopProgram,
+    extend,
     is_draw,
     pretty,
     split_self,
@@ -263,6 +264,88 @@ class TestDrawOwnership:
             draws=self.gauss,
         )
         validate(prog)
+
+
+class TestExtend:
+    """`extend` validates only the statements it appends, and reports the
+    violation `validate` reports on the whole program."""
+
+    BASE = """
+    param a in (0, 1);
+    x := bern(1/2); y := 0; w := gauss(0, 1);
+    while true { x := x [1/3] 1; y := y + x + gauss(0, 1); w := 1/2*w; }
+    """
+
+    @staticmethod
+    def _draw(stmt_expr):
+        return Polynomial.var(next(s for s in stmt_expr.symbols() if is_draw(s)))
+
+    def _cases(self, base):
+        x, y, z, a = (Polynomial.var(s) for s in "xyza")
+        zero, one = Polynomial.zero(), Polynomial.const(1)
+        init_draw = self._draw(base.inits[0].expr)  # x's initializer
+        upd_draw = self._draw(base.updates[1].branches[0].expr)  # y's update
+
+        def one_var(name, init, *branches, supports=None):
+            branches = branches or ((RF_ONE, x + y),)
+            return ([Initializer(name, init)],
+                    [Assignment(name, tuple(Branch(p, e) for p, e in branches))],
+                    supports or {})
+
+        return {
+            "valid": one_var("z", zero, (RF_ONE, z * x + y)),
+            "valid-branches": one_var("z", zero, (rf(F(1, 6)), x), (rf(F(1, 3)), y),
+                                      (rf(F(1, 2)), zero), supports={"z": 2}),
+            "valid-symbolic": one_var("z", zero, (rf(a), x), (rf(1 - a), zero)),
+            "duplicate": one_var("x", zero),
+            "reserved": one_var("n", zero),
+            "parameter": one_var("a", zero),
+            "undeclared": one_var("z", zero, (RF_ONE, x + Polynomial.var("u"))),
+            "sum": one_var("z", zero, (rf(F(1, 2)), x), (rf(F(1, 3)), y)),
+            "range": one_var("z", zero, (rf(F(3, 2)), x), (rf(F(-1, 2)), y)),
+            "symbolic-sum": one_var("z", zero, (rf(a), x), (rf(a), y)),
+            "symbolic-prob": one_var("z", zero, (rf(x), x), (rf(1 - x), y)),
+            "nonlinear": one_var("z", zero, (RF_ONE, z * z)),
+            "init-reads-variable": one_var("z", x),
+            "init-support": one_var("z", Polynomial.const(3), supports={"z": 2}),
+            "base-update-draw": one_var("z", zero, (RF_ONE, x + upd_draw)),
+            "base-init-draw": one_var("z", init_draw),
+            "base-draw-in-init": one_var("z", upd_draw),
+            "undeclared-draw": one_var("z", zero, (RF_ONE, Polynomial.var("$9"))),
+            "base-support": one_var("z", zero, supports={"w": 2}),
+            "unknown-support": one_var("z", zero, supports={"v": 2}),
+            "order": ([Initializer("z", zero), Initializer("u", one)],
+                      [Assignment("u", (Branch(RF_ONE, x),)), Assignment("z", (Branch(RF_ONE, y),))],
+                      {}),
+        }
+
+    def test_same_verdict_as_validate(self):
+        base = program_of(self.BASE)
+        verdicts = {}
+        for case, (inits, updates, supports) in self._cases(base).items():
+            whole = LoopProgram(base.params, {**base.supports, **supports},
+                                base.inits + tuple(inits), base.updates + tuple(updates),
+                                base.draws)
+            try:
+                validate(whole)
+                want = None
+            except ProgramError as exc:
+                want = str(exc)
+            try:
+                prog = extend(base, inits, updates, supports)
+                got = None
+            except ProgramError as exc:
+                got = str(exc)
+            assert got == want, case
+            verdicts[case] = want
+            if got is None:
+                assert prog == whole
+                assert all(p is q for p, q in zip(prog.inits, base.inits))
+                assert all(p is q for p, q in zip(prog.updates, base.updates))
+        assert [case for case, v in verdicts.items() if v is None] == [
+            "valid", "valid-branches", "valid-symbolic"]
+        assert verdicts["base-draw-in-init"].endswith("in the update of y")
+        assert verdicts["base-support"] == "continuous initializer for finite-support variable w"
 
 
 class TestPretty:

@@ -16,6 +16,7 @@ from psolve.encode import indicator_poly, normalize_evidence
 from psolve.errors import QueryError, SchemaError, UnsupportedError
 from psolve.moments import MomentEngine
 from psolve.oracle import differential_check, enumerate_discrete
+from psolve.program import pretty
 from psolve.queries import (
     conditional_moment,
     expected_positive,
@@ -261,9 +262,13 @@ class TestOneCompilePerCall:
         assert compiles == ["compile_bn"]
 
     def test_expected_samples(self, compiles):
+        # the monitor appends to the network's program, which it compiles
+        # from inside its own compile, once per network object
         asia = load_bn_path(DATA / "asia.json")
         expected_samples(asia, {"Asia": 1, "Lung": 1})
-        assert compiles == ["compile_sampling_monitor"]
+        assert compiles == ["compile_sampling_monitor", "compile_bn"]
+        expected_samples(asia, {"Smoke": 1, "Xray": 0})
+        assert compiles == ["compile_sampling_monitor", "compile_bn", "compile_sampling_monitor"]
 
     def test_expected_positive_compiles_no_monitor(self, compiles):
         asia = load_bn_path(DATA / "asia.json")
@@ -286,6 +291,98 @@ class TestOneCompilePerCall:
         conditional_moment(sens, "B", 1, {"A": 1})
         assert compiles == ["compile_bn", "compile_bn"]
         assert engines == [sens.engine, bound.engine]
+
+
+# a static network whose branch probabilities have a parameter in their
+# denominators, so that its update powers register Bernoulli coins
+RATBN = {
+    "type": "bn",
+    "params": [{"name": "r", "domain": ["0.3", "1"]}],
+    "nodes": [
+        {"name": "R", "model": {"kind": "cpt", "p": ["1/(1 + r)", "r/(1 + r)"]}},
+        {"name": "U", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["0.1", "0.9"]}, {"given": [0], "p": ["1 - r/2", "r/2"]}]}},
+    ],
+}
+
+
+def _printed(res):
+    return res.exact(), res.assumptions, res.extras
+
+
+class TestLayeredMonitor:
+    """The sampling monitor's program extends its network's compiled
+    program and its engine is layered on the network's: whatever the
+    network object has answered before, a count prints as on a freshly
+    loaded network."""
+
+    LOADERS = {
+        "asia": lambda: load_bn_path(DATA / "asia.json"),
+        "alarm_sens": lambda: load_bn_path(DATA / "alarm_sens.json"),
+        "ratbn": lambda: load_bn(RATBN),
+    }
+    EVIDENCE = {
+        "asia": ({"Smoke": 1, "Xray": 0, "Dysp": 1}, {"Asia": 1, "Lung": 1}, {"Xray": 0}),
+        "alarm_sens": ({"A": 1}, {"A": 0, "J": 1}, {"J": 0, "M": 0}),
+        "ratbn": ({"U": 1}, {"R": 0, "U": 0}, {"R": 1}),
+    }
+
+    @pytest.mark.parametrize("name", list(LOADERS))
+    def test_after_a_conditional(self, name):
+        load, evidence = self.LOADERS[name], self.EVIDENCE[name][0]
+        warm = load()
+        target = warm.order[0]
+        cond = conditional_moment(warm, target, 1, evidence)
+        assert _printed(cond) == _printed(conditional_moment(load(), target, 1, evidence))
+        assert _printed(expected_samples(warm, evidence)) == _printed(expected_samples(load(), evidence))
+
+    @pytest.mark.parametrize("name", list(LOADERS))
+    def test_other_evidence_then_the_first_again(self, name):
+        # every monitor of a network names its flags ev_<node>, ev and
+        # count, with updates that depend on its evidence
+        load = self.LOADERS[name]
+        first, second, third = self.EVIDENCE[name]
+        warm = load()
+        for evidence in (first, second, first, third, second):
+            want = _printed(expected_samples(load(), evidence))
+            assert _printed(expected_samples(warm, evidence)) == want, evidence
+
+    def test_program_extends_the_networks(self):
+        compile_monitor = psolve.encode.compile_sampling_monitor
+        bn = load_bn_path(DATA / "alarm.json")
+        first = compile_monitor(bn, {"J": 1, "M": 0}).program
+        base = bn.engine.prog
+        network = pretty(base)
+        prog = compile_monitor(bn, {"A": 1}).program
+        k = len(base.inits)
+        for monitor in (first, prog):
+            assert all(a is b for a, b in zip(monitor.inits[:k], base.inits))
+            assert all(a is b for a, b in zip(monitor.updates[:k], base.updates))
+            assert monitor.params is base.params and monitor.draws is base.draws
+        assert first.variables[k:] == ("ev_J", "ev_M", "ev", "continue", "count")
+        assert prog.variables[k:] == ("ev_A", "ev", "continue", "count")
+        # appending leaves the network's program as it was
+        assert pretty(base) == network
+        fresh = compile_monitor(load_bn_path(DATA / "alarm.json"), {"A": 1}).program
+        assert pretty(prog) == pretty(fresh)
+
+    @pytest.mark.parametrize("net, evidence, error, text", [
+        ("umbrella", {"R": 1}, UnsupportedError, "sample-count queries apply to static networks"),
+        ("asia", {}, QueryError, "empty evidence: every sample would be accepted"),
+        ("asia", {"Nope": 1}, SchemaError, "unknown node 'Nope'"),
+        ("asia", {"Asia": 2}, SchemaError, "state 2 out of range for node Asia"),
+        ("marks", {"ALG": 50}, UnsupportedError,
+         "evidence on continuous node ALG is not supported; condition on discrete nodes only"),
+        ("asia", [["Asia", 1], ["Asia", 0]], QueryError, "evidence lists Asia twice"),
+    ], ids=["dynamic", "empty", "unknown-node", "bad-state", "continuous", "twice"])
+    def test_bad_evidence_fails_before_any_compile(self, net, evidence, error, text,
+                                                   compiles, engines):
+        bn = load_bn_path(DATA / f"{net}.json")
+        with pytest.raises(error) as exc:
+            expected_samples(bn, evidence)
+        assert str(exc.value) == text
+        assert compiles == ["compile_sampling_monitor"]
+        assert engines == []
 
 
 class TestExpectedSamples:

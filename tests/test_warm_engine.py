@@ -18,6 +18,7 @@ from psolve.oracle import differential_check
 from psolve.queries import (
     conditional_moment,
     expected_positive,
+    expected_samples,
     joint_moment,
     node_distribution,
     predict,
@@ -82,6 +83,8 @@ def _static_queries(bn, rng):
             (f"E[{target}^2]", lambda bn, t=target: joint_moment(bn, t, 2)),
             (f"P({event})", lambda bn, t=event: joint_moment(bn, t)),
             (f"positive {evidence}", lambda bn, e=evidence: expected_positive(bn, e, 1000)),
+            (f"samples {evidence}", lambda bn, e=evidence: expected_samples(bn, e)),
+            (f"samples {event}", lambda bn, e=event: expected_samples(bn, e)),
         ]
     queries.append(("check", differential_check))
     return queries
