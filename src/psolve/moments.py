@@ -28,11 +28,16 @@ program: a loaded network builds it once (`BayesNet.engine`,
 sampling monitor's engine is layered on its network's (see
 `MomentEngine`), so the network's part of a monitor's walks is built
 once per network too.
-`MomentEngine.substitute_body` is its one way to substitute
-the loop body into a query: the query comes as a list of factors, and
-the variables are eliminated bucket by bucket, each substituted into the
-product of only the factors that mention it, by one per-variable step,
-`substitute_var`.  An extraction passes one monomial; a static query
+`MomentEngine._walk` is its one way to substitute the loop body into a
+query: the query comes as a list of factors, and the variables are
+eliminated bucket by bucket, each substituted into the product of only
+the factors that mention it, by one per-variable step, `_step`.  The
+walks run on packed polynomials (`packed`): ints for monomials, integer
+numerators over one denominator, over one symbol table per engine; the
+public methods (`one_pass`, `extract`, `substitute_body`, `expectation`,
+`closed`, `initial_moment`) take and return `Polynomial`s, `Monomial`s
+and `Coeff`s, and convert only where a walk begins and ends.  An
+extraction passes one monomial; a static query
 passes its target and one indicator per evidence node, so negative
 evidence (a factor 1 - F) does not double the polynomial.  A body that
 overwrites every variable from draws and parameters alone (a compiled
@@ -44,7 +49,8 @@ the engine, build each message they share once.  A message left alone in
 its walk with one term, or with one term still to substitute beside
 start-of-iteration values, goes on as one factor per variable of that
 term, so an extraction meets the messages other walks built: the
-sampling monitor's count reuses the P(evidence) pass.  Any other body goes through `MomentEngine.closed`, which closes
+sampling monitor's count reuses the P(evidence) pass.  Any other body
+goes through `MomentEngine.closed`, which closes
 the query's monomials with `compute_mbis` and combines their closed
 forms in n.
 `compute_mbis` takes a program or the engine built for it; `closed`
@@ -57,23 +63,20 @@ verifies only the moments that are new to it.
 from __future__ import annotations
 
 import collections
-import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapError, InternalCheckError, ProgramError, UnsupportedError
-from .program import DrawSpec, LoopProgram, is_draw
+from .program import DrawSpec, LoopProgram
 from .recurrence import ClosedForm, FirstOrderRecurrence, solve_first_order, verify_solution
+from . import packed
 from .symbolic import (
     Coeff,
     Monomial,
     Polynomial,
     RationalFunction,
     RF_ZERO,
-    _mono,
-    _poly_of_sums,
     _poly_of_terms,
     as_coeff,
     reduce_finite_support,
@@ -127,54 +130,121 @@ class MomentEngine:
     """Every expectation of one program; caches its substitution data,
     bucket messages and verified closed forms across many queries.
 
+    Its walks run on packed polynomials (`packed`) over one symbol table
+    that only grows: the program variables in declaration order first,
+    then the draws, branch coins and parameters as the walks meet them.
+    A walk packs its factors where it begins and converts its result
+    where it ends (`one_pass`, `extract`, `substitute_body`,
+    `expectation`, `initial_moment`); in between, the update powers, the
+    messages and the intern keys are dicts and tuples of ints.  A product
+    whose exponent reaches a field's guard bit widens the table, which
+    voids every packed cache, and the walk starts over.
+
     An engine may be layered on a base engine whose program its own program
     extends (`program.extend`), as the sampling monitor's engine is on its
     network's.  The bucket of a base variable is the base's: its message
     comes from the base's table, built there on a miss with the base's
     update powers.  A base update reads no later variable, so that message
-    is the layered program's too.  The layered engine shares the base's
-    intern table and id counter, so that their bucket keys agree, and sees
-    the branch coins the base registers.  It keeps its own messages and
-    update powers for its own variables, its draw moments, initial values
-    and verified MBIs, so engines layered on one base, which may name
-    their variables alike, never read each other's entries.  A message of
-    its own gets the interned id of its polynomial, not a fresh one, so
-    that a message in the base's variables alone, such as an evidence
-    flag's indicator, meets the walks the base has built.
+    is the layered program's too.  The layered engine appends its own
+    variables to the base's symbol table, so that the base's keys stay
+    valid and their intern ids agree, and sees the branch coins the base
+    registers.  It keeps its own messages and update powers for its own
+    variables, its draw moments, initial values and verified MBIs, so
+    engines layered on one base, which may name their variables alike,
+    never read each other's entries.  A message of its own gets the
+    interned id of its polynomial, not a fresh one, so that a message in
+    the base's variables alone, such as an evidence flag's indicator,
+    meets the walks the base has built.
     """
 
-    def __init__(self, prog: LoopProgram, base: MomentEngine | None = None):
+    def __init__(self, prog: LoopProgram, base: MomentEngine | None = None, _bits: int = 4):
         self.prog = prog
         self.vars = prog.variables
         self.var_set = set(self.vars)
         self.supports = dict(prog.supports)
         self.base = base
-        self._upd_pows: dict[tuple[str, int], Polynomial] = {}
         self._moments: dict[tuple[str, int], RationalFunction] = {}
         self._init_moments: dict[tuple[str, int], Coeff] = {}
-        self._rank = {var: i for i, var in enumerate(self.vars)}
-        # the message table of every walk: (var, the id of the bucket's
-        # lone factor or the sorted ids of its factors) -> (message, its
-        # symbols, its id, its split or None; see `_split`)
-        self._messages: dict[tuple[str, object], tuple] = {}
         # every MBI `compute_mbis` solved on this engine and `check_mbis`
         # verified; later closures read them instead of solving again
         self._verified: dict[Monomial, MBI] = {}
         if base is None:
             # the program's draws and the branch coins of `_upd_pow`
             self.draws = dict(prog.draws)
-            self._interned: dict[frozenset, int] = {}
-            self._ids = itertools.count()
-            return
-        if prog.draws is not base.prog.draws or self.vars[:len(base.vars)] != base.vars:
-            raise ValueError("a layered engine's program must extend its base's")
-        self.draws = collections.ChainMap({}, base.draws)
-        self._interned = base._interned
-        self._ids = base._ids
+            self._table = packed.SymbolTable(_bits)
+        else:
+            if prog.draws is not base.prog.draws or self.vars[:len(base.vars)] != base.vars:
+                raise ValueError("a layered engine's program must extend its base's")
+            self.draws = collections.ChainMap({}, base.draws)
+            self._table = base._table
+        self._reset()
+
+    # -- packed state ------------------------------------------------------
+
+    def _reset(self) -> None:
+        """Empty the packed caches and lay out the fields of the variables
+        at the table's current width."""
+        table = self._table
+        self._bits = table.bits
+        # the message table of every walk: (var, the id of the bucket's
+        # lone factor or the sorted ids of its factors) -> the message as
+        # a pending entry (see `_new_message`)
+        self._messages: dict[tuple[str, object], tuple] = {}
+        # (var, k) -> the terms and the denominator of `_upd_pow`, kept in
+        # two dicts since the collector tracks a tuple that holds a dict
+        self._upd_terms: dict[tuple[str, int], dict] = {}
+        self._upd_dens: dict[tuple[str, int], int] = {}
+        self._draw_polys: dict[tuple[str, int], object] = {}
+        self._below_of: dict[str, int] = {}
+        # the shift of each variable's field, field index -> rank of the
+        # variables, whether their fields ascend with their ranks (they do
+        # unless a sibling layered engine added some of their names first),
+        # and the OR of their fields
+        self._shift = {var: table.add(var) for var in self.vars}
+        fields = [shift // table.bits for shift in self._shift.values()]
+        self._var_at = {i: rank for rank, i in enumerate(fields)}
+        self._ascending = fields == sorted(fields)
+        self._var_mask = sum(table.top << shift for shift in self._shift.values())
+        # Adding `_high_add` to a reduced key leaves every guard bit clear;
+        # a support variable whose power reaches its size sets its own.
+        # `_support_of`: field index -> (rank among the supports, size,
+        # shift) of the support variables.
+        self._high_add = self._high_guard = 0
+        self._support_of: dict[int, tuple[int, int, int]] = {}
+        for rank, (var, size) in enumerate(self.supports.items()):
+            shift = table.add(var)
+            if size <= table.limit:
+                self._high_add |= (table.limit - size) << shift
+                self._high_guard |= table.limit << shift
+                self._support_of[shift // table.bits] = (rank, size, shift)
+
+    def _below(self, var: str) -> int:
+        """The OR of the fields of the variables declared before var."""
+        if self._ascending:
+            return self._var_mask & ((1 << self._shift[var]) - 1)
+        below = self._below_of.get(var)
+        if below is None:
+            rank = self._var_at[self._shift[var] // self._table.bits]
+            below = self._below_of[var] = sum(
+                self._table.top << self._shift[v] for v in self.vars[:rank])
+        return below
+
+    def _run(self, walk):
+        """walk() on the table's current width; on an overflow, again on
+        a wider table."""
+        while True:
+            if self.base is not None and self.base._bits != self._table.bits:
+                self.base._reset()
+            if self._bits != self._table.bits:
+                self._reset()
+            try:
+                return walk()
+            except packed.Overflow:
+                self._table.widen()
 
     # -- update powers -----------------------------------------------------
 
-    def _upd_pow(self, var: str, k: int) -> Polynomial:
+    def _upd_pow(self, var: str, k: int) -> tuple[dict, int]:
         """(var's update)^k averaged over its branch coin and its draws: a
         polynomial in earlier variables, parameters and the draws that stay
         symbolic.  A branch whose expression is 0 adds nothing.
@@ -190,90 +260,120 @@ class MomentEngine:
         holds at most one coin of var, so E[coin] = p averages it exactly.
         """
         key = (var, k)
-        cached = self._upd_pows.get(key)
-        if cached is not None:
-            return cached
-        upd = self.prog.update_for(var)
-        total = Polynomial()
-        for j, br in enumerate(upd.branches):
-            if br.expr.is_zero():
+        terms = self._upd_terms.get(key)
+        if terms is not None:
+            return terms, self._upd_dens[key]
+        table = self._table
+        total = packed.ZERO
+        for j, br in enumerate(self.prog.update_for(var).branches):
+            if not br.expr.terms:
                 continue
-            power = br.expr if k == 1 else br.expr**k
-            if br.prob.is_const():
-                total = total + power * br.prob.const_value()
+            power = table.pack(br.expr)
+            if k != 1:
+                power = packed.power(power, k, table)
+            if br.prob._const is not None:
+                power = packed.scale(power, br.prob._const)
             elif br.prob.is_poly():
-                total = total + br.prob.num * power
+                power = packed.mul(table.pack(br.prob.num), power, table)
             else:
                 coin = f"${var}#{j}"
                 self.draws[coin] = DrawSpec("bern", br.prob)
-                total = total + Polynomial.var(coin) * power
-        total = self._reduce(self._integrate(total))
-        self._upd_pows[key] = total
-        return total
+                power = packed.mul(({1 << table.add(coin): 1}, 1), power, table)
+            total = packed.add(total, power) if total[0] else power
+        if self.prog.draws:
+            total = self._integrate(total)
+        terms, den = self._reduce(total)
+        self._upd_terms[key], self._upd_dens[key] = terms, den
+        return terms, den
 
-    def _integrate(self, poly: Polynomial) -> Polynomial:
+    def _integrate(self, poly: tuple[dict, int]) -> tuple[dict, int]:
         """Replace every power of a draw whose moment is a polynomial in the
-        parameters by that moment (`map_powers`); a draw whose moment is
-        not a polynomial stays symbolic for `expectation`."""
-        draws = self.prog.draws
-        if not draws:
-            return poly
+        parameters by that moment; a draw whose moment is not a polynomial
+        stays symbolic for `expectation`."""
+        return packed.expand(poly, self._table.draws, self._draw_image, self._table)
 
-        def image(s: str, e: int):
-            if s not in draws:
-                return None
-            moment = self._draw_moment(s, e)
-            return moment.num if moment.is_poly() else None
+    def _draw_image(self, part: int):
+        """The `packed.expand` image of the draw powers of a term: the
+        moments of the draws of the program whose moments are polynomials,
+        multiplied by name, with the other draws kept."""
+        table, draws, kept, factor = self._table, self.prog.draws, 0, None
+        for s, i, e in table.named(part):
+            img = None
+            if s in draws:
+                img = self._draw_polys.get((s, e), False)
+                if img is False:
+                    moment = self._draw_moment(s, e)
+                    img = self._draw_polys[(s, e)] = (
+                        table.pack(moment.num) if moment.is_poly() else None)
+            if img is None:
+                kept |= e << (i * table.bits)
+            else:
+                factor = img if factor is None else packed.mul(factor, img, table)
+        return None if factor is None else (kept, factor)
 
-        return poly.map_powers(image)
-
-    def _reduce(self, poly: Polynomial) -> Polynomial:
+    def _reduce(self, poly: tuple[dict, int]) -> tuple[dict, int]:
         """Finite-support reduction of the variables whose powers reach
-        their support size, in declaration order."""
-        supports = self.supports
-        high = {
-            s for mono in poly.terms for s, e in mono.powers
-            if s in supports and e >= supports[s]
-        }
+        their support size, in the order of the program's supports: each
+        power var^e is replaced by its residue (`packed.residues`)."""
+        add, guard = self._high_add, self._high_guard
+        high = 0
+        for key in poly[0]:
+            high |= (key + add) & guard
         if not high:
             return poly
-        for var, size in supports.items():
-            if var in high:
-                poly = reduce_finite_support(poly, var, size)
+        bits, found = self._table.bits, []
+        while high:
+            low = high & -high
+            found.append(self._support_of[low.bit_length() // bits - 1])
+            high ^= low
+        for _, size, shift in sorted(found):
+            poly = packed.expand(poly, self._table.top << shift, packed.residues(size, shift),
+                                 self._table)
         return poly
 
-    def substitute_var(self, var: str, poly: Polynomial) -> Polynomial:
+    def _step(self, var: str, poly: tuple[dict, int]) -> tuple[dict, int]:
         """One elimination step: every power var^e in poly becomes var's
         averaged update power (`_upd_pow`), then support reduction.  poly
         must hold every occurrence of var in the query, so that var^(a+b)
-        takes one branch coin.
+        takes one branch coin.  The result equals
+        `poly.substitute({var: update})` averaged over var's coin and
+        draws and then reduced."""
+        shift = self._shift[var]
+        return self._reduce(packed.expand(
+            poly, self._table.top << shift, lambda part: (0, self._upd_pow(var, part >> shift)),
+            self._table))
 
-        The result equals `poly.substitute({var: update})` averaged over
-        var's coin and draws and then reduced; `map_powers` expands each
-        term once against the cached update power."""
-
-        def image(s: str, e: int):
-            return self._upd_pow(var, e) if s == var else None
-
-        return self._reduce(poly.map_powers(image))
-
-    def _intern(self, poly: Polynomial) -> int:
-        """The message-table id of a bucket factor or product, interned by
-        its terms, so that equal polynomials get one id."""
-        key = frozenset(poly.terms.items())
-        pid = self._interned.get(key)
-        if pid is None:
-            pid = self._interned[key] = next(self._ids)
-        return pid
+    # -- bucket elimination ------------------------------------------------
 
     def substitute_body(self, *factors: Polynomial) -> Polynomial:
         """One full body substitution into the product of one or more
         factors: the result refers only to start-of-iteration values, draws
-        and parameters.
+        and parameters.  See `_walk`."""
+        table = self._table
+        return self._run(lambda: table.unpack(self._walk([table.pack(f) for f in factors])))
+
+    def _entry(self, poly: tuple[dict, int]) -> tuple:
+        """An input factor as a pending entry (see `_new_message`)."""
+        terms, den = poly
+        syms = packed.symbols(terms)
+        return (terms, den, syms, self._table.intern(terms, den), None,
+                self._last(syms & self._var_mask))
+
+    def _last(self, fields: int) -> int:
+        """The rank of the last declared variable whose field is in fields,
+        or -1 where there is none."""
+        if not fields:
+            return -1
+        if self._ascending:
+            return self._var_at[(fields.bit_length() - 1) // self._table.bits]
+        return max(self._var_at[i] for i, _ in self._table.powers(fields))
+
+    def _walk(self, factors: list) -> tuple[dict, int]:
+        """The body substituted into the product of packed factors.
 
         The variables are eliminated last declared first, bucket by bucket
         (Dechter's bucket elimination): the factors that mention the
-        variable are multiplied and reduced, `substitute_var` runs on that
+        variable are multiplied and reduced, `_step` runs on that
         product alone, and its result, the bucket's message, goes back on
         the list.  A single factor, such as the monomial of an extraction,
         is one bucket after another.  Support reduction is a ring map, so
@@ -307,42 +407,49 @@ class MomentEngine:
         walk in its variable's message alone: no program variable is in
         two factors of those products, and they need no reduction.
         """
-        pending = [(f, f.symbols(), self._intern(f), None) for f in factors]
-        aside = None  # the walk's polynomial is aside + scale * coeff * pending
-        for var in reversed(self.vars):
-            bucket = [entry for entry in pending if var in entry[1]]
-            if not bucket:
-                continue
-            if len(bucket) < len(pending):
-                pending = [entry for entry in pending if var not in entry[1]]
-            else:  # a lone factor, as in an extraction, leaves none behind
-                pending = []
-            message = self._message(var, bucket)
-            if pending or message[3] is None:
-                pending.append(message)
-                continue
-            terms, mono, c, ahead = message[3]  # the only factor left splits
-            if aside is None:
-                aside, scale, coeff = dict(terms), mono, c
-            else:
-                _add_scaled(aside, terms, scale, coeff)
-                scale, coeff = scale * mono, coeff * c
-            pending = list(ahead)
+        table = self._table
+        # Each entry knows the last variable it holds that is still to
+        # eliminate, and pending is kept in descending order of that rank,
+        # entries of one rank in the order they joined, so a bucket is the
+        # run of entries at the front, in the order the factors came.
+        pending = sorted([self._entry(f) for f in factors], key=_minus_rank)
+        aside = None  # the walk's polynomial is aside + scale * pending
+        while pending:
+            rank = pending[0][5]
+            if rank < 0:
+                break
+            n, size = 1, len(pending)
+            while n < size and pending[n][5] == rank:
+                n += 1
+            message = self._message(self.vars[rank], pending[:n])
+            del pending[:n]
+            if pending or message[4] is None:
+                last, i = message[5], 0
+                while i < len(pending) and pending[i][5] >= last:
+                    i += 1
+                pending.insert(i, message)
+            else:  # the only factor left splits
+                terms, den, mono, num, ahead = message[4]
+                if aside is None:
+                    aside, scale = (terms, den), ({mono: num}, den)
+                else:
+                    aside = packed.add(aside, packed.mul(scale, (terms, den), table))
+                    scale = packed.mul(scale, ({mono: num}, den), table)
+                pending = sorted(ahead, key=_minus_rank)
+        body = packed.ONE
         if pending:
-            body, *rest = (entry[0] for entry in pending)
-            body = math.prod(rest, start=body)
-        else:
-            body = Polynomial.const(1)
+            body = pending[0][:2]
+            for entry in pending[1:]:
+                body = packed.mul(body, entry[:2], table)
         if aside is None:
             return body
-        _add_scaled(aside, body.terms, scale, coeff)
-        return _poly_of_sums(aside)
+        return packed.add(aside, packed.mul(scale, body, table))
 
-    def _product(self, bucket: list) -> Polynomial:
+    def _product(self, bucket: list) -> tuple[dict, int]:
         """The reduced product of a bucket's factors."""
-        merged = bucket[0][0]
+        merged = bucket[0][:2]
         for entry in bucket[1:]:
-            merged = self._reduce(merged * entry[0])
+            merged = self._reduce(packed.mul(merged, entry[:2], self._table))
         return merged
 
     def _message(self, var: str, bucket: list) -> tuple:
@@ -358,72 +465,69 @@ class MomentEngine:
             return base._message(var, bucket)
         table = self._messages
         if len(bucket) == 1:
-            key = (var, bucket[0][2])
+            key = (var, bucket[0][3])
             message = table.get(key)
             if message is None:
-                message = table[key] = self._new_message(var, bucket[0][0])
+                message = table[key] = self._new_message(var, bucket[0][:2])
             return message
-        key = (var, tuple(sorted([entry[2] for entry in bucket])))
+        key = (var, tuple(sorted([entry[3] for entry in bucket])))
         message = table.get(key)
         if message is None:
             product = self._product(bucket)
-            lone = (var, self._intern(product))
+            lone = (var, self._table.intern(*product))
             message = table.get(lone)
             if message is None:
                 message = table[lone] = self._new_message(var, product)
             table[key] = message
         return message
 
-    def _new_message(self, var: str, poly: Polynomial) -> tuple:
+    def _new_message(self, var: str, poly: tuple[dict, int]) -> tuple:
         """var's message for the product poly of its bucket, as the table
-        holds it."""
-        merged = self.substitute_var(var, poly)
-        syms = merged.symbols()
-        split = (self._split(var, merged, syms)
-                 if len(merged.terms) == 1 or var in syms else None)
-        pid = next(self._ids) if self.base is None else self._intern(merged)
-        return merged, syms, pid, split
+        holds it: a pending entry (terms, den, the OR of the keys, id,
+        split, the rank of the last variable in it still to eliminate)."""
+        table = self._table
+        terms, den = packed.normal(self._step(var, poly))
+        syms = packed.symbols(terms)
+        split = (self._split(var, terms, den, syms)
+                 if len(terms) == 1 or (syms >> self._shift[var]) & table.top else None)
+        pid = table.next_id() if self.base is None else table.intern(terms, den)
+        return terms, den, syms, pid, split, self._last(syms & self._below(var))
 
-    def _split(self, var: str, message: Polynomial, syms: frozenset[str]):
+    def _split(self, var: str, terms: dict, den: int, syms: int):
         """How var's message goes on when it is the only factor left:
-        (aside, scale, coeff, factors), or None when it does not split.
+        (aside terms, den, scale, numerator, factors), or None when it does
+        not split.
 
         A message with exactly one term that mentions a variable still to
-        eliminate splits.  That term goes on as coeff * scale times one
-        factor per such variable, where coeff is its coefficient and the
-        monomial scale holds its other symbols: parameters, draws and
-        start-of-iteration values of variables already eliminated.  The
-        other terms (the term dict aside) need no more substitution, and
-        the message is aside + coeff * scale * the product of the factors.
-        `_message` asks only for a message with one term or one that
-        mentions var's own start-of-iteration value, which only an
-        extraction walk carries, so the test costs O(1) on any other
+        eliminate splits.  That term goes on as numerator/den * scale times
+        one factor per such variable, where the monomial scale holds its
+        other symbols: parameters, draws and start-of-iteration values of
+        variables already eliminated.  The other terms (aside, over den)
+        need no more substitution, and the message is aside +
+        numerator/den * scale * the product of the factors, which are
+        listed by name.  `_message` asks only for a message with one term
+        or one that mentions var's own start-of-iteration value, which only
+        an extraction walk carries, so the test costs O(1) on any other
         message.  This is what turns the sampling monitor's
         `continue*(1 - ev)` into the lone factor ev.
         """
-        rank = self._rank
-        r = rank[var]
-        ahead = {s for s in syms if rank.get(s, r) < r}
+        ahead = syms & self._below(var)
         if not ahead:
             return None
-        terms = message.terms
         live = None
-        for mono in terms:
-            for s, _ in mono.powers:
-                if s in ahead:
-                    if live is not None:
-                        return None
-                    live = mono
-                    break
-        keep, factors = [], []
-        for s, e in live.powers:
-            if s in ahead:
-                factor = _poly_of_terms({_mono(((s, e),)): Fraction(1)})
-                factors.append((factor, frozenset((s,)), self._intern(factor), None))
-            else:
-                keep.append((s, e))
-        aside = {m: c for m, c in terms.items() if m is not live}
-        return aside, _mono(tuple(keep)), terms[live], tuple(factors)
+        for key in terms:
+            if key & ahead:
+                if live is not None:
+                    return None
+                live = key
+        table = self._table
+        part = live & ahead
+        factors = []
+        for _, i, e in table.named(part):
+            key = e << (i * table.bits)
+            factors.append(({key: 1}, 1, key, table.intern({key: 1}, 1), None, self._var_at[i]))
+        aside = {k: c for k, c in terms.items() if k != live}
+        return aside, den, live ^ part, terms[live], tuple(factors)
 
     # -- expectation normal form ------------------------------------------
 
@@ -436,7 +540,13 @@ class MomentEngine:
         return cached
 
     def expectation(self, poly: Polynomial) -> tuple[dict[Monomial, Coeff], Coeff]:
-        """Split E[poly] into a linear combination of moment variables.
+        """Split E[poly] into a linear combination of moment variables; see
+        `_expect`."""
+        return self._run(lambda: self._expect(self._table.pack(poly)))
+
+    def _expect(self, poly: tuple[dict, int]) -> tuple[dict[Monomial, Coeff], Coeff]:
+        """E of a packed polynomial as a linear combination of moment
+        variables.
 
         Returns (linear map monomial -> coefficient, constant), each a
         `Coeff`: a Fraction where no parameter occurs.  Draws are
@@ -445,45 +555,49 @@ class MomentEngine:
         Every draw whose moment is a polynomial has already become that
         moment (`_integrate`, in each update power and each initializer
         power), so the draws left here are those whose moments are not
-        polynomials; their terms are summed as rational functions.
+        polynomials; their terms are summed as rational functions, in the
+        order of the terms, each term's moments multiplied by name.
         """
-        acc_poly: dict[Monomial, dict[Monomial, Fraction]] = {}
-        acc_rf: dict[Monomial, RationalFunction] = {}
-        for mono, coeff in poly.terms.items():
-            evar: list[tuple[str, int]] = []
-            pmono: list[tuple[str, int]] = []
+        terms, den = poly
+        table = self._table
+        var_mask, draw_mask = self._var_mask, table.draws
+        params = ~(var_mask | draw_mask)
+        acc_poly: dict[int, dict[int, int]] = {}
+        acc_rf: dict[int, RationalFunction] = {}
+        for key, num in terms.items():
+            mono = key & var_mask
+            drawn = key & draw_mask
+            if not drawn:
+                slot = acc_poly.get(mono)
+                if slot is None:
+                    slot = acc_poly[mono] = {}
+                rest = key ^ mono
+                slot[rest] = slot.get(rest, 0) + num
+                continue
             rf_factor = None
-            for s, e in mono.powers:
-                if s in self.var_set:
-                    evar.append((s, e))
-                elif is_draw(s):
-                    m = self._draw_moment(s, e)
-                    rf_factor = m if rf_factor is None else rf_factor * m
-                else:
-                    pmono.append((s, e))
-            key, pm = _mono(tuple(evar)), _mono(tuple(pmono))
-            if rf_factor is None:
-                slot = acc_poly.setdefault(key, {})
-                prev = slot.get(pm)
-                slot[pm] = coeff if prev is None else prev + coeff
+            for s, _, e in table.named(drawn):
+                m = self._draw_moment(s, e)
+                rf_factor = m if rf_factor is None else rf_factor * m
+            pm = table.unpack_mono(key & params)
+            extra = RationalFunction(_poly_of_terms({pm: Fraction(num, den)})) * rf_factor
+            acc_rf[mono] = acc_rf.get(mono, RF_ZERO) + extra
+        linear: dict = {}
+        for mono, slot in acc_poly.items():
+            if len(slot) == 1 and 0 in slot:
+                linear[mono] = Fraction(slot[0], den)
             else:
-                extra = RationalFunction(_poly_of_terms({pm: coeff})) * rf_factor
-                acc_rf[key] = acc_rf.get(key, RF_ZERO) + extra
-        linear: dict[Monomial, Coeff] = {}
-        for key, slot in acc_poly.items():
-            linear[key] = as_coeff(_poly_of_sums(slot))
-        for key, rf in acc_rf.items():
-            linear[key] = as_coeff(linear.get(key, 0) + rf)
-        constant = linear.pop(Monomial.unit(), Fraction(0))
-        linear = {k: v for k, v in linear.items() if v}
-        return linear, constant
+                linear[mono] = as_coeff(table.unpack(({k: n for k, n in slot.items() if n}, den)))
+        for mono, rf in acc_rf.items():
+            linear[mono] = as_coeff(linear.get(mono, 0) + rf)
+        constant = linear.pop(0, Fraction(0))
+        return {table.unpack_mono(m): v for m, v in linear.items() if v}, constant
 
     def extract(self, target: Monomial) -> MomentRecurrence:
         bad = target.symbols() - self.var_set
         if bad:
             raise ProgramError(f"unknown program variable {sorted(bad)[0]} in moment target")
-        body = self.substitute_body(Polynomial({target: Fraction(1)}))
-        linear, constant = self.expectation(body)
+        linear, constant = self._run(
+            lambda: self._expect(self._walk([({self._table.pack_mono(target): 1}, 1)])))
         self_coeff = linear.pop(target, Fraction(0))
         ordered = tuple(sorted(linear.items(), key=lambda kv: kv[0], reverse=True))
         return MomentRecurrence(target, self_coeff, ordered, constant)
@@ -500,8 +614,9 @@ class MomentEngine:
         conditional, a distribution's next state, the pair targets of a
         check after their single ones) rebuilds none of their messages
         below the bucket where a new factor joins."""
-        body = self.substitute_body(*(self._reduce(f) for f in factors))
-        linear, constant = self.expectation(body)
+        table = self._table
+        linear, constant = self._run(lambda: self._expect(self._walk(
+            [self._reduce(table.pack(f)) for f in factors])))
         if linear:
             left = ", ".join(f"E[{m}]" for m in sorted(linear, reverse=True))
             raise InternalCheckError(
@@ -514,7 +629,13 @@ class MomentEngine:
         """E[poly] as a function of n: the monomials of the reduced
         polynomial closed by `compute_mbis` (every solution
         back-substituted), combined, with their assumptions merged."""
-        reduced = self._reduce(poly)
+        supports = self.supports
+        high = {s for mono in poly.terms for s, e in mono.powers if e >= supports.get(s, e + 1)}
+        reduced = poly
+        if high:
+            for var, size in supports.items():
+                if var in high:
+                    reduced = reduce_finite_support(reduced, var, size)
         const = reduced.coeff(Monomial.unit())
         terms = [(m, c) for m, c in reduced.terms.items() if not m.is_unit()]
         mbis = compute_mbis(self, [m for m, _ in terms])
@@ -525,6 +646,7 @@ class MomentEngine:
     def initial_moment(self, target: Monomial) -> Coeff:
         """E[target] at n = 0; initializers are mutually independent."""
         total = Fraction(1)
+        table = self._table
         for var, k in target.powers:
             key = (var, k)
             cached = self._init_moments.get(key)
@@ -535,18 +657,15 @@ class MomentEngine:
                         break
                 else:
                     raise ProgramError(f"variable {var} has no initializer")
-                _, cached = self.expectation(self._reduce(self._integrate(expr**k)))
+                _, cached = self._run(lambda: self._expect(self._reduce(self._integrate(
+                    packed.power(table.pack(expr), k, table)))))
                 self._init_moments[key] = cached
             total = total * cached
         return as_coeff(total)
 
 
-def _add_scaled(acc: dict, terms: dict, mono: Monomial, coeff: Fraction) -> None:
-    """acc += coeff * mono * (the polynomial of these terms), term by term."""
-    for m, c in terms.items():
-        m, c = mono * m, coeff * c
-        prev = acc.get(m)
-        acc[m] = c if prev is None else prev + c
+def _minus_rank(entry: tuple) -> int:
+    return -entry[5]
 
 
 def _close(

@@ -74,13 +74,23 @@ def _tokenize(source: str) -> list[Token]:
 
 
 def _number(text: str, line: int, col: int, kind=Fraction):
-    """kind(text) for a numeric literal.  A literal with more digits than
-    the interpreter converts to an int is a ParseError that names the
-    limit; the limit itself is left alone."""
+    """kind(text) for a numeric literal.  A value's integer literal (kind
+    Fraction) with more digits than the interpreter converts to an int at
+    once is built from chunks that it does convert, so a long number that
+    `pretty` printed parses back; any other literal past that limit (an
+    exponent, a support size, a decimal) is a ParseError that names the
+    limit.  The limit itself is left alone."""
     try:
         return kind(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
+        if kind is Fraction and text.isdigit():
+            step = min(limit, 4300)
+            value = 0
+            for start in range(0, len(text), step):
+                chunk = text[start:start + step]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return Fraction(value)
         raise ParseError(f"number has more than {limit} digits", line, col) from None
 
 

@@ -28,11 +28,16 @@ itself, so a result is exactly what the validating constructor would give,
 term for term and in the same order.  A monomial's hash is that of its
 power tuple, computed once when it is built.
 
-Every rewrite that replaces powers by polynomials and re-expands goes
-through one kernel, `Polynomial.map_powers`: substitution, support
-reduction, and the moment engine's body steps and draw moments.  Support
-reduction reads each power's residue from an integer table built once per
-support size.
+A rewrite of `Polynomial`s that replaces powers by polynomials and
+re-expands goes through `Polynomial.map_powers`: substitution and support
+reduction.  The moment engine does not work on `Polynomial`s: its body
+steps, draw moments and support reduction run on the packed form of
+`packed.py` (a monomial is one int, a polynomial integer numerators over
+one denominator), which converts to and from these classes where a walk
+begins and ends and keeps their term order.  Support reduction, of either
+form, reads each power's residue from an integer table built once per
+support size (`_support_residues`).  Monomials compare in graded
+lexicographic order by one merge walk over their power tuples.
 
 `clear_denominators` turns tables of probabilities into integer weights
 over one common factor (ints, or polynomials with integer coefficients),
@@ -44,14 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
 
-@total_ordering
 class Monomial:
     """A power product of symbols, e.g. x^2*y.
 
@@ -162,16 +166,16 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        da, db = self.degree(), other.degree()
-        if da != db:
-            return da < db
-        # Lex on the union of symbols in name order.
-        syms = sorted(self.symbols() | other.symbols())
-        for s in syms:
-            ea, eb = self.exponent(s), other.exponent(s)
-            if ea != eb:
-                return ea < eb
-        return False
+        return _order(self.powers, other.powers) < 0
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return _order(self.powers, other.powers) > 0
+
+    def __le__(self, other: "Monomial") -> bool:
+        return _order(self.powers, other.powers) <= 0
+
+    def __ge__(self, other: "Monomial") -> bool:
+        return _order(self.powers, other.powers) >= 0
 
     def __str__(self) -> str:
         if not self.powers:
@@ -186,6 +190,35 @@ class Monomial:
 # that build canonical objects directly.
 _set_powers = Monomial.powers.__set__
 _set_hash = Monomial._hash.__set__
+
+
+def _order(a: tuple, b: tuple) -> int:
+    """The sign of a - b in graded lexicographic order, for two sorted power
+    tuples: one merge walk sums both degrees and finds the first symbol,
+    in name order, whose exponents differ."""
+    i = j = da = db = lex = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (sa, ea), (sb, eb) = a[i], b[j]
+        if sa == sb:
+            da, db, i, j = da + ea, db + eb, i + 1, j + 1
+            if not lex and ea != eb:
+                lex = 1 if ea > eb else -1
+        elif sa < sb:  # b's exponent of sa is 0
+            da, i = da + ea, i + 1
+            lex = lex or 1
+        else:
+            db, j = db + eb, j + 1
+            lex = lex or -1
+    if i < na:
+        da += sum(e for _, e in a[i:])
+        lex = lex or 1
+    if j < nb:
+        db += sum(e for _, e in b[j:])
+        lex = lex or -1
+    if da != db:
+        return 1 if da > db else -1
+    return lex
 
 
 def _mono(powers: tuple) -> Monomial:

@@ -112,13 +112,13 @@ class TestNaiveBayes:
     @pytest.mark.parametrize("k", [20, 30, 40])
     def test_half_negative_evidence_stays_small(self, k, monkeypatch):
         sizes = []
-        original = MomentEngine.substitute_var
+        original = MomentEngine._step
 
         def counted(self, var, poly):
-            sizes.append(len(poly.terms))
+            sizes.append(len(poly[0]))  # the terms of the packed bucket product
             return original(self, var, poly)
 
-        monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+        monkeypatch.setattr(MomentEngine, "_step", counted)
         bn, a, b = naive_bayes(k)
         evidence = {f"F{j}": j % 2 for j in range(k)}
         got = conditional_moment(bn, "C", 1, evidence).value
@@ -168,30 +168,30 @@ class TestBundledAnswers:
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The number of `substitute_var` calls made so far: one per bucket
-    message built."""
+    """The number of `MomentEngine._step` calls made so far: one per
+    bucket message built."""
     count = [0]
-    original = MomentEngine.substitute_var
+    original = MomentEngine._step
 
     def counted(self, var, poly):
         count[0] += 1
         return original(self, var, poly)
 
-    monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+    monkeypatch.setattr(MomentEngine, "_step", counted)
     return count
 
 
 @pytest.fixture
 def step_vars(monkeypatch):
-    """The variable of every `substitute_var` call made so far."""
+    """The variable of every `MomentEngine._step` call made so far."""
     names = []
-    original = MomentEngine.substitute_var
+    original = MomentEngine._step
 
     def counted(self, var, poly):
         names.append(var)
         return original(self, var, poly)
 
-    monkeypatch.setattr(MomentEngine, "substitute_var", counted)
+    monkeypatch.setattr(MomentEngine, "_step", counted)
     return names
 
 

@@ -635,14 +635,14 @@ class TestDrawIntegration:
     def test_coupled_network_body_stays_small(self, monkeypatch):
         t0 = time.monotonic()
         sizes = []
-        original = MomentEngine.substitute_body
+        original = MomentEngine._walk
 
-        def counted(self, poly):
-            out = original(self, poly)
-            sizes.append(len(out.terms))
+        def counted(self, factors):
+            out = original(self, factors)
+            sizes.append(len(out[0]))  # the terms of the packed body
             return out
 
-        monkeypatch.setattr(MomentEngine, "substitute_body", counted)
+        monkeypatch.setattr(MomentEngine, "_walk", counted)
         lines = differential_check(load_bn(coupled_doc(7)))
         assert len(lines) == 21 and all(line.ok for line in lines), [
             line.label for line in lines if not line.ok
@@ -713,13 +713,13 @@ class TestOneSubstitutionPath:
 class TestSupportReduction:
     def test_work_grows_linearly_with_chain_length(self, monkeypatch):
         calls = [0]
-        original = Polynomial.degree_in
+        original = MomentEngine._reduce
 
-        def counted(self, sym):
+        def counted(self, poly):
             calls[0] += 1
-            return original(self, sym)
+            return original(self, poly)
 
-        monkeypatch.setattr(Polynomial, "degree_in", counted)
+        monkeypatch.setattr(MomentEngine, "_reduce", counted)
         counts = {}
         for n in (40, 80):
             bn = load_bn(chain_doc(n))

@@ -17,10 +17,12 @@ from psolve.symbolic import (
     exact_div,
     reduce_finite_support,
 )
+from psolve import packed
 from psolve.bayesnet import load_bn_path
-from psolve.encode import compile_bn, compile_dynbn
-from psolve.moments import MomentEngine
-from psolve.parser import parse_poly, parse_ratfun
+from psolve.encode import compile_bn, compile_dynbn, evidence_indicator
+from psolve.moments import MomentEngine, compute_mbis
+from psolve.packed import Overflow, SymbolTable
+from psolve.parser import parse_poly, parse_program, parse_ratfun
 
 x = Polynomial.var("x")
 y = Polynomial.var("y")
@@ -433,6 +435,28 @@ def test_fast_monomial_ops_match_validating_constructor(ma, mb, sym, k):
     assert ma**0 == Monomial.unit()
 
 
+def _old_lt(a: Monomial, b: Monomial) -> bool:
+    """Graded lex as it was first written: total degree, then the exponents
+    over the union of the symbols in name order."""
+    da, db = a.degree(), b.degree()
+    if da != db:
+        return da < db
+    for s in sorted(a.symbols() | b.symbols()):
+        if a.exponent(s) != b.exponent(s):
+            return a.exponent(s) < b.exponent(s)
+    return False
+
+
+@given(monomials, monomials)
+@settings(max_examples=300, deadline=None)
+def test_merge_walk_order_matches_graded_lex(ma, mb):
+    assert (ma < mb) == _old_lt(ma, mb)
+    assert (ma > mb) == _old_lt(mb, ma)
+    assert (ma <= mb) == (not _old_lt(mb, ma))
+    assert (ma >= mb) == (not _old_lt(ma, mb))
+    assert ((ma < mb) + (ma > mb) + (ma == mb)) == 1
+
+
 @given(monomials)
 @settings(max_examples=60, deadline=None)
 def test_equal_monomials_hash_equal(m):
@@ -516,7 +540,81 @@ def test_substitute_var_matches_substitute_then_reduce(step):
     for br in prog.update_for(var).branches:
         draws = {s: prog.draws[s].moment(1).num for s in br.expr.symbols() if s in prog.draws}
         mean = mean + br.prob.num * br.expr.substitute(draws)
-    want = engine._reduce(poly.substitute({var: mean}))
-    got = engine.substitute_var(var, poly)
-    assert got == want
-    assert all(type(c) is F and c != 0 for c in got.terms.values())
+    want = poly.substitute({var: mean})
+    for v, size in prog.supports.items():
+        want = reduce_finite_support(want, v, size)
+    table = engine._table
+    got = engine._step(var, table.pack(poly))
+    assert table.unpack(got) == want
+    assert all(type(n) is int and n != 0 for n in got[0].values())
+
+
+# -- packed polynomials --------------------------------------------------------
+
+# program variables, a symbolic draw, a branch coin and parameters
+PACKED_SYMBOLS = ("x", "y", "$0", "$y#1", "a", "b")
+
+
+def _items(poly: Polynomial) -> list:
+    return list(poly.terms.items())
+
+
+@given(polynomials(PACKED_SYMBOLS), polynomials(PACKED_SYMBOLS), polynomials(PACKED_SYMBOLS),
+       st.sampled_from(PACKED_SYMBOLS), st.integers(1, 3), st.permutations(PACKED_SYMBOLS))
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_matches_polynomials(a, b, image, sym, size, order):
+    # The packed forms give the Polynomial results term for term, in the
+    # same order, whatever order the table met the symbols in.
+    table = SymbolTable(8)
+    for s in order:
+        table.add(s)
+    pa, pb = table.pack(a), table.pack(b)
+    assert _items(table.unpack(pa)) == _items(a)
+    assert all(type(n) is int and n for n in pa[0].values())
+    assert _items(table.unpack(packed.mul(pa, pb, table))) == _items(a * b)
+    assert _items(table.unpack(packed.add(pa, pb))) == _items(a + b)
+    shift, pimg = table.add(sym), table.pack(image)
+    step = packed.expand(
+        pa, table.top << shift, lambda part: (0, packed.power(pimg, part >> shift, table)), table)
+    assert _items(table.unpack(step)) == _items(a.substitute({sym: image}))
+    reduced = packed.expand(pa, table.top << shift, packed.residues(size, shift), table)
+    assert _items(table.unpack(reduced)) == _items(reduce_finite_support(a, sym, size))
+    assert table.intern(*packed.mul(pa, pb, table)) == table.intern(*table.pack(a * b))
+
+
+def test_packed_guard_bits_catch_overflow():
+    # 3-bit fields hold exponents up to 3: a product or a packed power that
+    # reaches the guard bit raises instead of carrying into the next field
+    table = SymbolTable(3)
+    x3y = table.pack(x**3 * y)
+    with pytest.raises(Overflow):
+        packed.mul(x3y, table.pack(x), table)
+    with pytest.raises(Overflow):
+        table.pack(y**4)
+    with pytest.raises(Overflow):  # y -> x in x^3*y
+        packed.expand(x3y, table.top << table.add("y"), lambda part: (0, table.pack(x)), table)
+    assert table.unpack(packed.mul(x3y, table.pack(y**2), table)) == x**3 * y**3
+    table.widen()
+    assert table.bits == 6
+    assert table.unpack(packed.mul(table.pack(x**3 * y), table.pack(x), table)) == x**4 * y
+
+
+def test_narrow_engine_widens_to_the_same_answers():
+    # an engine whose fields start too narrow for its walks widens its
+    # symbol table and starts the walk over; its answers are the wide ones
+    prog = parse_program(
+        "x := 0; y := 1; while true { x := x + bern(1/2); y := 1/2*y + x*uniform(0, 1); }")
+    goal = Monomial.of("y", 4)
+    narrow, wide = MomentEngine(prog, _bits=2), MomentEngine(prog)
+    got, want = compute_mbis(narrow, [goal]), compute_mbis(wide, [goal])
+    assert {m: str(mbi.closed) for m, mbi in got.items()} == {
+        m: str(mbi.closed) for m, mbi in want.items()}
+    assert narrow._table.bits > 2
+    alarm = load_bn_path(Path(__file__).resolve().parent.parent / "data" / "alarm_sens.json")
+    prog = compile_bn(alarm)
+    narrow, wide = MomentEngine(prog, _bits=2), MomentEngine(prog)
+    for evidence in ({"A": 1}, {"J": 1, "M": 0}):
+        ind = evidence_indicator(alarm, evidence)
+        for factors in ([ind], [Polynomial.var("B"), ind], [Polynomial.var("B") ** 2 * ind]):
+            assert str(narrow.one_pass(*factors)) == str(wide.one_pass(*factors))
+    assert narrow._table.bits > 2
