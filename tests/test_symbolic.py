@@ -19,7 +19,7 @@ from psolve.symbolic import (
 )
 from psolve import packed
 from psolve.bayesnet import load_bn_path
-from psolve.encode import compile_bn, compile_dynbn, evidence_indicator
+from psolve.encode import compile_bn, compile_dynbn, compile_sampling_monitor, evidence_indicator
 from psolve.moments import MomentEngine, compute_mbis
 from psolve.packed import Overflow, SymbolTable
 from psolve.parser import parse_poly, parse_program, parse_ratfun
@@ -618,3 +618,14 @@ def test_narrow_engine_widens_to_the_same_answers():
         for factors in ([ind], [Polynomial.var("B"), ind], [Polynomial.var("B") ** 2 * ind]):
             assert str(narrow.one_pass(*factors)) == str(wide.one_pass(*factors))
     assert narrow._table.bits > 2
+    # a sampling monitor's engine layered on a narrow base widens the
+    # table they share, and both lay out their fields again
+    monitor = compile_sampling_monitor(alarm, {"J": 1, "M": 0})
+    base = MomentEngine(alarm.engine.prog, _bits=2)
+    layered, alone = MomentEngine(monitor.program, base), MomentEngine(monitor.program)
+    flags = [Polynomial.var(flag) for flag in monitor.evidence_vars]
+    count = Monomial.of(monitor.count_var)
+    assert str(layered.one_pass(*flags)) == str(alone.one_pass(*flags))
+    assert (str(compute_mbis(layered, [count])[count].closed)
+            == str(compute_mbis(alone, [count])[count].closed))
+    assert base._bits == layered._bits == base._table.bits > 2
