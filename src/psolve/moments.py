@@ -488,15 +488,17 @@ class MomentEngine:
         table = self._table
         terms, den = packed.normal(self._step(var, poly))
         syms = packed.symbols(terms)
-        split = (self._split(var, terms, den, syms)
+        ahead = syms & self._below(var)  # the variables still to eliminate
+        split = (self._split(terms, den, ahead)
                  if len(terms) == 1 or (syms >> self._shift[var]) & table.top else None)
         pid = table.next_id() if self.base is None else table.intern(terms, den)
-        return terms, den, syms, pid, split, self._last(syms & self._below(var))
+        return terms, den, syms, pid, split, self._last(ahead)
 
-    def _split(self, var: str, terms: dict, den: int, syms: int):
-        """How var's message goes on when it is the only factor left:
-        (aside terms, den, scale, numerator, factors), or None when it does
-        not split.
+    def _split(self, terms: dict, den: int, ahead: int):
+        """How a message (terms over den) goes on when it is the only
+        factor left: (aside terms, den, scale, numerator, factors), or None
+        when it does not split.  ahead holds the fields of the variables
+        still to eliminate that occur in it.
 
         A message with exactly one term that mentions a variable still to
         eliminate splits.  That term goes on as numerator/den * scale times
@@ -511,7 +513,6 @@ class MomentEngine:
         message.  This is what turns the sampling monitor's
         `continue*(1 - ev)` into the lone factor ev.
         """
-        ahead = syms & self._below(var)
         if not ahead:
             return None
         live = None
