@@ -10,6 +10,15 @@ All probabilities and coefficients are exact: JSON carries them as strings
 (or integers), parsed into rationals or parameter expressions.  Binary
 floats are rejected at load time so no value is silently approximated.
 
+`load_bn` reads every node entry on its own first, then builds each node
+once against all of them: a row's parent assignment needs its parents'
+states, and a parent may be declared after its child.  Each CPT row is
+checked as it is resolved, its constant probabilities added as integers
+over the lcm of their denominators (`symbolic.sums_to_one`, the rule
+program validation uses), so a numeric network loads without Fraction
+arithmetic.  `bind` rebuilds and checks again only the nodes whose model
+mentions a bound parameter.
+
 A dynamic network reuses the same node table as a repeating time slice.  A
 node may additionally read its own previous-slice value, which appears as
 the node's own name in its parent list and must be declared under
@@ -36,16 +45,20 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import (
-    Coeff, Param, Polynomial, RationalFunction, RF_ONE, _number_str, _rf_const, as_coeff, coeff_str,
+    Param, Polynomial, RationalFunction, RF_ONE, _number_str, _rf_const, as_coeff, coeff_str,
+    sums_to_one,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A JSON object: any Mapping, with dict named first, since testing a dict
+# against the Mapping ABC alone runs Python code.
+_OBJECT = (dict, Mapping)
 # A state an error echoes is cut to this many characters.
 _ECHO_CHARS = 40
 
@@ -147,32 +160,34 @@ class Node:
     @property
     def parents(self) -> tuple[str, ...]:
         m = self.model
-        if isinstance(m, (CPT, Deterministic, LinearGaussian)):
-            return m.parents
-        return m.parents + m.continuous_parents
+        return m.parents + m.continuous_parents if isinstance(m, CLG) else m.parents
 
     def state_index(self, value: Union[int, str]) -> int:
         """Map a state name or index to its integer encoding."""
         if self.states is None:
             raise SchemaError(f"node {self.name} is continuous, not discrete")
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise SchemaError(f"bad state {value!r} for node {self.name}")
-        if isinstance(value, str):
-            if value in self.states:
-                return self.states.index(value)
-            if value.isdecimal():
-                try:
-                    index = int(value)
-                except ValueError:  # more digits than int() converts: no state
-                    index = len(self.states)
-                if index < len(self.states):
-                    return index
-            raise SchemaError(f"unknown state {_echo(value)!r} of node {self.name}")
-        if not 0 <= value < len(self.states):
-            raise SchemaError(
-                f"state {_echo(_number_str(value))} out of range for node {self.name}"
-            )
+        return _state_index(self.name, self.states, value)
+
+
+def _state_index(name: str, states: tuple[str, ...], value: Union[int, str]) -> int:
+    if type(value) is int and 0 <= value < len(states):
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"bad state {value!r} for node {name}")
+    if isinstance(value, str):
+        if value in states:
+            return states.index(value)
+        if value.isdecimal():
+            try:
+                index = int(value)
+            except ValueError:  # more digits than int() converts: no state
+                index = len(states)
+            if index < len(states):
+                return index
+        raise SchemaError(f"unknown state {_echo(value)!r} of node {name}")
+    if not 0 <= value < len(states):
+        raise SchemaError(f"state {_echo(_number_str(value))} out of range for node {name}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -304,18 +319,34 @@ def bind(net: Union[BayesNet, DynBayesNet], values: Mapping[str, Fraction]):
     """The network with the given parameters replaced by numbers, the
     others left symbolic.  Names that are not parameters, values outside a
     declared domain, and values that make a denominator vanish or a
-    probability leave [0, 1] are InputErrors naming every binding."""
+    probability leave [0, 1] are InputErrors naming every binding.
+
+    Only the nodes whose model mentions a bound parameter are rebuilt and
+    checked again; every other node is carried over as it is."""
     if not values:
         return net
     bn = net.net if isinstance(net, DynBayesNet) else net
-    temporal = net.temporal if isinstance(net, DynBayesNet) else ()
     sub = check_binding(bn.params, values)
+    states_of = {nd.name: nd.states for nd in bn.nodes}
     try:
-        nodes = tuple(replace(nd, model=_bind_model(nd.model, sub)) for nd in bn.nodes)
-        by_name = {nd.name: nd for nd in nodes}
-        nodes = tuple(_resolve_node(nd, by_name, temporal) for nd in nodes)
+        bound = {
+            nd.name: _bind_model(nd.model, sub)
+            for nd in bn.nodes if not _model_symbols(nd.model).isdisjoint(sub)
+        }
+        for name, m in bound.items():
+            if isinstance(m, CPT):
+                where = f"node {name}"
+                outside = functools.partial(_outside, where)
+                for given, vec in m.rows:
+                    if not sums_to_one(vec, outside):
+                        raise _sum_error(where, given, vec)
+            elif isinstance(m, Deterministic):
+                _check_det_range(name, len(states_of[name]), m, states_of)
     except (ZeroDivisionError, SchemaError) as exc:
         raise binding_error(values, exc) from exc
+    nodes = tuple(
+        Node(nd.name, nd.states, bound[nd.name]) if nd.name in bound else nd for nd in bn.nodes
+    )
     bn = replace(bn, params=tuple(p for p in bn.params if p.name not in sub), nodes=nodes)
     if not isinstance(net, DynBayesNet):
         return bn
@@ -324,15 +355,29 @@ def bind(net: Union[BayesNet, DynBayesNet], values: Mapping[str, Fraction]):
     return replace(net, net=bn, initial=initial, draws=draws)
 
 
+def _model_symbols(m: LocalModel) -> frozenset[str]:
+    """The symbols a local model's expressions mention: its parameters,
+    and a deterministic node's parents."""
+    if isinstance(m, CPT):
+        return frozenset().union(*(p.symbols() for _, vec in m.rows for p in vec))
+    if isinstance(m, Deterministic):
+        return m.expr.symbols()
+    if isinstance(m, LinearGaussian):
+        return frozenset().union(
+            m.intercept.symbols(), m.variance.symbols(), *(c.symbols() for _, c in m.coeffs)
+        )
+    return frozenset().union(*(_model_symbols(lg) for _, lg in m.table))
+
+
 def _bind_model(m: LocalModel, sub) -> LocalModel:
     if isinstance(m, CPT):
-        return replace(m, rows=tuple((g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows))
+        return CPT(m.parents, tuple((g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows))
     if isinstance(m, Deterministic):
-        return replace(m, expr=m.expr.substitute(sub))
+        return Deterministic(m.expr.substitute(sub), m.parents)
     if isinstance(m, LinearGaussian):
         coeffs = tuple((name, c.subs(sub)) for name, c in m.coeffs)
         return LinearGaussian(m.intercept.subs(sub), coeffs, m.variance.subs(sub))
-    return replace(m, table=tuple((g, _bind_model(lg, sub)) for g, lg in m.table))
+    return CLG(m.parents, tuple((g, _bind_model(lg, sub)) for g, lg in m.table))
 
 
 # -- JSON ingestion --------------------------------------------------------
@@ -374,7 +419,7 @@ def load_bn_path(path: Union[str, Path]) -> Union[BayesNet, DynBayesNet]:
 
 def load_bn(doc: Mapping) -> Union[BayesNet, DynBayesNet]:
     """Build and validate a network from a parsed JSON document."""
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, _OBJECT):
         raise SchemaError("top level must be a JSON object")
     kind = doc.get("type", "bn")
     if kind not in ("bn", "dynbn"):
@@ -396,14 +441,17 @@ def load_bn(doc: Mapping) -> Union[BayesNet, DynBayesNet]:
     if kind == "dynbn":
         temporal = _load_inter_edges(doc.get("inter_edges", {}))
 
-    # Only string names can be parents; the others fail in _load_node.
-    node_names = {
-        e["name"] for e in raw_nodes if isinstance(e, Mapping) and isinstance(e.get("name"), str)
-    }
-    nodes = tuple(_load_node(e, node_names, param_names) for e in raw_nodes)
-    _check_names(nodes, param_names)
-    by_name = {nd.name: nd for nd in nodes}
-    nodes = tuple(_resolve_node(nd, by_name, temporal) for nd in nodes)
+    # Only string names can be parents; the others fail in _load_entry.
+    names = (e.get("name") for e in raw_nodes if isinstance(e, _OBJECT))
+    node_names = {name for name in names if isinstance(name, str)}
+    # Every entry is read before any node is built: a row's parent
+    # assignment needs its parents' states, and a parent may be declared
+    # after its child.
+    entries = [_load_entry(e, node_names, param_names) for e in raw_nodes]
+    states_of = {name: states for name, states, _ in entries}
+    if len(states_of) < len(entries) or not states_of.keys().isdisjoint(param_names):
+        _check_names(entries, param_names)
+    nodes = tuple(_build_node(*entry, states_of, temporal) for entry in entries)
     order = _topo_order(nodes, temporal)
     net = BayesNet(params=params, nodes=nodes, order=order)
 
@@ -428,7 +476,7 @@ def _load_params(raw) -> tuple[Param, ...]:
     for entry in raw:
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, Mapping) or "name" not in entry:
+        if not isinstance(entry, _OBJECT) or "name" not in entry:
             raise SchemaError(f"bad parameter entry {entry!r}")
         name = entry["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name) or name in RESERVED:
@@ -449,7 +497,7 @@ def _load_params(raw) -> tuple[Param, ...]:
 
 
 def _load_inter_edges(raw) -> tuple[str, ...]:
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, _OBJECT):
         raise SchemaError('"inter_edges" must be an object')
     temporal: list[str] = []
     for name, parents in raw.items():
@@ -466,63 +514,79 @@ def _load_inter_edges(raw) -> tuple[str, ...]:
     return tuple(temporal)
 
 
-def _load_node(entry, node_names, param_names) -> Node:
-    if not isinstance(entry, Mapping) or "name" not in entry:
+_NODE_KEYS = frozenset({"name", "states", "model", "comment"})
+_CPT_KEYS = frozenset({"kind", "parents", "rows", "p", "comment"})
+_ROW_KEYS = frozenset({"given", "p", "comment"})
+_DET_KEYS = frozenset({"kind", "expr", "comment"})
+_GAUSS_KEYS = frozenset({"kind", "intercept", "coeffs", "variance", "comment"})
+_CLG_KEYS = frozenset({"kind", "parents", "table", "comment"})
+
+
+class _Rows(NamedTuple):
+    """A CPT's or CLG's rows as the file lists them: each 'given' still
+    holds state names or indices, which `_build_node` resolves."""
+
+    kind: type  # CPT or CLG
+    parents: tuple[str, ...]
+    rows: list  # (given, probability vector or LinearGaussian)
+
+
+# A node entry read on its own: its name, states and local model, whose
+# rows `_build_node` resolves against the other entries' states.
+_Entry = tuple[str, Optional[tuple[str, ...]], Union[_Rows, Deterministic, LinearGaussian]]
+
+
+def _load_entry(entry, node_names, param_names) -> _Entry:
+    if not isinstance(entry, _OBJECT) or "name" not in entry:
         raise SchemaError(f"bad node entry {entry!r}")
     name = entry["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name) or name in RESERVED:
         raise SchemaError(f"bad node name {name!r}")
     where = f"node {name}"
-    extra = set(entry) - {"name", "states", "model", "comment"}
-    if extra:
-        raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
+    if not entry.keys() <= _NODE_KEYS:
+        raise SchemaError(f"{where}: unknown keys {sorted(set(entry) - _NODE_KEYS)}")
     model = entry.get("model")
-    if not isinstance(model, Mapping) or "kind" not in model:
+    if not isinstance(model, _OBJECT) or "kind" not in model:
         raise SchemaError(f'{where}: "model" must be an object with a "kind"')
     kind = model["kind"]
-
-    states: Optional[tuple[str, ...]] = None
-    if "states" in entry:
-        raw_states = entry["states"]
-        if (
-            not isinstance(raw_states, list)
-            or len(raw_states) < 2
-            or not all(isinstance(s, str) for s in raw_states)
-            or len(set(raw_states)) != len(raw_states)
-        ):
-            raise SchemaError(f"{where}: states must be >= 2 distinct strings")
-        states = tuple(raw_states)
-
+    states = _load_states(entry["states"], where) if "states" in entry else None
     if kind == "cpt":
-        cpt = _load_cpt(model, name, node_names, param_names)
+        rows = _load_cpt(model, where, node_names, param_names)
+        width = len(rows.rows[0][1])
         if states is None:
-            states = tuple(str(i) for i in range(cpt.support))
-        elif len(states) != cpt.support:
+            states = tuple(map(str, range(width)))
+        elif len(states) != width:
             raise SchemaError(
-                f"{where}: {len(states)} states but probability vectors "
-                f"of length {cpt.support}"
+                f"{where}: {len(states)} states but probability vectors of length {width}"
             )
-        return Node(name, states, cpt)
+        return name, states, rows
     if kind == "det":
-        if states is None:
-            states = ("0", "1")
-        return Node(name, states, _load_det(model, name, node_names, param_names))
+        return name, states or ("0", "1"), _load_det(model, where, node_names, param_names)
     if kind == "lingauss":
         if states is not None:
             raise SchemaError(f"{where}: a Gaussian node has no states")
-        return Node(name, None, _load_lingauss(model, where, param_names))
+        return name, None, _load_lingauss(model, where, param_names)
     if kind == "clg":
         if states is not None:
             raise SchemaError(f"{where}: a Gaussian node has no states")
-        return Node(name, None, _load_clg(model, name, param_names))
+        return name, None, _load_clg(model, where, node_names, param_names)
     raise SchemaError(f"{where}: unknown model kind {kind!r}")
 
 
-def _load_cpt(model, name, node_names, param_names) -> CPT:
-    where = f"node {name}"
-    extra = set(model) - {"kind", "parents", "rows", "p", "comment"}
-    if extra:
-        raise SchemaError(f"{where}: unknown model keys {sorted(extra)}")
+def _load_states(raw, where) -> tuple[str, ...]:
+    if (
+        not isinstance(raw, list)
+        or len(raw) < 2
+        or not all(isinstance(s, str) for s in raw)
+        or len(set(raw)) != len(raw)
+    ):
+        raise SchemaError(f"{where}: states must be >= 2 distinct strings")
+    return tuple(raw)
+
+
+def _load_cpt(model, where, node_names, param_names) -> _Rows:
+    if not model.keys() <= _CPT_KEYS:
+        raise SchemaError(f"{where}: unknown model keys {sorted(set(model) - _CPT_KEYS)}")
     parents = _parent_list(model.get("parents", []), where, node_names)
     raw_rows = model.get("rows")
     if raw_rows is None:
@@ -533,32 +597,28 @@ def _load_cpt(model, name, node_names, param_names) -> CPT:
         raw_rows = [{"given": [], "p": model["p"]}]
     if not isinstance(raw_rows, list) or not raw_rows:
         raise SchemaError(f'{where}: "rows" must be a non-empty list')
+    read = functools.partial(_ratfun, param_names=param_names, where=f"{where} probability")
     rows = []
     for row in raw_rows:
-        if not isinstance(row, Mapping) or set(row) - {"given", "p", "comment"}:
+        if not isinstance(row, _OBJECT) or not row.keys() <= _ROW_KEYS:
             raise SchemaError(f"{where}: each row is {{'given': [...], 'p': [...]}}")
-        given = row.get("given", [])
+        given, vec = row.get("given", []), row.get("p")
         if not isinstance(given, list) or len(given) != len(parents):
             raise SchemaError(
                 f"{where}: row 'given' must list one value per parent {list(parents)}"
             )
-        vec = row.get("p")
         if not isinstance(vec, list) or len(vec) < 2:
             raise SchemaError(f"{where}: row 'p' must list >= 2 probabilities")
-        probs = tuple(_ratfun(v, param_names, f"{where} probability") for v in vec)
-        rows.append((tuple(given), probs))  # state names resolved later
+        rows.append((given, tuple(map(read, vec))))
     width = len(rows[0][1])
-    for _, vec in rows:
-        if len(vec) != width:
-            raise SchemaError(f"{where}: probability vectors differ in length")
-    return CPT(parents=parents, rows=tuple(rows))
+    if any(len(vec) != width for _, vec in rows):
+        raise SchemaError(f"{where}: probability vectors differ in length")
+    return _Rows(CPT, parents, rows)
 
 
-def _load_det(model, name, node_names, param_names) -> Deterministic:
-    where = f"node {name}"
-    extra = set(model) - {"kind", "expr", "comment"}
-    if extra:
-        raise SchemaError(f"{where}: unknown model keys {sorted(extra)}")
+def _load_det(model, where, node_names, param_names) -> Deterministic:
+    if not model.keys() <= _DET_KEYS:
+        raise SchemaError(f"{where}: unknown model keys {sorted(set(model) - _DET_KEYS)}")
     raw = model.get("expr")
     if not isinstance(raw, str):
         raise SchemaError(f'{where}: det needs an "expr" string')
@@ -571,15 +631,14 @@ def _load_det(model, name, node_names, param_names) -> Deterministic:
 
 
 def _load_lingauss(model, where, param_names) -> LinearGaussian:
-    extra = set(model) - {"kind", "intercept", "coeffs", "variance", "comment"}
-    if extra:
-        raise SchemaError(f"{where}: unknown model keys {sorted(extra)}")
+    if not model.keys() <= _GAUSS_KEYS:
+        raise SchemaError(f"{where}: unknown model keys {sorted(set(model) - _GAUSS_KEYS)}")
     if "variance" not in model:
         raise SchemaError(f"{where}: a Gaussian needs a variance")
     intercept = _ratfun(model.get("intercept", 0), param_names, f"{where} intercept")
     variance = _ratfun(model["variance"], param_names, f"{where} variance")
     raw_coeffs = model.get("coeffs", {})
-    if not isinstance(raw_coeffs, Mapping):
+    if not isinstance(raw_coeffs, _OBJECT):
         raise SchemaError(f'{where}: "coeffs" must map parent -> coefficient')
     coeffs = tuple(
         (parent, _ratfun(value, param_names, f"{where} coefficient of {parent}"))
@@ -590,20 +649,19 @@ def _load_lingauss(model, where, param_names) -> LinearGaussian:
     return LinearGaussian(intercept=intercept, coeffs=coeffs, variance=variance)
 
 
-def _load_clg(model, name, param_names) -> CLG:
-    where = f"node {name}"
-    extra = set(model) - {"kind", "parents", "table", "comment"}
-    if extra:
-        raise SchemaError(f"{where}: unknown model keys {sorted(extra)}")
+def _load_clg(model, where, node_names, param_names) -> _Rows:
+    if not model.keys() <= _CLG_KEYS:
+        raise SchemaError(f"{where}: unknown model keys {sorted(set(model) - _CLG_KEYS)}")
     parents = model.get("parents")
     if not isinstance(parents, list) or not parents:
         raise SchemaError(f"{where}: clg needs discrete parents")
+    parents = _parent_list(parents, where, node_names)
     raw_table = model.get("table")
     if not isinstance(raw_table, list) or not raw_table:
         raise SchemaError(f'{where}: clg needs a "table" list')
     table = []
     for row in raw_table:
-        if not isinstance(row, Mapping) or "given" not in row:
+        if not isinstance(row, _OBJECT) or "given" not in row:
             raise SchemaError(f"{where}: each table row needs a 'given' assignment")
         given = row["given"]
         if not isinstance(given, list) or len(given) != len(parents):
@@ -612,23 +670,23 @@ def _load_clg(model, name, param_names) -> CLG:
             )
         lg_doc = {k: v for k, v in row.items() if k != "given"}
         lg_doc["kind"] = "lingauss"
-        table.append((tuple(given), _load_lingauss(lg_doc, where, param_names)))
-    return CLG(parents=tuple(parents), table=tuple(table))
+        table.append((given, _load_lingauss(lg_doc, where, param_names)))
+    return _Rows(CLG, parents, table)
 
 
 def _parent_list(raw, where, node_names) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
+    if not isinstance(raw, list) or not all(map(isinstance, raw, itertools.repeat(str))):
         raise SchemaError(f'{where}: "parents" must be a list of node names')
-    for p in raw:
-        if p not in node_names:
-            raise SchemaError(f"{where}: unknown parent {p!r}")
+    if not node_names.issuperset(raw):
+        unknown = next(p for p in raw if p not in node_names)
+        raise SchemaError(f"{where}: unknown parent {unknown!r}")
     if len(set(raw)) != len(raw):
         raise SchemaError(f"{where}: duplicate parent")
     return tuple(raw)
 
 
 def _load_initial(raw, net: BayesNet, registry: DrawRegistry):
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, _OBJECT):
         raise SchemaError('"initial" must map node -> expression')
     initial: list[tuple[str, Polynomial]] = []
     for name, value in raw.items():
@@ -656,154 +714,130 @@ def _load_initial(raw, net: BayesNet, registry: DrawRegistry):
 # -- validation ------------------------------------------------------------
 
 
-def _check_names(nodes: tuple[Node, ...], param_names) -> None:
+def _check_names(entries: list[_Entry], param_names) -> None:
+    """Raises on the first entry whose name an earlier entry or a parameter
+    already has."""
     seen: set[str] = set()
-    for nd in nodes:
-        if nd.name in seen:
-            raise SchemaError(f"node {nd.name} declared twice")
-        if nd.name in param_names:
-            raise SchemaError(f"{nd.name} names both a node and a parameter")
-        seen.add(nd.name)
+    for name, _, _ in entries:
+        if name in seen:
+            raise SchemaError(f"node {name} declared twice")
+        if name in param_names:
+            raise SchemaError(f"{name} names both a node and a parameter")
+        seen.add(name)
 
 
-def _resolve_node(nd: Node, by_name: Mapping[str, Node], temporal) -> Node:
-    """Check one node against the full table, given by name; returns the
-    node with state names in assignments replaced by integer indices."""
-    where = f"node {nd.name}"
-    for parent in nd.parents:
-        if parent == nd.name and nd.name not in temporal:
-            raise SchemaError(f"{where}: depends on itself (missing inter edge?)")
-
-    def known(name: str) -> Node:
-        p = by_name.get(name)
-        if p is None:
-            raise SchemaError(f"{where}: unknown parent {name!r}")
-        return p
-
-    def discrete_parent(name: str) -> Node:
-        p = known(name)
-        if not p.is_discrete:
-            raise SchemaError(
-                f"{where}: continuous node {name} cannot parent a discrete "
-                "dependency"
-            )
-        return p
-
-    m = nd.model
-    if isinstance(m, CPT):
-        shape = [discrete_parent(p).support for p in m.parents]
-        resolved = _resolve_assignments(
-            [given for given, _ in m.rows], m.parents, by_name, where
-        )
-        if len(resolved) != math.prod(shape):
-            raise SchemaError(
-                f"{where}: {len(resolved)} rows but {math.prod(shape)} "
-                "parent assignments"
-            )
-        for (_, vec), given in zip(m.rows, resolved):
-            total: Coeff = Fraction(0)
-            for entry in vec:
-                c = as_coeff(entry)
-                if type(c) is Fraction and not 0 <= c <= 1:
-                    raise SchemaError(
-                        f"{where}: probability {_number_str(c)} outside [0, 1]"
-                    )
-                total = total + c
-            if total != 1:
-                raise SchemaError(
-                    f"{where}: probabilities for {list(given)} sum to {coeff_str(total)}"
-                )
-        rows = tuple((idx, vec) for idx, (_, vec) in zip(resolved, m.rows))
-        return replace(nd, model=replace(m, rows=rows))
-    if isinstance(m, Deterministic):
-        for p in m.parents:
-            discrete_parent(p)
-        _check_det_range(nd, m, by_name)
-        return nd
-    if isinstance(m, LinearGaussian):
-        for p in m.parents:
-            if known(p).is_discrete:
+def _build_node(name, states, model, states_of: Mapping, temporal) -> Node:
+    """The node of one entry, checked against every node's states
+    (`states_of`, by name; None for a continuous node).  A CPT's or CLG's
+    rows get their parent assignments as integer state indices."""
+    where = f"node {name}"
+    kind = model.kind if type(model) is _Rows else type(model)
+    parents = model.parents
+    if kind is CLG:
+        parents += tuple(dict.fromkeys(p for _, lg in model.rows for p in lg.parents))
+    if name in parents and name not in temporal:
+        raise SchemaError(f"{where}: depends on itself (missing inter edge?)")
+    if kind is LinearGaussian:
+        for p in parents:
+            if _parent_states(where, states_of, p) is not None:
                 raise SchemaError(
                     f"{where}: discrete parent {p} in a plain Gaussian mean; "
                     "use a clg model instead"
                 )
-        return nd
-    shape = [discrete_parent(p).support for p in m.parents]
-    resolved = _resolve_assignments(
-        [given for given, _ in m.table], m.parents, by_name, where
-    )
-    if len(resolved) != math.prod(shape):
-        raise SchemaError(
-            f"{where}: {len(resolved)} table rows but {math.prod(shape)} assignments"
-        )
-    for _, lg in m.table:
+        return Node(name, states, model)
+    tables = list(map(states_of.get, model.parents))
+    if None in tables:  # an unknown or a continuous parent
+        for p in model.parents:
+            if _parent_states(where, states_of, p) is None:
+                raise SchemaError(
+                    f"{where}: continuous node {p} cannot parent a discrete dependency"
+                )
+    if kind is Deterministic:
+        _check_det_range(name, len(states), model, states_of)
+        return Node(name, states, model)
+    size = math.prod(map(len, tables))
+    outside = functools.partial(_outside, where)
+    # each row's parent assignment as state indices, and the row checked
+    rows = {}
+    for given, row in model.rows:
+        idx = tuple(map(_state_index, model.parents, tables, given))
+        if idx in rows:
+            raise SchemaError(f"{where}: duplicate row for assignment {list(given)}")
+        if kind is CPT and not sums_to_one(row, outside):
+            raise _sum_error(where, given, row)
+        rows[idx] = row
+    if kind is CPT:
+        if len(rows) != size:
+            raise SchemaError(f"{where}: {len(rows)} rows but {size} parent assignments")
+        return Node(name, states, CPT(model.parents, tuple(rows.items())))
+    if len(rows) != size:
+        raise SchemaError(f"{where}: {len(rows)} table rows but {size} assignments")
+    for lg in rows.values():
         for cp in lg.parents:
-            if known(cp).is_discrete:
+            if _parent_states(where, states_of, cp) is not None:
                 raise SchemaError(
                     f"{where}: discrete parent {cp} belongs in the clg "
                     "'parents' list, not in coefficients"
                 )
-    table = tuple((idx, lg) for idx, (_, lg) in zip(resolved, m.table))
-    return replace(nd, model=replace(m, table=table))
+    return Node(name, states, CLG(model.parents, tuple(rows.items())))
 
 
-def _resolve_assignments(rows, parents, by_name, where) -> list[Assignment]:
-    resolved: list[Assignment] = []
-    seen: set[Assignment] = set()
-    for given in rows:
-        idx = tuple(by_name[p].state_index(v) for p, v in zip(parents, given))
-        if idx in seen:
-            raise SchemaError(f"{where}: duplicate row for assignment {list(given)}")
-        seen.add(idx)
-        resolved.append(idx)
-    return resolved
+def _parent_states(where: str, states_of: Mapping, parent: str) -> Optional[tuple[str, ...]]:
+    if parent not in states_of:
+        raise SchemaError(f"{where}: unknown parent {parent!r}")
+    return states_of[parent]
 
 
-def _check_det_range(nd: Node, m: Deterministic, by_name) -> None:
-    if any(s not in by_name for s in m.expr.symbols()):
+def _outside(where: str, value: Fraction) -> SchemaError:
+    """The error for a CPT probability outside [0, 1]."""
+    return SchemaError(f"{where}: probability {_number_str(value)} outside [0, 1]")
+
+
+def _sum_error(where: str, given, vec: tuple[RationalFunction, ...]) -> SchemaError:
+    """The error for a CPT row whose probabilities do not sum to 1; `given`
+    is the row's parent assignment as the error shows it."""
+    total = sum(map(as_coeff, vec), Fraction(0))
+    return SchemaError(f"{where}: probabilities for {list(given)} sum to {coeff_str(total)}")
+
+
+def _check_det_range(name: str, support: int, m: Deterministic, states_of: Mapping) -> None:
+    if any(s not in states_of for s in m.expr.symbols()):
         return  # parameters present; the range is the user's promise
-    shape = [by_name[p].support for p in m.parents]
+    shape = [len(states_of[p]) for p in m.parents]
     if math.prod(shape) > 4096:
         return
     for assignment in itertools.product(*map(range, shape)):
         value = m.expr.eval(dict(zip(m.parents, map(Fraction, assignment))))
-        if value.denominator != 1 or not 0 <= value < nd.support:
+        if value.denominator != 1 or not 0 <= value < support:
             raise SchemaError(
-                f"node {nd.name}: expr evaluates to {value} at "
-                f"{dict(zip(m.parents, assignment))}, outside 0..{nd.support - 1}"
+                f"node {name}: expr evaluates to {value} at "
+                f"{dict(zip(m.parents, assignment))}, outside 0..{support - 1}"
             )
 
 
 def _topo_order(nodes: tuple[Node, ...], temporal) -> tuple[str, ...]:
-    """Kahn's algorithm by layers: a layer holds the nodes whose last
-    dependency was placed in the layer before, in declaration order."""
+    """Kahn's algorithm by layers: a node's layer is one past that of its
+    last dependency placed, and the order lists the layers in turn, each
+    in declaration order."""
     temporal = set(temporal)
-    deps = {
-        nd.name: set(nd.parents) - ({nd.name} if nd.name in temporal else set())
-        for nd in nodes
-    }
-    position = {name: i for i, name in enumerate(deps)}
+    deps = {nd.name: set(nd.parents) - ({nd.name} & temporal) for nd in nodes}
     missing = {name: len(parents) for name, parents in deps.items()}
     children: dict[str, list[str]] = {name: [] for name in deps}
     for name, parents in deps.items():
         for parent in parents:
             children[parent].append(name)
-    order: list[str] = []
-    layer = [name for name, count in missing.items() if not count]
-    while layer:
-        order.extend(layer)
-        ready = []
-        for name in layer:
-            for child in children[name]:
-                missing[child] -= 1
-                if not missing[child]:
-                    ready.append(child)
-        layer = sorted(ready, key=position.__getitem__)
-    if len(order) < len(deps):
-        placed = set(order)
-        pending = {name: parents for name, parents in deps.items() if name not in placed}
-        raise SchemaError("dependency cycle: " + " -> ".join(_find_cycle(pending, placed)))
-    return tuple(order)
+    placed = [name for name, count in missing.items() if not count]
+    layer = dict.fromkeys(placed, 0)
+    for name in placed:  # first in, first out: by layers, so a node's last
+        for child in children[name]:  # dependency placed is its deepest
+            missing[child] -= 1
+            if not missing[child]:
+                layer[child] = layer[name] + 1
+                placed.append(child)
+    if len(placed) < len(deps):
+        pending = {name: parents for name, parents in deps.items() if name not in layer}
+        raise SchemaError("dependency cycle: " + " -> ".join(_find_cycle(pending, set(layer))))
+    return tuple(sorted(deps, key=layer.__getitem__))
 
 
 def _find_cycle(pending: dict, placed: set) -> list[str]:
@@ -834,6 +868,11 @@ def _fraction(value, where) -> Fraction:
 
 
 def _ratfun(value, param_names, where) -> RationalFunction:
+    if isinstance(value, str):
+        try:
+            return parse_ratfun(value, param_names)
+        except ParseError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number, found a boolean")
     if isinstance(value, int):
@@ -843,9 +882,4 @@ def _ratfun(value, param_names, where) -> RationalFunction:
             f"{where}: {value!r} is a binary float; write it as a string "
             'like "0.95" so it stays exact'
         )
-    if isinstance(value, str):
-        try:
-            return parse_ratfun(value, param_names)
-        except ParseError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}: expected a value, found {type(value).__name__}")

@@ -39,8 +39,9 @@ _TOKEN_RE = re.compile(
 )
 
 # One number or a quotient of two, in the tokenizer's number syntax: most
-# probabilities in a network file, read without tokenizing.
-_QUOTIENT_RE = re.compile(r"\s*(\d+(?:\.\d+)?)\s*(?:/\s*(\d+(?:\.\d+)?)\s*)?\Z")
+# probabilities in a network file, read without tokenizing.  Groups 1 and 3
+# are the digits before a point, 2 and 4 those after it.
+_QUOTIENT_RE = re.compile(r"\s*(\d+)(?:\.(\d+))?\s*(?:/\s*(\d+)(?:\.(\d+))?\s*)?\Z")
 
 
 class Token(NamedTuple):
@@ -83,15 +84,33 @@ def _number(text: str, line: int, col: int, kind=Fraction):
     try:
         return kind(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
         if kind is Fraction and text.isdigit():
-            step = min(limit, 4300)
+            step = min(sys.get_int_max_str_digits(), 4300)
             value = 0
             for start in range(0, len(text), step):
                 chunk = text[start:start + step]
                 value = value * 10 ** len(chunk) + int(chunk)
             return Fraction(value)
-        raise ParseError(f"number has more than {limit} digits", line, col) from None
+        raise _too_long(line, col) from None
+
+
+def _too_long(line: int, col: int) -> ParseError:
+    return ParseError(f"number has more than {sys.get_int_max_str_digits()} digits", line, col)
+
+
+def _ratio(m: re.Match, group: int) -> tuple[int, int]:
+    """The literal in groups `group` (digits) and `group + 1` (digits after
+    the point) of a `_QUOTIENT_RE` match as an integer numerator and a power
+    of ten, read as `Fraction(str)` reads it, part by part: a part with
+    more digits than the interpreter converts is a ParseError."""
+    digits, decimals = m[group], m[group + 1]
+    try:
+        if decimals is None:
+            return int(digits), 1
+        scale = 10 ** len(decimals)
+        return int(digits) * scale + int(decimals), scale
+    except ValueError:
+        raise _too_long(1, m.start(group) + 1) from None
 
 
 class _Parser:
@@ -365,10 +384,13 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
     """Parse a parameter-only expression, e.g. a probability or coefficient."""
     m = _QUOTIENT_RE.match(text)
     if m:
-        # Integer literals make one Fraction(int, int); a decimal is
-        # Fraction(text).
-        num = _number(m[1], 1, m.start(1) + 1, Fraction if "." in m[1] else int)
-        den = _number(m[2], 1, m.start(2) + 1, Fraction if "." in m[2] else int) if m[2] else 1
+        # one Fraction(int, int) for a number or a quotient of two
+        a, a_dec, b, b_dec = m.groups("")  # the text is a.a_dec / b.b_dec
+        try:
+            num, den = int(a + a_dec) * 10 ** len(b_dec), int(b + b_dec or 1) * 10 ** len(a_dec)
+        except ValueError:  # past the digit limit together, perhaps not part by part
+            (num, scale), (den, den_scale) = _ratio(m, 1), _ratio(m, 3) if b else (1, 1)
+            num, den = num * den_scale, den * scale
         if den:  # a zero divisor goes on to the parser, which reports where
             return _rf_const(Fraction(num, den))
     parser = _Parser(text)

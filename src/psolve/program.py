@@ -22,9 +22,9 @@ no other statement, though the branches of one update may share it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional
 
 from .errors import InputError, ProgramError, UnsupportedError
@@ -36,7 +36,7 @@ from .symbolic import (
     RF_ONE,
     _number_str,
     _poly_of_terms,
-    as_coeff,
+    sums_to_one,
 )
 
 
@@ -251,6 +251,9 @@ def extend(base: LoopProgram, inits, updates, supports: Mapping[str, int]) -> Lo
     return prog
 
 
+_prob = operator.attrgetter("prob")
+
+
 def _validate(prog: LoopProgram, start: int) -> None:
     """`validate`, taking the first `start` initializers and updates as
     checked: they are a valid program's, with the same parameters, draws
@@ -295,34 +298,21 @@ def _validate(prog: LoopProgram, start: int) -> None:
         if size is not None:
             _check_init_support(init, size, prog)
 
+    def out_of_range(p: Fraction) -> ProgramError:  # in the update being checked
+        return ProgramError(f"branch probability {_number_str(p)} of {target} outside [0, 1]")
+
     known = set(params).union(variables[:start])  # what an update may read
     for upd in prog.updates[start:]:
         target = upd.target
-        # the constant probabilities sum to num/den, on integers over the
-        # lcm of their denominators; the symbolic ones are added at the end
-        num, den = 0, 1
-        symbolic = []
+        one = sums_to_one(map(_prob, upd.branches), out_of_range)
         drawn = []
         for br in upd.branches:
-            p = as_coeff(br.prob)
-            if type(p) is Fraction:
-                n, d = p.as_integer_ratio()
-                if n < 0 or n > d:  # p < 0 or p > 1
-                    raise ProgramError(
-                        f"branch probability {_number_str(p)} of {target} outside [0, 1]"
-                    )
-                if d == den:
-                    num += n
-                else:
-                    common = lcm(den, d)
-                    num, den = num * (common // den) + n * (common // d), common
-            else:
-                bad = p.symbols() - params
+            if not br.prob.is_const():
+                bad = br.prob.symbols() - params
                 if bad:
                     raise ProgramError(
                         f"branch probability of {target} references {sorted(bad)[0]}"
                     )
-                symbolic.append(p)
             outside = br.expr.symbols() - known
             if not outside:
                 continue
@@ -336,7 +326,6 @@ def _validate(prog: LoopProgram, start: int) -> None:
                     "which is not declared earlier"
                 )
             drawn += outside  # every symbol left is a draw
-        one = sum(symbolic, Fraction(num, den)) == 1 if symbolic else num == den
         if not one:
             raise ProgramError(f"branch probabilities of {target} do not sum to 1")
         if drawn:

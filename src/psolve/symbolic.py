@@ -742,16 +742,17 @@ def _poly_of_sums(sums: dict) -> Polynomial:
     return _poly_of_terms({m: c for m, c in sums.items() if c})
 
 
-# Shared denominator of every rational function whose denominator is 1, and
-# shared numerator of the constant 0.
+# Shared denominator of every rational function whose denominator is 1.
 _POLY_ONE = _poly_of_terms({_UNIT: _ONE})
-_POLY_ZERO = _poly_of_terms({})
 
 
 def _rf_const(value: Fraction) -> RationalFunction:
-    """The canonical constant rational function `value`, built directly."""
+    """The canonical constant rational function `value`, built directly,
+    its numerator too: a network's every numeric entry is one."""
     rf = object.__new__(RationalFunction)
-    _set_num(rf, _poly_of_terms({_UNIT: value}) if value else _POLY_ZERO)
+    num = object.__new__(Polynomial)
+    _set_terms(num, {_UNIT: value} if value else {})
+    _set_num(rf, num)
     _set_den(rf, _POLY_ONE)
     _set_const(rf, value)
     return rf
@@ -793,6 +794,30 @@ def coeff_str(value: Coeff) -> str:
 def coeff_subs(value: Coeff, mapping: Mapping[str, Union[Polynomial, Scalar]]) -> Coeff:
     """A coefficient with parameter values substituted."""
     return as_coeff(value.subs(mapping)) if isinstance(value, RationalFunction) else value
+
+
+def sums_to_one(probs: Iterable[Coeff], outside: Callable[[Fraction], Exception]) -> bool:
+    """Whether the probabilities `probs` (Fractions or RationalFunctions)
+    sum to exactly 1.  The constant ones are added as integers over the lcm
+    of their denominators and the symbolic ones at the end, so no Fraction
+    is built for a numeric vector.  A constant outside [0, 1] raises
+    `outside(value)`."""
+    num, den, symbolic = 0, 1, []
+    for p in probs:
+        if (c := p._const if type(p) is RationalFunction else p) is None:
+            symbolic.append(p)
+            continue
+        n, d = c.as_integer_ratio()
+        if n < 0 or n > d:
+            raise outside(c)
+        if d == den:
+            num += n
+        else:
+            common = lcm(den, d)
+            num, den = num * (common // den) + n * (common // d), common
+    if symbolic:
+        return sum(symbolic, Fraction(num, den)) == 1
+    return num == den
 
 
 @dataclass(frozen=True)

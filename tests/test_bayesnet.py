@@ -22,8 +22,10 @@ from psolve.bayesnet import (
     load_bn,
     load_bn_path,
 )
-from psolve.errors import SchemaError
+from psolve.errors import ParseError, SchemaError
 from psolve.parser import parse_ratfun
+from psolve.queries import node_distribution
+from psolve.symbolic import coeff_str
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -171,6 +173,18 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as info:
             load_bn(doc)
         assert str(info.value) == f"node B: unknown parent {name!r}"
+
+    @pytest.mark.parametrize("parents, message", [
+        ([["A"]], 'node B: "parents" must be a list of node names'),
+        (["A", "A"], "node B: duplicate parent"),
+    ], ids=["unhashable", "duplicate"])
+    def test_clg_parents_are_node_names(self, parents, message):
+        doc = doc_chain()
+        doc["nodes"][1] = {"name": "B", "model": {
+            "kind": "clg", "parents": parents, "table": CLG_TABLE}}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == message
 
     def test_unknown_node_key(self):
         doc = doc_chain()
@@ -416,6 +430,39 @@ class TestNumericEntries:
             load_bn(doc)
         assert str(info.value) == message
 
+    # Each is read by the fast path: a number, or a quotient of two.  The
+    # last has 4,300 digits on either side of its point, at the limit part
+    # by part and past it together, as Fraction(str) reads it.
+    LITERALS = ["0", "7", "007", "0.95", "00.050", "007/010", "1/3", "0.5/0.25",
+                "2.50/0.125", " 3 / 4 ", "0." + "3" * 200, "3" * 300 + "/" + "7" * 250,
+                "1" * 4300 + "." + "1" * 4300]
+
+    @pytest.mark.parametrize("text", LITERALS, ids=[t[:12] for t in LITERALS])
+    def test_literal_reads_as_fraction_does(self, text):
+        got = parse_ratfun(text)
+        self.same(got, text)
+        num, _, den = text.partition("/")
+        want = F(num) / F(den or 1)
+        assert got.const_value() == want
+        assert str(got) == coeff_str(want)
+
+    @pytest.mark.parametrize("text, col", [
+        ("9" * 4301, 1), ("1/" + "9" * 4301, 3), ("0." + "1" * 4301, 1),
+        ("1" * 4301 + ".5", 1), (" 2.5/ " + "3" * 4301 + ".0", 7),
+    ], ids=["integer", "divisor", "decimals", "digits", "spaced"])
+    def test_literal_past_the_digit_limit(self, text, col):
+        limit = sys.get_int_max_str_digits()
+        if limit != 4300:
+            pytest.skip("the cases are sized for the default digit limit")
+        message = f"1:{col}: number has more than {limit} digits"
+        with pytest.raises(ParseError) as info:
+            parse_ratfun(text)
+        assert str(info.value) == message
+        doc = {"nodes": [{"name": "A", "model": {"kind": "cpt", "p": [text, "1"]}}]}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == f"node A probability: {message}"
+
     def test_row_sum_names_its_assignment(self):
         doc = doc_chain()
         doc["nodes"][1]["model"]["rows"][1]["p"] = ["1/3", "1/3"]
@@ -607,6 +654,47 @@ class TestLinearLoader:
         with pytest.raises(SchemaError) as exc:
             load_bn(doc_chain()).node("Z")
         assert str(exc.value) == "unknown node 'Z'"
+
+    def test_children_first_load_alike(self):
+        """A network whose children are declared before their parents, with
+        named states, loads as the one declared parents first: the same
+        nodes and answers, and an order that differs only within a layer,
+        which lists its nodes in declaration order."""
+        doc = {"nodes": [
+            {"name": "Smoke", "states": ["no", "yes"], "model": {
+                "kind": "cpt", "p": ["0.5", "0.5"]}},
+            {"name": "Lung", "states": ["no", "yes"], "model": {
+                "kind": "cpt", "parents": ["Smoke"], "rows": [
+                    {"given": ["no"], "p": ["0.99", "0.01"]},
+                    {"given": ["yes"], "p": ["0.9", "0.1"]}]}},
+            {"name": "Bronc", "states": ["no", "yes"], "model": {
+                "kind": "cpt", "parents": ["Smoke"], "rows": [
+                    {"given": ["no"], "p": ["0.7", "0.3"]},
+                    {"given": ["yes"], "p": ["0.4", "0.6"]}]}},
+            {"name": "Dysp", "states": ["no", "yes"], "model": {
+                "kind": "cpt", "parents": ["Lung", "Bronc"], "rows": [
+                    {"given": ["no", "no"], "p": ["0.9", "0.1"]},
+                    {"given": ["no", "yes"], "p": ["0.2", "0.8"]},
+                    {"given": ["yes", "no"], "p": ["0.3", "0.7"]},
+                    {"given": ["yes", "yes"], "p": ["0.1", "0.9"]}]}},
+        ]}
+        forward = load_bn(doc)
+        backward = load_bn({"nodes": doc["nodes"][::-1]})
+        assert forward.order == ("Smoke", "Lung", "Bronc", "Dysp")
+        assert backward.order == ("Smoke", "Bronc", "Lung", "Dysp")
+        assert backward.nodes == forward.nodes[::-1]
+        evidence = {"Dysp": "yes", "Smoke": "no"}
+        for name in ("Lung", "Bronc"):
+            want = node_distribution(forward, name, evidence).exact()
+            assert node_distribution(backward, name, evidence).exact() == want
+
+    def test_binding_rebuilds_only_the_nodes_it_changes(self):
+        bn = load_bn_path(DATA / "alarm_sens.json")
+        bound = bind(bn, {"b": F(1, 1000)})
+        kept = [new.name for old, new in zip(bn.nodes, bound.nodes) if new is old]
+        assert kept == ["EQ", "A", "J", "M"]
+        assert bound.node("B").model.vector(()) == (F(999, 1000), F(1, 1000))
+        assert bound.param_names == ("q",)
 
     def test_lookups_survive_binding(self):
         doc = doc_chain()

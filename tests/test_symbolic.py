@@ -16,6 +16,7 @@ from psolve.symbolic import (
     decimal_str,
     exact_div,
     reduce_finite_support,
+    sums_to_one,
 )
 from psolve import packed
 from psolve.bayesnet import load_bn_path
@@ -395,6 +396,16 @@ def test_symbolic_cancellation_yields_a_constant():
     q = RationalFunction(2 * x + 2, x + 1)
     assert q.is_const() and q.const_value() == 2
     assert q == 2 and q * F(1, 2) == RF_ONE
+
+
+def test_sums_to_one_adds_constants_on_integers():
+    r = parse_ratfun("r", ["r"])
+    assert sums_to_one([F(1, 3), F(1, 6), F(1, 2)], ValueError)
+    assert not sums_to_one([F(1, 2), F(1, 3)], ValueError)
+    assert sums_to_one([r, parse_ratfun("1/2"), parse_ratfun("1/2 - r", ["r"])], ValueError)
+    assert not sums_to_one([r, F(1, 2)], ValueError)
+    with pytest.raises(ValueError, match="^3/2$"):
+        sums_to_one([F(1, 4), F(3, 2), F(-1, 2)], lambda c: ValueError(str(c)))
 
 
 def test_constant_division_by_zero():
