@@ -24,8 +24,10 @@ node may additionally read its own previous-slice value, which appears as
 the node's own name in its parent list and must be declared under
 "inter_edges".  Initial values for slice zero come from the "initial" map.
 
-`joint_rows` walks an all-discrete network by the chain rule; the
-enumeration oracle and the forward filter both take their rows from it.
+`joint_rows` walks an all-discrete network by the chain rule on the
+integer weights of `BayesNet.cleared`, each CPT cleared of denominators
+once; the enumeration oracle and the forward filter both take their rows
+from it.
 
 A network object carries the moment engine of its compiled program
 (`engine`), built on its first query and kept as long as the object;
@@ -51,8 +53,8 @@ from .errors import InputError, ParseError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import DrawRegistry, DrawSpec, binding_error, check_binding
 from .symbolic import (
-    Param, Polynomial, RationalFunction, RF_ONE, _number_str, _rf_const, as_coeff, coeff_str,
-    sums_to_one,
+    Param, Polynomial, RationalFunction, _number_str, _rf_const, as_coeff, clear_denominators,
+    coeff_str, sums_to_one,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -90,12 +92,6 @@ class CPT:
     @functools.cached_property
     def _by_assignment(self) -> dict:
         return dict(self.rows)
-
-    @functools.cached_property
-    def weights(self) -> dict:
-        """{parent assignment: {value: probability}} with the zero entries
-        dropped: the weight table `joint_rows` multiplies by default."""
-        return {given: {v: p for v, p in enumerate(vec) if p} for given, vec in self.rows}
 
 
 @dataclass(frozen=True)
@@ -215,6 +211,24 @@ class BayesNet:
 
         return MomentEngine(encode.compile_bn(self))
 
+    @functools.cached_property
+    def cleared(self) -> tuple[dict, Union[int, Polynomial]]:
+        """Every CPT cleared of denominators once
+        (`symbolic.clear_denominators`): the tables {node name: {parent
+        assignment: {value: weight}}}, zero entries dropped, and the
+        product of the clearing factors.  A weight is an int when the
+        network has no parameters, a polynomial with integer coefficients
+        when it has."""
+        symbolic = bool(self.params)
+        tables: dict[str, dict] = {}
+        den: Union[int, Polynomial] = 1
+        for nd in self.nodes:
+            if isinstance(nd.model, CPT):
+                tables[nd.name], scale = clear_denominators(
+                    {given: dict(enumerate(vec)) for given, vec in nd.model.rows}, symbolic)
+                den = den * scale
+        return tables, den
+
     @property
     def node_names(self) -> tuple[str, ...]:
         return tuple(nd.name for nd in self.nodes)
@@ -268,29 +282,29 @@ class DynBayesNet:
 # -- chain rule ------------------------------------------------------------
 
 
-def joint_rows(bn: BayesNet, given=(), evidence=(), tables=None):
+def joint_rows(bn: BayesNet, given=(), evidence=()):
     """The chain-rule joint of an all-discrete network as (values, weight)
     rows, drawing the nodes in topological order.
 
-    A row's weight is the product of one entry per CPT node, read from
-    `tables[name][parent assignment][value]`.  The default tables are the
-    CPTs' own probabilities (`CPT.weights`); the enumeration oracle passes
-    the same tables with their denominators cleared.  A table lists no
-    zero entry, so no row weighs zero.  The weights start at one, as a
-    `RationalFunction` for the default tables and as the int 1 for given
-    ones, and a deterministic node multiplies nothing in.
+    A row's weight is the product of one entry per CPT node from the
+    cleared tables of `bn.cleared`: an int, or a polynomial with integer
+    coefficients when the network has parameters.  It is the row's
+    probability times the product of the CPTs' clearing factors, which
+    `bn.cleared` returns beside the tables.  A table lists no zero entry,
+    so no row weighs zero.  A deterministic node multiplies nothing in.
 
     `given` seeds values that nodes read before they are drawn, which is
     how a dynamic slice sees its previous temporal state.  Rows that
     contradict `evidence` are dropped.
     """
     observed = dict(evidence)
-    rows = [(dict(given), RF_ONE if tables is None else 1)]
+    tables = bn.cleared[0]
+    rows = [(dict(given), 1)]
     for name in bn.order:
         m = bn.node(name).model
         nxt = []
         if isinstance(m, CPT):
-            table = m.weights if tables is None else tables[name]
+            table = tables[name]
             for values, weight in rows:
                 for value, prob in table[tuple(values[p] for p in m.parents)].items():
                     if observed.get(name, value) == value:

@@ -79,7 +79,6 @@ from .symbolic import (
     RF_ZERO,
     _poly_of_terms,
     as_coeff,
-    reduce_finite_support,
 )
 
 DEFAULT_DEGREE_CAP = 64
@@ -631,12 +630,10 @@ class MomentEngine:
         polynomial closed by `compute_mbis` (every solution
         back-substituted), combined, with their assumptions merged."""
         supports = self.supports
-        high = {s for mono in poly.terms for s, e in mono.powers if e >= supports.get(s, e + 1)}
         reduced = poly
-        if high:
-            for var, size in supports.items():
-                if var in high:
-                    reduced = reduce_finite_support(reduced, var, size)
+        if any(e >= supports.get(s, e + 1) for mono in poly.terms for s, e in mono.powers):
+            table = self._table
+            reduced = self._run(lambda: table.unpack(self._reduce(table.pack(poly))))
         const = reduced.coeff(Monomial.unit())
         terms = [(m, c) for m, c in reduced.terms.items() if not m.is_unit()]
         mbis = compute_mbis(self, [m for m, _ in terms])

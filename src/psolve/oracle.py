@@ -4,11 +4,11 @@ Three oracles, in increasing generality and decreasing precision:
 
 - exact joint enumeration for discrete networks, from the chain-rule
   rows of `bayesnet.joint_rows` (the forward filter's one-step rows come
-  from the same function).  Each CPT is cleared of denominators once
-  (`symbolic.clear_denominators`), so a row's weight is an int, or a
-  polynomial with integer coefficients when the network has parameters,
-  over one denominator common to all rows; every query is a column sum
-  over those weights with one division at the end;
+  from the same function).  Each CPT of a network is cleared of
+  denominators once (`BayesNet.cleared`), so a row's weight is an int, or
+  a polynomial with integer coefficients when the network has
+  parameters, over one denominator common to all rows; every query is a
+  column sum over those weights with one division at the end;
 - exact mean/covariance propagation for linear-Gaussian and conditional
   linear-Gaussian networks, one summary per discrete configuration;
 - Monte Carlo simulation of the compiled loop program for anything
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 from .bayesnet import (
     BayesNet,
     CLG,
-    CPT,
     DynBayesNet,
     LinearGaussian,
     Node,
@@ -53,7 +52,6 @@ from .symbolic import (
     RationalFunction,
     RF_ONE,
     RF_ZERO,
-    clear_denominators,
 )
 
 if TYPE_CHECKING:
@@ -145,10 +143,9 @@ _ONE_POLY = Polynomial.const(1)
 
 def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable:
     """The exact joint of an all-discrete network whose state space fits
-    under the cap.  Each CPT is cleared of denominators once
-    (`symbolic.clear_denominators`); the rows are the chain-rule rows of
-    `bayesnet.joint_rows` over those cleared tables, and the common
-    denominator is the product of the CPTs' clearing factors."""
+    under the cap: the chain-rule rows of `bayesnet.joint_rows` over the
+    CPTs cleared once (`BayesNet.cleared`), and the common denominator,
+    the product of the CPTs' clearing factors."""
     size = 1
     for node in bn.nodes:
         if not node.is_discrete:
@@ -161,19 +158,9 @@ def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable
                 f"state space exceeds {cap} assignments; raise the cap to "
                 "enumerate this network"
             )
-    symbolic = bool(bn.params)
-    tables: dict[str, dict] = {}
-    den: Weight = 1
-    for node in bn.nodes:
-        if isinstance(node.model, CPT):
-            tables[node.name], scale = clear_denominators(node.model.weights, symbolic)
-            den = den * scale
     names = bn.node_names
-    rows = tuple(
-        (tuple(values[n] for n in names), weight)
-        for values, weight in joint_rows(bn, tables=tables)
-    )
-    return JointTable(names, rows, den)
+    rows = tuple((tuple(values[n] for n in names), weight) for values, weight in joint_rows(bn))
+    return JointTable(names, rows, bn.cleared[1])
 
 
 # -- Gaussian propagation --------------------------------------------------

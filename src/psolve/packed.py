@@ -24,7 +24,10 @@ terms of its result in the order the `Polynomial` walk would.
 `expand` is the one rewrite kernel: it replaces the masked part of every
 term by an image polynomial and re-expands, as `Polynomial.map_powers`
 does; the moment engine's substitution steps, draw moments and support
-reduction all go through it.  `pack` and `unpack` convert at the edges.
+reduction all go through it.  Support reduction runs nowhere else: its
+image (`residues`) reads each power's residue modulo the falling factorial
+from an integer table built once per support size (`_support_residues`).
+`pack` and `unpack` convert at the edges.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 
-from .symbolic import Monomial, Polynomial, _mono, _poly_of_terms, _support_residues
+from .symbolic import Monomial, Polynomial, _mono, _poly_of_terms
 
 ZERO = ({}, 1)
 ONE = ({0: 1}, 1)
@@ -260,8 +263,9 @@ def residues(size: int, shift: int):
     """The `expand` image of support reduction for the symbol whose field
     starts at shift: a power of exponent e >= size becomes its residue
     modulo the falling factorial of that size, read from the integer table
-    of `symbolic._support_residues`, its terms from the highest power
-    down, as `reduce_finite_support` builds them."""
+    of `_support_residues`, its terms from the highest power down.  The
+    result agrees with the polynomial wherever the symbol takes a value in
+    {0, ..., size-1}, and has degree < size in it."""
 
     def image(part: int):
         e = part >> shift
@@ -271,3 +275,34 @@ def residues(size: int, shift: int):
         return 0, ({j << shift: row[j] for j in range(size - 1, -1, -1) if row[j]}, 1)
 
     return image
+
+
+# Residues of x^e modulo the falling factorial x(x-1)...(x-size+1), by
+# support size: entry e lists the integer coefficients of x^0..x^(size-1).
+# A table is replaced by a longer one, never changed in place.
+_RESIDUES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _support_residues(size: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """The residues of x^0..x^top (at least) for one support size.  The
+    falling factorial is monic with integer coefficients f_j, so x^size is
+    congruent to -sum f_j x^j, and each higher residue is x times the one
+    below with its x^size coefficient folded back the same way.  A size's
+    table is built once and extended when a higher power is asked for."""
+    table = _RESIDUES.get(size, ())
+    if len(table) > top:
+        return table
+    rows = list(table)
+    if not rows:
+        falling = [1]  # coefficients of the falling factorial, lowest first
+        for i in range(size):
+            falling = [(falling[j - 1] if j else 0) - (i * falling[j] if j < len(falling) else 0)
+                       for j in range(len(falling) + 1)]
+        rows = [tuple(int(j == e) for j in range(size)) for e in range(size)]
+        rows.append(tuple(-f for f in falling[:size]))
+    fold = rows[size]
+    while len(rows) <= top:
+        prev = rows[-1]
+        rows.append(tuple((prev[j - 1] if j else 0) + prev[-1] * fold[j] for j in range(size)))
+    table = _RESIDUES[size] = tuple(rows)
+    return table

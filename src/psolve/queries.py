@@ -324,13 +324,14 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
 
     Implements the forward pass on integer weights, one per state: Python
     ints when the network has no parameters, polynomials with integer
-    coefficients when it has.  One loop serves both.  The prior and each
-    step's distribution P(next state, obs | previous state) are cleared of
-    denominators once, when they are built (`symbolic.clear_denominators`):
-    every entry is multiplied by one common factor, the lcm of the constant
-    denominators times the product of the distinct polynomial ones.  The factor is
-    common to every previous state a step reads, so it scales every new
-    weight alike and leaves the beliefs unchanged.  A step sums
+    coefficients when it has.  One loop serves both.  The prior is cleared
+    of denominators once (`symbolic.clear_denominators`), and each CPT of
+    the slice once, for every step alike (`BayesNet.cleared`): a step's
+    distribution P(next state, obs | previous state) sums the cleared row
+    weights of `bayesnet.joint_rows`, so it is the distribution times the
+    product of the CPTs' clearing factors.  The factor is common to every
+    previous state a step reads, so it scales every new weight alike and
+    leaves the beliefs unchanged.  A step sums
     w[prev] * N[prev][next] into the new weights and divides them by their
     common integer content; it emits each state's belief as its weight over
     the weights' total.  No `RationalFunction` arithmetic runs per step,
@@ -340,9 +341,8 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     in the number of steps instead of doubling.  A step may observe any
     subset of non-temporal discrete nodes; an empty step is a pure
     prediction step.  The one-step distribution is the chain-rule joint of
-    the slice (`bayesnet.joint_rows`) given the previous state and the
-    step's observations, summed onto the new state and memoized per
-    observation.
+    the slice given the previous state and the step's observations, summed
+    onto the new state and memoized per observation.
 
     A symbolic filter records one assumption: the last step's total, made
     primitive, is nonzero.  That total is P(all observations) up to a
@@ -372,9 +372,7 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     out = []
     for t, obs in enumerate(slices, start=1):
         if obs not in memo:
-            memo[obs] = clear_denominators(
-                {prev: _step_dist(dyn, prev, obs) for prev in space}, symbolic
-            )[0]
+            memo[obs] = {prev: _step_dist(dyn, prev, obs) for prev in space}
         step = memo[obs]
         new: dict = {}
         for prev, weight in weights.items():
@@ -434,11 +432,14 @@ def _int_belief(weight: int, total: int) -> RationalFunction:
 
 
 def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:
-    """P(next state, obs | previous state) for each reachable next state."""
+    """P(next state, obs | previous state) for each reachable next state,
+    times the slice's clearing factor (`BayesNet.cleared`): a sum of the
+    cleared row weights of `joint_rows`."""
     dist: dict = {}
     for values, weight in joint_rows(dyn.net, zip(dyn.temporal, prev), obs):
         state = tuple(values[s] for s in dyn.temporal)
-        dist[state] = dist.get(state, RF_ZERO) + weight
+        acc = dist.get(state)
+        dist[state] = weight if acc is None else acc + weight
     return dist
 
 

@@ -29,20 +29,19 @@ term for term and in the same order.  A monomial's hash is that of its
 power tuple, computed once when it is built.
 
 A rewrite of `Polynomial`s that replaces powers by polynomials and
-re-expands goes through `Polynomial.map_powers`: substitution and support
-reduction.  The moment engine does not work on `Polynomial`s: its body
-steps, draw moments and support reduction run on the packed form of
-`packed.py` (a monomial is one int, a polynomial integer numerators over
-one denominator), which converts to and from these classes where a walk
-begins and ends and keeps their term order.  Support reduction, of either
-form, reads each power's residue from an integer table built once per
-support size (`_support_residues`).  Monomials compare in graded
+re-expands goes through `Polynomial.map_powers`, as substitution does.
+The moment engine does not work on `Polynomial`s: its body steps, draw
+moments and support reduction run on the packed form of `packed.py` (a
+monomial is one int, a polynomial integer numerators over one
+denominator), which converts to and from these classes where a walk
+begins and ends and keeps their term order.  Monomials compare in graded
 lexicographic order by one merge walk over their power tuples.
 
-`clear_denominators` turns tables of probabilities into integer weights
+`clear_denominators` turns a table of probabilities into integer weights
 over one common factor (ints, or polynomials with integer coefficients),
-with `int_content`/`poly_content` and `poly_divide` to keep them small;
-the forward filter and the enumeration oracle both run on such weights.
+with `int_content`/`poly_content` and `poly_divide` to keep them small.
+A network clears each CPT once (`BayesNet.cleared`), and the forward
+filter and the enumeration oracle both run on those weights.
 """
 
 from __future__ import annotations
@@ -832,68 +831,6 @@ class Param:
         if self.lo is None or self.hi is None:
             return None
         return self.lo, self.hi
-
-
-def reduce_finite_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
-    """Reduce powers of `sym` modulo sym*(sym-1)*...*(sym-size+1).
-
-    The result agrees with `poly` on every point where sym takes a value in
-    {0, ..., size-1} and has degree < size in sym.  Each power sym^e with
-    e >= size is replaced by its residue, read from the integer table of
-    `_support_residues`.
-    """
-    if size < 1:
-        raise ValueError("support size must be >= 1")
-    top = poly.degree_in(sym)
-    if top < size:
-        return poly
-    table = _support_residues(size, top)
-    powers = [_UNIT] + [_mono(((sym, j),)) for j in range(1, size)]
-    images: dict[int, Polynomial] = {}
-
-    def image(s: str, e: int) -> Optional[Polynomial]:
-        if s != sym or e < size:
-            return None
-        img = images.get(e)
-        if img is None:
-            residue = table[e]
-            img = images[e] = _poly_of_terms(
-                {powers[j]: Fraction(residue[j]) for j in range(size - 1, -1, -1) if residue[j]}
-            )
-        return img
-
-    return poly.map_powers(image)
-
-
-# Residues of x^e modulo the falling factorial x(x-1)...(x-size+1), by
-# support size: entry e lists the integer coefficients of x^0..x^(size-1).
-# A table is replaced by a longer one, never changed in place.
-_RESIDUES: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _support_residues(size: int, top: int) -> tuple[tuple[int, ...], ...]:
-    """The residues of x^0..x^top (at least) for one support size.  The
-    falling factorial is monic with integer coefficients f_j, so x^size is
-    congruent to -sum f_j x^j, and each higher residue is x times the one
-    below with its x^size coefficient folded back the same way.  A size's
-    table is built once and extended when a higher power is asked for."""
-    table = _RESIDUES.get(size, ())
-    if len(table) > top:
-        return table
-    rows = list(table)
-    if not rows:
-        falling = [1]  # coefficients of the falling factorial, lowest first
-        for i in range(size):
-            falling = [(falling[j - 1] if j else 0) - (i * falling[j] if j < len(falling) else 0)
-                       for j in range(len(falling) + 1)]
-        rows = [tuple(int(j == e) for j in range(size)) for e in range(size)]
-        rows.append(tuple(-f for f in falling[:size]))
-    fold = rows[size]
-    while len(rows) <= top:
-        prev = rows[-1]
-        rows.append(tuple((prev[j - 1] if j else 0) + prev[-1] * fold[j] for j in range(size)))
-    table = _RESIDUES[size] = tuple(rows)
-    return table
 
 
 # -- cleared weights ---------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psolve.bayesnet import bind, joint_rows, load_bn, load_bn_path
+from psolve.bayesnet import CPT, bind, joint_rows, load_bn, load_bn_path
 from psolve import moments
 from psolve.encode import compile_bn
 from psolve.errors import QueryError, UnsupportedError
@@ -19,11 +19,26 @@ from psolve.oracle import (
 )
 from psolve.parser import parse_poly
 from psolve.queries import conditional_moment
-from psolve.symbolic import RF_ZERO, Polynomial
+from psolve.symbolic import RF_ONE, RF_ZERO, Polynomial
 
 from conftest import random_clgbn, random_discrete_bn, random_discrete_doc, random_gbn
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def plain_rows(bn) -> list:
+    """The assignments of `joint_rows`, each with a plain RationalFunction
+    weight: the product, in topological order, of one CPT entry
+    `CPT.vector(parent values)[value]` per CPT node."""
+    rows = []
+    for values, _ in joint_rows(bn):
+        weight = RF_ONE
+        for name in bn.order:
+            m = bn.node(name).model
+            if isinstance(m, CPT):
+                weight = weight * m.vector(tuple(values[p] for p in m.parents))[values[name]]
+        rows.append((values, weight))
+    return rows
 
 
 class TestEnumerateDiscrete:
@@ -83,7 +98,7 @@ class TestEnumerateDiscrete:
     @pytest.mark.parametrize("target", ["2*X - 1", "X^2", "(2*X - 1)*Y"])
     def test_row_values_other_than_zero_and_one(self, y_given_x, target):
         # A 3-state node makes the target take values like -1, 3 and 4 on
-        # the rows; both queries must equal the plain sum over joint_rows.
+        # the rows; both queries must equal the plain sum over the rows.
         bn = load_bn(
             {"type": "bn", "params": ["a"], "nodes": [
                 {"name": "X", "model": {"kind": "cpt", "p": ["1/6", "1/3", "1/2"]}},
@@ -93,7 +108,7 @@ class TestEnumerateDiscrete:
         )
         poly = parse_poly(target, symbols=("X", "Y"))
         table = enumerate_discrete(bn)
-        rows = joint_rows(bn)
+        rows = plain_rows(bn)
         want = RF_ZERO
         for values, weight in rows:
             want = want + weight * poly.eval(values)
@@ -109,14 +124,14 @@ class TestEnumerateDiscrete:
 
     def test_expectations_in_one_pass(self):
         # every target of a static check at once equals its own plain sum
-        # over joint_rows, printed form included
+        # over the rows, printed form included
         bn = load_bn_path(DATA / "asia.json")
         names = bn.node_names
         polys = [Polynomial.var(a) for a in names] + [
             Polynomial.var(a) * Polynomial.var(b)
             for i, a in enumerate(names) for b in names[i + 1:]
         ]
-        rows = joint_rows(bn)
+        rows = plain_rows(bn)
         got = enumerate_discrete(bn).expectations(polys)
         assert len(got) == len(polys) == 36
         for poly, value in zip(polys, got):
@@ -168,7 +183,7 @@ def _oracle_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_table_queries_equal_plain_sums_over_joint_rows(case):
     # total, probability, every check target of expectations and a
-    # conditional all equal a plain RationalFunction sum over joint_rows;
+    # conditional all equal a plain RationalFunction sum over the rows;
     # with constant CPT denominators the printed forms match too
     bn, variant, event = case
     names = bn.node_names
@@ -176,7 +191,7 @@ def test_table_queries_equal_plain_sums_over_joint_rows(case):
         Polynomial.var(a) * Polynomial.var(b)
         for i, a in enumerate(names) for b in names[i + 1:]
     ]
-    rows = joint_rows(bn)
+    rows = plain_rows(bn)
 
     def plain(poly, rows):
         out = RF_ZERO

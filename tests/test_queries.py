@@ -595,6 +595,33 @@ class TestFilterGrowth:
                 assert belief.den.degree() <= t + 1
         self._assert_matches_bound(dyn, steps, symbolic, (F(1, 2), F(9, 10)))
 
+    def test_distinct_cpt_denominators_are_cleared_once(self):
+        # three CPTs with the denominators 1 + r, 2 + r and 3 + r: each is
+        # cleared once, so no step multiplies their products again (a
+        # clearing per observation made the T = 8 belief's denominator
+        # degree 133)
+        dyn = load_bn({
+            "type": "dynbn",
+            "params": [{"name": "r", "domain": ["0.3", "1"]}],
+            "nodes": [
+                {"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                    {"given": [1], "p": ["1/(1 + r)", "r/(1 + r)"]},
+                    {"given": [0], "p": ["1/(2 + r)", "(1 + r)/(2 + r)"]}]}},
+                {"name": "H", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                    {"given": [1], "p": ["1/(3 + r)", "(2 + r)/(3 + r)"]},
+                    {"given": [0], "p": ["1/2", "1/2"]}]}},
+                {"name": "U", "model": {"kind": "cpt", "parents": ["H"], "rows": [
+                    {"given": [1], "p": ["r/(1 + r)", "1/(1 + r)"]},
+                    {"given": [0], "p": ["0.8", "0.2"]}]}}],
+            "inter_edges": {"R": ["R"]},
+            "initial": {"R": 1},
+        })
+        steps = [{"U": 1}, {"U": 0}, {}, {"U": 1}, {"U": 1}, {"U": 0}, {"U": 1}, {"U": 1}]
+        symbolic = forward_filter(dyn, steps).value
+        assert len(symbolic) == 8
+        assert max(belief.den.degree() for belief in symbolic[-1]) <= 27
+        self._assert_matches_bound(dyn, steps, symbolic, (F(3, 7), F(5, 7), F(6, 7)))
+
     def test_numeric_long_run_matches_hand_pass(self):
         dyn = load_bn_path(DATA / "umbrella_filter.json")
         steps = _umbrella_steps(240, 240)

@@ -15,11 +15,10 @@ from psolve.symbolic import (
     RF_ZERO,
     decimal_str,
     exact_div,
-    reduce_finite_support,
     sums_to_one,
 )
 from psolve import packed
-from psolve.bayesnet import load_bn_path
+from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, compile_sampling_monitor, evidence_indicator
 from psolve.moments import MomentEngine, compute_mbis
 from psolve.packed import Overflow, SymbolTable
@@ -112,20 +111,48 @@ class TestPolynomial:
                 assert lo <= v <= hi
 
 
+def reduce_support(poly: Polynomial, sym: str, size: int) -> Polynomial:
+    """Finite-support reduction of sym through the packed kernel:
+    `packed.expand` with the image `packed.residues`."""
+    table = SymbolTable(8)
+    shift = table.add(sym)
+    return table.unpack(packed.expand(
+        table.pack(poly), table.top << shift, packed.residues(size, shift), table))
+
+
 class TestReduceFiniteSupport:
     def test_binary_idempotence(self):
-        assert reduce_finite_support(x**5, "x", 2) == x
+        assert reduce_support(x**5, "x", 2) == x
 
     def test_three_valued_cube(self):
         # on {0, 1, 2}: x^3 agrees with 3x^2 - 2x
-        reduced = reduce_finite_support(x**3, "x", 3)
+        reduced = reduce_support(x**3, "x", 3)
         assert reduced == 3 * x**2 - 2 * x
         for v in (F(0), F(1), F(2)):
             assert reduced.eval({"x": v}) == v**3
 
     def test_untouched_other_symbols(self):
         p = x**2 * y**4
-        assert reduce_finite_support(p, "x", 2) == x * y**4
+        assert reduce_support(p, "x", 2) == x * y**4
+
+    def test_closed_form_reduces_powers_at_the_support(self):
+        # E[X^k] of a 3-valued support variable at k >= 3: the engine
+        # reduces the power on its packed form, and the closed form prints
+        # as that of the falling-factorial residue of X^k
+        bn = load_bn({"type": "dynbn", "nodes": [
+            {"name": "S", "model": {"kind": "cpt", "parents": ["S"], "rows": [
+                {"given": [0], "p": ["2/3", "1/3"]}, {"given": [1], "p": ["1/4", "3/4"]}]}},
+            {"name": "X", "model": {"kind": "cpt", "parents": ["S"], "rows": [
+                {"given": [0], "p": ["1/2", "1/4", "1/4"]},
+                {"given": [1], "p": ["1/5", "0", "4/5"]}]}}],
+            "inter_edges": {"S": ["S"]}, "initial": {"S": 1}})
+        var = Polynomial.var("X")
+        for k in (3, 4, 7):
+            residue = _falling_factorial_reduction(var**k, "X", 3)
+            assert residue.degree_in("X") == 2
+            got = MomentEngine(compile_dynbn(bn)).closed(var**k)
+            want = MomentEngine(compile_dynbn(bn)).closed(residue)
+            assert str(got) == str(want), k
 
 
 class TestExactDiv:
@@ -320,7 +347,7 @@ def test_support_reduction_agrees_on_the_support(case):
     # The defining property, checked by evaluation, and equality with the
     # falling-factorial expansion.
     p, size, vy = case
-    reduced = reduce_finite_support(p, "x", size)
+    reduced = reduce_support(p, "x", size)
     assert reduced.degree_in("x") < size
     assert reduced == _falling_factorial_reduction(p, "x", size)
     for vx in range(size):
@@ -553,7 +580,7 @@ def test_substitute_var_matches_substitute_then_reduce(step):
         mean = mean + br.prob.num * br.expr.substitute(draws)
     want = poly.substitute({var: mean})
     for v, size in prog.supports.items():
-        want = reduce_finite_support(want, v, size)
+        want = reduce_support(want, v, size)
     table = engine._table
     got = engine._step(var, table.pack(poly))
     assert table.unpack(got) == want
@@ -589,7 +616,7 @@ def test_packed_kernel_matches_polynomials(a, b, image, sym, size, order):
         pa, table.top << shift, lambda part: (0, packed.power(pimg, part >> shift, table)), table)
     assert _items(table.unpack(step)) == _items(a.substitute({sym: image}))
     reduced = packed.expand(pa, table.top << shift, packed.residues(size, shift), table)
-    assert _items(table.unpack(reduced)) == _items(reduce_finite_support(a, sym, size))
+    assert _items(table.unpack(reduced)) == _items(_falling_factorial_reduction(a, sym, size))
     assert table.intern(*packed.mul(pa, pb, table)) == table.intern(*table.pack(a * b))
 
 
