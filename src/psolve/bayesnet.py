@@ -16,13 +16,14 @@ states, and a parent may be declared after its child.  Each CPT row is
 checked as it is resolved, its constant probabilities added as integers
 over the lcm of their denominators (`symbolic.sums_to_one`, the rule
 program validation uses), so a numeric network loads without Fraction
-arithmetic.  `bind` rebuilds and checks again only the nodes whose model
-mentions a bound parameter.
+arithmetic.  `bind` rebuilds each node whose model mentions a bound
+parameter through the same `_build_node`, which checks it as on loading.
 
 A dynamic network reuses the same node table as a repeating time slice.  A
 node may additionally read its own previous-slice value, which appears as
 the node's own name in its parent list and must be declared under
-"inter_edges".  Initial values for slice zero come from the "initial" map.
+"inter_edges".  Initial values for slice zero come from the "initial" map;
+a `DynBayesNet` checks their draws as programs do (`check_draw`).
 
 `joint_rows` walks an all-discrete network by the chain rule on the
 integer weights of `BayesNet.cleared`, each CPT cleared of denominators
@@ -49,9 +50,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from .errors import InputError, ParseError, SchemaError, UnsupportedError
+from .errors import InputError, ParseError, ProgramError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
-from .program import DrawRegistry, DrawSpec, binding_error, check_binding
+from .program import DrawRegistry, DrawSpec, binding_error, check_binding, check_draw, is_draw
 from .symbolic import (
     Param, Polynomial, RationalFunction, _number_str, _rf_const, as_coeff, clear_denominators,
     coeff_str, sums_to_one,
@@ -252,6 +253,15 @@ class DynBayesNet:
     initial: tuple[tuple[str, Polynomial], ...]
     draws: Mapping[str, DrawSpec]  # draw symbols used by initial expressions
 
+    def __post_init__(self):
+        """Each draw of an initial value passes `program.check_draw`."""
+        for name, expr in self.initial:
+            for sym in sorted(filter(is_draw, expr.symbols())):
+                try:
+                    check_draw(self.draws[sym])
+                except ProgramError as exc:
+                    raise SchemaError(f"initial value of {name}: {exc}") from None
+
     def initial_expr(self, name: str) -> Polynomial:
         expr = self._initial_by_name.get(name)
         return Polynomial.zero() if expr is None else expr
@@ -332,41 +342,31 @@ def joint_rows(bn: BayesNet, given=(), evidence=()):
 def bind(net: Union[BayesNet, DynBayesNet], values: Mapping[str, Fraction]):
     """The network with the given parameters replaced by numbers, the
     others left symbolic.  Names that are not parameters, values outside a
-    declared domain, and values that make a denominator vanish or a
-    probability leave [0, 1] are InputErrors naming every binding.
-
-    Only the nodes whose model mentions a bound parameter are rebuilt and
-    checked again; every other node is carried over as it is."""
+    declared domain, and values that make a denominator vanish or break a
+    rule of the loader are InputErrors naming every binding.  Only the
+    nodes whose model mentions a bound parameter are rebuilt, by
+    `_build_node`; every other node is carried over as it is."""
     if not values:
         return net
-    bn = net.net if isinstance(net, DynBayesNet) else net
+    dynamic = isinstance(net, DynBayesNet)
+    bn = net.net if dynamic else net
     sub = check_binding(bn.params, values)
     states_of = {nd.name: nd.states for nd in bn.nodes}
+    temporal = net.temporal if dynamic else ()
     try:
-        bound = {
-            nd.name: _bind_model(nd.model, sub)
-            for nd in bn.nodes if not _model_symbols(nd.model).isdisjoint(sub)
-        }
-        for name, m in bound.items():
-            if isinstance(m, CPT):
-                where = f"node {name}"
-                outside = functools.partial(_outside, where)
-                for given, vec in m.rows:
-                    if not sums_to_one(vec, outside):
-                        raise _sum_error(where, given, vec)
-            elif isinstance(m, Deterministic):
-                _check_det_range(name, len(states_of[name]), m, states_of)
+        nodes = tuple(
+            nd if _model_symbols(nd.model).isdisjoint(sub)
+            else _build_node(nd.name, nd.states, _bind_model(nd.model, sub), states_of, temporal)
+            for nd in bn.nodes
+        )
+        bn = replace(bn, params=tuple(p for p in bn.params if p.name not in sub), nodes=nodes)
+        if not dynamic:
+            return bn
+        initial = tuple((name, expr.substitute(sub)) for name, expr in net.initial)
+        draws = {sym: spec.subs(sub) for sym, spec in net.draws.items()}
+        return replace(net, net=bn, initial=initial, draws=draws)  # checks the draws
     except (ZeroDivisionError, SchemaError) as exc:
         raise binding_error(values, exc) from exc
-    nodes = tuple(
-        Node(nd.name, nd.states, bound[nd.name]) if nd.name in bound else nd for nd in bn.nodes
-    )
-    bn = replace(bn, params=tuple(p for p in bn.params if p.name not in sub), nodes=nodes)
-    if not isinstance(net, DynBayesNet):
-        return bn
-    initial = tuple((name, expr.substitute(sub)) for name, expr in net.initial)
-    draws = {sym: spec.subs(sub) for sym, spec in net.draws.items()}
-    return replace(net, net=bn, initial=initial, draws=draws)
 
 
 def _model_symbols(m: LocalModel) -> frozenset[str]:
@@ -383,15 +383,16 @@ def _model_symbols(m: LocalModel) -> frozenset[str]:
     return frozenset().union(*(_model_symbols(lg) for _, lg in m.table))
 
 
-def _bind_model(m: LocalModel, sub) -> LocalModel:
+def _bind_model(m: LocalModel, sub) -> Union[_Rows, Deterministic, LinearGaussian]:
+    """m with sub substituted, in the shape `_build_node` builds from."""
     if isinstance(m, CPT):
-        return CPT(m.parents, tuple((g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows))
+        return _Rows(CPT, m.parents, [(g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows])
     if isinstance(m, Deterministic):
         return Deterministic(m.expr.substitute(sub), m.parents)
     if isinstance(m, LinearGaussian):
         coeffs = tuple((name, c.subs(sub)) for name, c in m.coeffs)
         return LinearGaussian(m.intercept.subs(sub), coeffs, m.variance.subs(sub))
-    return CLG(m.parents, tuple((g, _bind_model(lg, sub)) for g, lg in m.table))
+    return _Rows(CLG, m.parents, [(g, _bind_model(lg, sub)) for g, lg in m.table])
 
 
 # -- JSON ingestion --------------------------------------------------------
@@ -502,8 +503,8 @@ def _load_params(raw) -> tuple[Param, ...]:
             dom = entry["domain"]
             if not isinstance(dom, list) or len(dom) != 2:
                 raise SchemaError(f"domain of {name} must be a [lo, hi] pair")
-            lo = _fraction(dom[0], f"domain of {name}")
-            hi = _fraction(dom[1], f"domain of {name}")
+            lo = read_number(dom[0], f"domain of {name}")
+            hi = read_number(dom[1], f"domain of {name}")
             if lo >= hi:
                 raise SchemaError(f"empty domain ({lo}, {hi}) for parameter {name}")
         params.append(Param(name, lo, hi))
@@ -658,8 +659,6 @@ def _load_lingauss(model, where, param_names) -> LinearGaussian:
         (parent, _ratfun(value, param_names, f"{where} coefficient of {parent}"))
         for parent, value in raw_coeffs.items()
     )
-    if variance.is_const() and variance.const_value() < 0:
-        raise SchemaError(f"{where}: negative variance")
     return LinearGaussian(intercept=intercept, coeffs=coeffs, variance=variance)
 
 
@@ -747,8 +746,12 @@ def _build_node(name, states, model, states_of: Mapping, temporal) -> Node:
     where = f"node {name}"
     kind = model.kind if type(model) is _Rows else type(model)
     parents = model.parents
+    gaussians = [model] if kind is LinearGaussian else []
     if kind is CLG:
-        parents += tuple(dict.fromkeys(p for _, lg in model.rows for p in lg.parents))
+        gaussians = [lg for _, lg in model.rows]
+        parents += tuple(dict.fromkeys(p for lg in gaussians for p in lg.parents))
+    if any(lg.variance.is_const() and lg.variance.const_value() < 0 for lg in gaussians):
+        raise SchemaError(f"{where}: negative variance")
     if name in parents and name not in temporal:
         raise SchemaError(f"{where}: depends on itself (missing inter edge?)")
     if kind is LinearGaussian:
@@ -866,19 +869,25 @@ def _find_cycle(pending: dict, placed: set) -> list[str]:
         current = nxt
 
 
-def _fraction(value, where) -> Fraction:
+def read_number(value, where: str, error: type[InputError] = SchemaError) -> Fraction:
+    """A number given as an int or as a string that Fraction reads; any other
+    value raises error(f"{where}: ..."), worded for a long number as in `parse_json`."""
     if isinstance(value, bool):
-        raise SchemaError(f"{where}: expected a number, found a boolean")
+        raise error(f"{where}: expected a number, found a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise SchemaError(f"{where}: write numbers as strings, not binary floats")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad number {value!r}") from exc
-    raise SchemaError(f"{where}: expected a number, found {type(value).__name__}")
+        raise error(f"{where}: write numbers as strings, not binary floats")
+    if not isinstance(value, str):
+        raise error(f"{where}: expected a number, found {type(value).__name__}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        limit = sys.get_int_max_str_digits()
+        problem = f"bad number {value!r}"
+        if limit and re.search(rf"\d{{{limit + 1}}}", value):
+            problem = f"number has more than {limit} digits"
+        raise error(f"{where}: {problem}") from None
 
 
 def _ratfun(value, param_names, where) -> RationalFunction:

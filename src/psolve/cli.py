@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, parse_json
+from .bayesnet import DynBayesNet, bind as bind_net, load_bn_path, parse_json, read_number
 from .encode import compile_bn, compile_dynbn
 from .errors import InputError, InternalCheckError
 from .moments import MomentEngine
@@ -156,10 +156,7 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, Fraction]:
             raise InputError(f'bad --param {item!r}; expected NAME=VALUE')
         if name in out:
             raise InputError(f"--param {name} given twice")
-        try:
-            out[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad value for parameter {name}: {exc}") from exc
+        out[name] = read_number(value, f"--param {name}", InputError)
     return out
 
 

@@ -5,6 +5,9 @@ Numeric literals are exact: a decimal literal like 0.7 becomes the rational
 7/10, never a binary float.  Distribution occurrences are normalized while
 parsing (see program.py), so parse and pretty are inverse up to draw
 renaming, which program equality ignores.
+
+`parse_ratfun`, `parse_draw_expr` and `parse_poly` read one expression
+each through `_parse`.
 """
 
 from __future__ import annotations
@@ -77,10 +80,9 @@ def _tokenize(source: str) -> list[Token]:
 def _number(text: str, line: int, col: int, kind=Fraction):
     """kind(text) for a numeric literal.  A value's integer literal (kind
     Fraction) with more digits than the interpreter converts to an int at
-    once is built from chunks that it does convert, so a long number that
-    `pretty` printed parses back; any other literal past that limit (an
-    exponent, a support size, a decimal) is a ParseError that names the
-    limit.  The limit itself is left alone."""
+    once is built from chunks, so that a long number `pretty` printed parses
+    back (`parse_ratfun` refuses it first); any other literal past that
+    limit is a ParseError that names the limit, which is left alone."""
     try:
         return kind(text)
     except ValueError:
@@ -98,28 +100,14 @@ def _too_long(line: int, col: int) -> ParseError:
     return ParseError(f"number has more than {sys.get_int_max_str_digits()} digits", line, col)
 
 
-def _ratio(m: re.Match, group: int) -> tuple[int, int]:
-    """The literal in groups `group` (digits) and `group + 1` (digits after
-    the point) of a `_QUOTIENT_RE` match as an integer numerator and a power
-    of ten, read as `Fraction(str)` reads it, part by part: a part with
-    more digits than the interpreter converts is a ParseError."""
-    digits, decimals = m[group], m[group + 1]
-    try:
-        if decimals is None:
-            return int(digits), 1
-        scale = 10 ** len(decimals)
-        return int(digits) * scale + int(decimals), scale
-    except ValueError:
-        raise _too_long(1, m.start(group) + 1) from None
-
-
 class _Parser:
-    def __init__(self, source: str, registry: Optional[DrawRegistry] = None):
+    def __init__(self, source: str, registry: Optional[DrawRegistry] = None,
+                 params: Iterable[str] = (), allowed: Optional[set[str]] = None):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.registry = registry or DrawRegistry()
-        self.params: dict[str, Param] = {}
-        self.allowed: Optional[set[str]] = None  # None: any identifier is a variable
+        self.params: dict[str, Param] = {p: Param(p) for p in params}
+        self.allowed = allowed  # None: any identifier is a variable
 
     # -- token plumbing ----------------------------------------------------
 
@@ -249,9 +237,9 @@ class _Parser:
         u = self.registry.fresh(DrawSpec("unif01", None))
         return RationalFunction(lo + (hi - lo) * u)
 
-    def poly_expr(self, what: str) -> Polynomial:
+    def poly_expr(self, what: str, dists_ok: bool = True) -> Polynomial:
         tok = self.peek()
-        value = self.expr()
+        value = self.expr(dists_ok)
         if not value.is_poly():
             self.fail(f"{what} must be a polynomial", tok)
         return value.num
@@ -381,7 +369,8 @@ def parse_program(source: str) -> LoopProgram:
 
 
 def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
-    """Parse a parameter-only expression, e.g. a probability or coefficient."""
+    """Parse a parameter-only expression, e.g. a probability or coefficient;
+    a literal past the interpreter's digit limit is a ParseError."""
     m = _QUOTIENT_RE.match(text)
     if m:
         # one Fraction(int, int) for a number or a quotient of two
@@ -389,18 +378,20 @@ def parse_ratfun(text: str, params: Iterable[str] = ()) -> RationalFunction:
         try:
             num, den = int(a + a_dec) * 10 ** len(b_dec), int(b + b_dec or 1) * 10 ** len(a_dec)
         except ValueError:  # past the digit limit together, perhaps not part by part
-            (num, scale), (den, den_scale) = _ratio(m, 1), _ratio(m, 3) if b else (1, 1)
-            num, den = num * den_scale, den * scale
-        if den:  # a zero divisor goes on to the parser, which reports where
+            den = 0
+        if den:  # the parser reads the rest, and reports where a divisor is zero
             return _rf_const(Fraction(num, den))
-    parser = _Parser(text)
-    parser.params = {p: Param(p) for p in params}
-    parser.allowed = set()
-    value = parser.param_expr("expression")
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"unexpected {tok.text!r}", tok)
-    return value
+    return _parse(text, params, set(), _limited_param_expr)
+
+
+def _limited_param_expr(parser: _Parser) -> RationalFunction:
+    """parser.param_expr, once no literal has a part past the digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        for tok in parser.tokens:
+            if tok.kind == "num" and max(map(len, tok.text.split("."))) > limit:
+                raise _too_long(tok.line, tok.col)
+    return parser.param_expr("expression")
 
 
 def parse_draw_expr(
@@ -414,27 +405,21 @@ def parse_draw_expr(
     allocated from the given registry so several expressions can share one
     namespace.
     """
-    parser = _Parser(text, registry)
-    parser.params = {p: Param(p) for p in params}
-    parser.allowed = set()
-    tok = parser.peek()
-    value = parser.expr()
-    if parser.peek().kind != "eof":
-        parser.fail(f"unexpected {parser.peek().text!r}")
-    if not value.is_poly():
-        raise ParseError("expected a polynomial expression", tok.line, tok.col)
-    return value.num
+    return _parse(text, params, set(), lambda parser: parser.poly_expr("expression"), registry)
 
 
 def parse_poly(text: str, symbols: Iterable[str] = (), params: Iterable[str] = ()) -> Polynomial:
     """Parse a polynomial over the given symbols (plus parameters)."""
-    parser = _Parser(text)
-    parser.params = {p: Param(p) for p in params}
-    parser.allowed = set(symbols)
+    return _parse(text, params, set(symbols), lambda parser: parser.poly_expr("expression", False))
+
+
+def _parse(text: str, params: Iterable[str], allowed: set[str], read, registry=None):
+    """read(parser) on a parser of text whose parameters are params and
+    whose other names are those in allowed; text past what it reads is a
+    ParseError."""
+    parser = _Parser(text, registry, params, allowed)
+    value = read(parser)
     tok = parser.peek()
-    value = parser.expr(dists_ok=False)
-    if parser.peek().kind != "eof":
-        parser.fail(f"unexpected {parser.peek().text!r}")
-    if not value.is_poly():
-        raise ParseError("expected a polynomial", tok.line, tok.col)
-    return value.num
+    if tok.kind != "eof":
+        parser.fail(f"unexpected {tok.text!r}", tok)
+    return value

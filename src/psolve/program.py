@@ -17,6 +17,8 @@ Every draw belongs to one statement: `validate` requires each draw that an
 initializer or an update uses to have a known distribution and to occur in
 no other statement, though the branches of one update may share it.
 `extend` appends statements to a valid program and validates only those.
+`check_draw`, the rule for a draw's constant argument, also checks a
+network's slice-zero draws.
 """
 
 from __future__ import annotations
@@ -342,13 +344,19 @@ def _validate(prog: LoopProgram, start: int) -> None:
                     f"distribution argument references {sorted(bad)[0]}; "
                     "variance and success probability must be parameter-only"
                 )
-        if spec.kind == "bern" and spec.arg.is_const():
-            p = spec.arg.const_value()
-            if p < 0 or p > 1:
-                raise ProgramError(f"bern({p}) probability outside [0, 1]")
-        if spec.kind == "gauss0" and spec.arg.is_const():
-            if spec.arg.const_value() < 0:
-                raise ProgramError("negative Gaussian variance")
+        check_draw(spec)
+
+
+def check_draw(spec: DrawSpec) -> None:
+    """Raises ProgramError for a constant Bernoulli probability outside
+    [0, 1] or a constant negative Gaussian variance."""
+    if spec.arg is None or not spec.arg.is_const():
+        return
+    value = spec.arg.const_value()
+    if spec.kind == "bern" and not 0 <= value <= 1:
+        raise ProgramError(f"bern({value}) probability outside [0, 1]")
+    if spec.kind == "gauss0" and value < 0:
+        raise ProgramError("negative Gaussian variance")
 
 
 def _claim_draws(prog: LoopProgram, owners, draws, stmt: tuple[str, str]) -> None:

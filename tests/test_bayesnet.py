@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,9 +24,9 @@ from psolve.bayesnet import (
     load_bn,
     load_bn_path,
 )
-from psolve.errors import ParseError, SchemaError
+from psolve.errors import InputError, ParseError, SchemaError
 from psolve.parser import parse_ratfun
-from psolve.queries import node_distribution
+from psolve.queries import node_distribution, run_query
 from psolve.symbolic import coeff_str
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -213,6 +215,14 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="negative variance"):
             load_bn(doc)
 
+    def test_negative_variance_in_a_clg_row(self):
+        doc = doc_chain()
+        doc["nodes"][1]["model"] = {"kind": "clg", "parents": ["A"], "table": [
+            {"given": [0], "variance": "1"}, {"given": [1], "variance": "-1/2"}]}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == "node B: negative variance"
+
     def test_continuous_parent_of_discrete(self):
         doc = {
             "type": "bn",
@@ -267,7 +277,7 @@ LOADER_ERRORS = [
     (doc_chain, ("type",), "net", "unknown network type 'net'"),
     (doc_chain, ("extra",), 1, "unknown top-level keys ['extra']"),
     (doc_chain, ("nodes",), [], '"nodes" must be a non-empty list'),
-    # _load_params and _fraction
+    # _load_params and read_number
     (doc_chain, ("params",), {"a": 1}, '"params" must be a list'),
     (doc_chain, ("params",), [5], "bad parameter entry 5"),
     (doc_chain, ("params",), ["2a"], "bad parameter name '2a'"),
@@ -366,6 +376,12 @@ LOADER_ERRORS = [
     (doc_umbrella, ("initial", "R"), 2, "initial value of R: 2 is outside the node's support"),
     (doc_umbrella, ("initial", "R"), "bern(",
      "initial value of R: 1:6: unexpected end of input"),
+    (doc_umbrella, ("initial", "R"), "bern(1.5)",
+     "initial value of R: bern(3/2) probability outside [0, 1]"),
+    (doc_umbrella, ("initial", "R"), "1 - bern(-1/4)",
+     "initial value of R: bern(-1/4) probability outside [0, 1]"),
+    (doc_umbrella, ("initial", "R"), "gauss(0, -1)",
+     "initial value of R: negative Gaussian variance"),
     (doc_umbrella, ("initial", "Z"), 0, "unknown node 'Z'"),
 ]
 
@@ -448,8 +464,8 @@ class TestNumericEntries:
 
     @pytest.mark.parametrize("text, col", [
         ("9" * 4301, 1), ("1/" + "9" * 4301, 3), ("0." + "1" * 4301, 1),
-        ("1" * 4301 + ".5", 1), (" 2.5/ " + "3" * 4301 + ".0", 7),
-    ], ids=["integer", "divisor", "decimals", "digits", "spaced"])
+        ("1" * 4301 + ".5", 1), (" 2.5/ " + "3" * 4301 + ".0", 7), ("(" + "9" * 4301 + ")", 2),
+    ], ids=["integer", "divisor", "decimals", "digits", "spaced", "parenthesized"])
     def test_literal_past_the_digit_limit(self, text, col):
         limit = sys.get_int_max_str_digits()
         if limit != 4300:
@@ -554,6 +570,16 @@ class TestLoadPath:
             load_bn_path(p)
         assert str(info.value) == f"{p}: number has more than {limit} digits"
         assert sys.get_int_max_str_digits() == limit
+
+    def test_domain_bound_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int-string conversion is unlimited")
+        doc = doc_chain()
+        doc["params"] = [{"name": "a", "domain": ["0", "1" * (limit + 700)]}]
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == f"domain of a: number has more than {limit} digits"
 
     def test_all_bundled_files_load(self):
         for path in sorted(DATA.glob("*.json")):
@@ -704,3 +730,99 @@ class TestLinearLoader:
         assert bn.node("B").model.vector((0,)) == (F(4, 5), F(1, 5))
         with pytest.raises(KeyError):
             bn.node("B").model.vector((2,))
+
+
+def substituted(doc, values):
+    """doc with each parameter in values replaced by (p/q) in every string
+    of its nodes and initial values, and left out of "params"."""
+    word = re.compile(r"\b(" + "|".join(map(re.escape, values)) + r")\b")
+
+    def walk(item):
+        if isinstance(item, str):
+            return word.sub(lambda m: f"({values[m[1]].numerator}/{values[m[1]].denominator})",
+                            item)
+        if isinstance(item, list):
+            return [walk(v) for v in item]
+        if isinstance(item, dict):
+            return {k: walk(v) for k, v in item.items()}
+        return item
+
+    out = {**doc, "nodes": walk(doc["nodes"])}
+    out["params"] = [p for p in doc.get("params", [])
+                     if (p if isinstance(p, str) else p["name"]) not in values]
+    if "initial" in doc:
+        out["initial"] = walk(doc["initial"])
+    return out
+
+
+# The parametric bundled networks and queries whose answers `bind` must
+# keep: conditionals and distributions on static networks, the filter and
+# predict at n = 3 on dynamic ones.
+BIND_ORACLE = {
+    "alarm_sens": [
+        {"query": "distribution", "node": "B", "evidence": {"J": 1, "M": 0}},
+        {"query": "conditional", "target": "EQ", "evidence": {"A": 1}},
+    ],
+    "marks_sens": [
+        {"query": "moment", "target": "Stat", "k": 2},
+        {"query": "moment", "target": "ANL"},
+    ],
+    "rats_sens": [
+        {"query": "conditional", "target": "W2", "k": 2, "evidence": {"D": 1}},
+        {"query": "conditional", "target": "W1", "evidence": {"D": 1}},
+    ],
+    "umbrella_sens": [
+        {"query": "predict", "target": "R", "at": 3},
+        {"query": "filter", "observations": [{"U": 1}, {"U": 0}, {"U": 1}]},
+    ],
+}
+
+
+class TestBinding:
+    @pytest.mark.parametrize("name", sorted(BIND_ORACLE))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binding_equals_loading_the_values(self, name, seed):
+        """Binding values gives the node models and the answers of the
+        document with those values written in place of the parameters,
+        for every parameter and for all but the first."""
+        rng = random.Random(seed)
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        net = load_bn(doc)
+        bn = net.net if isinstance(net, DynBayesNet) else net
+        point = {}
+        for p in bn.params:  # a rational inside the declared domain, or in (0, 2)
+            lo, hi = (p.lo, p.hi) if p.lo is not None else (F(0), F(2))
+            point[p.name] = lo + (hi - lo) * F(rng.randint(1, 19), 20)
+        names = list(point)
+        for subset in [names, names[1:]] if len(names) > 1 else [names]:
+            values = {n: point[n] for n in subset}
+            got, want = bind(net, values), load_bn(substituted(doc, values))
+            assert got == want
+            for spec in BIND_ORACLE[name]:
+                assert run_query(got, spec).exact() == run_query(want, spec).exact(), spec
+
+    @pytest.mark.parametrize("path, values, message", [
+        ("marks_sens.json", {"sigma_an": F(-5)},
+         "binding sigma_an=-5: node ANL: negative variance"),
+        ("rats_sens.json", {"a": F(1), "b": F(-3)}, "binding a=1, b=-3: node W1: negative variance"),
+    ], ids=["lingauss", "clg"])
+    def test_bound_nodes_pass_the_loader_checks(self, path, values, message):
+        with pytest.raises(InputError) as info:
+            bind(load_bn_path(DATA / path), values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        (F(1, 2), None),
+        (F(3, 2), "binding r=3/2: initial value of R: bern(3/2) probability outside [0, 1]"),
+    ], ids=["inside", "outside"])
+    def test_bound_slice_zero_draws_are_checked(self, value, message):
+        doc = doc_umbrella()
+        doc["params"] = [{"name": "r", "domain": ["0", "2"]}]
+        doc["initial"] = {"R": "bern(r)"}
+        dyn = load_bn(doc)
+        if message is None:
+            assert bind(dyn, {"r": value}).draws["$0"].arg == F(1, 2)
+            return
+        with pytest.raises(InputError) as info:
+            bind(dyn, {"r": value})
+        assert str(info.value) == message

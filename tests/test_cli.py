@@ -603,6 +603,12 @@ class TestNumbersPastTheDigitLimit:
         assert (code, out) == (1, "")
         assert err == f"error: {what}: number has more than {LIMIT} digits\n"
 
+    def test_param_value(self, capsys):
+        code, out, err = run(capsys, "query", ALARM_SENS, "--param", f"b={TOO_LONG}",
+                             "--spec", '{"query": "moment", "target": "B"}')
+        assert (code, out) == (1, "")
+        assert err == f"error: --param b: number has more than {LIMIT} digits\n"
+
     def test_evidence_state(self, capsys):
         code, out, err = run(capsys, "samples", ALARM, "--evidence", f"J={TOO_LONG}")
         assert (code, out) == (1, "")
@@ -780,6 +786,26 @@ class TestFilter:
                              "--obs", '[{"U": 1, "U": 0}]')
         assert (code, out) == (1, "")
         assert 'JSON object lists "U" twice' in err
+
+    @pytest.mark.parametrize("initial, bindings, message", [
+        ("bern(1.5)", [], "initial value of R: bern(3/2) probability outside [0, 1]"),
+        ("bern(r)", ["--param", "r=3/2"],
+         "binding r=3/2: initial value of R: bern(3/2) probability outside [0, 1]"),
+    ], ids=["loaded", "bound"])
+    def test_slice_zero_draw_outside_its_range(self, capsys, tmp_path, initial, bindings,
+                                               message):
+        # the filter never compiles the network, so loading and binding check it
+        net = tmp_path / "coin.json"
+        net.write_text(json.dumps({
+            "type": "dynbn", "params": [{"name": "r", "domain": ["0", "2"]}],
+            "nodes": [
+                {"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                    {"given": [1], "p": ["0.7", "0.3"]}, {"given": [0], "p": ["0.3", "0.7"]}]}},
+                {"name": "U", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+                    {"given": [1], "p": ["0.1", "0.9"]}, {"given": [0], "p": ["0.8", "0.2"]}]}}],
+            "inter_edges": {"R": ["R"]}, "initial": {"R": initial}}))
+        assert run(capsys, "filter", str(net), "--obs", "U=1; U=0", *bindings) == (
+            1, "", f"error: {message}\n")
 
     def test_static_network_rejected(self, capsys):
         # the same text as a filter query document on a static network

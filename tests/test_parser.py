@@ -1,14 +1,15 @@
 """Surface syntax: tokens, expressions, programs, error positions."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from conftest import numeric_text
 
 from psolve.errors import ParseError
-from psolve.parser import parse_poly, parse_program, parse_ratfun
-from psolve.program import DrawSpec, pretty
+from psolve.parser import parse_draw_expr, parse_poly, parse_program, parse_ratfun
+from psolve.program import DrawRegistry, DrawSpec, pretty
 from psolve.symbolic import Monomial, Polynomial, RationalFunction
 
 
@@ -50,6 +51,65 @@ class TestNumericFastPath:
         except ParseError as exc:
             got = str(exc)
         assert got == result
+
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "9" * (LIMIT + 1)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="int-string conversion is unlimited")
+class TestDigitLimit:
+    """A network number with more digits than the interpreter converts is
+    an error at its own literal, parenthesized or not; a program's or a
+    goal's is read in chunks, so that printed programs parse back."""
+
+    @pytest.mark.parametrize("text, col", [
+        (f"({LONG})", 2), (f"(1{LONG})/(2{LONG})", 2), (f"1/({LONG})", 4),
+        (f"r*(1 - 1/2) + {LONG}", 15), (f"r^{LONG}", 3), (f"(1.5 + 0.{LONG})", 8),
+    ], ids=["parenthesized", "quotient", "divisor", "sum", "exponent", "decimals"])
+    def test_ratfun_refuses_at_the_literal(self, text, col):
+        with pytest.raises(ParseError) as info:
+            parse_ratfun(text, ["r"])
+        assert str(info.value) == f"1:{col}: number has more than {LIMIT} digits"
+
+    def test_parts_of_a_decimal_count_apart(self):
+        part = "1" * LIMIT
+        assert parse_ratfun(f"({part}.{part})") == parse_ratfun(f"{part}.{part}")
+
+    def test_program_and_goal_read_in_chunks(self):
+        value = 10 ** (LIMIT + 1) - 1
+        assert parse_poly(f"({LONG})").const_value() == value
+        prog = parse_program(f"x := {LONG}; while true {{ x := x; }}")
+        assert prog.inits[0].expr.const_value() == value
+
+
+class TestEntryPoints:
+    """parse_ratfun, parse_draw_expr and parse_poly read one expression
+    and refuse what follows it alike."""
+
+    @pytest.mark.parametrize("parse", [
+        lambda text: parse_ratfun(text, ["r"]),
+        lambda text: parse_draw_expr(text, ["r"], DrawRegistry()),
+        lambda text: parse_poly(text, ["x"], ["r"]),
+    ], ids=["ratfun", "draw_expr", "poly"])
+    def test_text_after_the_expression(self, parse):
+        with pytest.raises(ParseError) as info:
+            parse("r + 1 r")
+        assert str(info.value) == "1:7: unexpected 'r'"
+
+    @pytest.mark.parametrize("parse", [
+        lambda text: parse_draw_expr(text, ["r"], DrawRegistry()),
+        lambda text: parse_poly(text, ["x"], ["r"]),
+    ], ids=["draw_expr", "poly"])
+    def test_quotient_by_a_parameter_is_no_polynomial(self, parse):
+        with pytest.raises(ParseError) as info:
+            parse("1 + 1/r")
+        assert str(info.value) == "1:1: expression must be a polynomial"
+
+    def test_poly_refuses_distributions(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly("x + bern(1/2)", ["x"])
+        assert str(info.value) == "1:5: distributions are not allowed here"
 
 
 class TestExpressions:
