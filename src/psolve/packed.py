@@ -1,4 +1,5 @@
-"""Packed polynomials: the moment engine's working form.
+"""Packed polynomials: the working form of the moment engine and of the
+symbolic forward filter.
 
 A `SymbolTable` gives each symbol one fixed-width bit field of an int, in
 the order the symbols are added, and a packed monomial is that int: the
@@ -9,7 +10,9 @@ is a guard bit that no stored exponent reaches, so the product of two
 monomials is one int addition, and it overflowed exactly when the sum has
 a guard bit set; a symbol's exponent is a shift and a mask.  Every product
 here checks the guard bits and raises `Overflow` rather than build a wrong
-monomial; the table's owner then widens the table and starts over.
+monomial; the moment engine then widens its table and starts over, while
+the forward filter sizes its table once, from a bound on its weights'
+degrees, so that none of its products overflows.
 
 A packed polynomial is a pair (terms, den): a dict from packed monomials
 to nonzero int numerators, and one positive int denominator.  The
@@ -20,6 +23,11 @@ form, so equal polynomials get one id.  Dicts of ints and tuples of ints
 are not tracked by CPython's cyclic collector.  The operations keep the term order that `Polynomial`'s
 own arithmetic gives, term for term, so a walk on packed forms visits the
 terms of its result in the order the `Polynomial` walk would.
+
+`mul_add` is the one product kernel: `mul` runs it, and so does the
+forward filter, whose weights are term dicts of ints with no
+denominator; `unpacker` reads the filter's keys back as monomials, each
+key once.
 
 `expand` is the one rewrite kernel: it replaces the masked part of every
 term by an image polynomial and re-expands, as `Polynomial.map_powers`
@@ -146,6 +154,21 @@ class SymbolTable:
         return _poly_of_terms({self.unpack_mono(k): Fraction(n, den) for k, n in terms.items()})
 
 
+def unpacker(table: SymbolTable):
+    """key -> (Monomial, total degree) for the packed monomials of table,
+    each key unpacked once: `symbolic.over` reads keys this way."""
+    seen: dict[int, tuple[Monomial, int]] = {}
+
+    def unpack(key: int) -> tuple[Monomial, int]:
+        hit = seen.get(key)
+        if hit is None:
+            mono = table.unpack_mono(key)
+            hit = seen[key] = (mono, mono.degree())
+        return hit
+
+    return unpack
+
+
 def symbols(terms: dict) -> int:
     """The OR of the keys: a symbol occurs in some term exactly when its
     field is nonzero here."""
@@ -175,17 +198,22 @@ def normal(p: tuple[dict, int]) -> tuple[dict, int]:
 
 
 def mul(a: tuple[dict, int], b: tuple[dict, int], table: SymbolTable) -> tuple[dict, int]:
-    guard = table.guard
     acc: dict[int, int] = {}
+    mul_add(acc, a[0], b[0], table.guard)
+    return clean(acc, a[1] * b[1])
+
+
+def mul_add(acc: dict, a: dict, b: dict, guard: int) -> None:
+    """acc += a * b in place, for term dicts of int numerators keyed by one
+    table whose guard bits are guard; zero sums stay in acc (`clean`)."""
     get = acc.get
-    tb = b[0].items()
-    for ka, na in a[0].items():
+    tb = b.items()
+    for ka, na in a.items():
         for kb, nb in tb:
             k = ka + kb
             if k & guard:
                 raise Overflow(k)
             acc[k] = get(k, 0) + na * nb
-    return clean(acc, a[1] * b[1])
 
 
 def add(a: tuple[dict, int], b: tuple[dict, int]) -> tuple[dict, int]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +46,9 @@ from .encode import (
 from .errors import InternalCheckError, QueryError, UnsupportedError
 from .exppoly import expoly_limit
 from .moments import MomentEngine
+from . import packed
 from .parser import parse_poly
-from .program import LoopProgram
+from .program import LoopProgram, _poly_str, is_draw
 from .recurrence import ClosedForm, merge_assumptions
 from .symbolic import (
     Monomial,
@@ -59,9 +59,7 @@ from .symbolic import (
     _rf_const,
     clear_denominators,
     decimal_str,
-    int_content,
-    poly_content,
-    poly_divide,
+    over,
 )
 
 Value = Union[RationalFunction, ClosedForm, tuple]
@@ -323,26 +321,28 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
     """Posterior over the temporal state after each observation step.
 
     Implements the forward pass on integer weights, one per state: Python
-    ints when the network has no parameters, polynomials with integer
-    coefficients when it has.  One loop serves both.  The prior is cleared
-    of denominators once (`symbolic.clear_denominators`), and each CPT of
-    the slice once, for every step alike (`BayesNet.cleared`): a step's
-    distribution P(next state, obs | previous state) sums the cleared row
-    weights of `bayesnet.joint_rows`, so it is the distribution times the
-    product of the CPTs' clearing factors.  The factor is common to every
-    previous state a step reads, so it scales every new weight alike and
-    leaves the beliefs unchanged.  A step sums
-    w[prev] * N[prev][next] into the new weights and divides them by their
-    common integer content; it emits each state's belief as its weight over
-    the weights' total.  No `RationalFunction` arithmetic runs per step,
-    and a numeric step runs no `Fraction` arithmetic either: it multiplies,
-    adds and takes one gcd of ints, and builds its beliefs.  Since only the
-    emitted beliefs are divided, a symbolic belief's degree grows linearly
-    in the number of steps instead of doubling.  A step may observe any
-    subset of non-temporal discrete nodes; an empty step is a pure
-    prediction step.  The one-step distribution is the chain-rule joint of
-    the slice given the previous state and the step's observations, summed
-    onto the new state and memoized per observation.
+    ints when the network has no parameters (`_IntWeights`), packed
+    polynomials with int coefficients when it has (`_PackedWeights`).  One
+    loop serves both; the kind's operations are picked once.  The prior
+    is cleared of denominators once (`symbolic.clear_denominators`), and
+    each CPT of the slice once, for every step alike (`BayesNet.cleared`):
+    a step's distribution P(next state, obs | previous state) sums the
+    cleared row weights of `bayesnet.joint_rows`, so it is the
+    distribution times the product of the CPTs' clearing factors.  The
+    factor is common to every previous state a step reads, so it scales
+    every new weight alike and leaves the beliefs unchanged.  A step sums
+    w[prev] * N[prev][next] into the new weights, on ints alone, and
+    divides them by the gcd of all their integer coefficients; it emits
+    each state's belief as its weight over the weights' total, the beliefs
+    of one step built together over their shared total (`symbolic.over`).
+    No `RationalFunction` or `Fraction` arithmetic runs per step but for
+    building the beliefs, and since only the emitted beliefs are divided,
+    a symbolic belief's degree grows linearly in the number of steps
+    instead of doubling.  A step may observe any subset of non-temporal
+    discrete nodes; an empty step is a pure prediction step.  The one-step
+    distribution is the chain-rule joint of the slice given the previous
+    state and the step's observations, summed onto the new state and
+    memoized per observation.
 
     A symbolic filter records one assumption: the last step's total, made
     primitive, is nonzero.  That total is P(all observations) up to a
@@ -361,39 +361,25 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
                 f"filtering needs an all-discrete slice, {nd.name} is not"
             )
     symbolic = bool(dyn.net.params)
-    content, divide, belief = (
-        (poly_content, poly_divide, RationalFunction) if symbolic
-        else (int_content, operator.floordiv, _int_belief)
-    )
     space = tuple(prior)
+    prior = clear_denominators({(): prior}, symbolic)[0][()]
+    kind = _PackedWeights(dyn, prior, len(slices)) if symbolic else _IntWeights
+    weights = {s: kind.pack(w) for s, w in prior.items()}
     memo: dict = {}
-    weights = clear_denominators({(): prior}, symbolic)[0][()]
     total = None
     out = []
     for t, obs in enumerate(slices, start=1):
         if obs not in memo:
-            memo[obs] = {prev: _step_dist(dyn, prev, obs) for prev in space}
-        step = memo[obs]
-        new: dict = {}
-        for prev, weight in weights.items():
-            for state, n in step[prev].items():
-                acc = new.get(state)
-                new[state] = weight * n if acc is None else acc + weight * n
-        total = sum(new.values())
-        if total == 0:
+            memo[obs] = {prev: {s: kind.pack(n) for s, n in _step_dist(dyn, prev, obs).items()}
+                         for prev in space}
+        weights, total = kind.advance(weights, memo[obs])
+        if not total:
             raise QueryError(
                 f"observation step {t} ({obs}) has zero likelihood under "
                 "the current belief"
             )
-        g = math.gcd(*map(content, new.values()))
-        if g != 1:
-            new = {s: divide(w, g) for s, w in new.items()}
-            total = divide(total, g)
-        out.append(tuple(belief(new[s], total) if s in new else RF_ZERO for s in space))
-        weights = new
-    assumptions = ()
-    if symbolic and total is not None and not total.is_const():
-        assumptions = (f"({total * (1 / total.content())}) != 0",)
+        out.append(kind.beliefs(weights, total, space))
+    assumptions = () if total is None else kind.assumptions(total)
     labels = tuple(", ".join(f"{n}={v}" for n, v in zip(states, s)) for s in space)
     return QueryResult(
         "filter",
@@ -401,6 +387,102 @@ def forward_filter(dyn: DynBayesNet, observations) -> QueryResult:
         assumptions,
         extras=(("states", " | ".join(labels)),),
     )
+
+
+class _IntWeights:
+    """The forward filter's weights for a network without parameters: one
+    int per state."""
+
+    @staticmethod
+    def pack(weight: int) -> int:
+        return weight
+
+    @staticmethod
+    def advance(weights: dict, step: dict) -> tuple[dict, int]:
+        """The new weights sum(w[prev] * N[prev][next]) and their total,
+        both divided by the gcd of the weights."""
+        new: dict = {}
+        for prev, weight in weights.items():
+            for state, n in step[prev].items():
+                acc = new.get(state)
+                new[state] = weight * n if acc is None else acc + weight * n
+        total = sum(new.values())
+        g = math.gcd(*new.values())
+        if g > 1:
+            new = {s: w // g for s, w in new.items()}
+            total //= g
+        return new, total
+
+    @staticmethod
+    def beliefs(weights: dict, total: int, space: tuple) -> tuple:
+        """Each state's weight over the total."""
+        return tuple(_rf_const(Fraction(weights[s], total)) if s in weights else RF_ZERO for s in space)
+
+    @staticmethod
+    def assumptions(total: int) -> tuple[str, ...]:
+        return ()
+
+
+class _PackedWeights:
+    """The forward filter's weights for a network with parameters: one
+    packed polynomial with int coefficients per state, a dict {packed
+    monomial: int} keyed by one `packed.SymbolTable` of the network's
+    parameters.  The table's field width is chosen once, from a bound on
+    every weight's degree: the prior's, plus the steps times the largest
+    degree of a step's distribution, which is at most the sum over the
+    slice's CPTs of their largest cleared entry's degree.  No exponent
+    reaches a guard bit, and the guard check stays as a safeguard."""
+
+    def __init__(self, dyn: DynBayesNet, prior: dict, steps: int):
+        step_degree = sum(max(p.degree() for row in table.values() for p in row.values())
+                          for table in dyn.net.cleared[0].values())
+        bound = max(p.degree() for p in prior.values()) + steps * step_degree
+        self.table = packed.SymbolTable(bound.bit_length() + 1)
+        for name in dyn.net.param_names:
+            self.table.add(name)
+        self.unpack = packed.unpacker(self.table)
+
+    def pack(self, weight) -> dict:
+        """A cleared weight, a polynomial with int coefficients (or an int
+        where a slice multiplies no CPT entry in), in packed form."""
+        if isinstance(weight, int):
+            return {0: weight}
+        return self.table.pack(weight)[0]
+
+    def advance(self, weights: dict, step: dict) -> tuple[dict, dict]:
+        """The new weights sum(w[prev] * N[prev][next]) and their total,
+        both divided by the gcd of all the weights' coefficients."""
+        guard = self.table.guard
+        new: dict = {}
+        for prev, weight in weights.items():
+            for state, n in step[prev].items():
+                acc = new.get(state)
+                if acc is None:
+                    acc = new[state] = {}
+                packed.mul_add(acc, weight, n, guard)
+        new = {s: packed.clean(w, 1)[0] for s, w in new.items()}
+        total: dict = {}
+        for w in new.values():
+            packed.mul_add(total, w, packed.ONE[0], guard)
+        total = packed.clean(total, 1)[0]
+        g = math.gcd(*[c for w in new.values() for c in w.values()])
+        if g > 1:
+            new = {s: {k: c // g for k, c in w.items()} for s, w in new.items()}
+            total = {k: c // g for k, c in total.items()}
+        return new, total
+
+    def beliefs(self, weights: dict, total: dict, space: tuple) -> tuple:
+        """Each state's weight over the total, the total made canonical
+        once for all of them (`symbolic.over`)."""
+        belief = over(total, self.unpack)
+        return tuple(belief(weights[s]) if s in weights else RF_ZERO for s in space)
+
+    def assumptions(self, total: dict) -> tuple[str, ...]:
+        """The total, made primitive, is nonzero, unless it is a constant."""
+        if not any(total):
+            return ()
+        g = math.gcd(*total.values())
+        return (f"({self.table.unpack(({k: c // g for k, c in total.items()}, 1))}) != 0",)
 
 
 def _normalize_steps(net: BayesNet, observations) -> list:
@@ -425,10 +507,6 @@ def _normalize_steps(net: BayesNet, observations) -> list:
             pairs = memo[key] = normalize_evidence(net, step)
         out.append(pairs)
     return out
-
-
-def _int_belief(weight: int, total: int) -> RationalFunction:
-    return _rf_const(Fraction(weight, total))
 
 
 def _step_dist(dyn: DynBayesNet, prev, obs) -> dict:
@@ -461,7 +539,10 @@ def _filter_setup(dyn: DynBayesNet):
 
 
 def _initial_marginal(dyn: DynBayesNet, name: str):
-    """P(node = v) at slice zero, from the initial expression."""
+    """P(node = v) at slice zero, from the initial expression: its value
+    on every outcome of its `bern` draws, weighted by the outcome's
+    probability.  Every outcome must be a state of the node, so
+    `1 - bern(3/10)` is a coin and `2*bern(1/2)` is refused."""
     node = dyn.net.node(name)
     expr = dyn.initial_expr(name)
     if expr.is_const():
@@ -469,14 +550,23 @@ def _initial_marginal(dyn: DynBayesNet, name: str):
         if value.denominator != 1 or not 0 <= value < node.support:
             raise QueryError(f"initial value {value} of {name} is not a state")
         return [RF_ONE if i == value else RF_ZERO for i in range(node.support)]
-    draws = [s for s in expr.symbols()]
-    if len(draws) == 1 and expr == Polynomial.var(draws[0]):
-        spec = dyn.draws.get(draws[0])
-        if spec is not None and spec.kind == "bern" and node.support == 2:
-            return [RF_ONE - spec.arg, spec.arg]
+    draws = sorted(filter(is_draw, expr.symbols()))
+    specs = [dyn.draws[s] for s in draws]
+    marginal = [RF_ZERO] * node.support
+    if all(spec.kind == "bern" for spec in specs):
+        for outcome in itertools.product((0, 1), repeat=len(draws)):
+            value = expr.substitute(dict(zip(draws, outcome)))
+            v = value.const_value() if value.is_const() else None
+            if v is None or v.denominator != 1 or not 0 <= v < node.support:
+                break
+            marginal[int(v)] += math.prod(
+                (spec.arg if bit else RF_ONE - spec.arg for spec, bit in zip(specs, outcome)),
+                start=RF_ONE)
+        else:
+            return marginal
     raise UnsupportedError(
         f"filtering needs a discrete initial distribution for {name}; "
-        f"got {expr}"
+        f"got {_poly_str(expr, dyn.draws)}"
     )
 
 

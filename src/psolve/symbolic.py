@@ -39,9 +39,12 @@ lexicographic order by one merge walk over their power tuples.
 
 `clear_denominators` turns a table of probabilities into integer weights
 over one common factor (ints, or polynomials with integer coefficients),
-with `int_content`/`poly_content` and `poly_divide` to keep them small.
-A network clears each CPT once (`BayesNet.cleared`), and the forward
-filter and the enumeration oracle both run on those weights.
+and a network clears each CPT once (`BayesNet.cleared`); the forward
+filter and the enumeration oracle both run on those weights.  A rational
+function's canonical form is defined once, by `_canonical`, for term
+dicts keyed by monomials or by packed monomials: `RationalFunction`
+builds one numerator over its denominator with it, and `over` the
+beliefs of a filter step over their shared total.
 """
 
 from __future__ import annotations
@@ -300,17 +303,6 @@ class Polynomial:
         m = max(self.terms)
         return m, self.terms[m]
 
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -526,11 +518,12 @@ def exact_div(num: Polynomial, den: Polynomial) -> Optional[Polynomial]:
 class RationalFunction:
     """Ratio of two polynomials, denominator nonzero.
 
-    Canonical form: exact polynomial cancellation is attempted (single
-    divisor only, no multivariate gcd), the denominator is made primitive
-    with positive leading coefficient, and a zero numerator forces
-    denominator 1.  Equality is cross-multiplication, so representatives
-    differing by a common factor still compare equal.
+    Canonical form (`_canonical`): exact polynomial cancellation is
+    attempted (single divisor only, no multivariate gcd, decided by total
+    degree before any division is tried), the denominator is made
+    primitive with positive leading coefficient, and a zero numerator
+    forces denominator 1.  Equality is cross-multiplication, so
+    representatives differing by a common factor still compare equal.
 
     A constant (constant numerator over denominator 1) also carries its
     exact `Fraction` value in `_const` (None otherwise).  Arithmetic and
@@ -544,27 +537,12 @@ class RationalFunction:
     def __init__(self, num, den=None):
         num = _as_poly(num)
         den = _POLY_ONE if den is None else _as_poly(den)
-        if den.is_zero():
+        if den.terms == _POLY_ONE.terms:
+            den, const = _POLY_ONE, num.const_value() if num.is_const() else None
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = _POLY_ONE
-        elif not den.is_const():
-            q = exact_div(num, den)
-            if q is not None:
-                num, den = q, _POLY_ONE
-        if den.is_const():
-            c = den.const_value()
-            if c != 1:
-                num = num * (1 / c)
-            den = _POLY_ONE
-            const = num.const_value() if num.is_const() else None
         else:
-            c = den.content()
-            _, lead = den.leading()
-            if lead < 0:
-                c = -c
-            num, den = num * (1 / c), den * (1 / c)
-            const = None
+            num, den, const = _canonical(den.terms, _monomial)(num.terms)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_const", const)
@@ -760,6 +738,87 @@ def _rf_const(value: Fraction) -> RationalFunction:
 RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
 
+
+# -- canonical form --------------------------------------------------------
+
+
+def _monomial(mono: Monomial) -> tuple[Monomial, int]:
+    """A Monomial key as `_canonical` reads keys: itself and its degree."""
+    return mono, mono.degree()
+
+
+def _canonical(den: Mapping, unpack: Callable) -> Callable[[Mapping], tuple]:
+    """The canonical `RationalFunction` form (num, den, const) of any
+    numerator over one nonzero denominator, which is made canonical once.
+    den and the numerators are term dicts with int or Fraction
+    coefficients, and unpack(key) is a key's (Monomial, degree): a
+    Monomial key reads as itself (`_monomial`), a packed one through its
+    table (`packed.unpacker`).
+
+    Whether the denominator divides a numerator exactly is decided by
+    total degree: not when the numerator's degree is lower, exactly when
+    the two are proportional (`_proportion`) when it is the same, and by
+    `exact_div` only when it is higher, where a constant denominator
+    always divides.  A quotient comes back over 1.  Any other numerator
+    is divided by what makes the denominator canonical: its content,
+    signed so that its graded-lex leading coefficient is positive."""
+    lead = max(den, key=lambda key: unpack(key)[0])
+    degree, top = unpack(lead)[1], den[lead]
+    if degree:
+        num_gcd = gcd(*[c.numerator for c in den.values()])
+        den_lcm = lcm(*[c.denominator for c in den.values()])
+        scale = num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)  # int where it can be
+        if top < 0:
+            scale = -scale
+        den_poly = _poly_of_terms({unpack(k)[0]: Fraction(c, scale) for k, c in den.items()})
+    else:
+        scale, den_poly = top, _POLY_ONE
+
+    def form(num: Mapping) -> tuple[Polynomial, Polynomial, Optional[Fraction]]:
+        if not num:
+            return _poly_of_terms({}), _POLY_ONE, _ZERO
+        d = max([unpack(k)[1] for k in num])
+        if d == degree and (q := _proportion(num, den, lead)) is not None:
+            return _poly_of_terms({_UNIT: q}), _POLY_ONE, q
+        poly = _poly_of_terms({unpack(k)[0]: Fraction(c, scale) for k, c in num.items()})
+        if not degree:
+            return poly, _POLY_ONE, None
+        if d > degree and (q := exact_div(poly, den_poly)) is not None:
+            return q, _POLY_ONE, None
+        return poly, den_poly, None
+
+    return form
+
+
+def _proportion(num: Mapping, den: Mapping, lead) -> Optional[Fraction]:
+    """The constant q with num = q * den, or None: the two term dicts have
+    the same keys, and num[k] * den[lead] == den[k] * num[lead] for each."""
+    if len(num) != len(den) or lead not in num:
+        return None
+    n0, d0 = num[lead], den[lead]
+    for key, d in den.items():
+        n = num.get(key)
+        if n is None or n * d0 != d * n0:
+            return None
+    return Fraction(n0, d0)
+
+
+def over(den: Mapping, unpack: Callable) -> Callable[[Mapping], RationalFunction]:
+    """The canonical `RationalFunction` of each numerator over one
+    denominator (`_canonical`), built directly: the beliefs of a filter
+    step over their total."""
+    form = _canonical(den, unpack)
+
+    def build(num: Mapping) -> RationalFunction:
+        rf = object.__new__(RationalFunction)
+        n, d, c = form(num)
+        _set_num(rf, n)
+        _set_den(rf, d)
+        _set_const(rf, c)
+        return rf
+
+    return build
+
 # A coefficient of the solve layer (closed forms, recurrences and moment
 # expectations): a Fraction where no parameter occurs, a RationalFunction
 # where one does.  RationalFunction takes a Fraction operand on either side,
@@ -865,21 +924,6 @@ def clear_denominators(rows: dict, symbolic: bool) -> tuple[dict, Union[int, Pol
 
 def _scaled(value: Fraction, scale: int) -> int:
     return value.numerator * (scale // value.denominator)
-
-
-def int_content(weight: int) -> int:
-    """The content of an integer weight: the weight itself."""
-    return weight
-
-
-def poly_content(weight: Polynomial) -> int:
-    """The gcd of the integer coefficients of a weight polynomial."""
-    return weight.content().numerator
-
-
-def poly_divide(weight: Polynomial, g: int) -> Polynomial:
-    """A weight polynomial divided by an integer that divides its content."""
-    return weight * Fraction(1, g)
 
 
 def _number_str(value: Scalar) -> str:

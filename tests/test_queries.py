@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -545,6 +546,45 @@ class TestForwardFilter:
         dyn = load_bn_path(DATA / "umbrella_filter.json")
         assert forward_filter(dyn, [{"U": 1}, {"U": 0}]).assumptions == ()
 
+    def test_symbolic_slice_without_a_cpt(self):
+        # a slice of deterministic nodes weighs each step's rows 1: int
+        # weights beside the prior's polynomials in r
+        dyn = load_bn({
+            "type": "dynbn",
+            "params": [{"name": "r", "domain": ["0", "1"]}],
+            "nodes": [{"name": "R", "model": {"kind": "det", "expr": "1 - R"}}],
+            "inter_edges": {"R": ["R"]},
+            "initial": {"R": "bern(r)"},
+        })
+        assert forward_filter(dyn, [{}, {}]).exact() == "((r, -r + 1), (-r + 1, r))"
+
+    @staticmethod
+    def _with_initial(initial, params=()):
+        doc = json.loads((DATA / "umbrella_filter.json").read_text())
+        doc["initial"]["R"] = initial
+        doc["params"] = [{"name": name, "domain": ["0", "2"]} for name in params]
+        return load_bn(doc)
+
+    def test_slice_zero_value_from_its_bern_outcomes(self):
+        # 1 - bern(3/10) is 1 on the draw's outcome 0 and 0 on its outcome
+        # 1: a coin with p = 7/10, which check can now cross-check
+        coin = self._with_initial("1 - bern(3/10)")
+        steps = [{"U": 1}, {"U": 0}]
+        want = forward_filter(self._with_initial("bern(7/10)"), steps)
+        assert forward_filter(coin, steps).exact() == want.exact()
+        assert all(line.ok for line in differential_check(coin))
+
+    @pytest.mark.parametrize("initial, params, shown", [
+        ("2*bern(1/2)", (), "2*bern(1/2)"),
+        ("r", ("r",), "r"),
+    ])
+    def test_slice_zero_value_that_is_no_state_is_refused(self, initial, params, shown):
+        dyn = self._with_initial(initial, params)
+        with pytest.raises(UnsupportedError, match=(
+                "filtering needs a discrete initial distribution for R; "
+                f"got {re.escape(shown)}$")):
+            forward_filter(dyn, [{"U": 1}])
+
 
 def _umbrella_steps(seed, steps):
     """Seeded observation steps: umbrella seen, not seen, or not observed."""
@@ -726,6 +766,22 @@ def _plain_filter(doc, steps):
     return out
 
 
+# The umbrella network with a parameter in each transition row, declared
+# out of name order (s before r): the packed weights' fields and the
+# printed terms order the symbols differently.
+_TWO_PARAMS = {
+    "type": "dynbn",
+    "params": [{"name": "s", "domain": ["0", "1"]}, {"name": "r", "domain": ["0", "1"]}],
+    "nodes": [
+        {"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["1 - r", "r"]}, {"given": [0], "p": ["1 - s", "s"]}]}},
+        {"name": "U", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["0.1", "0.9"]}, {"given": [0], "p": ["0.8", "0.2"]}]}}],
+    "inter_edges": {"R": ["R"]},
+    "initial": {"R": 1},
+}
+
+
 class TestFilterKernel:
     """The integer-weight filter against a plain Fraction forward pass, and
     a symbolic filter against the filters of its bound networks."""
@@ -759,6 +815,32 @@ class TestFilterKernel:
                     forward_filter(bind(dyn, {"r": r}), steps)
             return
         TestFilterGrowth._assert_matches_bound(dyn, steps, symbolic, points)
+
+    @given(
+        st.lists(st.sampled_from(({"U": 1}, {"U": 0}, {})), min_size=10, max_size=12),
+        st.lists(st.tuples(*[st.fractions(F(1, 20), F(19, 20), max_denominator=20)] * 2),
+                 min_size=1, max_size=2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_two_parameters_match_bound_network(self, steps, points):
+        dyn = load_bn(_TWO_PARAMS)
+        symbolic = forward_filter(dyn, steps).value
+        for s, r in points:
+            env = {"s": s, "r": r}
+            numeric = forward_filter(bind(dyn, env), steps).value
+            for sym_step, num_step in zip(symbolic, numeric, strict=True):
+                assert [b.eval(env) for b in sym_step] == [b.const_value() for b in num_step]
+
+    def test_two_parameters_past_the_default_field(self):
+        # ten steps raise r past 7, the largest exponent a 4-bit field
+        # holds; the weights' table is as wide as their degree bound, and
+        # the assumption names the last total, the last belief's
+        # denominator here
+        dyn = load_bn(_TWO_PARAMS)
+        res = forward_filter(dyn, [{"U": 1}] * 10)
+        last = res.value[-1][1]
+        assert max(m.exponent("r") for m in last.num.terms) >= 8
+        assert res.assumptions == (f"({last.den}) != 0",)
 
 
 class TestRunQuery:

@@ -1,10 +1,11 @@
 """Exact arithmetic layer: monomials, polynomials, rational functions."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psolve.symbolic import (
     Monomial,
@@ -15,6 +16,7 @@ from psolve.symbolic import (
     RF_ZERO,
     decimal_str,
     exact_div,
+    over,
     sums_to_one,
 )
 from psolve import packed
@@ -27,6 +29,8 @@ from psolve.parser import parse_poly, parse_program, parse_ratfun
 x = Polynomial.var("x")
 y = Polynomial.var("y")
 z = Polynomial.var("z")
+r = Polynomial.var("r")
+s = Polynomial.var("s")
 
 
 class TestMonomial:
@@ -353,6 +357,78 @@ def test_support_reduction_agrees_on_the_support(case):
     for vx in range(size):
         env = {"x": F(vx), "y": vy}
         assert reduced.eval(env) == p.eval(env)
+
+
+def _canonical_by_division(num: Polynomial, den: Polynomial):
+    """The reference canonical form of num/den, (num terms, den terms,
+    constant value): `exact_div` tried on every nonconstant denominator,
+    then the denominator made primitive with a positive leading
+    coefficient, or divided out where it is constant; zero is 0/1."""
+    if num.is_zero():
+        den = Polynomial.const(1)
+    elif not den.is_const():
+        q = exact_div(num, den)
+        if q is not None:
+            num, den = q, Polynomial.const(1)
+    if den.is_const():
+        num = num * (1 / den.const_value())
+        return num.terms, {Monomial.unit(): F(1)}, num.const_value() if num.is_const() else None
+    coeffs = den.terms.values()
+    c = F(gcd(*[v.numerator for v in coeffs]), lcm(*[v.denominator for v in coeffs]))
+    c *= 1 if den.leading()[1] > 0 else -1
+    return (num * (1 / c)).terms, (den * (1 / c)).terms, None
+
+
+@st.composite
+def _int_polys(draw, names, degree=2):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, degree)] * len(names)),
+        st.integers(-6, 6).filter(bool), max_size=4))
+    return Polynomial({Monomial(zip(names, exps)): c for exps, c in terms.items()})
+
+
+@st.composite
+def _belief_cases(draw):
+    """A filter step's numerator and total, integer coefficients over r,
+    or over s and r, in that order: any numerator, zero, a multiple of the
+    total by a constant, or by a polynomial plus a remainder."""
+    names = draw(st.sampled_from([("r",), ("s", "r")]))
+    total = draw(_int_polys(names).filter(lambda p: not p.is_zero()))
+    kind = draw(st.sampled_from(["any", "zero", "proportional", "multiple"]))
+    if kind == "any":
+        num = draw(_int_polys(names))
+    elif kind == "zero":
+        num = Polynomial.zero()
+    elif kind == "proportional":
+        num = total * draw(st.integers(-6, 6).filter(bool))
+    else:
+        num = total * draw(_int_polys(names, 1)) + draw(_int_polys(names, 1))
+    return names, num, total
+
+
+@given(_belief_cases())
+@example((("r",), Polynomial.zero(), Polynomial.const(6)))
+@example((("s", "r"), 2 * r * s + 4, Polynomial.const(-6)))
+@example((("s", "r"), -3 * (-2 * r**2 + 3 * s + 1), -2 * r**2 + 3 * s + 1))
+@example((("r",), 4 * r - 2, 1 - 2 * r))
+@example((("s", "r"), (r + s) * (s - 2 * r**2), s - 2 * r**2))
+@example((("s", "r"), r**2 * s + 1, r - 1))
+@settings(max_examples=150, deadline=None)
+def test_step_beliefs_are_the_canonical_rational_functions(case):
+    # the beliefs of one filter step, built on packed integer polynomials
+    # over their shared total, are RationalFunction(num, total) field by
+    # field, and both are the canonical form that exact division defines
+    names, num, total = case
+    table = SymbolTable()
+    for name in names:
+        table.add(name)
+    got = over(table.pack(total)[0], packed.unpacker(table))(table.pack(num)[0])
+    want = RationalFunction(num, total)
+    assert got.num.terms == want.num.terms
+    assert got.den.terms == want.den.terms
+    assert got._const == want._const
+    assert str(got) == str(want)
+    assert (want.num.terms, want.den.terms, want._const) == _canonical_by_division(num, total)
 
 
 @given(polynomials(), polynomials())
