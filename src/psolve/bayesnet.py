@@ -23,7 +23,8 @@ A dynamic network reuses the same node table as a repeating time slice.  A
 node may additionally read its own previous-slice value, which appears as
 the node's own name in its parent list and must be declared under
 "inter_edges".  Initial values for slice zero come from the "initial" map;
-a `DynBayesNet` checks their draws as programs do (`check_draw`).
+a `DynBayesNet` checks their draws and a discrete node's value as programs
+do (`check_draw`, `initial_law`), and keeps the laws the latter gives.
 
 `joint_rows` walks an all-discrete network by the chain rule on the
 integer weights of `BayesNet.cleared`, each CPT cleared of denominators
@@ -42,6 +43,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from collections.abc import Mapping
@@ -52,7 +54,9 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import InputError, ParseError, ProgramError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
-from .program import DrawRegistry, DrawSpec, binding_error, check_binding, check_draw, is_draw
+from .program import (
+    MAX_OUTCOMES, DrawRegistry, DrawSpec, binding_error, check_binding, check_draw, initial_law,
+    is_draw)
 from .symbolic import (
     Param, Polynomial, RationalFunction, _number_str, _rf_const, as_coeff, clear_denominators,
     coeff_str, sums_to_one,
@@ -254,13 +258,31 @@ class DynBayesNet:
     draws: Mapping[str, DrawSpec]  # draw symbols used by initial expressions
 
     def __post_init__(self):
-        """Each draw of an initial value passes `program.check_draw`."""
+        """Each draw of an initial value passes `program.check_draw`, and
+        then each discrete node's value `program.initial_law`."""
         for name, expr in self.initial:
             for sym in sorted(filter(is_draw, expr.symbols())):
                 try:
                     check_draw(self.draws[sym])
                 except ProgramError as exc:
                     raise SchemaError(f"initial value of {name}: {exc}") from None
+        self.initial_laws
+
+    @functools.cached_property
+    def initial_laws(self) -> dict[str, tuple[RationalFunction, ...]]:
+        """P(node = v) at slice zero for every discrete node, by
+        `program.initial_law`; a value that breaks its rule is a
+        SchemaError naming the node."""
+        laws = {}
+        for node in filter(operator.attrgetter("is_discrete"), self.net.nodes):
+            where = f"initial value of {node.name}"
+            try:
+                laws[node.name] = initial_law(
+                    node.name, self.initial_expr(node.name), self.draws, node.support,
+                    lambda shown: SchemaError(f"{where}: {shown} is outside the node's support"))
+            except ProgramError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+        return laws
 
     def initial_expr(self, name: str) -> Polynomial:
         expr = self._initial_by_name.get(name)
@@ -703,7 +725,7 @@ def _load_initial(raw, net: BayesNet, registry: DrawRegistry):
         raise SchemaError('"initial" must map node -> expression')
     initial: list[tuple[str, Polynomial]] = []
     for name, value in raw.items():
-        node = net.node(name)  # raises on unknown names
+        net.node(name)  # raises on unknown names
         where = f"initial value of {name}"
         if isinstance(value, bool):
             raise SchemaError(f"{where}: write 0 or 1, not a boolean")
@@ -716,10 +738,6 @@ def _load_initial(raw, net: BayesNet, registry: DrawRegistry):
                 raise SchemaError(f"{where}: {exc}") from exc
         else:
             raise SchemaError(f"{where}: expected an integer or expression string")
-        if node.is_discrete and expr.is_const():
-            c = expr.const_value()
-            if c.denominator != 1 or not 0 <= c < node.support:
-                raise SchemaError(f"{where}: {c} is outside the node's support")
         initial.append((name, expr))
     return tuple(initial)
 
@@ -821,7 +839,7 @@ def _check_det_range(name: str, support: int, m: Deterministic, states_of: Mappi
     if any(s not in states_of for s in m.expr.symbols()):
         return  # parameters present; the range is the user's promise
     shape = [len(states_of[p]) for p in m.parents]
-    if math.prod(shape) > 4096:
+    if math.prod(shape) > MAX_OUTCOMES:
         return
     for assignment in itertools.product(*map(range, shape)):
         value = m.expr.eval(dict(zip(m.parents, map(Fraction, assignment))))

@@ -34,9 +34,9 @@ eliminated bucket by bucket, each substituted into the product of only
 the factors that mention it, by one per-variable step, `_step`.  The
 walks run on packed polynomials (`packed`): ints for monomials, integer
 numerators over one denominator, over one symbol table per engine; the
-public methods (`one_pass`, `extract`, `substitute_body`, `expectation`,
-`closed`, `initial_moment`) take and return `Polynomial`s, `Monomial`s
-and `Coeff`s, and convert only where a walk begins and ends.  An
+public methods (`one_pass`, `extract`, `closed`, `initial_moment`) take
+and return `Polynomial`s, `Monomial`s and `Coeff`s, and convert only where
+a walk begins and ends.  An
 extraction passes one monomial; a static query
 passes its target and one indicator per evidence node, so negative
 evidence (a factor 1 - F) does not double the polynomial.  A body that
@@ -133,9 +133,9 @@ class MomentEngine:
     that only grows: the program variables in declaration order first,
     then the draws, branch coins and parameters as the walks meet them.
     A walk packs its factors where it begins and converts its result
-    where it ends (`one_pass`, `extract`, `substitute_body`,
-    `expectation`, `initial_moment`); in between, the update powers, the
-    messages and the intern keys are dicts and tuples of ints.  A product
+    where it ends (`one_pass`, `extract`, `initial_moment`); in between,
+    the update powers, the messages and the intern keys are dicts and
+    tuples of ints.  A product
     whose exponent reaches a field's guard bit widens the table, which
     voids every packed cache, and the walk starts over.
 
@@ -253,7 +253,7 @@ class MomentEngine:
         independent of everything else in it: each power d^j is replaced
         by E[d^j] here.  A draw whose moment is not a polynomial in the
         parameters, such as bern(1/(1 + b)), stays symbolic for
-        `expectation`.  So does a branch probability that is not a
+        `_expect`.  So does a branch probability that is not a
         polynomial: branch j takes the Bernoulli coin `$<var>#<j>` of that
         probability as its weight, registered in `self.draws`.  Each term
         holds at most one coin of var, so E[coin] = p averages it exactly.
@@ -288,7 +288,7 @@ class MomentEngine:
     def _integrate(self, poly: tuple[dict, int]) -> tuple[dict, int]:
         """Replace every power of a draw whose moment is a polynomial in the
         parameters by that moment; a draw whose moment is not a polynomial
-        stays symbolic for `expectation`."""
+        stays symbolic for `_expect`."""
         return packed.expand(poly, self._table.draws, self._draw_image, self._table)
 
     def _draw_image(self, part: int):
@@ -343,13 +343,6 @@ class MomentEngine:
             self._table))
 
     # -- bucket elimination ------------------------------------------------
-
-    def substitute_body(self, *factors: Polynomial) -> Polynomial:
-        """One full body substitution into the product of one or more
-        factors: the result refers only to start-of-iteration values, draws
-        and parameters.  See `_walk`."""
-        table = self._table
-        return self._run(lambda: table.unpack(self._walk([table.pack(f) for f in factors])))
 
     def _entry(self, poly: tuple[dict, int]) -> tuple:
         """An input factor as a pending entry (see `_new_message`)."""
@@ -538,11 +531,6 @@ class MomentEngine:
             cached = self.draws[sym].moment(k)
             self._moments[key] = cached
         return cached
-
-    def expectation(self, poly: Polynomial) -> tuple[dict[Monomial, Coeff], Coeff]:
-        """Split E[poly] into a linear combination of moment variables; see
-        `_expect`."""
-        return self._run(lambda: self._expect(self._table.pack(poly)))
 
     def _expect(self, poly: tuple[dict, int]) -> tuple[dict[Monomial, Coeff], Coeff]:
         """E of a packed polynomial as a linear combination of moment

@@ -18,16 +18,19 @@ initializer or an update uses to have a known distribution and to occur in
 no other statement, though the branches of one update may share it.
 `extend` appends statements to a valid program and validates only those.
 `check_draw`, the rule for a draw's constant argument, also checks a
-network's slice-zero draws.
+network's slice-zero draws, and `initial_law`, the rule for a
+finite-support variable's initial value, its discrete slice-zero values.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import InputError, ProgramError, UnsupportedError
 from .symbolic import (
@@ -36,6 +39,7 @@ from .symbolic import (
     Polynomial,
     RationalFunction,
     RF_ONE,
+    RF_ZERO,
     _number_str,
     _poly_of_terms,
     sums_to_one,
@@ -375,19 +379,47 @@ def _claim_draws(prog: LoopProgram, owners, draws, stmt: tuple[str, str]) -> Non
 
 
 def _check_init_support(init: Initializer, size: int, prog: LoopProgram) -> None:
-    expr = init.expr
-    if expr.is_const():
-        v = expr.const_value()
-        if v.denominator != 1 or not 0 <= v.numerator < size:
-            raise ProgramError(
-                f"initializer {v} of {init.target} outside declared support 0..{size - 1}"
-            )
-        return
-    for s in expr.symbols():
-        if is_draw(s) and prog.draws[s].kind in ("gauss0", "unif01"):
-            raise ProgramError(
-                f"continuous initializer for finite-support variable {init.target}"
-            )
+    initial_law(init.target, init.expr, prog.draws, size, lambda shown: ProgramError(
+        f"initializer {shown} of {init.target} outside declared support 0..{size - 1}"))
+
+
+MAX_OUTCOMES = 4096  # most outcomes enumerated: of bern draws, or of a det node's parents
+
+
+def initial_law(name: str, expr: Polynomial, draws: Mapping[str, DrawSpec], size: int,
+                outside: Callable[[str], Exception]) -> tuple[RationalFunction, ...]:
+    """P(value = v) for v in 0..size-1 of expr, the initial value of the
+    finite-support variable `name`: its value on every outcome of its
+    `bern` draws, weighted by the outcome's probability.  This is the one
+    rule for such a value, so `1 - bern(3/10)` is a coin with p = 7/10.
+    A draw that is no `bern` is a ProgramError, more draws than
+    MAX_OUTCOMES allows an UnsupportedError, and an outcome that is no
+    integer in 0..size-1 (2 of `2*bern(1/2)`, a bare parameter) raises
+    `outside(shown)`, shown being the outcome and its expression."""
+    drawn = sorted(filter(is_draw, expr.symbols()))
+    specs = [draws[s] for s in drawn]
+    if any(spec.kind != "bern" for spec in specs):
+        raise ProgramError(f"continuous initializer for finite-support variable {name}")
+    if 2 ** len(drawn) > MAX_OUTCOMES:
+        raise UnsupportedError(
+            f"initializer of {name} has {len(drawn)} bern draws, "
+            f"more than {MAX_OUTCOMES} outcomes to enumerate")
+    law = [RF_ZERO] * size
+    for outcome in itertools.product((0, 1), repeat=len(drawn)):
+        value = expr.substitute(dict(zip(drawn, outcome)))
+        v = value.const_value() if value.is_const() else None
+        if v is None or v.denominator != 1 or not 0 <= v < size:
+            shown = _poly_str(value, draws) if v is None else str(v)
+            if drawn:
+                try:
+                    shown += f" (an outcome of {_poly_str(expr, draws)})"
+                except UnsupportedError:  # an expression with no printed form
+                    shown += " (an outcome of its draws)"
+            raise outside(shown)
+        law[int(v)] += math.prod(
+            (spec.arg if bit else RF_ONE - spec.arg for spec, bit in zip(specs, outcome)),
+            start=RF_ONE)
+    return tuple(law)
 
 
 # -- pretty printing -------------------------------------------------------
@@ -445,15 +477,9 @@ def _poly_str(poly: Polynomial, draws: Mapping[str, DrawSpec]) -> str:
         pieces.append((coeff > 0, mono_body(mono, coeff)))
     for sym in sorted(groups):
         exp, cof = groups[sym]
-        cofactor = Polynomial(cof)
-        head = factor(sym, exp)
-        if cofactor == Polynomial.const(1):
-            pieces.append((True, head))
-        elif len(cofactor.terms) == 1:
-            mono, coeff = next(iter(cofactor.terms.items()))
-            pieces.append((coeff > 0, f"{head}*{mono_body(mono, coeff)}"))
-        else:
-            pieces.append((True, f"{head}*({_poly_str(cofactor, draws)})"))
+        # the monomials that share the draw are two or more distinct
+        # monomials times it, so the cofactor has two or more terms
+        pieces.append((True, f"{factor(sym, exp)}*({_poly_str(Polynomial(cof), draws)})"))
 
     parts: list[str] = []
     for positive, body in pieces:

@@ -48,7 +48,7 @@ from .exppoly import expoly_limit
 from .moments import MomentEngine
 from . import packed
 from .parser import parse_poly
-from .program import LoopProgram, _poly_str, is_draw
+from .program import LoopProgram
 from .recurrence import ClosedForm, merge_assumptions
 from .symbolic import (
     Monomial,
@@ -529,45 +529,13 @@ def _filter_setup(dyn: DynBayesNet):
         if not dyn.net.node(name).is_discrete:
             raise UnsupportedError(f"filtering needs a discrete state, {name} is not")
     prior: dict[tuple[int, ...], RationalFunction] = {}
-    marginals = [_initial_marginal(dyn, name) for name in states]
+    marginals = [dyn.initial_laws[name] for name in states]
     for assignment in itertools.product(*(range(dyn.net.node(s).support) for s in states)):
         weight = RF_ONE
         for value, marginal in zip(assignment, marginals):
             weight = weight * marginal[value]
         prior[assignment] = weight
     return states, prior
-
-
-def _initial_marginal(dyn: DynBayesNet, name: str):
-    """P(node = v) at slice zero, from the initial expression: its value
-    on every outcome of its `bern` draws, weighted by the outcome's
-    probability.  Every outcome must be a state of the node, so
-    `1 - bern(3/10)` is a coin and `2*bern(1/2)` is refused."""
-    node = dyn.net.node(name)
-    expr = dyn.initial_expr(name)
-    if expr.is_const():
-        value = expr.const_value()
-        if value.denominator != 1 or not 0 <= value < node.support:
-            raise QueryError(f"initial value {value} of {name} is not a state")
-        return [RF_ONE if i == value else RF_ZERO for i in range(node.support)]
-    draws = sorted(filter(is_draw, expr.symbols()))
-    specs = [dyn.draws[s] for s in draws]
-    marginal = [RF_ZERO] * node.support
-    if all(spec.kind == "bern" for spec in specs):
-        for outcome in itertools.product((0, 1), repeat=len(draws)):
-            value = expr.substitute(dict(zip(draws, outcome)))
-            v = value.const_value() if value.is_const() else None
-            if v is None or v.denominator != 1 or not 0 <= v < node.support:
-                break
-            marginal[int(v)] += math.prod(
-                (spec.arg if bit else RF_ONE - spec.arg for spec, bit in zip(specs, outcome)),
-                start=RF_ONE)
-        else:
-            return marginal
-    raise UnsupportedError(
-        f"filtering needs a discrete initial distribution for {name}; "
-        f"got {_poly_str(expr, dyn.draws)}"
-    )
 
 
 # -- query documents -------------------------------------------------------

@@ -291,9 +291,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((m.degree() for m in self.terms), default=0)
 
-    def degree_in(self, sym: str) -> int:
-        return max((m.exponent(sym) for m in self.terms), default=0)
-
     def symbols(self) -> frozenset[str]:
         return frozenset({s for m in self.terms for s, _ in m.powers})
 

@@ -1,6 +1,7 @@
 """Network schema loading and validation."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import random
@@ -27,7 +28,7 @@ from psolve.bayesnet import (
 from psolve.errors import InputError, ParseError, SchemaError
 from psolve.parser import parse_ratfun
 from psolve.queries import node_distribution, run_query
-from psolve.symbolic import coeff_str
+from psolve.symbolic import Polynomial, coeff_str
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -382,6 +383,9 @@ LOADER_ERRORS = [
      "initial value of R: bern(-1/4) probability outside [0, 1]"),
     (doc_umbrella, ("initial", "R"), "gauss(0, -1)",
      "initial value of R: negative Gaussian variance"),
+    # program.initial_law, run by DynBayesNet
+    (doc_umbrella, ("initial", "R"), "gauss(0, 1)",
+     "initial value of R: continuous initializer for finite-support variable R"),
     (doc_umbrella, ("initial", "Z"), 0, "unknown node 'Z'"),
 ]
 
@@ -826,3 +830,42 @@ class TestBinding:
         with pytest.raises(InputError) as info:
             bind(dyn, {"r": value})
         assert str(info.value) == message
+
+    def test_bound_deterministic_node(self):
+        doc = doc_chain()
+        doc["params"] = ["a"]
+        doc["nodes"][1]["model"] = {"kind": "det", "expr": "a*A"}
+        bn = load_bn(doc)
+        assert bind(bn, {"a": F(1)}) == load_bn(substituted(doc, {"a": F(1)}))
+        with pytest.raises(InputError) as info:
+            bind(bn, {"a": F(1, 2)})
+        assert str(info.value) == (
+            "binding a=1/2: node B: expr evaluates to 1/2 at {'A': 1}, outside 0..1")
+
+
+class TestInitialLaws:
+    """Every discrete node's slice-zero law comes from `program.initial_law`,
+    on load, on binding and on `dataclasses.replace`."""
+
+    @pytest.mark.parametrize("initial, law", [
+        (1, (0, 1)),
+        ("bern(1/2)", (F(1, 2), F(1, 2))),
+        ("1 - bern(3/10)", (F(3, 10), F(7, 10))),
+    ])
+    def test_laws(self, initial, law):
+        doc = doc_umbrella()
+        doc["initial"] = {"R": initial}
+        laws = load_bn(doc).initial_laws
+        assert laws == {"R": law, "U": (1, 0)}
+
+    def test_replace_checks_the_values(self):
+        dyn = load_bn(doc_umbrella())
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(dyn, initial=(("R", Polynomial.const(2)),))
+        assert str(info.value) == "initial value of R: 2 is outside the node's support"
+
+    def test_continuous_node_takes_any_value(self):
+        doc = doc_umbrella()
+        doc["nodes"].append({"name": "G", "model": {"kind": "lingauss", "variance": "1"}})
+        doc["initial"] = {"R": 1, "G": "gauss(3, 2) + 1/2"}
+        assert set(load_bn(doc).initial_laws) == {"R", "U"}

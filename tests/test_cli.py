@@ -813,6 +813,37 @@ class TestFilter:
             1, "", "error: filter queries apply to dynamic networks\n")
 
 
+class TestInitialValues:
+    """A finite-support initial value whose outcomes are no states is
+    refused where the program parses or the network loads, so no command
+    prints a number for it."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("support x 2; x := 2*bern(1/2); while true { x := x; }",
+         "initializer 2 (an outcome of 2*bern(1/2)) of x outside declared support 0..1"),
+        ("param p in (0, 1); support x 2; x := p; while true { x := x; }",
+         "initializer p of x outside declared support 0..1"),
+    ], ids=["two", "parameter"])
+    def test_program_refused(self, capsys, tmp_path, source, message):
+        prog = tmp_path / "init.psl"
+        prog.write_text(source)
+        assert run(capsys, "analyze", str(prog), "--goal", "x^2", "--at", "0") == (
+            1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["compile-bn"], ["filter", "--obs", "U=1"],
+        ["query", "--spec", '{"query": "predict", "target": "R*R", "at": 0}'],
+    ], ids=["check", "compile-bn", "filter", "predict"])
+    def test_network_refused(self, capsys, tmp_path, argv):
+        doc = json.loads((DATA / "umbrella_filter.json").read_text())
+        doc["initial"]["R"] = "2*bern(1/2)"
+        net = tmp_path / "two.json"
+        net.write_text(json.dumps(doc))
+        assert run(capsys, argv[0], str(net), *argv[1:]) == (1, "", (
+            "error: initial value of R: 2 (an outcome of 2*bern(1/2)) "
+            "is outside the node's support\n"))
+
+
 class TestCheck:
     def test_alarm_passes(self, capsys):
         code, out, _ = run(capsys, "check", ALARM)

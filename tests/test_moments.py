@@ -34,6 +34,13 @@ def rf(v):
     return RationalFunction(v)
 
 
+def _body(engine: MomentEngine, *factors: Polynomial) -> Polynomial:
+    """The loop body substituted into the product of the factors by the
+    engine's one walk, as `one_pass` and `extract` run it, unpacked."""
+    table = engine._table
+    return engine._run(lambda: table.unpack(engine._walk([table.pack(f) for f in factors])))
+
+
 UMBRELLA = """
 support R 2; support U 2;
 R := 1; U := 0;
@@ -596,7 +603,7 @@ class TestDrawIntegration:
             """
         )
         engine = MomentEngine(prog)
-        body = engine.substitute_body(Polynomial.var("x"))
+        body = _body(engine, Polynomial.var("x"))
         # bern(1/2) and bern(b/3) are integrated, bern(1/(1 + b)) is not
         assert str(body) == "1/2*$1 + 1/6*b"
         got = engine.one_pass(Polynomial.var("x"))
@@ -626,7 +633,7 @@ class TestDrawIntegration:
         )
         validate(prog)
         engine = MomentEngine(prog)
-        assert str(engine.substitute_body(Polynomial.var("x"))) == "$x#0"
+        assert str(_body(engine, Polynomial.var("x"))) == "$x#0"
         assert engine.draws["$x#0"] == DrawSpec("bern", prog.updates[0].branches[0].prob)
         assert "$x#0" not in prog.draws
         y = Monomial.of("y")
@@ -682,7 +689,7 @@ class TestOneSubstitutionPath:
             factors = self._split(rng, [target, *inds])
             split += len(factors) > 1
             product = math.prod(factors, start=Polynomial.const(1))
-            assert engine.substitute_body(*factors) == engine.substitute_body(product), i
+            assert _body(engine, *factors) == _body(engine, product), i
             got, want = engine.one_pass(*factors), engine.one_pass(product)
             assert str(got) == str(want), i
             assert got == enumerate_discrete(bn).expectation(product), i
@@ -700,9 +707,9 @@ class TestOneSubstitutionPath:
             target = Monomial([(v, rng.randint(1, 2)) for v in chosen])
             factors = [Polynomial.var(v) ** e for v, e in target.powers]
             rng.shuffle(factors)
-            body = engine.substitute_body(*factors)
-            assert body == engine.substitute_body(Polynomial({target: F(1)})), i
-            linear, constant = engine.expectation(body)
+            assert _body(engine, *factors) == _body(engine, Polynomial({target: F(1)})), i
+            linear, constant = engine._run(lambda: engine._expect(engine._walk(
+                [engine._table.pack(f) for f in factors])))
             rec = engine.extract(target)
             assert str(linear.pop(target, RF_ZERO)) == str(rec.self_coeff), i
             assert {m: str(c) for m, c in linear.items()} == {

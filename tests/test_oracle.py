@@ -17,7 +17,7 @@ from psolve.oracle import (
     gaussian_propagate,
     mc_estimate,
 )
-from psolve.parser import parse_poly
+from psolve.parser import parse_poly, parse_program
 from psolve.queries import conditional_moment
 from psolve.symbolic import RF_ONE, RF_ZERO, Polynomial
 
@@ -325,6 +325,17 @@ class TestMcEstimate:
         est = mc_estimate(dyn, ["R"], 100_000, seed=0, n_iters=3)[0]
         # E[R] after 3 steps: 1/2 + 1/2 (2/5)^3 = 0.532
         assert abs(est.mean - 0.532) < 4 * est.stderr
+
+    def test_draws_in_initializers(self):
+        prog = parse_program(
+            "x := bern(1/3); y := gauss(1, 4); "
+            "while true { x := 1/2*x + bern(1/2); y := y + x; }")
+        engine = moments.MomentEngine(prog)
+        targets = ["x", "y", "x*y"]
+        estimates = mc_estimate(prog, targets, 200_000, seed=3, n_iters=2)
+        for target, want, est in zip(targets, (F(5, 6), F(5, 2), F(41, 16)), estimates):
+            assert engine.closed(parse_poly(target, prog.variables, ())).at(2) == want
+            assert abs(est.mean - float(want)) < 4 * est.stderr, target
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,10 +1,14 @@
 """Loop program model: draw normalization, validation, pretty printing."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psolve.errors import ParseError, ProgramError, UnsupportedError
+from psolve.moments import MomentEngine
 from psolve.parser import parse_program
 from psolve.program import (
     Assignment,
@@ -14,12 +18,13 @@ from psolve.program import (
     Initializer,
     LoopProgram,
     extend,
+    initial_law,
     is_draw,
     pretty,
     split_self,
     validate,
 )
-from psolve.symbolic import Polynomial, RationalFunction, RF_ONE
+from psolve.symbolic import Monomial, Polynomial, RationalFunction, RF_ONE
 
 
 def rf(v):
@@ -218,6 +223,93 @@ def two_updates(x_init, x_expr, y_expr, draws):
                  Assignment("y", (Branch(RF_ONE, y_expr),))),
         draws=draws,
     )
+
+
+def _outcomes(d: int):
+    return itertools.product((0, 1), repeat=d)
+
+
+@st.composite
+def _initializers(draw):
+    """A support size 2-4, up to four `bern` draws, and the value on each
+    outcome of the draws: every value a state, or some not.  The initializer
+    is the multilinear polynomial in the draws that takes those values."""
+    size = draw(st.integers(2, 4))
+    d = draw(st.integers(0, 4))
+    probs = [F(draw(st.integers(0, 4)), 4) for _ in range(d)]
+    if draw(st.booleans()):
+        value = st.integers(0, size - 1)
+    else:
+        value = st.sampled_from([-1, F(1, 2), size, *range(size)])
+    values = {outcome: F(draw(value)) for outcome in _outcomes(d)}
+    expr = Polynomial.zero()
+    for subset in _outcomes(d):  # the coefficient of the draws in subset
+        coeff = sum(
+            (-1) ** (sum(subset) - sum(inner)) * values[inner]
+            for inner in _outcomes(d)
+            if all(a <= b for a, b in zip(inner, subset))
+        )
+        mono = Monomial([(f"${i}", 1) for i, bit in enumerate(subset) if bit])
+        expr = expr + Polynomial({mono: F(coeff)})
+    draws = {f"${i}": DrawSpec("bern", rf(p)) for i, p in enumerate(probs)}
+    return size, expr, draws, probs, values
+
+
+class TestInitialLaw:
+    """One rule for the initial value of a finite-support variable
+    (`initial_law`): every outcome of its `bern` draws is a state."""
+
+    @pytest.mark.parametrize("init, message", [
+        ("bern(1/2) - bern(1/3)",
+         "initializer -1 (an outcome of bern(1/2) - bern(1/3)) of x "
+         "outside declared support 0..1"),
+        # (b + c)^2 takes b at two powers, which no text can show
+        ("(bern(1/2) + bern(1/3))^2",
+         "initializer 4 (an outcome of its draws) of x outside declared support 0..1"),
+    ], ids=["minus-one", "unprintable"])
+    def test_refused(self, init, message):
+        with pytest.raises(ProgramError) as info:
+            parse_program(f"support x 2; x := {init}; while true {{ x := x; }}")
+        assert str(info.value) == message
+
+    def test_two_coins_on_three_values(self):
+        prog = parse_program("support x 3; x := bern(1/2) + bern(1/3); while true { x := x; }")
+        law = initial_law("x", prog.inits[0].expr, prog.draws, 3, ValueError)
+        assert law == (F(1, 3), F(1, 2), F(1, 6))
+        assert MomentEngine(prog).closed(Polynomial.var("x") ** 2).at(0) == F(7, 6)
+
+    @pytest.mark.parametrize("d", [12, 13])
+    def test_draws_are_bounded(self, d):
+        source = f"support x {d + 1}; x := {' + '.join(['bern(1/2)'] * d)}; while true {{ x := x; }}"
+        if d == 12:
+            parse_program(source)
+            return
+        with pytest.raises(UnsupportedError) as info:
+            parse_program(source)
+        assert str(info.value) == (
+            "initializer of x has 13 bern draws, more than 4096 outcomes to enumerate")
+
+    @given(_initializers())
+    @settings(max_examples=60, deadline=None)
+    def test_moments_follow_the_law(self, case):
+        size, expr, draws, probs, values = case
+        prog = LoopProgram(
+            params=(), supports={"x": size}, inits=(Initializer("x", expr),),
+            updates=(Assignment("x", (Branch(RF_ONE, Polynomial.var("x")),)),), draws=draws)
+        if any(v.denominator != 1 or not 0 <= v < size for v in values.values()):
+            with pytest.raises(ProgramError, match="outside declared support"):
+                validate(prog)
+            return
+        validate(prog)
+        want = [F(0)] * size
+        for outcome, v in values.items():
+            want[int(v)] += math.prod(p if bit else 1 - p for p, bit in zip(probs, outcome))
+        assert initial_law("x", expr, draws, size, ValueError) == tuple(want)
+        engine = MomentEngine(prog)
+        for j in range(1, 4):
+            moment = sum(w * v**j for v, w in enumerate(want))
+            assert engine.initial_moment(Monomial.of("x", j)) == moment
+            assert engine.closed(Polynomial.var("x") ** j).at(0) == moment
 
 
 class TestDrawOwnership:

@@ -2,7 +2,6 @@
 
 import json
 import random
-import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -509,6 +508,14 @@ class TestForwardFilter:
         with pytest.raises(SchemaError, match="bad state True for node U"):
             forward_filter(dyn, [{"U": 1}, {"U": True}])
 
+    def test_unhashable_step_normalizes_unmemoized(self):
+        dyn = load_bn_path(DATA / "umbrella_filter.json")
+        with pytest.raises(SchemaError) as direct:
+            normalize_evidence(dyn.net, {"U": [1]})
+        with pytest.raises(SchemaError) as filtered:
+            forward_filter(dyn, [{"U": 1}, {"U": [1]}])
+        assert str(filtered.value) == str(direct.value) == "bad state [1] for node U"
+
     def test_empty_observation_is_prediction(self):
         dyn = load_bn_path(DATA / "umbrella_filter.json")
         res = forward_filter(dyn, [{}])
@@ -579,11 +586,12 @@ class TestForwardFilter:
         ("r", ("r",), "r"),
     ])
     def test_slice_zero_value_that_is_no_state_is_refused(self, initial, params, shown):
-        dyn = self._with_initial(initial, params)
-        with pytest.raises(UnsupportedError, match=(
-                "filtering needs a discrete initial distribution for R; "
-                f"got {re.escape(shown)}$")):
-            forward_filter(dyn, [{"U": 1}])
+        # refused where the network loads, so no query ever runs on it; the
+        # message shows the outcome that is no state, beside its expression
+        with pytest.raises(SchemaError) as info:
+            self._with_initial(initial, params)
+        outcome = {"2*bern(1/2)": "2 (an outcome of 2*bern(1/2))"}.get(shown, shown)
+        assert str(info.value) == f"initial value of R: {outcome} is outside the node's support"
 
 
 def _umbrella_steps(seed, steps):

@@ -96,7 +96,7 @@ class TestPolynomial:
     def test_degree(self):
         p = x**2 * y + z
         assert p.degree() == 3
-        assert p.degree_in("y") == 1
+        assert _degree_in(p, "y") == 1
         assert Polynomial.zero().degree() == 0
 
     def test_sorted_terms_leading(self):
@@ -153,7 +153,7 @@ class TestReduceFiniteSupport:
         var = Polynomial.var("X")
         for k in (3, 4, 7):
             residue = _falling_factorial_reduction(var**k, "X", 3)
-            assert residue.degree_in("X") == 2
+            assert _degree_in(residue, "X") == 2
             got = MomentEngine(compile_dynbn(bn)).closed(var**k)
             want = MomentEngine(compile_dynbn(bn)).closed(residue)
             assert str(got) == str(want), k
@@ -311,12 +311,16 @@ def test_map_powers_identity_image(a):
     assert list(same.terms.items()) == list(a.terms.items())
 
 
+def _degree_in(poly: Polynomial, sym: str) -> int:
+    return max((m.exponent(sym) for m in poly.terms), default=0)
+
+
 def _falling_factorial_reduction(poly: Polynomial, sym: str, size: int) -> Polynomial:
     """The reference reduction: expand the falling factorial
     sym*(sym-1)*...*(sym-size+1), take the image of sym^size as sym^size
     minus it, each higher power as sym times the image one below, mapped
     again, and substitute."""
-    top = poly.degree_in(sym)
+    top = _degree_in(poly, sym)
     if top < size:
         return poly
     x = Polynomial.var(sym)
@@ -352,7 +356,7 @@ def test_support_reduction_agrees_on_the_support(case):
     # falling-factorial expansion.
     p, size, vy = case
     reduced = reduce_support(p, "x", size)
-    assert reduced.degree_in("x") < size
+    assert _degree_in(reduced, "x") < size
     assert reduced == _falling_factorial_reduction(p, "x", size)
     for vx in range(size):
         env = {"x": F(vx), "y": vy}
