@@ -55,8 +55,8 @@ from typing import NamedTuple, Optional, Union
 from .errors import InputError, ParseError, ProgramError, SchemaError, UnsupportedError
 from .parser import RESERVED, parse_draw_expr, parse_poly, parse_ratfun
 from .program import (
-    MAX_OUTCOMES, DrawRegistry, DrawSpec, binding_error, check_binding, check_draw, initial_law,
-    is_draw)
+    DrawRegistry, DrawSpec, binding_error, check_binding, check_draw, finite_outcomes,
+    initial_law, is_draw)
 from .symbolic import (
     Param, Polynomial, RationalFunction, _number_str, _rf_const, as_coeff, clear_denominators,
     coeff_str, sums_to_one,
@@ -280,8 +280,8 @@ class DynBayesNet:
                 laws[node.name] = initial_law(
                     node.name, self.initial_expr(node.name), self.draws, node.support,
                     lambda shown: SchemaError(f"{where}: {shown} is outside the node's support"))
-            except ProgramError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+            except ProgramError:  # the one it raises: a draw that is no bern
+                raise SchemaError(f"{where}: continuous draw for a discrete node") from None
         return laws
 
     def initial_expr(self, name: str) -> Polynomial:
@@ -343,13 +343,7 @@ def joint_rows(bn: BayesNet, given=(), evidence=()):
                         nxt.append(({**values, name: value}, weight * prob))
         elif isinstance(m, Deterministic):
             for values, weight in rows:
-                try:
-                    value = int(m.expr.eval(values))
-                except KeyError as exc:
-                    raise UnsupportedError(
-                        f"deterministic node {name} depends on {exc.args[0]}, "
-                        "which has no value to enumerate"
-                    ) from None
+                value = int(m.expr.eval(values))
                 if observed.get(name, value) == value:
                     nxt.append(({**values, name: value}, weight))
         else:
@@ -405,12 +399,11 @@ def _model_symbols(m: LocalModel) -> frozenset[str]:
     return frozenset().union(*(_model_symbols(lg) for _, lg in m.table))
 
 
-def _bind_model(m: LocalModel, sub) -> Union[_Rows, Deterministic, LinearGaussian]:
-    """m with sub substituted, in the shape `_build_node` builds from."""
+def _bind_model(m: LocalModel, sub) -> Union[_Rows, LinearGaussian]:
+    """m, no deterministic node's, with sub substituted, in the shape
+    `_build_node` builds from."""
     if isinstance(m, CPT):
         return _Rows(CPT, m.parents, [(g, tuple(p.subs(sub) for p in vec)) for g, vec in m.rows])
-    if isinstance(m, Deterministic):
-        return Deterministic(m.expr.substitute(sub), m.parents)
     if isinstance(m, LinearGaussian):
         coeffs = tuple((name, c.subs(sub)) for name, c in m.coeffs)
         return LinearGaussian(m.intercept.subs(sub), coeffs, m.variance.subs(sub))
@@ -787,10 +780,14 @@ def _build_node(name, states, model, states_of: Mapping, temporal) -> Node:
                 raise SchemaError(
                     f"{where}: continuous node {p} cannot parent a discrete dependency"
                 )
-    if kind is Deterministic:
-        _check_det_range(name, len(states), model, states_of)
-        return Node(name, states, model)
     size = math.prod(map(len, tables))
+    if kind is Deterministic:
+        top = len(states) - 1
+        finite_outcomes(model.expr, list(zip(model.parents, map(len, tables))), top + 1,
+                        lambda v, at: SchemaError(
+                            f"{where}: expr evaluates to {v} at {at}, outside 0..{top}"),
+                        f"{where} has {size} parent assignments")
+        return Node(name, states, model)
     outside = functools.partial(_outside, where)
     # each row's parent assignment as state indices, and the row checked
     rows = {}
@@ -833,21 +830,6 @@ def _sum_error(where: str, given, vec: tuple[RationalFunction, ...]) -> SchemaEr
     is the row's parent assignment as the error shows it."""
     total = sum(map(as_coeff, vec), Fraction(0))
     return SchemaError(f"{where}: probabilities for {list(given)} sum to {coeff_str(total)}")
-
-
-def _check_det_range(name: str, support: int, m: Deterministic, states_of: Mapping) -> None:
-    if any(s not in states_of for s in m.expr.symbols()):
-        return  # parameters present; the range is the user's promise
-    shape = [len(states_of[p]) for p in m.parents]
-    if math.prod(shape) > MAX_OUTCOMES:
-        return
-    for assignment in itertools.product(*map(range, shape)):
-        value = m.expr.eval(dict(zip(m.parents, map(Fraction, assignment))))
-        if value.denominator != 1 or not 0 <= value < support:
-            raise SchemaError(
-                f"node {name}: expr evaluates to {value} at "
-                f"{dict(zip(m.parents, assignment))}, outside 0..{support - 1}"
-            )
 
 
 def _topo_order(nodes: tuple[Node, ...], temporal) -> tuple[str, ...]:

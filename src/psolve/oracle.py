@@ -149,15 +149,11 @@ def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable
     size = 1
     for node in bn.nodes:
         if not node.is_discrete:
-            raise UnsupportedError(
-                f"cannot enumerate {node.name}: it is continuous"
-            )
+            raise UnsupportedError(f"cannot enumerate {node.name}: it is continuous")
         size *= node.support
-        if size > cap:
-            raise UnsupportedError(
-                f"state space exceeds {cap} assignments; raise the cap to "
-                "enumerate this network"
-            )
+    if size > cap:
+        raise UnsupportedError(
+            f"state space of {size} assignments exceeds the enumeration cap of {cap}")
     names = bn.node_names
     rows = tuple((tuple(values[n] for n in names), weight) for values, weight in joint_rows(bn))
     return JointTable(names, rows, bn.cleared[1])

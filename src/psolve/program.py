@@ -18,19 +18,19 @@ initializer or an update uses to have a known distribution and to occur in
 no other statement, though the branches of one update may share it.
 `extend` appends statements to a valid program and validates only those.
 `check_draw`, the rule for a draw's constant argument, also checks a
-network's slice-zero draws, and `initial_law`, the rule for a
-finite-support variable's initial value, its discrete slice-zero values.
+network's slice-zero draws, `initial_law`, the rule for a finite-support
+variable's initial value, its discrete slice-zero values, and
+`finite_outcomes`, the walk behind it, its deterministic nodes.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, ProgramError, UnsupportedError
 from .symbolic import (
@@ -302,7 +302,8 @@ def _validate(prog: LoopProgram, start: int) -> None:
             _claim_draws(prog, owners, drawn, ("initializer", init.target))
         size = prog.supports.get(init.target)
         if size is not None:
-            _check_init_support(init, size, prog)
+            initial_law(init.target, init.expr, prog.draws, size, lambda shown: ProgramError(
+                f"initializer {shown} of {init.target} outside declared support 0..{size - 1}"))
 
     def out_of_range(p: Fraction) -> ProgramError:  # in the update being checked
         return ProgramError(f"branch probability {_number_str(p)} of {target} outside [0, 1]")
@@ -378,48 +379,68 @@ def _claim_draws(prog: LoopProgram, owners, draws, stmt: tuple[str, str]) -> Non
             raise ProgramError("draw {} in the {} of {} has {}".format(sym, *stmt, problem))
 
 
-def _check_init_support(init: Initializer, size: int, prog: LoopProgram) -> None:
-    initial_law(init.target, init.expr, prog.draws, size, lambda shown: ProgramError(
-        f"initializer {shown} of {init.target} outside declared support 0..{size - 1}"))
-
-
 MAX_OUTCOMES = 4096  # most outcomes enumerated: of bern draws, or of a det node's parents
+
+
+def finite_outcomes(expr: Polynomial, axes: Sequence[tuple[str, int]], size: int,
+                    outside: Callable[[Polynomial, dict[str, int]], Exception], too_many: str,
+                    weights: Optional[Sequence[tuple[RationalFunction, ...]]] = None,
+                    ) -> Optional[tuple[RationalFunction, ...]]:
+    """The one check of a finite-outcome value: expr is an integer in
+    0..size-1 wherever each symbol s of `axes`, an (s, n) pair, is in
+    0..n-1, else outside(value, point) is raised, point holding the symbols
+    assigned; more points than MAX_OUTCOMES are an UnsupportedError that
+    begins with `too_many`.  Symbols are assigned one at a time, in `axes`
+    order and values ascending (as `itertools.product` runs), into the
+    partial polynomial, and a subtree whose value is a constant is checked
+    once.  With `weights`, one per value of each axis, the walk goes on to
+    every point and returns P(value = v) for v in 0..size-1, a point
+    weighing the product of its weights from RF_ONE in axis order."""
+    if math.prod(n for _, n in axes) > MAX_OUTCOMES:
+        raise UnsupportedError(f"{too_many}, more than {MAX_OUTCOMES} outcomes to enumerate")
+    law = None if weights is None else [RF_ZERO] * size
+
+    def walk(i: int, value: Polynomial, point: tuple, weight: RationalFunction) -> None:
+        if i < len(axes) and (law is not None or not value.is_const()):
+            sym, n = axes[i]
+            for x in range(n):
+                walk(i + 1, value.substitute({sym: x}), point + ((sym, x),),
+                     weight if law is None else weight * weights[i][x])
+            return
+        v = value.const_value() if value.is_const() else None
+        if v is None or v.denominator != 1 or not 0 <= v < size:
+            raise outside(value, dict(point))
+        if law is not None:
+            law[int(v)] += weight
+
+    walk(0, expr, (), RF_ONE)
+    return None if law is None else tuple(law)
 
 
 def initial_law(name: str, expr: Polynomial, draws: Mapping[str, DrawSpec], size: int,
                 outside: Callable[[str], Exception]) -> tuple[RationalFunction, ...]:
     """P(value = v) for v in 0..size-1 of expr, the initial value of the
-    finite-support variable `name`: its value on every outcome of its
-    `bern` draws, weighted by the outcome's probability.  This is the one
-    rule for such a value, so `1 - bern(3/10)` is a coin with p = 7/10.
-    A draw that is no `bern` is a ProgramError, more draws than
-    MAX_OUTCOMES allows an UnsupportedError, and an outcome that is no
+    finite-support variable `name`, by `finite_outcomes` over its `bern`
+    draws: the one rule for such a value, so `1 - bern(3/10)` is a coin
+    with p = 7/10.  A draw that is no `bern` is a ProgramError, more draws
+    than MAX_OUTCOMES allow an UnsupportedError, and an outcome that is no
     integer in 0..size-1 (2 of `2*bern(1/2)`, a bare parameter) raises
     `outside(shown)`, shown being the outcome and its expression."""
     drawn = sorted(filter(is_draw, expr.symbols()))
     specs = [draws[s] for s in drawn]
     if any(spec.kind != "bern" for spec in specs):
         raise ProgramError(f"continuous initializer for finite-support variable {name}")
-    if 2 ** len(drawn) > MAX_OUTCOMES:
-        raise UnsupportedError(
-            f"initializer of {name} has {len(drawn)} bern draws, "
-            f"more than {MAX_OUTCOMES} outcomes to enumerate")
-    law = [RF_ZERO] * size
-    for outcome in itertools.product((0, 1), repeat=len(drawn)):
-        value = expr.substitute(dict(zip(drawn, outcome)))
-        v = value.const_value() if value.is_const() else None
-        if v is None or v.denominator != 1 or not 0 <= v < size:
-            shown = _poly_str(value, draws) if v is None else str(v)
-            if drawn:
-                try:
-                    shown += f" (an outcome of {_poly_str(expr, draws)})"
-                except UnsupportedError:  # an expression with no printed form
-                    shown += " (an outcome of its draws)"
-            raise outside(shown)
-        law[int(v)] += math.prod(
-            (spec.arg if bit else RF_ONE - spec.arg for spec, bit in zip(specs, outcome)),
-            start=RF_ONE)
-    return tuple(law)
+
+    def refused(value: Polynomial, point) -> Exception:
+        try:
+            of = f" (an outcome of {_poly_str(expr, draws)})" if drawn else ""
+        except UnsupportedError:  # an expression with no printed form
+            of = " (an outcome of its draws)"
+        return outside(_poly_str(value, draws) + of)
+
+    return finite_outcomes(expr, [(s, 2) for s in drawn], size, refused,
+                           f"initializer of {name} has {len(drawn)} bern draws",
+                           [(RF_ONE - spec.arg, spec.arg) for spec in specs])
 
 
 # -- pretty printing -------------------------------------------------------

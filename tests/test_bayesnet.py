@@ -25,7 +25,7 @@ from psolve.bayesnet import (
     load_bn,
     load_bn_path,
 )
-from psolve.errors import InputError, ParseError, SchemaError
+from psolve.errors import InputError, ParseError, SchemaError, UnsupportedError
 from psolve.parser import parse_ratfun
 from psolve.queries import node_distribution, run_query
 from psolve.symbolic import Polynomial, coeff_str
@@ -385,8 +385,19 @@ LOADER_ERRORS = [
      "initial value of R: negative Gaussian variance"),
     # program.initial_law, run by DynBayesNet
     (doc_umbrella, ("initial", "R"), "gauss(0, 1)",
-     "initial value of R: continuous initializer for finite-support variable R"),
+     "initial value of R: continuous draw for a discrete node"),
     (doc_umbrella, ("initial", "Z"), 0, "unknown node 'Z'"),
+    # _check_names and _build_node
+    (doc_chain, ("params",), ["A"], "A names both a node and a parameter"),
+    (doc_chain, ("nodes", 1, "model"), {**GAUSS, "coeffs": {"A": "1"}},
+     "node B: discrete parent A in a plain Gaussian mean; use a clg model instead"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"], "table": CLG_TABLE[:1]},
+     "node B: 1 table rows but 2 assignments"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "clg", "parents": ["A"], "table": [
+        {**CLG_TABLE[0], "coeffs": {"A": "1"}}, CLG_TABLE[1]]},
+     "node B: discrete parent A belongs in the clg 'parents' list, not in coefficients"),
+    (doc_chain, ("nodes", 1, "model"), {"kind": "det", "expr": "A + 2"},
+     "node B: expr evaluates to 2 at {'A': 0}, outside 0..1"),
 ]
 
 
@@ -507,6 +518,40 @@ class TestDeterministic:
         for a in (0, 1):
             for b in (0, 1):
                 assert det.expr.eval({"A": F(a), "B": F(b)}) == F(a or b)
+
+    @staticmethod
+    def gate(k, expr, params=()):
+        """A deterministic node D over k fair binary roots P0..P{k-1}."""
+        nodes = [{"name": f"P{i}", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}}
+                 for i in range(k)]
+        return {"type": "bn", "params": list(params),
+                "nodes": nodes + [{"name": "D", "model": {"kind": "det", "expr": expr}}]}
+
+    def test_parent_assignments_are_bounded(self):
+        # 12 roots give 4,096 assignments, each checked: their sum leaves
+        # 0..1 first where the last two parents are 1
+        with pytest.raises(SchemaError) as info:
+            load_bn(self.gate(12, " + ".join(f"P{i}" for i in range(12))))
+        point = {name: 0 for name in sorted(f"P{i}" for i in range(12))}
+        point.update(P8=1, P9=1)
+        assert str(info.value) == f"node D: expr evaluates to 2 at {point}, outside 0..1"
+        with pytest.raises(UnsupportedError) as info:
+            load_bn(self.gate(13, " + ".join(f"P{i}" for i in range(13))))
+        assert str(info.value) == (
+            "node D has 8192 parent assignments, more than 4096 outcomes to enumerate")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("a*P0", "node D: expr evaluates to a at {'P0': 1}, outside 0..1"),
+        ("a", "node D: expr evaluates to a at {}, outside 0..1"),
+        # decided where P0 = 0: the point lists the parents assigned so far
+        ("2 + P0*P1", "node D: expr evaluates to 2 at {'P0': 0}, outside 0..1"),
+        ("P0 - P1", "node D: expr evaluates to -1 at {'P0': 0, 'P1': 1}, outside 0..1"),
+        ("P0/2", "node D: expr evaluates to 1/2 at {'P0': 1}, outside 0..1"),
+    ], ids=["parameter", "bare-parameter", "decided-early", "negative", "fraction"])
+    def test_value_outside_the_support(self, expr, message):
+        with pytest.raises(SchemaError) as info:
+            load_bn(self.gate(2, expr, params=["a"]))
+        assert str(info.value) == message
 
 
 class TestDynBayesNet:
@@ -831,16 +876,18 @@ class TestBinding:
             bind(dyn, {"r": value})
         assert str(info.value) == message
 
-    def test_bound_deterministic_node(self):
+    def test_deterministic_node_takes_no_parameter(self):
+        # so binding never rebuilds a deterministic node: one that mentions
+        # a parameter does not load
         doc = doc_chain()
         doc["params"] = ["a"]
         doc["nodes"][1]["model"] = {"kind": "det", "expr": "a*A"}
+        with pytest.raises(SchemaError) as info:
+            load_bn(doc)
+        assert str(info.value) == "node B: expr evaluates to a at {'A': 1}, outside 0..1"
+        doc["nodes"][1]["model"]["expr"] = "1 - A"
         bn = load_bn(doc)
-        assert bind(bn, {"a": F(1)}) == load_bn(substituted(doc, {"a": F(1)}))
-        with pytest.raises(InputError) as info:
-            bind(bn, {"a": F(1, 2)})
-        assert str(info.value) == (
-            "binding a=1/2: node B: expr evaluates to 1/2 at {'A': 1}, outside 0..1")
+        assert bind(bn, {"a": F(1)}).node("B") is bn.node("B")
 
 
 class TestInitialLaws:

@@ -100,6 +100,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out) == {"goal": "E[x]", "exact": "diverges", "assumptions": []}
 
+    def test_limit_diverging_on_a_parameter_interval(self, capsys, tmp_path):
+        # the base a lies in (2, 3) by its domain, so past 1 in modulus
+        prog = tmp_path / "grow.psl"
+        prog.write_text("param a in (2, 3); x := 1; while true { x := a*x; }\n")
+        assert run(capsys, "analyze", str(prog), "--goal", "x", "--limit") == (
+            0, "goal: E[x]\nexact: diverges\nassumptions: (none)\n", "")
+
     def test_closed_form_lists_its_dependencies_assumptions(self, capsys, tmp_path):
         prog = tmp_path / "xyz.psl"
         prog.write_text(
@@ -402,11 +409,16 @@ class TestQuery:
          "evidence must be a mapping or a list of [node, state] pairs, got 'U'"),
         ("umbrella_filter.json", '{"query": "filter", "observations": "U"}',
          "observations must be a list of steps, got 'U'"),
+        ("umbrella.json", '{"query": "conditional", "target": "R", "evidence": {"U": 1}}',
+         "conditional queries apply to static networks"),
+        ("umbrella.json", '{"query": "distribution", "node": "R"}',
+         "distribution queries apply to static networks"),
     ], ids=["evidence-string", "evidence-number", "evidence-list-of-number",
             "evidence-triple", "evidence-number-name", "distribution-node-list",
             "distribution-evidence-zero", "distribution-evidence-false",
             "distribution-evidence-empty-string",
-            "observation-step-string", "observations-string"])
+            "observation-step-string", "observations-string",
+            "conditional-on-dynamic", "distribution-on-dynamic"])
     def test_malformed_document_exits_1(self, capsys, net, spec, message):
         code, out, err = run(capsys, "query", str(DATA / net), "--spec", spec)
         assert (code, out) == (1, "")
@@ -807,6 +819,19 @@ class TestFilter:
         assert run(capsys, "filter", str(net), "--obs", "U=1; U=0", *bindings) == (
             1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("nodes, inter_edges, message", [
+        ([{"name": "R", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}}], {},
+         "network has no temporal nodes to track"),
+        ([{"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [0], "p": ["1/2", "1/2"]}, {"given": [1], "p": ["1/4", "3/4"]}]}},
+          {"name": "G", "model": {"kind": "lingauss", "variance": "1"}}], {"R": ["R"]},
+         "filtering needs an all-discrete slice, G is not"),
+    ], ids=["no-temporal-node", "continuous-node"])
+    def test_slice_it_cannot_filter(self, capsys, tmp_path, nodes, inter_edges, message):
+        net = tmp_path / "slice.json"
+        net.write_text(json.dumps({"type": "dynbn", "nodes": nodes, "inter_edges": inter_edges}))
+        assert run(capsys, "filter", str(net), "--obs", "R=1") == (1, "", f"error: {message}\n")
+
     def test_static_network_rejected(self, capsys):
         # the same text as a filter query document on a static network
         assert run(capsys, "filter", ALARM, "--obs", "U=1") == (
@@ -844,6 +869,44 @@ class TestInitialValues:
             "is outside the node's support\n"))
 
 
+def _gate_doc(k, expr, params=()):
+    """A deterministic node D over k fair binary roots P0..P{k-1}."""
+    nodes = [{"name": f"P{i}", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}} for i in range(k)]
+    return {"params": list(params),
+            "nodes": nodes + [{"name": "D", "model": {"kind": "det", "expr": expr}}]}
+
+
+class TestDeterministicNodes:
+    """A deterministic node is checked on every assignment of its parents
+    where the network loads, so no command prints a number for one that
+    leaves its support."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_gate_doc(13, " + ".join(f"P{i}" for i in range(13))),
+         "node D has 8192 parent assignments, more than 4096 outcomes to enumerate"),
+        (_gate_doc(1, "a*P0", [{"name": "a", "domain": ["0", "1"]}]),
+         "node D: expr evaluates to a at {'P0': 1}, outside 0..1"),
+    ], ids=["sum-of-13", "parameter"])
+    @pytest.mark.parametrize("argv", [
+        ["query", "--spec", '{"query": "moment", "target": "D", "k": 2}'],
+        ["query", "--spec", '{"query": "distribution", "node": "D"}'],
+        ["check"], ["compile-bn"], ["samples", "--evidence", "P0=1"],
+    ], ids=["moment", "distribution", "check", "compile-bn", "samples"])
+    def test_refused(self, capsys, tmp_path, doc, message, argv):
+        net = tmp_path / "det.json"
+        net.write_text(json.dumps(doc))
+        assert run(capsys, argv[0], str(net), *argv[1:]) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_wide_or_gate(self, capsys, tmp_path, k):
+        net = tmp_path / "or.json"
+        net.write_text(json.dumps(_gate_doc(k, "1 - " + "*".join(f"(1 - P{i})" for i in range(k)))))
+        code, out, _ = run(capsys, "query", str(net), "--spec",
+                           '{"query": "moment", "target": "D"}')
+        assert code == 0
+        assert f"exact: {2**k - 1}/{2**k}\n" in out
+
+
 class TestCheck:
     def test_alarm_passes(self, capsys):
         code, out, _ = run(capsys, "check", ALARM)
@@ -871,7 +934,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(net))
         assert code == 1
         assert out == ""
-        assert "deterministic node B depends on b" in err
+        assert err == "error: node B: expr evaluates to b at {'A': 1}, outside 0..1\n"
+
+    def test_state_space_past_the_cap_exits_1(self, capsys, tmp_path):
+        net = tmp_path / "wide.json"
+        net.write_text(json.dumps({"nodes": [
+            {"name": f"P{i}", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}} for i in range(21)]}))
+        assert run(capsys, "check", str(net)) == (1, "", (
+            "error: state space of 2097152 assignments exceeds the enumeration cap of 1048576\n"))
 
     def test_cyclic_moment_dependence_exits_1(self, capsys, tmp_path):
         net = tmp_path / "coupled.json"

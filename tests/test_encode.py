@@ -147,6 +147,13 @@ class TestCompileBn:
         prog = compile_bn(bn)
         assert expectation_at(prog, Polynomial.var("ALG"), 1)[0] == rf(F(253, 5))
 
+    def test_gaussian_mean_with_a_parameter_denominator_unsupported(self):
+        bn = load_bn({"type": "bn", "params": ["a"], "nodes": [
+            {"name": "X", "model": {"kind": "lingauss", "intercept": "1/a", "variance": "1"}}]})
+        with pytest.raises(UnsupportedError) as info:
+            compile_bn(bn)
+        assert str(info.value) == "node X: Gaussian mean has a parameter denominator"
+
 
 class TestCompileDynbn:
     def test_umbrella_two_variables(self):

@@ -16,7 +16,7 @@ from conftest import random_clgbn, random_discrete_bn, random_gbn
 from psolve import encode, exppoly, moments, queries, recurrence, symbolic
 from psolve.bayesnet import load_bn, load_bn_path
 from psolve.encode import compile_bn, compile_dynbn, indicator_poly
-from psolve.errors import DegreeCapError, InternalCheckError, ProgramError
+from psolve.errors import DegreeCapError, InternalCheckError, ProgramError, UnsupportedError
 from psolve.exppoly import ExpPoly
 from psolve.moments import MomentEngine, check_mbis, compute_mbis, degree_cap
 from psolve.oracle import differential_check, enumerate_discrete, gaussian_propagate, mc_estimate
@@ -263,6 +263,16 @@ class TestDegreeCap:
         prog = parse_program("x := 0; while true { x := x + gauss(0, 1); }")
         with pytest.raises(DegreeCapError):
             compute_mbis(prog, [Monomial.of("x", 3)])
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "PSOLVE_DEGREE_CAP must be an integer, got 'abc'"),
+        ("0", "PSOLVE_DEGREE_CAP must be positive"),
+    ])
+    def test_bad_cap_from_env(self, monkeypatch, raw, message):
+        monkeypatch.setenv("PSOLVE_DEGREE_CAP", raw)
+        with pytest.raises(UnsupportedError) as info:
+            degree_cap()
+        assert str(info.value) == message
 
     TRAIL = "x := 0; y := 0; while true { x := x + bern(1/2); y := y + x*x; }"
     SCALED = "x := 0; y := 1; while true { x := x + bern(1/2); y := x*y; }"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from psolve.bayesnet import CPT, bind, joint_rows, load_bn, load_bn_path
 from psolve import moments
 from psolve.encode import compile_bn
-from psolve.errors import QueryError, UnsupportedError
+from psolve.errors import QueryError, SchemaError, UnsupportedError
 from psolve.oracle import (
     differential_check,
     enumerate_discrete,
@@ -82,14 +82,13 @@ class TestEnumerateDiscrete:
         assert table.probability([("A", 1), ("B", 1)]) == 0
 
     def test_parametric_det_node_is_unsupported(self):
-        bn = load_bn(
-            {"type": "bn", "params": ["b"], "nodes": [
+        # refused where the network loads, so no enumeration meets it
+        with pytest.raises(SchemaError) as info:
+            load_bn({"type": "bn", "params": ["b"], "nodes": [
                 {"name": "A", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
                 {"name": "B", "model": {"kind": "det", "expr": "b*A"}},
-            ]}
-        )
-        with pytest.raises(UnsupportedError, match="node B depends on b"):
-            enumerate_discrete(bn)
+            ]})
+        assert str(info.value) == "node B: expr evaluates to b at {'A': 1}, outside 0..1"
 
     @pytest.mark.parametrize("y_given_x", [
         [["1/4", "3/4"], ["1/2", "1/2"], ["9/10", "1/10"]],

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import numeric_text
 
-from psolve.errors import ParseError
+from psolve.errors import ParseError, ProgramError
 from psolve.parser import parse_draw_expr, parse_poly, parse_program, parse_ratfun
 from psolve.program import DrawRegistry, DrawSpec, pretty
 from psolve.symbolic import Monomial, Polynomial, RationalFunction
@@ -251,6 +251,16 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="after the loop"):
             parse_program("x := 0; while true { x := 0; } y := 1;")
+
+    @pytest.mark.parametrize("directive, error, message", [
+        ("support x 1;", ProgramError, "support of x must be at least 2"),
+        ("support x 2; support x 3;", ParseError, "1:22: support of x declared twice"),
+        ("support x 1.5;", ParseError, "1:11: expected an integer support size"),
+    ], ids=["size-one", "twice", "not-an-integer"])
+    def test_bad_support_directive(self, directive, error, message):
+        with pytest.raises(error) as info:
+            parse_program(f"{directive} x := 0; while true {{ x := x; }}")
+        assert str(info.value) == message
 
     def test_comments_ignored(self):
         prog = parse_program(

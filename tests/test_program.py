@@ -18,6 +18,7 @@ from psolve.program import (
     Initializer,
     LoopProgram,
     extend,
+    finite_outcomes,
     initial_law,
     is_draw,
     pretty,
@@ -289,6 +290,30 @@ class TestInitialLaw:
         assert str(info.value) == (
             "initializer of x has 13 bern draws, more than 4096 outcomes to enumerate")
 
+    @pytest.mark.parametrize("init", [
+        "bern(1/(1 + b))*bern(1/(2 + b)) + bern(b/3)",
+        "bern(b/2)*(bern(1/(1 + b)) + bern(1/3))",
+        "1 - bern(1/(3 + b))",
+    ])
+    def test_law_is_the_same_rational_function(self, init):
+        """Each outcome's probability is the product of its draws' weights
+        from RF_ONE, added in the order of itertools.product, also where
+        the walk decides a subtree early: with parameter denominators, a
+        sum merged in another order may be written otherwise."""
+        prog = parse_program(
+            f"param b in (0, 1); support x 3; x := {init}; while true {{ x := x; }}")
+        expr = prog.inits[0].expr
+        drawn = sorted(filter(is_draw, expr.symbols()))
+        specs = [prog.draws[sym] for sym in drawn]
+        want = [RationalFunction(0)] * 3
+        for outcome in _outcomes(len(drawn)):
+            v = expr.substitute(dict(zip(drawn, outcome))).const_value()
+            want[int(v)] += math.prod(
+                (spec.arg if bit else RF_ONE - spec.arg for spec, bit in zip(specs, outcome)),
+                start=RF_ONE)
+        got = initial_law("x", expr, prog.draws, 3, ValueError)
+        assert [(p.num, p.den) for p in got] == [(p.num, p.den) for p in want]
+
     @given(_initializers())
     @settings(max_examples=60, deadline=None)
     def test_moments_follow_the_law(self, case):
@@ -310,6 +335,75 @@ class TestInitialLaw:
             moment = sum(w * v**j for v, w in enumerate(want))
             assert engine.initial_moment(Monomial.of("x", j)) == moment
             assert engine.closed(Polynomial.var("x") ** j).at(0) == moment
+
+
+@st.composite
+def _boxes(draw):
+    """A support size 2-4, a box of up to four symbols with 2-3 values
+    each, and a polynomial in some of them: sparse with small
+    coefficients, or interpolating values drawn on the box, every value a
+    state or some not."""
+    size = draw(st.integers(2, 4))
+    axes = [(f"s{i}", draw(st.integers(2, 3))) for i in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            mono = Monomial([(s, draw(st.integers(1, 2))) for s, _ in axes if draw(st.booleans())])
+            terms[mono] = draw(st.sampled_from([F(-1), F(1), F(2), F(1, 2)]))
+        return size, axes, Polynomial(terms)
+    if draw(st.booleans()):
+        value = st.integers(0, size - 1)
+    else:
+        value = st.sampled_from([-1, F(1, 2), size, *range(size)])
+    expr = Polynomial.zero()
+    for point in itertools.product(*(range(n) for _, n in axes)):
+        basis = Polynomial.const(draw(value))  # the value times the point's Lagrange basis
+        for (sym, n), x in zip(axes, point):
+            for j in range(n):
+                if j != x:
+                    basis = basis * (Polynomial.var(sym) - j) * F(1, x - j)
+        expr = expr + basis
+    return size, axes, expr
+
+
+class TestFiniteOutcomes:
+    """The one check of a finite-outcome value, walked one symbol at a time."""
+
+    @given(_boxes())
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_the_values_inside(self, case):
+        size, axes, expr = case
+        points = [dict(zip([s for s, _ in axes], point))
+                  for point in itertools.product(*(range(n) for _, n in axes))]
+        values = [expr.eval(point) for point in points]
+        fits = [v.denominator == 1 and 0 <= v < size for v in values]
+        inside = all(fits)
+        seen = []
+
+        def outside(value, point):
+            seen.append((value, point))
+            return ValueError()
+
+        if inside:
+            assert finite_outcomes(expr, axes, size, outside, "too many") is None
+            return
+        with pytest.raises(ValueError):
+            finite_outcomes(expr, axes, size, outside, "too many")
+        (value, point), = seen
+        # the value at every point below the reported one, and the first
+        # point outside in the order of itertools.product lies below it
+        below = [v for p, v in zip(points, values) if p.items() >= point.items()]
+        assert below and all(Polynomial.const(v) == value for v in below)
+        first = next(p for p, fit in zip(points, fits) if not fit)
+        assert first.items() >= point.items()
+
+    def test_leftover_symbol_is_outside(self):
+        seen = []
+        with pytest.raises(ValueError):
+            finite_outcomes(Polynomial.var("a") * Polynomial.var("A"), [("A", 2)], 2,
+                            lambda value, point: seen.append((str(value), point)) or ValueError(),
+                            "too many")
+        assert seen == [("a", {"A": 1})]
 
 
 class TestDrawOwnership:

@@ -236,3 +236,20 @@ def test_substitute_is_linear():
     polynomial by polynomial rebuilds the running sum once per term."""
     small, large = substitute_lines(500), substitute_lines(1000)
     assert large <= GROWTH * small, (small, large)
+
+
+def or_gate_doc(k: int) -> dict:
+    """D = 1 - (1 - P0)*...*(1 - P{k-1}) over k fair binary roots."""
+    nodes = [{"name": f"P{i}", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}} for i in range(k)]
+    expr = "1 - " + "*".join(f"(1 - P{i})" for i in range(k))
+    return {"type": "bn", "nodes": nodes + [{"name": "D", "model": {"kind": "det", "expr": expr}}]}
+
+
+def test_or_gate_load_grows_like_its_expression():
+    """The expanded gate has 2^k terms, and the range check walks the
+    parents one at a time, deciding the subtree below each parent set to 1
+    at once: one more input about doubles the load.  Evaluating the
+    expression at each of the 2^k assignments grew it about 4.5x."""
+    load_bn(or_gate_doc(3))
+    small, large = (lines_executed(lambda: load_bn(or_gate_doc(k))) for k in (7, 8))
+    assert large <= 2.5 * small, (small, large)
