@@ -182,7 +182,7 @@ def _build(bn: BayesNet, dyn: DynBayesNet | None = None) -> _Builder:
     builder = _Builder()
     if dyn is not None:
         builder.registry.draws.update(dyn.draws)
-    builder.used.update(bn.node_names)
+    builder.used.update(bn.node_names, bn.param_names)
     zero = Polynomial.zero()
     for name in bn.order:
         node = bn.node(name)
@@ -240,11 +240,8 @@ def _emit_rows(builder: _Builder, bn: BayesNet, name: str, parents, rows,
         aux = builder.fresh(f"{name}_{i + 1}")
         builder.emit(aux, branches(model, ind), Polynomial.zero(), support)
         aux_names.append(aux)
-    builder.emit(name, [Branch(RF_ONE, _sum_of_vars(aux_names))], init, support)
-
-
-def _sum_of_vars(names) -> Polynomial:
-    return Polynomial({Monomial.of(name): 1 for name in names})
+    total = Polynomial({Monomial.of(aux): 1 for aux in aux_names})
+    builder.emit(name, [Branch(RF_ONE, total)], init, support)
 
 
 def _value_branches(vec, ind: Polynomial, m: int):
@@ -269,13 +266,12 @@ def _gauss_expr(builder: _Builder, lg: LinearGaussian, where: str) -> Polynomial
 
 @dataclass(frozen=True)
 class MonitorProgram:
-    """A compiled network extended with the rejection-sampling bookkeeping,
-    and the normalized evidence it accepts: one flag variable per evidence
-    node (`evidence_vars`, in evidence order) and their product, the
-    acceptance flag `evidence_var`."""
+    """A compiled network extended with the rejection-sampling bookkeeping:
+    one flag variable per evidence node (`evidence_vars`, in evidence
+    order), their product, the acceptance flag `evidence_var`, and the
+    sample count `count_var`, which a cross-checked `samples` solves."""
 
     program: LoopProgram
-    evidence: Tuple[Tuple[str, int], ...]
     evidence_vars: Tuple[str, ...]
     evidence_var: str
     continue_var: str
@@ -303,7 +299,7 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
     pairs = sample_evidence(bn, evidence)
     base = bn.engine.prog
     builder = _Builder()
-    builder.used.update(base.variables)
+    builder.used.update(base.variables, bn.param_names)
     one = Polynomial.const(Fraction(1))
     zero = Polynomial.zero()
 
@@ -323,7 +319,6 @@ def compile_sampling_monitor(bn: BayesNet, evidence) -> MonitorProgram:
 
     return MonitorProgram(
         program=extend(base, builder.inits, builder.updates, builder.supports),
-        evidence=pairs,
         evidence_vars=tuple(flags),
         evidence_var=ev,
         continue_var=cont,

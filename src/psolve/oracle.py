@@ -150,6 +150,8 @@ def enumerate_discrete(bn: BayesNet, cap: int = DEFAULT_STATE_CAP) -> JointTable
     for node in bn.nodes:
         if not node.is_discrete:
             raise UnsupportedError(f"cannot enumerate {node.name}: it is continuous")
+        if node.name in node.parents:
+            raise UnsupportedError(f"cannot enumerate {node.name}: it reads its own previous value")
         size *= node.support
     if size > cap:
         raise UnsupportedError(
@@ -227,6 +229,9 @@ def gaussian_propagate(bn: BayesNet) -> GaussianMixture:
     continuous = [name for name in bn.order if not bn.node(name).is_discrete]
     if not continuous:
         raise UnsupportedError("network has no continuous nodes to propagate")
+    for name in continuous:
+        if name in bn.node(name).parents:
+            raise UnsupportedError(f"cannot propagate {name}: it reads its own previous value")
     if discrete:
         sub = BayesNet(
             params=bn.params,

@@ -223,29 +223,21 @@ def expected_samples(bn: BayesNet, evidence, cross_check: bool = True) -> QueryR
     """Expected number of samples drawn until the first one matching the
     evidence, i.e. 1/P(evidence).
 
-    The monitor's statements are appended to the network's compiled
-    program (`compile_sampling_monitor`), and the monitor's engine is
-    layered on the network's (`MomentEngine`): the network's buckets read
-    and fill the network engine's message table and update powers, so
-    the network is compiled, validated and walked by one engine per
-    object.  P(evidence) is one body pass over the monitor's per-node
-    evidence flags; a flag's message meets the network's walks by its
-    indicator, so a conditional on the same evidence has built them
-    already.  With cross_check the monitor's count is solved as well, on
-    the monitor's engine, and its limit must equal 1/p exactly.  The
-    count's extraction walks reach the flags through the acceptance
-    flag's message and reuse the messages that pass built.
+    P(evidence) is the network engine's pass, as for a conditional.  Only
+    cross_check compiles the sampling monitor (`compile_sampling_monitor`)
+    and layers its engine on the network's, to solve its count, whose limit
+    must equal 1/p exactly; the count's walks end in the evidence flags,
+    whose messages are their indicators', built by the P(evidence) pass.
     """
-    monitor = compile_sampling_monitor(bn, evidence)
-    engine = MomentEngine(monitor.program, bn.engine)
-    flags = [Polynomial.var(flag) for flag in monitor.evidence_vars]
-    p, assumptions = _evidence_mass(engine, monitor.evidence, flags)
+    p, assumptions = _sample_mass(bn, evidence)
     value = RF_ONE / p
     extras = [("probability", str(p))]
     if cross_check:
+        monitor = compile_sampling_monitor(bn, evidence)
+        engine = MomentEngine(monitor.program, bn.engine)
         count = engine.closed(Polynomial.var(monitor.count_var))
-        limit = expoly_limit(count.tail, {p.name: p for p in bn.params})
-        if limit.kind == "diverges" or limit.value is None:
+        limit = expoly_limit(count.tail, engine.prog.param_map())
+        if limit.kind == "diverges":
             raise InternalCheckError(
                 "monitor count diverges although the evidence has "
                 f"probability {p}"
@@ -264,10 +256,15 @@ def expected_positive(bn: BayesNet, evidence, n_samples: int) -> QueryResult:
     n * P(evidence), from one pass on the compiled network."""
     if n_samples < 0:
         raise QueryError(f"sample count must be nonnegative, got {n_samples}")
-    pairs = sample_evidence(bn, evidence)
-    p, assumptions = _evidence_mass(bn.engine, pairs, indicator_factors(bn, pairs))
+    p, assumptions = _sample_mass(bn, evidence)
     value = p * RationalFunction(Polynomial.const(Fraction(n_samples)))
     return QueryResult("positive", value, assumptions)
+
+
+def _sample_mass(bn: BayesNet, evidence):
+    """`_evidence_mass` of a sample-count query, on the network's engine."""
+    pairs = sample_evidence(bn, evidence)
+    return _evidence_mass(bn.engine, pairs, indicator_factors(bn, pairs))
 
 
 def sensitivity(bn, query_spec: Mapping) -> QueryResult:

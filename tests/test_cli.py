@@ -681,6 +681,63 @@ class TestSymbolicDenominators:
         assert "exact: 3/(b + 1)\n" in out
 
 
+class TestParameterNamedLikeACompiledVariable:
+    """A parameter may be named like a variable the compiler makes up, a
+    row auxiliary `<node>_<row>` or a sampling monitor's `count`: the made-up
+    variable takes another name."""
+
+    ROW_AUX = {"type": "bn", "params": [{"name": "A_1", "domain": ["0", "1"]}], "nodes": [
+        {"name": "B", "model": {"kind": "cpt", "p": ["1/2", "1/2"]}},
+        {"name": "A", "model": {"kind": "cpt", "parents": ["B"], "rows": [
+            {"given": [0], "p": ["1 - A_1", "A_1"]}, {"given": [1], "p": ["1/4", "3/4"]}]}}]}
+    DYN_ROW_AUX = {"type": "dynbn", "params": [{"name": "T_1", "domain": ["0", "1/2"]}], "nodes": [
+        {"name": "R", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["0.7", "0.3"]}, {"given": [0], "p": ["0.3", "0.7"]}]}},
+        {"name": "T", "model": {"kind": "cpt", "parents": ["R"], "rows": [
+            {"given": [1], "p": ["T_1", "1/2", "1/2 - T_1"]},
+            {"given": [0], "p": ["1/3", "1/3", "1/3"]}]}}],
+        "inter_edges": {"R": ["R"]}, "initial": {"R": 1}}
+    COUNT = {"type": "bn", "params": [{"name": "count", "domain": ["0", "1"]}], "nodes": [
+        {"name": "A", "model": {"kind": "cpt", "p": ["1 - count", "count"]}},
+        {"name": "B", "model": {"kind": "cpt", "parents": ["A"], "rows": [
+            {"given": [0], "p": ["1/3", "2/3"]}, {"given": [1], "p": ["1/5", "4/5"]}]}}]}
+
+    @pytest.mark.parametrize("doc, argv, line", [
+        (ROW_AUX, ("query", "--spec",
+                   '{"query": "conditional", "target": "B", "evidence": {"A": 1}}'),
+         "exact: 3/(4*A_1 + 3)\n"),
+        (ROW_AUX, ("samples", "--evidence", "A=1"), "monitor_limit: 8/(4*A_1 + 3)\n"),
+        (DYN_ROW_AUX, ("query", "--spec", '{"query": "predict", "target": "T", "at": 2}'),
+         "exact: -29/25*T_1 + 129/100\n"),
+        (DYN_ROW_AUX, ("filter", "--obs", "T=2; T=0"), "states: R=0 | R=1\n"),
+        (COUNT, ("samples", "--evidence", "B=1"), "monitor_limit: 15/2/(count + 5)\n"),
+        (COUNT, ("query", "--spec", '{"query": "moment", "target": "B"}'),
+         "exact: 2/15*count + 2/3\n"),
+    ], ids=["row-aux-conditional", "row-aux-samples", "dyn-row-aux-predict",
+            "dyn-row-aux-filter", "count-samples", "count-moment"])
+    def test_query_answers(self, capsys, tmp_path, doc, argv, line):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(net), *argv[1:])
+        assert (code, err) == (0, "")
+        assert line in out
+
+    @pytest.mark.parametrize("doc", [ROW_AUX, DYN_ROW_AUX, COUNT],
+                             ids=["row-aux", "dyn-row-aux", "count"])
+    def test_check_and_compile(self, capsys, tmp_path, doc):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(net), "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["passed"] > 0 and report["failed"] == 0
+        code, out, err = run(capsys, "compile-bn", str(net))
+        assert (code, err) == (0, "")
+        prog = parse_program(out)
+        validate(prog)
+        assert [p.name for p in prog.params] == [p["name"] for p in doc["params"]]
+
+
 class TestSamples:
     def test_conjunction_evidence(self, capsys):
         code, out, _ = run(capsys, "samples", ASIA,

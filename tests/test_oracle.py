@@ -25,6 +25,15 @@ from conftest import random_clgbn, random_discrete_bn, random_discrete_doc, rand
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
+# a dynamic network's slice whose Gaussian node reads its own previous value
+GAUSS_CHAIN = {
+    "type": "dynbn",
+    "nodes": [{"name": "X", "model": {
+        "kind": "lingauss", "intercept": "1", "coeffs": {"X": "1/2"}, "variance": "1"}}],
+    "inter_edges": {"X": ["X"]},
+    "initial": {"X": 0},
+}
+
 
 def plain_rows(bn) -> list:
     """The assignments of `joint_rows`, each with a plain RationalFunction
@@ -52,6 +61,11 @@ class TestEnumerateDiscrete:
         assert table.probability([("X", 0)]) == F(1, 5)
         assert table.probability([("X", 1)]) == F(4, 5)
         assert table.expectation(Polynomial.var("X")) == F(4, 5)
+
+    def test_slice_reading_its_own_past_is_unsupported(self):
+        with pytest.raises(UnsupportedError) as exc:
+            enumerate_discrete(load_bn_path(DATA / "umbrella.json").net)
+        assert str(exc.value) == "cannot enumerate R: it reads its own previous value"
 
     def test_alarm_joint(self):
         bn = load_bn_path(DATA / "alarm.json")
@@ -221,6 +235,11 @@ def test_table_queries_equal_plain_sums_over_joint_rows(case):
 
 
 class TestGaussianPropagate:
+    def test_slice_reading_its_own_past_is_unsupported(self):
+        with pytest.raises(UnsupportedError) as exc:
+            gaussian_propagate(load_bn(GAUSS_CHAIN).net)
+        assert str(exc.value) == "cannot propagate X: it reads its own previous value"
+
     def test_chain_variance_adds(self):
         bn = load_bn(
             {"type": "bn", "nodes": [

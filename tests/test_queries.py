@@ -28,7 +28,7 @@ from psolve.queries import (
     run_query,
     sensitivity,
 )
-from psolve.symbolic import Polynomial, RationalFunction, decimal_str
+from psolve.symbolic import RF_ONE, Polynomial, RationalFunction, decimal_str
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -262,13 +262,19 @@ class TestOneCompilePerCall:
         assert compiles == ["compile_bn"]
 
     def test_expected_samples(self, compiles):
-        # the monitor appends to the network's program, which it compiles
-        # from inside its own compile, once per network object
+        # P(evidence) compiles the network, once per network object, and
+        # the cross-check's monitor appends to that program
         asia = load_bn_path(DATA / "asia.json")
         expected_samples(asia, {"Asia": 1, "Lung": 1})
-        assert compiles == ["compile_sampling_monitor", "compile_bn"]
+        assert compiles == ["compile_bn", "compile_sampling_monitor"]
         expected_samples(asia, {"Smoke": 1, "Xray": 0})
-        assert compiles == ["compile_sampling_monitor", "compile_bn", "compile_sampling_monitor"]
+        assert compiles == ["compile_bn", "compile_sampling_monitor", "compile_sampling_monitor"]
+
+    def test_expected_samples_without_cross_check_compiles_no_monitor(self, compiles, engines):
+        asia = load_bn_path(DATA / "asia.json")
+        expected_samples(asia, {"Asia": 1, "Lung": 1}, cross_check=False)
+        assert compiles == ["compile_bn"]
+        assert engines == [asia.engine]
 
     def test_expected_positive_compiles_no_monitor(self, compiles):
         asia = load_bn_path(DATA / "asia.json")
@@ -381,7 +387,7 @@ class TestLayeredMonitor:
         with pytest.raises(error) as exc:
             expected_samples(bn, evidence)
         assert str(exc.value) == text
-        assert compiles == ["compile_sampling_monitor"]
+        assert compiles == []
         assert engines == []
 
 
@@ -401,6 +407,16 @@ class TestExpectedSamples:
         res = expected_samples(alarm, {"M": 1, "J": 1})
         p = F(dict(res.extras)["probability"])
         assert res.value == 1 / p
+
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_one_over_the_positive_rate(self, cross_check):
+        # both sample counts take P(evidence) from the network's engine
+        for bn, evidence in ((load_bn_path(DATA / "asia.json"), {"Smoke": 1, "Xray": 0}),
+                             (load_bn_path(DATA / "alarm_sens.json"), {"A": 0, "J": 1})):
+            p = expected_positive(bn, evidence, 1).value
+            res = expected_samples(bn, evidence, cross_check)
+            assert res.value == RF_ONE / p
+            assert dict(res.extras)["probability"] == str(p)
 
     def test_zero_probability(self):
         bn = load_bn(
@@ -471,6 +487,18 @@ class TestForwardFilter:
     def test_static_network_is_unsupported(self, alarm):
         with pytest.raises(UnsupportedError, match="filter queries apply to dynamic networks"):
             forward_filter(alarm, [{"M": 1}])
+
+    def test_continuous_state_is_unsupported(self):
+        dyn = load_bn({
+            "type": "dynbn",
+            "nodes": [{"name": "X", "model": {
+                "kind": "lingauss", "intercept": "1", "coeffs": {"X": "1/2"}, "variance": "1"}}],
+            "inter_edges": {"X": ["X"]},
+            "initial": {"X": 0},
+        })
+        with pytest.raises(UnsupportedError) as exc:
+            forward_filter(dyn, [{}])
+        assert str(exc.value) == "filtering needs a discrete state, X is not"
 
     def test_umbrella_two_wet_observations(self):
         dyn = load_bn_path(DATA / "umbrella_filter.json")
